@@ -1,10 +1,11 @@
 """Batch front-end.
 
 Subcommands: solve | properties | dpp | control | mc | report, each taking
---config <path> --out <dir> [--seed N] [--threads N].  Value tables are CSV
-with full round-trip floats; reports are JSON with stable key order carrying
-the config hash.  Exit codes: 0 all enabled assertions pass, 1 assertion
-failure, 2 schema violation, 3 numerical degeneracy.
+--config <path> --out <dir> [--seed N].  Value tables are CSV with full
+round-trip floats; reports are JSON with stable key order carrying the config
+hash.  Exit codes: 0 all enabled assertions pass, 1 assertion failure,
+2 schema violation (including any unknown config key or flag), 3 numerical
+degeneracy.
 """
 
 from __future__ import annotations
@@ -44,14 +45,13 @@ def _write_csv(path, header, columns):
 
 
 class _Run:
-    def __init__(self, cfg, out_dir, seed, threads):
+    def __init__(self, cfg, out_dir, seed):
         self.cfg = cfg
         self.out = out_dir
         self.hash = config_hash(cfg)
         self.grid = build_grid(cfg)
         self.family = build_family(cfg, self.grid)
         self.window = build_window(cfg, self.grid)
-        self.threads = threads
         self.seed = seed
         os.makedirs(out_dir, exist_ok=True)
 
@@ -70,7 +70,7 @@ def _cmd_solve(run):
     u0 = build_u0(cfg, run.grid)
     res = nisio_value(run.family, solve["t"], u0,
                       max_level=solve.get("max_level", 12),
-                      tol=solve.get("tol", 1e-6), threads=run.threads)
+                      tol=solve.get("tol", 1e-6))
     x = run.grid.points if run.grid.points.ndim == 1 else run.grid.points[:, 0]
     _write_csv(run.path("solve.csv"), ["x", "u0", "u_T"],
                [x, u0.values, res.value.values])
@@ -98,8 +98,7 @@ def _cmd_properties(run):
     report = property_suite(
         run.family, probes, section.get("t_list", [0.25, 1.0]),
         seed=section.get("seed", run.seed or 0),
-        partition_pairs=section.get("partition_pairs", 5),
-        threads=run.threads)
+        partition_pairs=section.get("partition_pairs", 5))
     record = run.base_record()
     record.update(report)
     _write_json(run.path("properties.json"), record)
@@ -114,8 +113,7 @@ def _cmd_dpp(run):
     u0 = build_u0(cfg, run.grid)
     level = section.get("level", 6)
     out = dpp_check(run.family, section["s"], section["t"], u0,
-                    max_level=level, tol=1e-12, window=run.window,
-                    threads=run.threads)
+                    max_level=level, tol=1e-12, window=run.window)
     record = run.base_record()
     record.update({"s": section["s"], "t": section["t"], "level": level,
                    "defect": out["defect"],
@@ -202,7 +200,7 @@ _COMMANDS = {"solve": _cmd_solve, "properties": _cmd_properties, "dpp": _cmd_dpp
              "control": _cmd_control, "mc": _cmd_mc, "report": _cmd_report}
 
 
-def run(subcommand, config_path, out_dir, seed=None, threads=None):
+def run(subcommand, config_path, out_dir, seed=None):
     try:
         with open(config_path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -210,13 +208,8 @@ def run(subcommand, config_path, out_dir, seed=None, threads=None):
     except (OSError, json.JSONDecodeError, ConfigurationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    env_threads = os.environ.get("NISIO_THREADS")
-    if env_threads is not None:
-        threads = int(env_threads)
-    if threads is None:
-        threads = cfg.get("threads", 1)
     try:
-        ctx = _Run(cfg, out_dir, seed, threads)
+        ctx = _Run(cfg, out_dir, seed)
         return _COMMANDS[subcommand](ctx)
     except (ConfigurationError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -237,9 +230,8 @@ def main(argv=None):
         p.add_argument("--config", required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
-    return run(args.subcommand, args.config, args.out, args.seed, args.threads)
+    return run(args.subcommand, args.config, args.out, args.seed)
 
 
 if __name__ == "__main__":

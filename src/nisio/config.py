@@ -77,8 +77,7 @@ CONFIG_SCHEMA = {
         "solve": {
             "type": "object", "additionalProperties": False,
             "properties": {"t": _NUM, "tol": _NUM,
-                           "max_level": {"type": "integer", "minimum": 1},
-                           "snapshots": {"type": "integer", "minimum": 0}},
+                           "max_level": {"type": "integer", "minimum": 1}},
             "required": ["t"],
         },
         "dpp": {
@@ -112,7 +111,6 @@ CONFIG_SCHEMA = {
             },
         },
         "report_window": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-        "threads": {"type": "integer", "minimum": 1},
     },
     "required": ["grid", "family"],
 }

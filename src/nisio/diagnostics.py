@@ -138,7 +138,7 @@ def _nested_partition_pair(t, rng, quantum=16):
 
 
 def property_suite(family, probes, t_list, eps=None, seed=0, partition_pairs=5,
-                   nisio_level=4, threads=1):
+                   nisio_level=4):
     """Structural invariants of the one-step envelope, with measured slacks.
 
     Every inequality is tested with tolerance eps_q (the members' measured
@@ -162,7 +162,7 @@ def property_suite(family, probes, t_list, eps=None, seed=0, partition_pairs=5,
 
     # constants preserved
     one = GridFunction(np.ones(grid.size), grid)
-    worst = min(-float(np.max(np.abs(envelope_step(family, t, one, threads).values - 1.0)))
+    worst = min(-float(np.max(np.abs(envelope_step(family, t, one).values - 1.0)))
                 for t in t_list)
     record("constants_preserved", worst, fp_tol)
 
@@ -174,8 +174,8 @@ def property_suite(family, probes, t_list, eps=None, seed=0, partition_pairs=5,
     for u in probes:
         v = u.with_values(u.values + lift)
         for t in t_list:
-            gap = envelope_step(family, t, v, threads).values \
-                - envelope_step(family, t, u, threads).values
+            gap = envelope_step(family, t, v).values \
+                - envelope_step(family, t, u).values
             worst = min(worst, float(np.min(gap)))
     record("monotone", worst, eps)
 
@@ -185,9 +185,9 @@ def property_suite(family, probes, t_list, eps=None, seed=0, partition_pairs=5,
         for v in probes[i:]:
             s = u.with_values(u.values + v.values)
             for t in t_list:
-                gap = envelope_step(family, t, u, threads).values \
-                    + envelope_step(family, t, v, threads).values \
-                    - envelope_step(family, t, s, threads).values
+                gap = envelope_step(family, t, u).values \
+                    + envelope_step(family, t, v).values \
+                    - envelope_step(family, t, s).values
                 worst = min(worst, float(np.min(gap)))
     record("subadditive", worst, max(eps, fp_tol))
     worst = np.inf
@@ -195,8 +195,8 @@ def property_suite(family, probes, t_list, eps=None, seed=0, partition_pairs=5,
         for c in (0.0, 0.5, 2.0):
             cu = u.with_values(c * u.values)
             for t in t_list:
-                diff = envelope_step(family, t, cu, threads).values \
-                    - c * envelope_step(family, t, u, threads).values
+                diff = envelope_step(family, t, cu).values \
+                    - c * envelope_step(family, t, u).values
                 worst = min(worst, -float(np.max(np.abs(diff))))
     record("positively_homogeneous", worst, fp_tol)
 
@@ -208,8 +208,8 @@ def property_suite(family, probes, t_list, eps=None, seed=0, partition_pairs=5,
             du = weighted_norm(u.with_values(u.values - v.values))
             for t in t_list:
                 d_after = weighted_norm(u.with_values(
-                    envelope_step(family, t, u, threads).values
-                    - envelope_step(family, t, v, threads).values))
+                    envelope_step(family, t, u).values
+                    - envelope_step(family, t, v).values))
                 worst = min(worst, np.exp(alpha * t) * du - d_after)
     record("kappa_contraction", worst, eps)
 
@@ -222,7 +222,7 @@ def property_suite(family, probes, t_list, eps=None, seed=0, partition_pairs=5,
             lu = lip_seminorm(u)
             for t in t_list:
                 worst = min(worst, np.exp(beta * t) * lu
-                            - lip_seminorm(envelope_step(family, t, u, threads)))
+                            - lip_seminorm(envelope_step(family, t, u)))
         record("lipschitz_propagation", worst, eps / gap_min + 1e-9)
 
     # partition refinement and dyadic monotonicity: the exact inequality
@@ -234,21 +234,20 @@ def property_suite(family, probes, t_list, eps=None, seed=0, partition_pairs=5,
     for _ in range(partition_pairs):
         p1, p2 = _nested_partition_pair(t_ref, rng, quantum=quantum)
         for u in probes:
-            gap = partition_apply(family, p2, u, threads).values \
-                - partition_apply(family, p1, u, threads).values
+            gap = partition_apply(family, p2, u).values \
+                - partition_apply(family, p1, u).values
             worst = min(worst, float(np.min(gap)))
     record("partition_refinement", worst, quantum * eps)
     worst = np.inf
     for u in probes:
-        res = nisio_value(family, t_ref, u, max_level=nisio_level, tol=1e-12,
-                          threads=threads)
+        res = nisio_value(family, t_ref, u, max_level=nisio_level, tol=1e-12)
         for a, b in zip(res.levels, res.levels[1:]):
             worst = min(worst, float(np.min(b.values - a.values)))
     record("dyadic_levels_nondecreasing", worst, 2 ** nisio_level * eps)
 
     # envelope dominates every member
     worst = min(upper_bound_check(family, t, probes[0], max_level=nisio_level,
-                                  tol=1e-10, threads=threads)["min_slack"]
+                                  tol=1e-10)["min_slack"]
                 for t in t_list)
     record("envelope_dominates_members", worst, eps)
 

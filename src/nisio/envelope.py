@@ -9,7 +9,6 @@ dyadic iterates increase pointwise up to the members' own quadrature defect.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,34 +63,24 @@ class Partition:
         return np.all(np.isin(other.times, self.times))
 
 
-def _stack(family, h, values, threads=1):
-    if threads > 1 and len(family) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda m: m.apply_values(h, values), family.members))
-        return np.stack(rows)
-    return family.apply_all(h, values)
-
-
-def envelope_step(family, h, u, threads=1):
+def envelope_step(family, h, u):
     """One-step envelope: pointwise max over members of S_member(h) u."""
-    if not np.isfinite(h) or h < 0.0:
-        raise InvalidInputError(f"duration must be finite and >= 0, got {h}")
     if h == 0.0:
         return u
-    return u.with_values(np.max(_stack(family, h, u.values, threads), axis=0))
+    return u.with_values(np.max(family.apply_all(h, u.values), axis=0))
 
 
-def envelope_step_argmax(family, h, u, threads=1):
+def envelope_step_argmax(family, h, u):
     """One-step envelope together with the per-point maximizing member index.
 
     Ties resolve to the lowest index (np.argmax keeps the first maximum).
     """
-    stacked = _stack(family, h, u.values, threads)
+    stacked = family.apply_all(h, u.values)
     idx = np.argmax(stacked, axis=0)
     return u.with_values(stacked[idx, np.arange(stacked.shape[1])]), idx
 
 
-def partition_apply(family, pi, u, threads=1):
+def partition_apply(family, pi, u):
     """Compose the one-step envelope over the gaps of a partition.
 
     Right-to-left composition; the trivial partition {0} returns u.
@@ -100,7 +89,7 @@ def partition_apply(family, pi, u, threads=1):
         return u
     v = u
     for h in pi.gaps[::-1]:
-        v = envelope_step(family, h, v, threads)
+        v = envelope_step(family, h, v)
     return v
 
 
@@ -122,7 +111,7 @@ class NisioResult:
         return len(self.levels) - 1
 
 
-def nisio_value(family, t, u, max_level=12, tol=1e-6, threads=1):
+def nisio_value(family, t, u, max_level=12, tol=1e-6):
     """Envelope value S(t)u by dyadic partition refinement.
 
     Refines until the successive weighted-norm difference drops below
@@ -137,11 +126,11 @@ def nisio_value(family, t, u, max_level=12, tol=1e-6, threads=1):
         raise InvalidInputError(f"horizon must be finite and >= 0, got {t}")
     if t == 0.0:
         return NisioResult(u, [u], [], True)
-    levels = [partition_apply(family, Partition.dyadic(t, 0), u, threads)]
+    levels = [partition_apply(family, Partition.dyadic(t, 0), u)]
     diffs = []
     converged = False
     for level in range(1, max_level + 1):
-        v = partition_apply(family, Partition.dyadic(t, level), u, threads)
+        v = partition_apply(family, Partition.dyadic(t, level), u)
         diffs.append(weighted_norm(v.with_values(v.values - levels[-1].values)))
         levels.append(v)
         if diffs[-1] <= tol:
@@ -150,7 +139,7 @@ def nisio_value(family, t, u, max_level=12, tol=1e-6, threads=1):
     return NisioResult(levels[-1], levels, diffs, converged)
 
 
-def dpp_check(family, s, t, u, max_level=12, tol=1e-6, window=None, threads=1):
+def dpp_check(family, s, t, u, max_level=12, tol=1e-6, window=None):
     """Dynamic-programming defect: || S(s+t)u - S(s) S(t) u || in the weighted norm.
 
     Reported, not asserted.  ``window`` restricts the norm to a mask of grid
@@ -158,20 +147,20 @@ def dpp_check(family, s, t, u, max_level=12, tol=1e-6, window=None, threads=1):
     """
     if s == 0.0 or t == 0.0:
         return {"defect": 0.0}
-    joint = nisio_value(family, s + t, u, max_level, tol, threads)
-    inner = nisio_value(family, t, u, max_level, tol, threads)
-    outer = nisio_value(family, s, inner.value, max_level, tol, threads)
+    joint = nisio_value(family, s + t, u, max_level, tol)
+    inner = nisio_value(family, t, u, max_level, tol)
+    outer = nisio_value(family, s, inner.value, max_level, tol)
     diff = joint.value.with_values(joint.value.values - outer.value.values)
     return {"defect": weighted_norm(diff, window=window)}
 
 
-def upper_bound_check(family, t, u, max_level=12, tol=1e-6, threads=1):
+def upper_bound_check(family, t, u, max_level=12, tol=1e-6):
     """Least-upper-bound slack: min over members and points of S(t)u - S_member(t)u.
 
     The gap is weighted by kappa so the slack is commensurate with the
     composition tolerance eps_q (which is measured in the weighted norm).
     """
-    res = nisio_value(family, t, u, max_level, tol, threads)
+    res = nisio_value(family, t, u, max_level, tol)
     slack = np.inf
     for member in family:
         gap = (res.value.values - member.apply(t, u).values) * family.grid.kappa

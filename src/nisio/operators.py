@@ -696,4 +696,6 @@ class SemigroupFamily:
 
     def apply_all(self, t, values):
         """Stack of member applications, shape (n_members, n_points)."""
+        if not np.isfinite(t) or t < 0.0:
+            raise InvalidInputError(f"duration must be finite and >= 0, got {t}")
         return np.stack([m.apply_values(t, values) for m in self.members])

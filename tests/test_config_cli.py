@@ -38,6 +38,13 @@ def test_schema_rejects_unknown_keys():
     cfg["grid"]["typo"] = True
     with pytest.raises(ConfigurationError):
         validate_config(cfg)
+    cfg = dict(BASE_CFG, threads=2)
+    with pytest.raises(ConfigurationError):
+        validate_config(cfg)
+    cfg = json.loads(json.dumps(BASE_CFG))
+    cfg["solve"]["snapshots"] = 4
+    with pytest.raises(ConfigurationError):
+        validate_config(cfg)
 
 
 def test_config_hash_is_stable():
@@ -157,6 +164,9 @@ def test_cli_main_entrypoint(tmp_path):
     cfg_path = write_cfg(tmp_path, BASE_CFG)
     out = str(tmp_path / "out")
     assert main(["solve", "--config", cfg_path, "--out", out]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", cfg_path, "--out", out, "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_csv_u0_roundtrip(tmp_path):
@@ -188,21 +198,6 @@ def test_cli_numerical_degeneracy_exits_3(tmp_path):
     }
     cfg_path = write_cfg(tmp_path, cfg)
     assert run("solve", cfg_path, str(tmp_path / "out")) == 3
-
-
-def test_threads_env_override(tmp_path, monkeypatch):
-    cfg = json.loads(json.dumps(BASE_CFG))
-    del cfg["dpp"], cfg["control"], cfg["mc"]
-    cfg["solve"]["max_level"] = 3
-    cfg_path = write_cfg(tmp_path, cfg)
-    monkeypatch.setenv("NISIO_THREADS", "2")
-    out_env = str(tmp_path / "env")
-    assert run("solve", cfg_path, out_env) == 0
-    monkeypatch.delenv("NISIO_THREADS")
-    out_plain = str(tmp_path / "plain")
-    assert run("solve", cfg_path, out_plain) == 0
-    assert (open(os.path.join(out_env, "solve.csv"), "rb").read()
-            == open(os.path.join(out_plain, "solve.csv"), "rb").read())
 
 
 def test_cli_reports_carry_eps_q_and_flow_exits(tmp_path):

@@ -193,11 +193,12 @@ def test_contraction_in_weighted_norm(coarse_family, coarse_grid):
     assert after <= before + 1e-12   # alpha = 0 for stochastic rows
 
 
-def test_threads_give_identical_values(coarse_family, coarse_grid):
+@pytest.mark.parametrize("step", [envelope_step, envelope_step_argmax])
+@pytest.mark.parametrize("h", [-0.1, np.nan, np.inf])
+def test_step_rejects_bad_duration(coarse_family, coarse_grid, step, h):
     u = probe_function("sin", coarse_grid)
-    a = envelope_step(coarse_family, 0.3, u, threads=1).values
-    b = envelope_step(coarse_family, 0.3, u, threads=2).values
-    assert np.array_equal(a, b)
+    with pytest.raises(InvalidInputError, match="duration must be finite"):
+        step(coarse_family, h, u)
 
 
 def test_quadrature_tolerance_floor(coarse_family):
