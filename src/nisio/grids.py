@@ -13,6 +13,15 @@ Functions live on grids as :class:`GridFunction` (one value per point).
 The two functionals every module relies on are :func:`weighted_norm`
 (sup of ``kappa * |u|``) and :func:`lip_seminorm` (discrete Lipschitz
 constant w.r.t. the grid metric).
+
+Point lookup (:meth:`WeightedGrid.nearest_index`,
+:meth:`WeightedGrid.interp_weights`) is O(1) per state on ``uniform`` and
+``periodic`` grids: an arithmetic floor of ``(x - points[0]) / spacing``,
+corrected by at most one step against the stored points, which gives
+exactly the bracket a binary search would.  ``log`` grids use binary
+search.  ``nearest_index`` breaks ties to the left neighbour (an exact
+midpoint maps to the lower index, unlike round-half-to-even); states
+beyond the grid map to the end nodes and NaN is rejected.
 """
 
 from __future__ import annotations
@@ -24,6 +33,9 @@ import numpy as np
 from .errors import ConfigurationError, InvalidInputError, UndefinedSeminormError
 
 BOUNDARY_POLICIES = ("renormalize", "reflect")
+# largest deviation of a uniform grid's points from points[0] + spacing * k,
+# as a fraction of spacing
+_UNIFORM_RTOL = 1e-6
 
 
 def _as_weight(kappa, points):
@@ -72,6 +84,12 @@ class WeightedGrid:
         if self.kind in ("uniform", "periodic", "log") and pts.ndim == 1:
             if len(pts) > 1 and not np.all(np.diff(pts) > 0.0):
                 raise ConfigurationError("grid points must be strictly increasing")
+        if self.kind in ("uniform", "periodic") and pts.ndim == 1:
+            # the O(1) lookup relies on points[k] == points[0] + k * spacing
+            ideal = pts[0] + self.spacing * np.arange(len(pts))
+            if np.max(np.abs(pts - ideal)) > _UNIFORM_RTOL * self.spacing:
+                raise ConfigurationError(
+                    "uniform grid points must be points[0] + spacing * k")
         self.points.setflags(write=False)
         self.kappa.setflags(write=False)
 
@@ -160,20 +178,44 @@ class WeightedGrid:
             m &= np.all(self.points <= np.asarray(hi), axis=1)
         return m
 
+    def _bracket(self, x):
+        """Left bracket index j in [0, N-2] with points[j] <= x < points[j+1],
+        i.e. ``searchsorted(points, x, side="right") - 1`` clipped.
+
+        O(1) per state on uniform and periodic grids: the arithmetic floor is
+        off by at most one step, which one comparison per side corrects.
+        The arithmetic runs in place to spare temporaries on large batches."""
+        pts = self.points
+        last = pts.size - 2
+        if self.kind not in ("uniform", "periodic"):
+            return np.clip(np.searchsorted(pts, x, side="right") - 1, 0, last)
+        with np.errstate(over="ignore"):
+            q = np.subtract(x, pts[0], out=np.empty_like(x))
+            q /= self.spacing
+        # clip the float before the cast so that +-inf cannot overflow
+        j = np.clip(q, 0, last, out=q).astype(np.intp)
+        j -= x < pts.take(j)
+        j += x >= pts[1:].take(j)            # pts[1:].take(j) == pts[j + 1]
+        return np.clip(j, 0, last, out=j)
+
     def nearest_index(self, x):
-        """Index of the nearest grid point; ties resolve to the left neighbour."""
-        x = np.asarray(x, dtype=float)
+        """Index of the nearest grid point; ties resolve to the left neighbour.
+
+        States beyond the grid map to the end nodes; NaN raises
+        :class:`InvalidInputError`."""
+        x = _reject_nan(x)
         if self.kind == "labels":
             return np.clip(np.rint(x).astype(int), 0, self.size - 1)
         if self.points.ndim != 1:
             raise ConfigurationError("nearest_index implemented for 1D grids only")
-        j = np.searchsorted(self.points, x, side="left")
-        j = np.clip(j, 1, self.size - 1)
-        left = self.points[j - 1]
-        right = self.points[j]
+        if self.size == 1:
+            return np.zeros(x.shape, dtype=np.intp)
+        j = self._bracket(x)
+        left = self.points.take(j)
+        right = self.points[1:].take(j)
         # strict inequality: midpoint goes to the left point
-        take_right = (x - left) > (right - x)
-        return np.where(take_right, j, j - 1)
+        j += (x - left) > (right - x)
+        return j
 
     def interp_weights(self, x):
         """Monotone linear interpolation with constant extrapolation.
@@ -182,13 +224,21 @@ class WeightedGrid:
         """
         if self.points.ndim != 1:
             raise ConfigurationError("interp_weights implemented for 1D grids only")
-        x = np.asarray(x, dtype=float)
+        if self.size < 2:
+            raise ConfigurationError("interp_weights needs at least two points")
+        x = _reject_nan(x)
         xc = np.clip(x, self.points[0], self.points[-1])
-        j = np.searchsorted(self.points, xc, side="right") - 1
-        j = np.clip(j, 0, self.size - 2)
+        j = self._bracket(xc)
         gap = self.points[j + 1] - self.points[j]
         theta = np.clip((xc - self.points[j]) / gap, 0.0, 1.0)
         return j, theta
+
+
+def _reject_nan(x):
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise InvalidInputError("states must not be NaN")
+    return x
 
 
 @dataclass(frozen=True)

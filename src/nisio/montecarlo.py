@@ -73,39 +73,47 @@ class SamplerSpec:
         return np.random.Generator(np.random.Philox(key=self.seed))
 
 
-def _step_states(kind, base, scale, h, states, rng):
-    h = scale * h
-    if h == 0.0 or states.size == 0:
-        return states
+def _stage_step(kind, base, h):
+    """Stage transition ``step(states, rng)`` of one member over the scaled
+    duration h, with everything that depends on h alone computed here once."""
+    if h == 0.0:
+        return lambda states, rng: states
     if kind == "heat":
-        return states + base.sigma * math.sqrt(h) * rng.standard_normal(states.size)
+        vol = base.sigma * math.sqrt(h)
+        return lambda states, rng: states + vol * rng.standard_normal(states.size)
     if kind == "gbm":
-        z = rng.standard_normal(states.size)
-        return states * np.exp((base.mu - 0.5 * base.sigma ** 2) * h
-                               + base.sigma * math.sqrt(h) * z)
+        drift = (base.mu - 0.5 * base.sigma ** 2) * h
+        vol = base.sigma * math.sqrt(h)
+        return lambda states, rng: states * np.exp(
+            drift + vol * rng.standard_normal(states.size))
     if kind == "ou":
         M, drift, cov = base.moments(h)
+        m_lin, shift = M[0, 0], drift[0]
         std = math.sqrt(max(cov[0, 0], 0.0))
-        out = M[0, 0] * states + drift[0]
-        if std > 0.0:
-            out = out + std * rng.standard_normal(states.size)
-        return out
+        if std == 0.0:
+            return lambda states, rng: m_lin * states + shift
+        return lambda states, rng: (m_lin * states + shift
+                                    + std * rng.standard_normal(states.size))
     if kind == "flow":
-        return base.flow(h, states)
+        return lambda states, rng: base.flow(h, states)
     if kind == "chain":
-        idx = np.clip(np.rint(states).astype(int), 0, base.grid.size - 1)
-        n_jumps = rng.poisson(base.rate * h, size=states.size)
         cum = np.cumsum(base.jump_matrix, axis=1)
         cum[:, -1] = 1.0
-        for j in range(int(n_jumps.max()) if n_jumps.size else 0):
-            active = n_jumps > j
-            if not np.any(active):
-                break
-            draws = rng.random(int(active.sum()))
-            rows = cum[idx[active]]
-            idx[active] = (rows < draws[:, None]).sum(axis=1)
-        return idx.astype(float)
+        return lambda states, rng: _jump_chain(base, cum, h, states, rng)
     raise ConfigurationError(f"unknown sampler kind {kind}")
+
+
+def _jump_chain(base, cum, h, states, rng):
+    idx = np.clip(np.rint(states).astype(int), 0, base.grid.size - 1)
+    n_jumps = rng.poisson(base.rate * h, size=states.size)
+    for j in range(int(n_jumps.max()) if n_jumps.size else 0):
+        active = n_jumps > j
+        if not np.any(active):
+            break
+        draws = rng.random(int(active.sum()))
+        rows = cum[idx[active]]
+        idx[active] = (rows < draws[:, None]).sum(axis=1)
+    return idx.astype(float)
 
 
 def sample_terminal_states(spec, x0, rng=None):
@@ -119,13 +127,17 @@ def sample_terminal_states(spec, x0, rng=None):
         rng = spec.rng()
     states = np.full(spec.n_paths, float(x0))
     flagged = 0
+    steps = {}      # (member, stage duration) -> stage transition
     for h, sel in spec.policy.stages:
         nearest = grid.nearest_index(states)
         member_idx = sel[nearest]
         for k, (kind, base, scale) in enumerate(spec._kinds):
             mask = member_idx == k
             if np.any(mask):
-                states[mask] = _step_states(kind, base, scale, h, states[mask], rng)
+                step = steps.get((k, h))
+                if step is None:
+                    step = steps[k, h] = _stage_step(kind, base, scale * h)
+                states[mask] = step(states[mask], rng)
         if spec.safety_box is not None:
             lo, hi = spec.safety_box
             out = (states < lo) | (states > hi)

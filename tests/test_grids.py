@@ -114,3 +114,100 @@ def test_weighted_norm_is_a_norm(vals):
     assert weighted_norm(both) <= weighted_norm(u) + weighted_norm(v) + 1e-12
     assert weighted_norm(u.with_values(2.0 * u.values)) == pytest.approx(
         2.0 * weighted_norm(u), rel=1e-12)
+
+
+# -- point lookup: O(1) path on uniform grids vs the binary-search oracle ----
+
+def oracle_nearest_index(points, x):
+    """Binary-search nearest index (ties to the left), the reference path."""
+    j = np.searchsorted(points, x, side="left")
+    j = np.clip(j, 1, len(points) - 1)
+    left = points[j - 1]
+    right = points[j]
+    return np.where((x - left) > (right - x), j, j - 1)
+
+
+def oracle_interp_weights(points, x):
+    """Binary-search interpolation bracket and weight, the reference path."""
+    xc = np.clip(x, points[0], points[-1])
+    j = np.searchsorted(points, xc, side="right") - 1
+    j = np.clip(j, 0, len(points) - 2)
+    gap = points[j + 1] - points[j]
+    theta = np.clip((xc - points[j]) / gap, 0.0, 1.0)
+    return j, theta
+
+
+def lookup_states(g, extra=()):
+    """Nodes, exact midpoints, their float neighbours and far-away states."""
+    pts = g.points
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    near = np.concatenate([pts, mids])
+    big = np.finfo(float).max
+    far = [-np.inf, np.inf, -big, big, -1e300, 1e300,
+           pts[0] - 3.0 * g.spacing, pts[-1] + 3.0 * g.spacing]
+    return np.concatenate([near, np.nextafter(near, -np.inf),
+                           np.nextafter(near, np.inf), far, np.asarray(extra, float)])
+
+
+def assert_lookup_matches_oracle(g, x):
+    assert np.array_equal(g.nearest_index(x), oracle_nearest_index(g.points, x))
+    j, theta = g.interp_weights(x)
+    j_ref, theta_ref = oracle_interp_weights(g.points, x)
+    assert np.array_equal(j, j_ref)
+    assert np.array_equal(theta, theta_ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-100.0, 100.0),
+       dx=st.sampled_from([0.1, 1.0 / 3.0, 0.01, 0.25, 0.7, 2.0 * np.pi / 256.0]),
+       n=st.integers(2, 300),
+       periodic=st.booleans(),
+       extra=st.lists(st.floats(-200.0, 200.0), max_size=50))
+def test_lookup_matches_binary_search(lo, dx, n, periodic, extra):
+    g = WeightedGrid.uniform(lo, lo + n * dx, dx, periodic=periodic)
+    assert_lookup_matches_oracle(g, lookup_states(g, extra))
+
+
+@pytest.mark.parametrize("g", [WeightedGrid.uniform(-8.0, 8.0, 0.01, boundary="reflect"),
+                               WeightedGrid.loggrid(8.0, 1e-2, 800)],
+                         ids=["readme", "log"])
+def test_lookup_matches_binary_search_fixed_grids(g):
+    rng = np.random.default_rng(0)
+    assert_lookup_matches_oracle(g, lookup_states(g, 3.0 * rng.standard_normal(10_000)))
+    for x in (0.3, np.float64(-7.995), np.array(1e300)):     # scalar states
+        assert_lookup_matches_oracle(g, x)
+
+
+def test_nearest_index_single_point_grid():
+    for g in (WeightedGrid.uniform(0.0, 0.0, 0.5),
+              WeightedGrid.uniform(0.0, 0.5, 0.5, periodic=True)):
+        assert g.size == 1
+        assert g.nearest_index(np.array([0.0, 1.0, -1.0])).tolist() == [0, 0, 0]
+        with pytest.raises(ConfigurationError):
+            g.interp_weights(np.array([0.0]))
+
+
+def test_lookup_rejects_nan():
+    grids = (WeightedGrid.uniform(-1.0, 1.0, 0.5), WeightedGrid.loggrid(8.0, 0.01, 10),
+             WeightedGrid.labels(4))
+    for g in grids:
+        with pytest.raises(InvalidInputError):
+            g.nearest_index(np.array([0.0, np.nan]))
+    for g in grids[:2]:
+        with pytest.raises(InvalidInputError):
+            g.interp_weights(np.array([np.nan]))
+    g = grids[0]
+    assert g.nearest_index(np.array([-np.inf, np.inf])).tolist() == [0, 4]
+
+
+def test_uniform_grid_rejects_irregular_points():
+    pts = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(ConfigurationError):
+        WeightedGrid(pts, np.ones(5))            # default spacing 1.0
+    assert WeightedGrid(pts, np.ones(5), spacing=0.25).size == 5
+    bent = pts.copy()
+    bent[2] += 1e-3
+    for kind in ("uniform", "periodic"):
+        with pytest.raises(ConfigurationError):
+            WeightedGrid(bent, np.ones(5), kind=kind, spacing=0.25)
+    assert WeightedGrid(bent, np.ones(5), kind="log", spacing=0.25).size == 5

@@ -1,11 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from nisio import (ChainOperator, ConfigurationError, ControlPolicy,
                    GBMOperator, GridFunction, HeatOperator, InvalidInputError,
-                   KoopmanOperator, SamplerSpec, SemigroupFamily, StableOperator,
-                   WeightedGrid, greedy_policy, mc_compare, mc_value,
-                   sample_controlled_path, sample_terminal_states)
+                   KoopmanOperator, OUOperator, SamplerSpec, ScaledOperator,
+                   SemigroupFamily, StableOperator, WeightedGrid, greedy_policy,
+                   mc_compare, mc_value, sample_controlled_path,
+                   sample_terminal_states)
 from nisio.probes import probe_function
 
 
@@ -123,3 +126,53 @@ def test_weak_duality_through_sampling(coarse_family, coarse_grid):
         spec = SamplerSpec(coarse_family, pol, 50_000, seed=int(rng.integers(1 << 30)))
         out = mc_value(spec, 0.0, u)
         assert out["estimate"] - 3.0 * out["std_error"] <= env.value.at(0.0) + 1e-6
+
+
+def test_mc_value_golden(coarse_family, coarse_grid):
+    # pinned bit for bit: the member alternates from one grid point to the
+    # next, so any change in the nearest-point lookup moves the estimate
+    sel = np.arange(coarse_grid.size) % 2
+    pol = ControlPolicy(tuple((1.0 / 16, sel) for _ in range(16)))
+    out = mc_value(SamplerSpec(coarse_family, pol, 20_000, seed=2024), 0.0,
+                   probe_function("quadratic", coarse_grid))
+    assert out["estimate"] == 0.5969142484669573
+    assert out["std_error"] == 0.006125157222167451
+
+
+def test_ou_moments_once_per_member_and_duration(ou_grid, monkeypatch):
+    calls = Counter()
+    moments = OUOperator.moments
+
+    def counting(self, t):
+        calls[id(self), t] += 1
+        return moments(self, t)
+
+    monkeypatch.setattr(OUOperator, "moments", counting)
+    members = [OUOperator(ou_grid, -0.5, 0.2, 1.0), OUOperator(ou_grid, 0.0, 0.0, 0.5)]
+    fam = SemigroupFamily(members)
+    u = probe_function("quadratic", ou_grid)
+    mc_value(SamplerSpec(fam, constant_policy(ou_grid, 0, 8, 1.0), 500, seed=1), 0.0, u)
+    assert calls == Counter({(id(members[0]), 0.125): 1})
+
+    calls.clear()
+    sel = (ou_grid.points > 0.0).astype(int)
+    pol = ControlPolicy(tuple((0.125, sel) for _ in range(4))
+                        + tuple((0.25, sel) for _ in range(2)))
+    out = mc_value(SamplerSpec(fam, pol, 2000, seed=11), 0.0, u)
+    assert calls == Counter({(id(m), h): 1 for m in members for h in (0.125, 0.25)})
+    # hoisting changes no draw: the per-stage estimate, pinned bit for bit
+    assert out["estimate"] == 0.5515951530436175
+    assert out["std_error"] == 0.017786226574706715
+
+
+def test_chain_and_gbm_stage_steps_golden(chain_family, label_grid, log_grid):
+    pol = ControlPolicy(tuple((0.25, np.array([0, 1, 0, 1])) for _ in range(4)))
+    out = mc_value(SamplerSpec(chain_family, pol, 5000, seed=5), 1.0,
+                   GridFunction(np.array([0.0, 1.0, 4.0, 9.0]), label_grid))
+    assert (out["estimate"], out["std_error"]) == (2.2106, 0.04257149274337088)
+    fam = SemigroupFamily([GBMOperator(log_grid, 0.1, 0.2),
+                           ScaledOperator(GBMOperator(log_grid, 0.0, 0.4), 0.5)])
+    pol = ControlPolicy(tuple((0.25, np.arange(log_grid.size) % 2) for _ in range(4)))
+    out = mc_value(SamplerSpec(fam, pol, 5000, seed=3), 1.0,
+                   probe_function("linear", log_grid))
+    assert (out["estimate"], out["std_error"]) == (1.0358999212873587, 0.0037956585878406563)
