@@ -12,6 +12,9 @@ from .grids import GridFunction, lip_seminorm, weighted_norm
 from .operators import generator_apply
 from .probes import bump, smootherstep
 
+# dyadic depth of property_suite's refinement and domination checks
+_NISIO_LEVEL = 4
+
 
 def strong_continuity_probe(family, u, h_list, window=None):
     """Rate of the members' small-time displacement.
@@ -137,8 +140,7 @@ def _nested_partition_pair(t, rng, quantum=16):
     return Partition(np.unique(times1)), Partition(times2)
 
 
-def property_suite(family, probes, t_list, eps=None, seed=0, partition_pairs=5,
-                   nisio_level=4):
+def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     """Structural invariants of the one-step envelope, with measured slacks.
 
     Every inequality is tested with tolerance eps_q (the members' measured
@@ -147,8 +149,7 @@ def property_suite(family, probes, t_list, eps=None, seed=0, partition_pairs=5,
     """
     if not probes:
         raise InvalidInputError("need at least one probe")
-    if eps is None:
-        eps = quadrature_tolerance(family)
+    eps = quadrature_tolerance(family)
     rng = np.random.default_rng(seed)
     grid = family.grid
     checks = []
@@ -159,6 +160,9 @@ def property_suite(family, probes, t_list, eps=None, seed=0, partition_pairs=5,
 
     scale = max(1.0, max(float(np.max(np.abs(u.values))) for u in probes))
     fp_tol = 1e-11 * scale
+    # one-step envelope of every probe at every t, read by all checks below
+    step = {(i, t): envelope_step(family, t, u).values
+            for i, u in enumerate(probes) for t in t_list}
 
     # constants preserved
     one = GridFunction(np.ones(grid.size), grid)
@@ -171,32 +175,28 @@ def property_suite(family, probes, t_list, eps=None, seed=0, partition_pairs=5,
     lift = bump(pts, center=float(np.median(pts)),
                 width=max(1.0, 0.25 * (pts.max() - pts.min())))
     worst = np.inf
-    for u in probes:
+    for i, u in enumerate(probes):
         v = u.with_values(u.values + lift)
         for t in t_list:
-            gap = envelope_step(family, t, v).values \
-                - envelope_step(family, t, u).values
+            gap = envelope_step(family, t, v).values - step[i, t]
             worst = min(worst, float(np.min(gap)))
     record("monotone", worst, eps)
 
     # sublinearity and positive homogeneity
     worst = np.inf
     for i, u in enumerate(probes):
-        for v in probes[i:]:
-            s = u.with_values(u.values + v.values)
+        for j in range(i, len(probes)):
+            s = u.with_values(u.values + probes[j].values)
             for t in t_list:
-                gap = envelope_step(family, t, u).values \
-                    + envelope_step(family, t, v).values \
-                    - envelope_step(family, t, s).values
+                gap = step[i, t] + step[j, t] - envelope_step(family, t, s).values
                 worst = min(worst, float(np.min(gap)))
     record("subadditive", worst, max(eps, fp_tol))
     worst = np.inf
-    for u in probes:
+    for i, u in enumerate(probes):
         for c in (0.0, 0.5, 2.0):
             cu = u.with_values(c * u.values)
             for t in t_list:
-                diff = envelope_step(family, t, cu).values \
-                    - c * envelope_step(family, t, u).values
+                diff = envelope_step(family, t, cu).values - c * step[i, t]
                 worst = min(worst, -float(np.max(np.abs(diff))))
     record("positively_homogeneous", worst, fp_tol)
 
@@ -204,12 +204,10 @@ def property_suite(family, probes, t_list, eps=None, seed=0, partition_pairs=5,
     alpha = family.bounds.alpha
     worst = np.inf
     for i, u in enumerate(probes):
-        for v in probes[i + 1:]:
-            du = weighted_norm(u.with_values(u.values - v.values))
+        for j in range(i + 1, len(probes)):
+            du = weighted_norm(u.with_values(u.values - probes[j].values))
             for t in t_list:
-                d_after = weighted_norm(u.with_values(
-                    envelope_step(family, t, u).values
-                    - envelope_step(family, t, v).values))
+                d_after = weighted_norm(u.with_values(step[i, t] - step[j, t]))
                 worst = min(worst, np.exp(alpha * t) * du - d_after)
     record("kappa_contraction", worst, eps)
 
@@ -218,11 +216,11 @@ def property_suite(family, probes, t_list, eps=None, seed=0, partition_pairs=5,
         beta = family.bounds.beta
         gap_min = float(np.min(np.diff(pts))) if grid.kind != "labels" else 1.0
         worst = np.inf
-        for u in probes:
+        for i, u in enumerate(probes):
             lu = lip_seminorm(u)
             for t in t_list:
                 worst = min(worst, np.exp(beta * t) * lu
-                            - lip_seminorm(envelope_step(family, t, u)))
+                            - lip_seminorm(u.with_values(step[i, t])))
         record("lipschitz_propagation", worst, eps / gap_min + 1e-9)
 
     # partition refinement and dyadic monotonicity: the exact inequality
@@ -240,13 +238,13 @@ def property_suite(family, probes, t_list, eps=None, seed=0, partition_pairs=5,
     record("partition_refinement", worst, quantum * eps)
     worst = np.inf
     for u in probes:
-        res = nisio_value(family, t_ref, u, max_level=nisio_level, tol=1e-12)
+        res = nisio_value(family, t_ref, u, max_level=_NISIO_LEVEL, tol=1e-12)
         for a, b in zip(res.levels, res.levels[1:]):
             worst = min(worst, float(np.min(b.values - a.values)))
-    record("dyadic_levels_nondecreasing", worst, 2 ** nisio_level * eps)
+    record("dyadic_levels_nondecreasing", worst, 2 ** _NISIO_LEVEL * eps)
 
     # envelope dominates every member
-    worst = min(upper_bound_check(family, t, probes[0], max_level=nisio_level,
+    worst = min(upper_bound_check(family, t, probes[0], max_level=_NISIO_LEVEL,
                                   tol=1e-10)["min_slack"]
                 for t in t_list)
     record("envelope_dominates_members", worst, eps)

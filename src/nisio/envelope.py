@@ -9,7 +9,7 @@ dyadic iterates increase pointwise up to the members' own quadrature defect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,9 +19,16 @@ from .grids import GridFunction, weighted_norm
 
 @dataclass(frozen=True)
 class Partition:
-    """Finite time partition: 0 = t_0 < t_1 < ... < t_m."""
+    """Finite time partition: 0 = t_0 < t_1 < ... < t_m.
+
+    A uniform partition gives every gap exactly t/m, so all its steps share
+    one duration (one cached member matrix, the greedy policy's stage
+    length); its ``times`` are ``linspace``, whose differences can be an ulp
+    off t/m.
+    """
 
     times: np.ndarray
+    _step: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -38,7 +45,9 @@ class Partition:
     def uniform(cls, t, m):
         if m < 1:
             raise ConfigurationError("need at least one step")
-        return cls(np.linspace(0.0, t, m + 1))
+        pi = cls(np.linspace(0.0, t, m + 1))
+        object.__setattr__(pi, "_step", t / m)
+        return pi
 
     @classmethod
     def dyadic(cls, t, level):
@@ -52,10 +61,12 @@ class Partition:
     def mesh(self):
         if self.times.size == 1:
             return 0.0
-        return float(np.max(np.diff(self.times)))
+        return float(np.max(self.gaps))
 
     @property
     def gaps(self):
+        if self._step is not None:
+            return np.full(self.times.size - 1, self._step)
         return np.diff(self.times)
 
     def refines(self, other):

@@ -153,10 +153,6 @@ class WeightedGrid:
         return len(self.points)
 
     @property
-    def is_1d(self):
-        return self.points.ndim == 1
-
-    @property
     def period(self):
         if self.kind != "periodic":
             raise ConfigurationError("period only defined for periodic grids")
@@ -257,12 +253,6 @@ class GridFunction:
         if not np.all(np.isfinite(v)):
             raise InvalidInputError("grid function values must be finite")
         self.values.setflags(write=False)
-
-    @classmethod
-    def from_callable(cls, grid, f):
-        if grid.points.ndim == 1:
-            return cls(np.asarray(f(grid.points), dtype=float) * np.ones(grid.size), grid)
-        return cls(np.asarray(f(grid.points[:, 0], grid.points[:, 1]), dtype=float), grid)
 
     def with_values(self, values):
         return replace(self, values=values)

@@ -2,11 +2,12 @@
 
 Paths follow the policy stage by stage: the member driving each path over a
 stage is looked up at the nearest grid point of the current state, and the
-stage transition is sampled exactly (Gaussian increments for diffusive
-members, lognormal for multiplicative ones, a uniformization jump chain for
-finite-state members, the deterministic flow for transport members).  The
-single-policy expectation is a lower bound for the envelope value; under the
-greedy policy it reproduces it.
+member's own ``path_step`` samples the stage transition exactly (Gaussian
+increments for heat and 1D OU members, lognormal ones for GBM members, the
+deterministic flow for Koopman members, a uniformization jump chain for
+conservative chains; a scaled member samples its base over the dilated
+duration).  The single-policy expectation is a lower bound for the envelope
+value; under the greedy policy it reproduces it.
 """
 
 from __future__ import annotations
@@ -16,54 +17,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControlPolicy, policy_value
+from .control import ControlPolicy, _check_policy, policy_value
 from .envelope import nisio_value
 from .errors import ConfigurationError, InvalidInputError
-from .operators import (ChainOperator, GBMOperator, HeatOperator,
-                        KoopmanOperator, OUOperator, ScaledOperator)
-
-
-def _sampling_kind(member):
-    base = member
-    scale = 1.0
-    while isinstance(base, ScaledOperator):
-        scale *= base.scale
-        base = base.base
-    if isinstance(base, HeatOperator):
-        return "heat", base, scale
-    if isinstance(base, GBMOperator):
-        return "gbm", base, scale
-    if isinstance(base, OUOperator):
-        if base.d != 1:
-            raise ConfigurationError("path sampler supports 1D linear-drift members only")
-        return "ou", base, scale
-    if isinstance(base, KoopmanOperator):
-        return "flow", base, scale
-    if isinstance(base, ChainOperator):
-        if not base.conservative:
-            raise ConfigurationError(
-                "stochastic representation needs a conservative rate matrix")
-        return "chain", base, scale
-    raise ConfigurationError(f"no exact-increment sampler for {member.name}")
 
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """Family + policy + path budget; every policy member must admit an
-    exact-increment sampler (spectral jump members are excluded)."""
+    """Family + policy + path budget.
+
+    The policy must fit the family (selector length and member indices), and
+    every member a selector uses must admit an exact-increment sampler
+    (spectral jump members do not).  The stage step of each such (member,
+    stage duration) pair is built here, once."""
 
     family: object
     policy: ControlPolicy
     n_paths: int
     seed: int
     safety_box: tuple | None = None
-    _kinds: tuple = field(default=None, repr=False)
+    _steps: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_paths < 1:
             raise ConfigurationError("need at least one path")
-        kinds = tuple(_sampling_kind(m) for m in self.family)
-        object.__setattr__(self, "_kinds", kinds)
+        _check_policy(self.family, self.policy)
+        steps = {}
+        for h, sel in self.policy.stages:
+            for k in np.unique(sel).tolist():
+                if (k, h) not in steps:
+                    steps[k, h] = self.family.members[k].path_step(h)
+        object.__setattr__(self, "_steps", steps)
         if self.safety_box is None and self.family.grid.points.ndim == 1:
             pts = self.family.grid.points
             object.__setattr__(self, "safety_box",
@@ -71,49 +55,6 @@ class SamplerSpec:
 
     def rng(self):
         return np.random.Generator(np.random.Philox(key=self.seed))
-
-
-def _stage_step(kind, base, h):
-    """Stage transition ``step(states, rng)`` of one member over the scaled
-    duration h, with everything that depends on h alone computed here once."""
-    if h == 0.0:
-        return lambda states, rng: states
-    if kind == "heat":
-        vol = base.sigma * math.sqrt(h)
-        return lambda states, rng: states + vol * rng.standard_normal(states.size)
-    if kind == "gbm":
-        drift = (base.mu - 0.5 * base.sigma ** 2) * h
-        vol = base.sigma * math.sqrt(h)
-        return lambda states, rng: states * np.exp(
-            drift + vol * rng.standard_normal(states.size))
-    if kind == "ou":
-        M, drift, cov = base.moments(h)
-        m_lin, shift = M[0, 0], drift[0]
-        std = math.sqrt(max(cov[0, 0], 0.0))
-        if std == 0.0:
-            return lambda states, rng: m_lin * states + shift
-        return lambda states, rng: (m_lin * states + shift
-                                    + std * rng.standard_normal(states.size))
-    if kind == "flow":
-        return lambda states, rng: base.flow(h, states)
-    if kind == "chain":
-        cum = np.cumsum(base.jump_matrix, axis=1)
-        cum[:, -1] = 1.0
-        return lambda states, rng: _jump_chain(base, cum, h, states, rng)
-    raise ConfigurationError(f"unknown sampler kind {kind}")
-
-
-def _jump_chain(base, cum, h, states, rng):
-    idx = np.clip(np.rint(states).astype(int), 0, base.grid.size - 1)
-    n_jumps = rng.poisson(base.rate * h, size=states.size)
-    for j in range(int(n_jumps.max()) if n_jumps.size else 0):
-        active = n_jumps > j
-        if not np.any(active):
-            break
-        draws = rng.random(int(active.sum()))
-        rows = cum[idx[active]]
-        idx[active] = (rows < draws[:, None]).sum(axis=1)
-    return idx.astype(float)
 
 
 def sample_terminal_states(spec, x0, rng=None):
@@ -127,17 +68,12 @@ def sample_terminal_states(spec, x0, rng=None):
         rng = spec.rng()
     states = np.full(spec.n_paths, float(x0))
     flagged = 0
-    steps = {}      # (member, stage duration) -> stage transition
     for h, sel in spec.policy.stages:
-        nearest = grid.nearest_index(states)
-        member_idx = sel[nearest]
-        for k, (kind, base, scale) in enumerate(spec._kinds):
+        member_idx = sel[grid.nearest_index(states)]
+        for k in range(len(spec.family)):
             mask = member_idx == k
             if np.any(mask):
-                step = steps.get((k, h))
-                if step is None:
-                    step = steps[k, h] = _stage_step(kind, base, scale * h)
-                states[mask] = step(states[mask], rng)
+                states[mask] = spec._steps[k, h](states[mask], rng)
         if spec.safety_box is not None:
             lo, hi = spec.safety_box
             out = (states < lo) | (states > hi)
@@ -162,8 +98,9 @@ def mc_value(spec, x0, u):
     if spec.n_paths < 100:
         raise InvalidInputError("need at least 100 paths for an error estimate")
     states, flagged = sample_terminal_states(spec, x0)
-    if spec.family.grid.kind == "labels":
-        vals = u.values[np.clip(np.rint(states).astype(int), 0, u.grid.size - 1)]
+    grid = spec.family.grid
+    if grid.kind == "labels":
+        vals = u.values[grid.nearest_index(states)]
     else:
         vals = u.at(states)
     est = float(np.mean(vals))
@@ -179,7 +116,7 @@ def mc_compare(spec, x0, u, max_level=8, tol=1e-8):
     envelope = nisio_value(spec.family, spec.policy.horizon, u,
                            max_level=max_level, tol=tol)
     if spec.family.grid.kind == "labels":
-        i = int(round(x0))
+        i = int(spec.family.grid.nearest_index(x0))
         grid_val = float(grid_fn.values[i])
         nisio_val = float(envelope.value.values[i])
     else:

@@ -11,7 +11,9 @@ row-stochastic quadrature matrix (or an FFT multiplier), so that
 Matrices are cached per duration, which makes repeated composition over a
 time partition cheap.  ``generator(u)`` evaluates the corresponding
 infinitesimal generator with second-order stencils; rows whose stencil
-leaves the grid are flagged invalid.
+leaves the grid are flagged invalid.  ``path_step(h)`` returns the member's
+exact-increment sampler over duration h, for members whose transition law
+can be drawn exactly.
 """
 
 from __future__ import annotations
@@ -191,10 +193,13 @@ def _interior_mask(n):
 # operator base
 # ---------------------------------------------------------------------------
 
+def _stay(states, rng):
+    return states
+
+
 class TransitionOperator:
     """One member semigroup: a pure map (duration, function) -> function."""
 
-    translation_invariant = False
     lipschitz_exact = False
     name = "operator"
 
@@ -235,11 +240,15 @@ class TransitionOperator:
     def generator(self, u):
         raise NotImplementedError
 
+    def path_step(self, h):
+        """Exact sampler ``step(states, rng) -> states`` of one transition over
+        duration h, with everything that depends on h alone computed here
+        once.  A zero duration stays put without drawing."""
+        raise ConfigurationError(f"no exact-increment sampler for {self.name}")
+
 
 class HeatOperator(TransitionOperator):
     """Brownian member with volatility sigma: Gaussian kernel of variance sigma^2 t."""
-
-    translation_invariant = True
 
     def __init__(self, grid, sigma):
         if grid.kind not in ("uniform", "periodic"):
@@ -273,6 +282,12 @@ class HeatOperator(TransitionOperator):
             vals[-1] = 0.5 * self.sigma ** 2 * (v[0] - 2 * v[-1] + v[-2]) / dx ** 2
             valid[:] = True
         return GeneratorResult(vals, valid, self.grid)
+
+    def path_step(self, h):
+        if h == 0.0:
+            return _stay
+        vol = self.sigma * math.sqrt(h)
+        return lambda states, rng: states + vol * rng.standard_normal(states.size)
 
 
 class GBMOperator(TransitionOperator):
@@ -325,6 +340,14 @@ class GBMOperator(TransitionOperator):
         vals[n] = 0.0   # x = 0 is a fixed point
         valid[n] = True
         return GeneratorResult(vals, valid, self.grid)
+
+    def path_step(self, h):
+        if h == 0.0:
+            return _stay
+        drift = (self.mu - 0.5 * self.sigma ** 2) * h
+        vol = self.sigma * math.sqrt(h)
+        return lambda states, rng: states * np.exp(
+            drift + vol * rng.standard_normal(states.size))
 
 
 def _adaptive_simpson(f, a, b, tol):
@@ -423,28 +446,21 @@ class OUOperator(TransitionOperator):
 
     def _interp_2d(self, means):
         g = self.grid
-        n0, n1 = g.shape
-        ax0 = g.points[::n1, 0]
-        ax1 = g.points[:n1, 1]
-        rows, cols, vals = [], [], []
-        for axis, ax in enumerate((ax0, ax1)):
+        n1 = g.shape[1]
+        brackets = []
+        for axis, ax in enumerate((g.points[::n1, 0], g.points[:n1, 1])):
             xc = np.clip(means[:, axis], ax[0], ax[-1])
             j = np.clip(np.searchsorted(ax, xc, side="right") - 1, 0, len(ax) - 2)
             th = np.clip((xc - ax[j]) / (ax[j + 1] - ax[j]), 0.0, 1.0)
-            if axis == 0:
-                j0, t0 = j, th
-            else:
-                j1, t1 = j, th
-        r = np.arange(g.size)
+            brackets.append((j, th))
+        (j0, t0), (j1, t1) = brackets
+        cols, weights = [], []
         for dj0, w0 in ((0, 1.0 - t0), (1, t0)):
             for dj1, w1 in ((0, 1.0 - t1), (1, t1)):
-                rows.append(r)
                 cols.append((j0 + dj0) * n1 + (j1 + dj1))
-                vals.append(w0 * w1)
-        mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(g.size, g.size)).tocsr()
-        sums = np.asarray(mat.sum(axis=1)).ravel()
-        return sp.diags(1.0 / sums) @ mat
+                weights.append(w0 * w1)
+        return _assemble_rows(g.size, np.column_stack(cols), np.column_stack(weights),
+                              "renormalize")
 
     def generator(self, u):
         g = self.grid
@@ -471,6 +487,19 @@ class OUOperator(TransitionOperator):
         valid = np.zeros((n0, n1), dtype=bool)
         valid[1:-1, 1:-1] = True
         return GeneratorResult(vals, valid.ravel(), g)
+
+    def path_step(self, h):
+        if self.d != 1:
+            raise ConfigurationError("path sampler supports 1D linear-drift members only")
+        if h == 0.0:
+            return _stay
+        M, drift, cov = self.moments(h)
+        m_lin, shift = M[0, 0], drift[0]
+        std = math.sqrt(max(cov[0, 0], 0.0))
+        if std == 0.0:
+            return lambda states, rng: m_lin * states + shift
+        return lambda states, rng: (m_lin * states + shift
+                                    + std * rng.standard_normal(states.size))
 
 
 class KoopmanOperator(TransitionOperator):
@@ -529,6 +558,9 @@ class KoopmanOperator(TransitionOperator):
         vals = _central_d1(u.values, self.grid.spacing) * self.F(self.grid.points)
         return GeneratorResult(vals, _interior_mask(self.grid.size), self.grid)
 
+    def path_step(self, h):
+        return lambda states, rng: self.flow(h, states)
+
 
 class StableOperator(TransitionOperator):
     """Symmetric jump member of order alpha: Fourier multiplier exp(-t |xi|^(2 alpha)).
@@ -537,7 +569,6 @@ class StableOperator(TransitionOperator):
     so constants are preserved exactly.
     """
 
-    translation_invariant = True
     lipschitz_exact = True
 
     def __init__(self, grid, alpha):
@@ -625,6 +656,27 @@ class ChainOperator(TransitionOperator):
         return GeneratorResult(self.Q @ u.values, np.ones(self.grid.size, dtype=bool),
                                self.grid)
 
+    def path_step(self, h):
+        if not self.conservative:
+            raise ConfigurationError(
+                "stochastic representation needs a conservative rate matrix")
+        if h == 0.0:
+            return _stay
+        cum = np.cumsum(self.jump_matrix, axis=1)
+        cum[:, -1] = 1.0
+        mean_jumps = self.rate * h
+
+        def step(states, rng):
+            idx = self.grid.nearest_index(states)
+            n_jumps = rng.poisson(mean_jumps, size=states.size)
+            for j in range(int(n_jumps.max(initial=0))):
+                active = n_jumps > j
+                draws = rng.random(int(active.sum()))
+                rows = cum[idx[active]]
+                idx[active] = (rows < draws[:, None]).sum(axis=1)
+            return idx.astype(float)
+        return step
+
 
 class ScaledOperator(TransitionOperator):
     """Time dilation of a base member: S_lambda(t) = S(lambda t)."""
@@ -635,7 +687,6 @@ class ScaledOperator(TransitionOperator):
         super().__init__(base.grid)
         self.base = base
         self.scale = float(scale)
-        self.translation_invariant = base.translation_invariant
         self.lipschitz_exact = base.lipschitz_exact
         self.name = f"scaled({base.name},{scale:g})"
 
@@ -648,6 +699,9 @@ class ScaledOperator(TransitionOperator):
     def generator(self, u):
         res = self.base.generator(u)
         return GeneratorResult(self.scale * res.values, res.valid, res.grid)
+
+    def path_step(self, h):
+        return self.base.path_step(self.scale * h)
 
 
 def generator_apply(member, u):

@@ -51,6 +51,16 @@ def test_greedy_matches_partition_apply_exactly(coarse_family, coarse_grid):
     assert np.array_equal(res.value.values, ref.values)
 
 
+def test_greedy_matches_partition_apply_at_non_dyadic_horizon(coarse_family,
+                                                              coarse_grid):
+    # at t = 0.3 the linspace differences wander by an ulp around t/m; the
+    # uniform partition steps by exactly t/m, like the greedy stages
+    u = probe_function("quadratic", coarse_grid)
+    res = greedy_policy(coarse_family, 0.3, u, 8)
+    ref = partition_apply(coarse_family, Partition.uniform(0.3, 8), u)
+    assert np.array_equal(res.value.values, ref.values)
+
+
 def test_greedy_convex_concave_selects_extremes(coarse_family, coarse_grid):
     win = coarse_grid.window_mask(-2, 2)
     res = greedy_policy(coarse_family, 1.0, probe_function("quadratic", coarse_grid), 4)

@@ -113,6 +113,20 @@ def test_nisio_brute_force_oracle():
     assert np.max(np.abs(res.value.values - coarse_on_fine)) < 1e-3
 
 
+def test_uniform_partition_steps_are_exact():
+    pi = Partition.uniform(0.3, 8)
+    assert np.array_equal(pi.times, np.linspace(0.0, 0.3, 9))
+    assert pi.gaps.tolist() == [0.3 / 8] * 8
+    assert pi.mesh == 0.3 / 8
+    # one duration per level: level n builds one matrix per member, not
+    # one per distinct linspace difference
+    grid = WeightedGrid.uniform(-8.0, 8.0, 0.02, boundary="reflect")
+    family = SemigroupFamily([HeatOperator(grid, 0.5), HeatOperator(grid, 1.0)])
+    nisio_value(family, 0.3, probe_function("sin", grid), max_level=8, tol=1e-300)
+    for member in family:
+        assert sorted(member._cache) == [0.3 / 2 ** n for n in range(8, -1, -1)]
+
+
 def test_nisio_levels_nondecreasing(coarse_family, coarse_grid):
     res = nisio_value(coarse_family, 1.0, probe_function("sin", coarse_grid),
                       max_level=5, tol=1e-12)

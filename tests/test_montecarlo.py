@@ -176,3 +176,79 @@ def test_chain_and_gbm_stage_steps_golden(chain_family, label_grid, log_grid):
     out = mc_value(SamplerSpec(fam, pol, 5000, seed=3), 1.0,
                    probe_function("linear", log_grid))
     assert (out["estimate"], out["std_error"]) == (1.0358999212873587, 0.0037956585878406563)
+
+
+def test_spec_rejects_policy_that_does_not_fit_the_family(coarse_family, coarse_grid):
+    # a selector naming member 5 of a 2-member family used to sample nothing
+    sel = np.zeros(coarse_grid.size, dtype=int)
+    sel[coarse_grid.size // 2] = 5
+    with pytest.raises(ConfigurationError, match="out of range"):
+        SamplerSpec(coarse_family, ControlPolicy(((1.0, sel),)), 1000, seed=0)
+    short = np.zeros(coarse_grid.size - 1, dtype=int)
+    with pytest.raises(ConfigurationError, match="selector length"):
+        SamplerSpec(coarse_family, ControlPolicy(((1.0, short),)), 1000, seed=0)
+
+
+def test_only_selected_members_need_a_sampler(periodic_grid):
+    fam = SemigroupFamily([HeatOperator(periodic_grid, 1.0),
+                           StableOperator(periodic_grid, 0.5)])
+    spec = SamplerSpec(fam, constant_policy(periodic_grid, 0, 2, 1.0), 100, seed=0)
+    states, _ = sample_terminal_states(spec, 0.0)
+    assert np.all(np.isfinite(states))
+    sel = np.zeros(periodic_grid.size, dtype=int)
+    sel[-1] = 1
+    with pytest.raises(ConfigurationError, match="no exact-increment sampler"):
+        SamplerSpec(fam, ControlPolicy(((1.0, sel),)), 100, seed=0)
+
+
+def test_path_step_rejections_keep_their_text(label_grid):
+    g2 = WeightedGrid.tensor([-1.0, -1.0], [1.0, 1.0], 5)
+    ou2 = OUOperator(g2, np.zeros((2, 2)), np.zeros(2), np.eye(2))
+    with pytest.raises(ConfigurationError,
+                       match="path sampler supports 1D linear-drift members only"):
+        ou2.path_step(0.5)
+    leaky = ChainOperator(label_grid, -np.eye(4), allow_nonconservative=True)
+    with pytest.raises(ConfigurationError,
+                       match="stochastic representation needs a conservative rate matrix"):
+        ScaledOperator(leaky, 2.0).path_step(0.5)
+
+
+def test_zero_duration_stays_put_without_drawing(coarse_grid, log_grid, ou_grid,
+                                                 chain_family):
+    members = [HeatOperator(coarse_grid, 1.0), GBMOperator(log_grid, 0.1, 0.2),
+               OUOperator(ou_grid, -0.5, 0.2, 1.0),
+               KoopmanOperator(ou_grid, lambda x: -x, 1.0), chain_family.members[0]]
+    states = np.array([0.0, 1.0, 2.0])
+    first_draw = np.random.Generator(np.random.Philox(key=1)).random()
+    for member in members:
+        rng = np.random.Generator(np.random.Philox(key=1))
+        out = ScaledOperator(member, 0.0).path_step(0.5)(states.copy(), rng)
+        assert np.array_equal(out, states), member.name
+        assert rng.random() == first_draw, member.name
+
+
+def test_nested_scaling_uses_the_grid_duration(coarse_grid):
+    # the grid path dilates outside in, S_b(S_a)(h) = S(a * (b * h)), which is
+    # one ulp off (a * b) * h here; sampling must use the same duration
+    a, b, h = 0.49, 2.558, 0.7661
+    assert a * (b * h) != (a * b) * h
+    base = HeatOperator(coarse_grid, 1.0)
+    nested = ScaledOperator(ScaledOperator(base, a), b)
+    nested.matrix(h)
+    assert list(base._cache) == [a * (b * h)]
+    states = np.linspace(-1.0, 1.0, 50)
+    draws = [step(states, np.random.Generator(np.random.Philox(key=4)))
+             for step in (nested.path_step(h), base.path_step(a * (b * h)))]
+    assert np.array_equal(draws[0], draws[1])
+
+
+def test_mc_compare_reads_the_sampled_label(chain_family, label_grid):
+    # x0 = -1 starts every path at label 0; the grid and envelope values must
+    # be read there too, not at values[-1]
+    u = GridFunction(np.array([0.0, 1.0, 4.0, 9.0]), label_grid)
+    greedy = greedy_policy(chain_family, 1.0, u, 4)
+    spec = SamplerSpec(chain_family, greedy.policy, 20_000, seed=3)
+    low, zero = mc_compare(spec, -1.0, u), mc_compare(spec, 0.0, u)
+    assert low == zero
+    assert low["grid"] == float(greedy.value.values[0])
+    assert not low["flag"]

@@ -210,6 +210,32 @@ def test_ou_2d_drift_and_diffusion():
     assert np.max(np.abs(out - (uq.values + 1.5 * 0.25))[mid]) < 1e-6
 
 
+def test_ou_2d_pure_drift_is_bilinear_interpolation():
+    # zero covariance: each row interpolates the flowed point bilinearly on
+    # the tensor grid, clamped to its box
+    g = WeightedGrid.tensor([-1.0, -2.0], [1.0, 2.0], [5, 9])
+    B = np.array([[-0.3, 0.2], [0.1, -0.6]])
+    op = OUOperator(g, B, [0.15, -0.4], np.zeros((2, 2)))
+    t = 0.7
+    M, drift, _ = op.moments(t)
+    ax0, ax1 = np.linspace(-1.0, 1.0, 5), np.linspace(-2.0, 2.0, 9)
+    oracle = np.zeros((g.size, g.size))
+    for r, x in enumerate(g.points):
+        y = M @ x + drift
+        w = []
+        for ax, yk in zip((ax0, ax1), y):
+            yk = min(max(yk, ax[0]), ax[-1])
+            j = min(int(np.searchsorted(ax, yk, side="right")) - 1, len(ax) - 2)
+            w.append((j, (yk - ax[j]) / (ax[j + 1] - ax[j])))
+        (j0, t0), (j1, t1) = w
+        for dj0, w0 in ((0, 1.0 - t0), (1, t0)):
+            for dj1, w1 in ((0, 1.0 - t1), (1, t1)):
+                oracle[r, (j0 + dj0) * 9 + j1 + dj1] += w0 * w1
+    mat = op.matrix(t)
+    assert np.allclose(mat.toarray(), oracle, rtol=0.0, atol=1e-15)
+    assert np.allclose(np.asarray(mat.sum(axis=1)).ravel(), 1.0, rtol=0.0, atol=1e-15)
+
+
 def test_ou_2d_anisotropic_degenerate_rejected():
     g = WeightedGrid.tensor([-5.0, -5.0], [5.0, 5.0], 51)
     op = OUOperator(g, np.zeros((2, 2)), [0.0, 0.0], np.array([[1.0, 1.0], [1.0, 1.0]]))
