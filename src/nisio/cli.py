@@ -4,8 +4,9 @@ Subcommands: solve | properties | dpp | control | mc | report, each taking
 --config <path> --out <dir> [--seed N].  Value tables are CSV with full
 round-trip floats; reports are JSON with stable key order carrying the config
 hash.  Exit codes: 0 all enabled assertions pass, 1 assertion failure,
-2 schema violation (including any unknown config key or flag), 3 numerical
-degeneracy.
+2 malformed config (a schema violation such as a key its kind does not read
+or a missing required key, a ragged matrix, an unreadable u0 CSV) or an
+unknown flag, 3 numerical degeneracy.
 """
 
 from __future__ import annotations

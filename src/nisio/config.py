@@ -7,113 +7,93 @@ import hashlib
 import json
 import math
 
-import jsonschema
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from .errors import ConfigurationError
-from .grids import WeightedGrid
+from .grids import GridFunction, WeightedGrid
 from .operators import (ChainOperator, FamilyBounds, GBMOperator, HeatOperator,
                         KoopmanOperator, OUOperator, ScaledOperator,
                         SemigroupFamily, StableOperator)
 from .probes import probe_function
 
 _NUM = {"type": "number"}
-_KAPPA = {
-    "type": "object", "additionalProperties": False,
-    "properties": {"kind": {"enum": ["constant", "inverse_power"]}, "p": _NUM},
-    "required": ["kind"],
+_POS_INT = {"type": "integer", "minimum": 1}
+_VECTOR = {"type": "array", "items": _NUM}
+_ROWS = {"type": "array", "items": _VECTOR}
+_PAIR = dict(_VECTOR, minItems=2, maxItems=2)
+
+
+def _list(item):
+    return {"type": "array", "items": item, "minItems": 1}
+
+
+def _closed(*required, **properties):
+    """Object schema: the keys it requires, and no key outside ``properties``."""
+    return {"type": "object", "additionalProperties": False,
+            "required": list(required), "properties": properties}
+
+
+def _tagged(tag, kinds, **shared):
+    """Object schema whose ``tag`` picks a kind from ``kinds``; each kind is an
+    if/then branch that accepts only its own keys plus ``shared``."""
+    return {
+        "type": "object", "required": [tag],
+        "properties": {tag: {"enum": list(kinds)}},
+        "allOf": [{"if": {"properties": {tag: {"const": name}}, "required": [tag]},
+                   "then": dict(rules, properties={**rules["properties"], **shared,
+                                                   tag: True})}
+                  for name, rules in kinds.items()],
+    }
+
+
+_BOUNDARY = {"enum": ["renormalize", "reflect"]}
+_GRID = _tagged("kind", {
+    "uniform": _closed("domain", "dx", domain=_PAIR, dx=_NUM, boundary=_BOUNDARY),
+    "periodic": _closed("domain", "dx", domain=_PAIR, dx=_NUM),
+    "log": _closed("domain", "n", domain=_PAIR, n=_POS_INT, x_min_mag=_NUM,
+                   boundary=_BOUNDARY),
+    "labels": _closed("n", n=_POS_INT),
+}, kappa=_tagged("kind", {"constant": _closed(), "inverse_power": _closed(p=_NUM)}))
+# an OU coefficient is a scalar (d = 1), a vector or a matrix
+_COEFF = {"anyOf": [_NUM, _VECTOR, _ROWS]}
+_MEMBER_KINDS = {
+    # heat: sigmas, or else range with an optional count
+    "heat": {**_closed(sigmas=_list(_NUM), range=_PAIR, count=_POS_INT),
+             "if": {"required": ["range"]}, "then": {"not": {"required": ["sigmas"]}},
+             "else": {"required": ["sigmas"]}, "dependentRequired": {"count": ["range"]}},
+    "gbm": _closed("members", members=_list(_PAIR)),
+    "ou": _closed("members", members=_list(
+        _closed("B", "m", "C", B=_COEFF, m=_COEFF, C=_COEFF))),
+    "koopman": _closed("fields", fields=_list({"type": "string"}), lipschitz_hint=_NUM),
+    "stable": _closed("alphas", alphas=_list(_NUM)),
+    "chain": _closed("rate_matrices", rate_matrices=_list(_ROWS)),
 }
-_GRID = {
-    "type": "object", "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": ["uniform", "periodic", "log", "labels"]},
-        "domain": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-        "dx": _NUM,
-        "n": {"type": "integer", "minimum": 1},
-        "x_min_mag": _NUM,
-        "kappa": _KAPPA,
-        "boundary": {"enum": ["renormalize", "reflect"]},
-    },
-    "required": ["kind"],
-}
-_BASE_FAMILY_PROPS = {
-    "kind": {"enum": ["heat", "gbm", "ou", "koopman", "stable", "chain", "scaled"]},
-    "sigmas": {"type": "array", "items": _NUM, "minItems": 1},
-    "range": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-    "count": {"type": "integer", "minimum": 1},
-    "members": {"type": "array", "minItems": 1},
-    "fields": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-    "lipschitz_hint": _NUM,
-    "alphas": {"type": "array", "items": _NUM, "minItems": 1},
-    "rate_matrices": {"type": "array", "minItems": 1},
-    "scales": {"type": "array", "items": _NUM, "minItems": 1},
-    "alpha": _NUM,
-    "beta": _NUM,
-}
-_FAMILY = {
-    "type": "object", "additionalProperties": False,
-    "properties": dict(_BASE_FAMILY_PROPS, base={
-        "type": "object", "additionalProperties": False,
-        "properties": _BASE_FAMILY_PROPS, "required": ["kind"],
+CONFIG_SCHEMA = _closed(
+    "grid", "family",
+    grid=_GRID,
+    family=_tagged("kind", dict(_MEMBER_KINDS, scaled=_closed(
+        "base", "scales", base=_tagged("kind", _MEMBER_KINDS), scales=_list(_NUM))),
+        alpha=_NUM, beta=_NUM),
+    u0=_tagged("name", {
+        "const": _closed(value=_NUM), "linear": _closed(), "quadratic": _closed(),
+        "neg-quadratic": _closed(), "sin": _closed(frequency=_NUM),
+        "cos": _closed(frequency=_NUM), "bump": _closed(center=_NUM, width=_NUM),
+        "call-payoff": _closed(strike=_NUM),
+        "csv": _closed("path", path={"type": "string"}),
     }),
-    "required": ["kind"],
-}
-_U0 = {
-    "type": "object", "additionalProperties": False,
-    "properties": {
-        "name": {"enum": ["const", "linear", "quadratic", "neg-quadratic",
-                          "sin", "cos", "bump", "call-payoff", "csv"]},
-        "value": _NUM, "frequency": _NUM, "center": _NUM, "width": _NUM,
-        "strike": _NUM, "path": {"type": "string"},
-    },
-    "required": ["name"],
-}
-CONFIG_SCHEMA = {
-    "type": "object", "additionalProperties": False,
-    "properties": {
-        "grid": _GRID,
-        "family": _FAMILY,
-        "u0": _U0,
-        "solve": {
-            "type": "object", "additionalProperties": False,
-            "properties": {"t": _NUM, "tol": _NUM,
-                           "max_level": {"type": "integer", "minimum": 1}},
-            "required": ["t"],
-        },
-        "dpp": {
-            "type": "object", "additionalProperties": False,
-            "properties": {"s": _NUM, "t": _NUM,
-                           "level": {"type": "integer", "minimum": 1},
-                           "threshold": _NUM},
-            "required": ["s", "t"],
-        },
-        "control": {
-            "type": "object", "additionalProperties": False,
-            "properties": {"t": _NUM, "m": {"type": "integer", "minimum": 1},
-                           "trials": {"type": "integer", "minimum": 0},
-                           "level": {"type": "integer", "minimum": 1}},
-            "required": ["t", "m"],
-        },
-        "mc": {
-            "type": "object", "additionalProperties": False,
-            "properties": {"t": _NUM, "m": {"type": "integer", "minimum": 1},
-                           "n_paths": {"type": "integer", "minimum": 100},
-                           "seed": {"type": "integer"}, "x0": _NUM},
-            "required": ["t", "n_paths", "x0"],
-        },
-        "properties": {
-            "type": "object", "additionalProperties": False,
-            "properties": {
-                "probes": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-                "t_list": {"type": "array", "items": _NUM, "minItems": 1},
-                "seed": {"type": "integer"},
-                "partition_pairs": {"type": "integer", "minimum": 1},
-            },
-        },
-        "report_window": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-    },
-    "required": ["grid", "family"],
-}
+    solve=_closed("t", t=_NUM, tol=_NUM, max_level=_POS_INT),
+    dpp=_closed("s", "t", s=_NUM, t=_NUM, level=_POS_INT, threshold=_NUM),
+    control=_closed("t", "m", t=_NUM, m=_POS_INT,
+                    trials={"type": "integer", "minimum": 0}, level=_POS_INT),
+    mc=_closed("t", "n_paths", "x0", t=_NUM, m=_POS_INT,
+               n_paths={"type": "integer", "minimum": 100},
+               seed={"type": "integer"}, x0=_NUM),
+    properties=_closed(probes=_list({"type": "string"}), t_list=_list(_NUM),
+                       seed={"type": "integer"}, partition_pairs=_POS_INT),
+    report_window=_PAIR,
+)
 
 _FIELD_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "tanh": np.tanh,
                 "abs": np.abs, "sqrt": np.sqrt, "pi": np.pi}
@@ -151,11 +131,14 @@ def parse_field(expr):
     return field
 
 
+_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
+
 def validate_config(cfg):
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigurationError(f"config rejected: {exc.message}") from exc
+    """Check ``cfg`` against CONFIG_SCHEMA, which admits only keys the builders read."""
+    error = best_match(_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise ConfigurationError(f"config rejected at {error.json_path}: {error.message}")
     return cfg
 
 
@@ -176,31 +159,29 @@ def build_grid(cfg):
     kind = g["kind"]
     kappa = _kappa_callable(g.get("kappa"))
     boundary = g.get("boundary", "renormalize")
-    if kind in ("uniform", "periodic"):
-        if "domain" not in g or "dx" not in g:
-            raise ConfigurationError(f"{kind} grid needs domain and dx")
-        lo, hi = g["domain"]
-        return WeightedGrid.uniform(lo, hi, g["dx"], kappa=kappa, boundary=boundary,
-                                    periodic=(kind == "periodic"))
+    if kind == "labels":
+        return WeightedGrid.labels(g["n"], kappa=kappa)
     if kind == "log":
-        if "domain" not in g or "n" not in g:
-            raise ConfigurationError("log grid needs domain (x_max via domain[1]) and n")
         return WeightedGrid.loggrid(g["domain"][1], g.get("x_min_mag", 1e-2), g["n"],
                                     kappa=kappa, boundary=boundary)
-    if kind == "labels":
-        if "n" not in g:
-            raise ConfigurationError("label grid needs n")
-        return WeightedGrid.labels(g["n"], kappa=kappa)
-    raise ConfigurationError(f"unknown grid kind {kind}")
+    lo, hi = g["domain"]
+    return WeightedGrid.uniform(lo, hi, g["dx"], kappa=kappa, boundary=boundary,
+                                periodic=(kind == "periodic"))
 
 
 def _heat_sigmas(f):
     if "sigmas" in f:
         return [float(s) for s in f["sigmas"]]
-    if "range" in f:
-        lo, hi = f["range"]
-        return np.linspace(lo, hi, f.get("count", 2)).tolist()
-    raise ConfigurationError("heat family needs sigmas or range")
+    lo, hi = f["range"]
+    return np.linspace(lo, hi, f.get("count", 2)).tolist()
+
+
+def _floats(value, what):
+    """``value`` as a float array; ragged nesting is a config error."""
+    try:
+        return np.asarray(value, dtype=float)
+    except ValueError as exc:
+        raise ConfigurationError(f"{what}: {exc}") from exc
 
 
 def build_family(cfg, grid):
@@ -215,8 +196,9 @@ def build_family(cfg, grid):
         p = _gbm_weight_exponent(grid)
         default = FamilyBounds(p * beta, beta)
     elif kind == "ou":
-        members = [OUOperator(grid, m["B"], m["m"], m["C"]) for m in f["members"]]
-        default = FamilyBounds(0.0, max(_ou_beta(m) for m in f["members"]))
+        members = [OUOperator(grid, *(_floats(m[k], f"ou member {k}") for k in "BmC"))
+                   for m in f["members"]]
+        default = FamilyBounds(0.0, max(_ou_beta(m) for m in members))
     elif kind == "koopman":
         hint = float(f.get("lipschitz_hint", 1.0))
         members = [KoopmanOperator(grid, parse_field(e), hint) for e in f["fields"]]
@@ -225,17 +207,15 @@ def build_family(cfg, grid):
         members = [StableOperator(grid, a) for a in f["alphas"]]
         default = FamilyBounds(0.0, 0.0)
     elif kind == "chain":
-        members = [ChainOperator(grid, np.asarray(Q, dtype=float))
+        members = [ChainOperator(grid, _floats(Q, "rate_matrices"))
                    for Q in f["rate_matrices"]]
         default = FamilyBounds(0.0, 2.0 * max(m.rate for m in members))
-    elif kind == "scaled":
+    else:  # scaled
         base_members = build_family({"family": f["base"]}, grid).members
         if len(base_members) != 1:
             raise ConfigurationError("scaled family needs a singleton base")
         members = [ScaledOperator(base_members[0], s) for s in f["scales"]]
         default = FamilyBounds(0.0, 0.0)
-    else:
-        raise ConfigurationError(f"unknown family kind {kind}")
     alpha = float(f.get("alpha", default.alpha))
     beta = float(f.get("beta", default.beta))
     return SemigroupFamily(members, FamilyBounds(alpha, beta))
@@ -250,18 +230,19 @@ def _gbm_weight_exponent(grid):
     return -math.log(k) / math.log1p(x)
 
 
-def _ou_beta(m):
-    B = np.atleast_2d(np.asarray(m["B"], dtype=float))
-    return float(np.linalg.norm(B, 2) + np.linalg.norm(np.atleast_1d(m["m"]))
-                 + np.trace(np.atleast_2d(np.asarray(m["C"], dtype=float))))
+def _ou_beta(member):
+    return float(np.linalg.norm(member.B, 2) + np.linalg.norm(member.m)
+                 + np.trace(member.C))
 
 
 def build_u0(cfg, grid):
     u = cfg.get("u0", {"name": "quadratic"})
     if u["name"] == "csv":
-        vals = np.loadtxt(u["path"], delimiter=",", skiprows=1, usecols=1)
-        from .grids import GridFunction
-        return GridFunction(np.asarray(vals, dtype=float), grid)
+        try:
+            vals = np.loadtxt(u["path"], delimiter=",", skiprows=1, usecols=1)
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"u0 path {u['path']!r}: {exc}") from exc
+        return GridFunction(vals, grid)
     params = {k: v for k, v in u.items() if k != "name"}
     return probe_function(u["name"], grid, **params)
 

@@ -114,9 +114,10 @@ def duality_gap(family, t, u, m, max_level=12, tol=1e-6, window=None):
             "nisio": res, "greedy": greedy}
 
 
-def random_policy(family, t, rng, max_stages=6, quantum=16):
-    """Admissible policy with random stage durations (on a t/quantum lattice)
-    and independent random per-point selectors."""
+def random_policy(family, t, rng):
+    """Admissible policy with 1 to 6 random stage durations (on a t/16
+    lattice) and independent random per-point selectors."""
+    max_stages, quantum = 6, 16
     m = int(rng.integers(1, max_stages + 1))
     cuts = np.sort(rng.choice(np.arange(1, quantum), size=m - 1, replace=False)) \
         if m > 1 else np.array([], dtype=int)

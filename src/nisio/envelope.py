@@ -179,9 +179,6 @@ def upper_bound_check(family, t, u, max_level=12, tol=1e-6):
     return {"min_slack": slack, "result": res}
 
 
-PROBE_EPS_NAMES = ("const", "linear", "sin")
-
-
 def _eps_probes(grid):
     pts = grid.points if grid.points.ndim == 1 else grid.points[:, 0]
     return [
@@ -191,17 +188,16 @@ def _eps_probes(grid):
     ]
 
 
-def quadrature_tolerance(family, t_ref=0.1, floor=1e-12):
+def quadrature_tolerance(family):
     """Measured composition defect of the discretized members.
 
     Maximum over members, probe functions {1, x, sin x} and two splittings of
-    ``t_ref`` of  || S(h1) S(h2) u - S(h1+h2) u ||  in the weighted norm,
-    floored at ``floor`` to absorb plain floating-point noise.  This is the
+    t_ref = 0.1 of  || S(h1) S(h2) u - S(h1+h2) u ||  in the weighted norm,
+    floored at 1e-12 to absorb plain floating-point noise.  This is the
     only inexactness the envelope inherits, so every inequality check reads
     its slack tolerance from here.
     """
-    if t_ref <= 0.0:
-        raise InvalidInputError("t_ref must be positive")
+    t_ref = 0.1
     worst = 0.0
     splits = [(0.5 * t_ref, 0.5 * t_ref), (0.25 * t_ref, 0.75 * t_ref)]
     for u in _eps_probes(family.grid):
@@ -211,4 +207,4 @@ def quadrature_tolerance(family, t_ref=0.1, floor=1e-12):
                 two_step = member.apply(h1, member.apply(h2, u))
                 defect = weighted_norm(direct.with_values(two_step.values - direct.values))
                 worst = max(worst, defect)
-    return max(worst, floor)
+    return max(worst, 1e-12)

@@ -581,7 +581,7 @@ class StableOperator(TransitionOperator):
         self.name = f"stable(alpha={alpha:g})"
         self._xi = 2.0 * np.pi * np.fft.rfftfreq(grid.size, grid.spacing)
 
-    def symbol(self, t=1.0):
+    def symbol(self, t):
         mult = np.exp(-t * np.abs(self._xi) ** (2.0 * self.alpha))
         mult[0] = 1.0
         return mult

@@ -1,13 +1,18 @@
 import json
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
 
 from nisio import ConfigurationError
 from nisio.cli import main, run
-from nisio.config import (build_family, build_grid, build_u0, config_hash,
-                          parse_field, validate_config)
+from nisio.config import (CONFIG_SCHEMA, build_family, build_grid, build_u0,
+                          config_hash, parse_field, validate_config)
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 BASE_CFG = {
@@ -45,6 +50,155 @@ def test_schema_rejects_unknown_keys():
     cfg["solve"]["snapshots"] = 4
     with pytest.raises(ConfigurationError):
         validate_config(cfg)
+
+
+def test_schema_is_valid_2020_12(monkeypatch):
+    Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+    # validation runs the validator built at import, never the metaschema check
+    def refuse(*args, **kwargs):
+        raise AssertionError("metaschema checked per call")
+
+    monkeypatch.setattr(Draft202012Validator, "check_schema", refuse)
+    validate_config(BASE_CFG)
+
+
+# (section, kind) -> the keys its builder reads besides the kind/name tag
+READ_KEYS = {
+    ("grid", "uniform"): {"domain", "dx", "kappa", "boundary"},
+    ("grid", "periodic"): {"domain", "dx", "kappa"},
+    ("grid", "log"): {"domain", "n", "x_min_mag", "kappa", "boundary"},
+    ("grid", "labels"): {"n", "kappa"},
+    ("kappa", "constant"): set(),
+    ("kappa", "inverse_power"): {"p"},
+    ("family", "heat"): {"sigmas", "range", "count", "alpha", "beta"},
+    ("family", "gbm"): {"members", "alpha", "beta"},
+    ("family", "ou"): {"members", "alpha", "beta"},
+    ("family", "koopman"): {"fields", "lipschitz_hint", "alpha", "beta"},
+    ("family", "stable"): {"alphas", "alpha", "beta"},
+    ("family", "chain"): {"rate_matrices", "alpha", "beta"},
+    ("family", "scaled"): {"base", "scales", "alpha", "beta"},
+    ("base", "heat"): {"sigmas", "range", "count"},
+    ("base", "gbm"): {"members"},
+    ("base", "ou"): {"members"},
+    ("base", "koopman"): {"fields", "lipschitz_hint"},
+    ("base", "stable"): {"alphas"},
+    ("base", "chain"): {"rate_matrices"},
+    ("u0", "const"): {"value"},
+    ("u0", "linear"): set(),
+    ("u0", "quadratic"): set(),
+    ("u0", "neg-quadratic"): set(),
+    ("u0", "sin"): {"frequency"},
+    ("u0", "cos"): {"frequency"},
+    ("u0", "bump"): {"center", "width"},
+    ("u0", "call-payoff"): {"strike"},
+    ("u0", "csv"): {"path"},
+}
+
+
+def _accepted(schema):
+    """kind -> keys one if/then branch accepts besides the tag."""
+    tag = schema["required"][0]
+    return {branch["if"]["properties"][tag]["const"]:
+            set(branch["then"]["properties"]) - {tag} for branch in schema["allOf"]}
+
+
+def test_schema_accepts_only_keys_builders_read():
+    props = CONFIG_SCHEMA["properties"]
+    family = props["family"]
+    scaled = next(b["then"] for b in family["allOf"]
+                  if b["if"]["properties"]["kind"]["const"] == "scaled")
+    sections = {"grid": props["grid"], "kappa": props["grid"]["allOf"][0]["then"]
+                ["properties"]["kappa"], "family": family,
+                "base": scaled["properties"]["base"], "u0": props["u0"]}
+    accepted = {(name, kind): keys for name, schema in sections.items()
+                for kind, keys in _accepted(schema).items()}
+    assert accepted == READ_KEYS
+    assert sum(len(keys) for keys in accepted.values()) == 56
+
+
+SMALL_CFG = {
+    "grid": {"kind": "uniform", "domain": [-4, 4], "dx": 0.1},
+    "family": {"kind": "heat", "sigmas": [0.5, 1.0]},
+    "u0": {"name": "quadratic"},
+    "solve": {"t": 0.5, "max_level": 2},
+}
+LOG_GRID = {"kind": "log", "domain": [0, 8], "n": 50}
+LABEL_GRID = {"kind": "labels", "n": 2}
+HEAT = SMALL_CFG["family"]
+
+# id -> (sections replaced in SMALL_CFG, text stderr must contain); a csv
+# path is resolved in the test's tmp dir, where "bad.csv" holds "foo,bar"
+REJECTED = {
+    # keys no builder reads for that kind
+    "heat-alphas": ({"family": dict(HEAT, alphas=[0.5])}, "'alphas'"),
+    "uniform-n": ({"grid": dict(SMALL_CFG["grid"], n=3)}, "'n'"),
+    "sin-strike": ({"u0": {"name": "sin", "strike": 1.0}}, "'strike'"),
+    "count-without-range": ({"family": dict(HEAT, count=3)}, "'count'"),
+    "periodic-boundary": ({"grid": {"kind": "periodic", "domain": [-3, 3], "dx": 0.1,
+                                    "boundary": "reflect"}}, "'boundary'"),
+    "base-alpha": ({"family": {"kind": "scaled", "scales": [1.0], "base": {
+        "kind": "heat", "sigmas": [1.0], "alpha": 0.0}}}, "'alpha'"),
+    "constant-kappa-p": ({"grid": dict(SMALL_CFG["grid"],
+                                       kappa={"kind": "constant", "p": 2})}, "'p'"),
+    # malformed configs
+    "scaled-without-base": ({"family": {"kind": "scaled", "scales": [1.0]}}, "'base'"),
+    "scaled-base-scaled": ({"family": {"kind": "scaled", "scales": [1.0], "base": {
+        "kind": "scaled", "scales": [1.0]}}}, "base.kind"),
+    "gbm-without-members": ({"grid": LOG_GRID, "family": {"kind": "gbm"}}, "'members'"),
+    "ou-member-without-B": ({"family": {"kind": "ou", "members": [
+        {"m": 0.0, "C": 1.0}]}}, "'B'"),
+    "stable-without-alphas": ({"family": {"kind": "stable"}}, "'alphas'"),
+    "csv-without-path": ({"u0": {"name": "csv"}}, "'path'"),
+    "csv-missing-file": ({"u0": {"name": "csv", "path": "missing.csv"}}, "u0 path"),
+    "gbm-member-single": ({"grid": LOG_GRID, "family": {"kind": "gbm", "members": [
+        [0.1]]}}, "members[0]"),
+    "heat-sigmas-and-range": ({"family": dict(HEAT, range=[0.5, 1.0])}, "'sigmas'"),
+    "heat-neither": ({"family": {"kind": "heat"}}, "'sigmas'"),
+    "grid-kind-unknown": ({"grid": {"kind": "hex"}}, "grid.kind"),
+    # malformed data
+    "chain-ragged": ({"grid": LABEL_GRID, "family": {
+        "kind": "chain", "rate_matrices": [[[-1, 1], [1]]]}}, "rate_matrices"),
+    "chain-string": ({"grid": LABEL_GRID, "family": {
+        "kind": "chain", "rate_matrices": "a"}}, "rate_matrices"),
+    "ou-B-string": ({"family": {"kind": "ou", "members": [
+        {"B": "x", "m": 0.0, "C": 1.0}]}}, "members[0].B"),
+    "ou-B-ragged": ({"family": {"kind": "ou", "members": [
+        {"B": [[1.0, 0.0], [1.0]], "m": 0.0, "C": 1.0}]}}, "ou member B"),
+    "csv-not-numeric": ({"u0": {"name": "csv", "path": "bad.csv"}}, "u0 path"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_cli_rejects_config_with_exit_2(tmp_path, capsys, case):
+    sections, names = REJECTED[case]
+    cfg = dict(SMALL_CFG, **json.loads(json.dumps(sections)))
+    if "path" in cfg["u0"]:
+        (tmp_path / "bad.csv").write_text("x,u\nfoo,bar\n")
+        cfg["u0"]["path"] = str(tmp_path / cfg["u0"]["path"])
+    out = tmp_path / "out"
+    assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 2
+    assert not out.exists() or not any(out.iterdir())
+    assert names in capsys.readouterr().err
+
+
+SHIPPED = sorted(ROOT.glob("bench/configs/**/*.json"))
+
+
+def _readme_config():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+
+
+@pytest.mark.parametrize("source", ["README.md"] + [str(p.relative_to(ROOT))
+                                                    for p in SHIPPED])
+def test_shipped_configs_validate_and_build(source):
+    cfg = _readme_config() if source == "README.md" else \
+        json.loads((ROOT / source).read_text(encoding="utf-8"))
+    validate_config(cfg)
+    grid = build_grid(cfg)
+    assert len(build_family(cfg, grid)) == 2
+    assert build_u0(cfg, grid).grid is grid
 
 
 def test_config_hash_is_stable():

@@ -217,8 +217,6 @@ def test_step_rejects_bad_duration(coarse_family, coarse_grid, step, h):
 
 def test_quadrature_tolerance_floor(coarse_family):
     assert quadrature_tolerance(coarse_family) >= 1e-12
-    with pytest.raises(InvalidInputError):
-        quadrature_tolerance(coarse_family, t_ref=0.0)
 
 
 def test_chain_generic_pair_refines_first_order(label_grid, chain_family):
