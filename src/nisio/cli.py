@@ -5,8 +5,9 @@ Subcommands: solve | properties | dpp | control | mc | report, each taking
 round-trip floats; reports are JSON with stable key order carrying the config
 hash.  Exit codes: 0 all enabled assertions pass, 1 assertion failure,
 2 malformed config (a schema violation such as a key its kind does not read
-or a missing required key, a ragged matrix, an unreadable u0 CSV) or an
-unknown flag, 3 numerical degeneracy.
+or a missing required key, a ragged matrix, an unreadable u0 CSV, a
+refinement level over the work budget) or an unknown flag, 3 numerical
+degeneracy.
 """
 
 from __future__ import annotations

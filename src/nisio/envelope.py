@@ -16,6 +16,11 @@ import numpy as np
 from .errors import ConfigurationError, InvalidInputError
 from .grids import GridFunction, weighted_norm
 
+# member applies a refinement through max_level may cost:
+# (2^(max_level+1) - 1) envelope steps times K members; 2^24 admits level 12
+# with up to 2048 members
+MAX_MEMBER_APPLIES = 2 ** 24
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -127,12 +132,18 @@ def nisio_value(family, t, u, max_level=12, tol=1e-6):
 
     Refines until the successive weighted-norm difference drops below
     ``tol`` or ``max_level`` is reached; non-convergence is reported through
-    the flag, not raised.
+    the flag, not raised.  A ``max_level`` whose worst case exceeds
+    ``MAX_MEMBER_APPLIES`` member applies is rejected before any work.
     """
     if tol <= 0.0:
         raise InvalidInputError("tol must be positive")
     if max_level < 1:
         raise InvalidInputError("max_level must be >= 1")
+    applies = (2 ** (max_level + 1) - 1) * len(family)
+    if applies > MAX_MEMBER_APPLIES:
+        raise InvalidInputError(
+            f"max_level {max_level} with {len(family)} members needs up to {applies} "
+            f"member applies, above the budget of {MAX_MEMBER_APPLIES}")
     if not np.isfinite(t) or t < 0.0:
         raise InvalidInputError(f"horizon must be finite and >= 0, got {t}")
     if t == 0.0:

@@ -4,16 +4,24 @@ Every operator realizes one linear Markov semigroup ``S(t)`` on a grid as a
 row-stochastic quadrature matrix (or an FFT multiplier), so that
 
 * ``apply(0, u) == u`` exactly,
-* ``apply(t, 1) == 1`` exactly after row renormalization,
-* ``u <= v`` implies ``apply(t, u) <= apply(t, v)`` (nonnegative rows),
+* ``apply(t, 1) == 1`` up to rounding: rows are renormalized to sum to one,
+  which holds to a few ulps, not bit for bit,
+* ``u <= v`` implies ``apply(t, u) <= apply(t, v)`` exactly in floating
+  point, because every weight is nonnegative,
 * ``apply`` is linear in ``u``.
 
 Matrices are cached per duration, which makes repeated composition over a
-time partition cheap.  ``generator(u)`` evaluates the corresponding
-infinitesimal generator with second-order stencils; rows whose stencil
-leaves the grid are flagged invalid.  ``path_step(h)`` returns the member's
-exact-increment sampler over duration h, for members whose transition law
-can be drawn exactly.
+time partition cheap.  A Gaussian kernel whose mean offsets are all zero
+(every heat member above one cell, an OU member with B=0 and m=0, a GBM
+member with mu = sigma^2/2) is the same band in every row, so it is built by
+gathers from that one band and stored in whichever format holds fewer
+bytes: a dense ndarray when ``8 n^2 <= 12 nnz + 4 (n + 1)``, else CSR.
+Nonzero offsets and the sub-cell stencils go through a per-row assembly
+that returns CSR.  ``generator(u)`` evaluates the corresponding infinitesimal
+generator with second-order stencils; rows whose stencil leaves the grid are
+flagged invalid.  ``path_step(h)`` returns the member's exact-increment
+sampler over duration h, for members whose transition law can be drawn
+exactly.
 """
 
 from __future__ import annotations
@@ -71,18 +79,105 @@ def _assemble_rows(n, cols_raw, weights, mode):
     return sp.diags(1.0 / sums) @ mat
 
 
+def _toeplitz(e, n):
+    """Read-only n x n view with entry [i, j] = e[n - 1 + j - i]."""
+    return np.lib.stride_tricks.sliding_window_view(e, n)[::-1]
+
+
+def _band_matrix(n, w, mode):
+    """Row-stochastic kernel that puts weight w[k + b] of row i on node i + b.
+
+    ``w`` is a band of length 2k+1.  Every row is the same band shifted along
+    the diagonal, so each entry is a gather from it.  For ``reflect`` and
+    ``wrap`` the band is folded onto the period P (2(n-1) or n) of the
+    boundary map and divided by its sum, W, and
+    ``A[i, j] = W[(j-i) mod P] + W[(-j-i) mod P]``, the mirror term for
+    ``reflect`` only and not in the end columns (they are their own mirror
+    images).  For ``renormalize`` the off-lattice nodes are dropped:
+    ``A[i, j] = w[k + j - i] / S_i``, with the row sums S_i read off a
+    cumulative sum of w.  Stored dense when that takes fewer bytes than CSR.
+    """
+    if n == 1:
+        return np.eye(1)
+    k = w.size // 2
+    rows = np.arange(n)
+    lo = np.maximum(rows - k, 0)
+    counts = np.minimum(rows + k, n - 1) - lo + 1    # a contiguous run of columns
+    if mode == "renormalize":
+        csum = np.concatenate(([0.0], np.cumsum(w)))
+        first = lo - rows + k                            # band index of column lo
+        scale = 1.0 / (csum[first + counts] - csum[first])
+    elif mode in ("reflect", "wrap"):
+        period = 2 * (n - 1) if mode == "reflect" else n
+        total = w.sum()
+        folded = np.bincount(np.arange(-k, k + 1) % period, weights=w, minlength=period)
+        folded /= total
+        wn = w / total
+        if w.size >= period:
+            counts = np.full(n, n)      # the band covers every column of every row
+        elif mode == "wrap":
+            counts = np.full(n, w.size)
+    else:
+        raise ConfigurationError(f"unknown boundary mode {mode!r}")
+    nnz = int(counts.sum())
+
+    if 8 * n * n <= 12 * nnz + 4 * (n + 1):
+        lags = np.arange(-(n - 1), n)
+        if mode == "renormalize":
+            reach = min(k, n - 1)
+            e = np.zeros(2 * n - 1)
+            e[n - 1 - reach:n + reach] = w[k - reach:k + reach + 1]
+            return _toeplitz(e, n) * scale[:, None]
+        mat = np.array(_toeplitz(folded[lags % period], n))
+        if mode == "reflect":
+            mirror = np.lib.stride_tricks.sliding_window_view(
+                folded[-np.arange(2 * n - 1) % period], n)
+            mat[:, 1:-1] += mirror[:, 1:-1]
+        return mat
+
+    if mode == "wrap":
+        # row i holds columns (i + b) mod n in increasing order: the band
+        # rotated to start at the offset that lands on the lowest column
+        start = np.where(rows < k, k - rows, np.where(rows >= n - k, n - rows + k, 0))
+        pos = (np.arange(w.size) + start[:, None]) % w.size
+        data = wn[pos].ravel()
+        indices = ((pos + (rows - k)[:, None]) % n).ravel()
+        return sp.csr_matrix((data, indices, np.arange(n + 1) * w.size), shape=(n, n))
+
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indices = np.arange(nnz) - np.repeat(indptr[:-1] - lo, counts)
+    band_pos = indices - np.repeat(rows - k, counts)
+    if mode == "renormalize":
+        data = w[band_pos] * np.repeat(scale, counts)
+    else:
+        # the band does not wrap (2k+1 < P), so W[(j-i) mod P] is w[k+j-i]
+        # normalized, and the mirror term reaches only entries with
+        # 1 <= i + j <= k (weight W[-(i+j)]) and their images
+        # (n-1-i, n-1-j), which sit at the mirrored position of data
+        data = wn[band_pos]
+        diag, col = np.tril_indices(k)      # i + j = diag + 1, j = col + 1
+        pos = indptr[diag - col] + col + 1
+        fold = wn[k - 1 - diag]
+        data[pos] += fold
+        data[nnz - 1 - pos] += fold
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def gaussian_lattice_matrix(n, dx, means_offset, std, mode):
     """Row-stochastic Gaussian kernel on a uniform lattice.
 
     Row i targets mean ``i*dx + means_offset[i]`` (offsets need not be lattice
     aligned).  Requires ``std > 0``; callers switch to the stencil kernel when
-    the standard deviation is below one cell.
+    the standard deviation is below one cell.  When every offset is zero the
+    kernel is translation invariant and comes from one band.
     """
     offsets = np.broadcast_to(np.asarray(means_offset, dtype=float), (n,))
     k_half = int(math.ceil(KERNEL_RADIUS * std / dx)) + 1
+    band = np.arange(-k_half, k_half + 1)
+    if not np.any(offsets):
+        return _band_matrix(n, np.exp(-0.5 * (band * dx / std) ** 2), mode)
     # targets far outside the lattice keep their in-domain tail (clamped center)
     j_center = np.clip(np.rint(offsets / dx).astype(int) + np.arange(n), 0, n - 1)
-    band = np.arange(-k_half, k_half + 1)
     cols_raw = j_center[:, None] + band[None, :]
     dist = cols_raw * dx - (np.arange(n) * dx + offsets)[:, None]
     weights = np.exp(-0.5 * (dist / std) ** 2)
@@ -320,7 +415,7 @@ class GBMOperator(TransitionOperator):
             block = gaussian_lattice_matrix(n, ds, shift, math.sqrt(var), self.grid.boundary)
         else:
             block = stencil_lattice_matrix(n, ds, shift, var, self.grid.boundary)
-        block = block.tocsr()
+        block = sp.csr_matrix(block)    # a zero shift gives a band, maybe dense
         neg = block[::-1, ::-1]
         return sp.block_diag([neg, sp.identity(1), block], format="csr")
 

@@ -166,6 +166,8 @@ REJECTED = {
     "ou-B-ragged": ({"family": {"kind": "ou", "members": [
         {"B": [[1.0, 0.0], [1.0]], "m": 0.0, "C": 1.0}]}}, "ou member B"),
     "csv-not-numeric": ({"u0": {"name": "csv", "path": "bad.csv"}}, "u0 path"),
+    # work budget, checked before any matrix is built
+    "max-level-over-budget": ({"solve": {"t": 0.5, "max_level": 40}}, "max_level 40"),
 }
 
 

@@ -6,6 +6,7 @@ from nisio import (ConfigurationError, GridFunction, HeatOperator,
                    dpp_check, envelope_step, envelope_step_argmax, nisio_value,
                    partition_apply, quadrature_tolerance, upper_bound_check,
                    weighted_norm)
+from nisio.envelope import MAX_MEMBER_APPLIES
 from nisio.probes import probe_function
 
 
@@ -149,6 +150,16 @@ def test_nisio_argument_validation(coarse_family, coarse_grid):
         nisio_value(coarse_family, 1.0, u, tol=0.0)
     with pytest.raises(InvalidInputError):
         nisio_value(coarse_family, 1.0, u, max_level=0)
+
+
+def test_nisio_work_budget_checked_before_building(coarse_grid):
+    family = SemigroupFamily([HeatOperator(coarse_grid, 0.5), HeatOperator(coarse_grid, 1.0)])
+    u = probe_function("sin", coarse_grid)
+    with pytest.raises(InvalidInputError, match="max_level 40"):
+        nisio_value(family, 1.0, u, max_level=40)
+    assert all(member._cache == {} for member in family)
+    # level 12 with 2048 members is the largest K the budget admits there
+    assert (2 ** 13 - 1) * 2048 <= MAX_MEMBER_APPLIES < (2 ** 13 - 1) * 2049
 
 
 def test_dpp_zero_time_exact(coarse_family, coarse_grid):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -10,6 +13,8 @@ from nisio import (ChainOperator, ConfigurationError, GBMOperator, GridFunction,
                    StableOperator, WeightedGrid,
                    generator_apply, lip_seminorm, quadrature_tolerance,
                    weighted_norm)
+from nisio import operators
+from nisio.operators import KERNEL_RADIUS, gaussian_lattice_matrix
 from nisio.probes import probe_function
 
 from conftest import Q_BD
@@ -109,6 +114,117 @@ def test_heat_sigma_zero_is_identity(heat_grid):
 
 
 # ---------------------------------------------------------------------------
+# translation-invariant Gaussian kernels, against the per-row COO assembly
+# ---------------------------------------------------------------------------
+
+def _coo_gaussian(n, dx, std, mode):
+    """Oracle: the per-row assembly the band path replaced.  Every row holds
+    its own band of Gaussian weights; off-lattice columns are reflected about
+    the end nodes, wrapped or dropped, COO sums the folded duplicates, and
+    each row is divided by its own sum."""
+    k = int(math.ceil(KERNEL_RADIUS * std / dx)) + 1
+    cols = np.arange(n)[:, None] + np.arange(-k, k + 1)[None, :]
+    dist = cols * dx - (np.arange(n) * dx)[:, None]
+    weights = np.exp(-0.5 * (dist / std) ** 2)
+    if mode == "reflect":
+        period = max(2 * (n - 1), 1)
+        cols = np.mod(cols, period)
+        cols = np.where(cols >= n, period - cols, cols)
+    elif mode == "wrap":
+        cols = np.mod(cols, n)
+    else:
+        weights = np.where((cols >= 0) & (cols < n), weights, 0.0)
+        cols = np.clip(cols, 0, n - 1)
+    rows = np.repeat(np.arange(n), cols.shape[1])
+    mat = sp.coo_matrix((weights.ravel(), (rows, cols.ravel())), shape=(n, n)).tocsr()
+    mat.eliminate_zeros()
+    sums = np.asarray(mat.sum(axis=1)).ravel()
+    return sp.diags(1.0 / sums) @ mat
+
+
+def _dense(mat):
+    return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
+
+
+def _check_against_oracle(mat, ref, rng):
+    n = ref.shape[0]
+    assert np.max(np.abs(_dense(mat) - ref.toarray())) <= 1e-13
+    u = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+    assert np.max(np.abs(mat @ u - ref @ u)) <= 1e-12 * np.max(np.abs(u))
+    # storage: dense exactly when it takes no more bytes than CSR would
+    dense_cheaper = 8 * n * n <= 12 * ref.nnz + 4 * (n + 1)
+    assert isinstance(mat, np.ndarray) == dense_cheaper
+    if sp.issparse(mat):
+        ref = ref.sorted_indices()
+        assert mat.has_sorted_indices
+        assert np.array_equal(mat.indptr, ref.indptr)
+        assert np.array_equal(mat.indices, ref.indices)
+
+
+# std/dx from just above one cell to a band that wraps the lattice many
+# times; the oracle's n x (2k+1) arrays cap the ratio on the large lattices
+BAND_RATIOS = (1.01, 1.7, 3.3, 12.5, 40.0, 99.0, 180.0, 700.0, 2000.0)
+ORACLE_ENTRIES = 3.3e6
+
+
+@pytest.mark.parametrize("mode", ["reflect", "wrap", "renormalize"])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 801, 1601])
+def test_band_kernel_matches_coo_assembly(mode, n):
+    rng = np.random.default_rng(n)
+    dx = 0.01
+    formats = set()
+    for ratio in BAND_RATIOS:
+        if n * (2 * ratio * KERNEL_RADIUS + 5) > ORACLE_ENTRIES:
+            continue
+        mat = gaussian_lattice_matrix(n, dx, 0.0, ratio * dx, mode)
+        _check_against_oracle(mat, _coo_gaussian(n, dx, ratio * dx, mode), rng)
+        formats.add(type(mat))
+    if n >= 801:
+        assert formats == {np.ndarray, sp.csr_matrix}
+
+
+def test_band_kernel_serves_zero_offset_members(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("zero-offset kernel assembled row by row")
+
+    monkeypatch.setattr(operators, "_assemble_rows", refuse)
+    rng = np.random.default_rng(3)
+    grids = {"reflect": WeightedGrid.uniform(-8.0, 8.0, 0.01, boundary="reflect"),
+             "renormalize": WeightedGrid.uniform(-8.0, 8.0, 0.01),
+             "wrap": WeightedGrid.uniform(-np.pi, np.pi, 2.0 * np.pi / 256.0,
+                                          periodic=True)}
+    for mode, g in grids.items():
+        for sigma, t in ((1.0, 1.0), (0.5, 1.0 / 64), (1.0, 0.002), (0.05, 1.0)):
+            if sigma ** 2 * t <= g.spacing ** 2:
+                continue
+            mat = HeatOperator(g, sigma).matrix(t)
+            std = sigma * math.sqrt(t)
+            _check_against_oracle(mat, _coo_gaussian(g.size, g.spacing, std, mode), rng)
+    # the OU member with B=0, m=0 has offsets means - points that are all 0.0
+    g = grids["reflect"]
+    ou = OUOperator(g, 0.0, 0.0, 0.5)
+    for t in (0.25, 1.0):
+        mat = ou.matrix(t)
+        std = math.sqrt(ou.moments(t)[2][0, 0])
+        _check_against_oracle(mat, _coo_gaussian(g.size, g.spacing, std, "reflect"), rng)
+
+
+@pytest.mark.parametrize("std", [0.03, 1.0])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_band_kernel_exactly_monotone(std, data):
+    # u <= v must give A u <= A v bit for bit, in either storage
+    g = WeightedGrid.uniform(-2.0, 2.0, 0.01, boundary="reflect")
+    mat = HeatOperator(g, 1.0).matrix(std ** 2)
+    assert isinstance(mat, np.ndarray) == (std == 1.0)
+    assert np.min(_dense(mat)) >= 0.0
+    u = data.draw(arrays(np.float64, g.size, elements=st.floats(-1e6, 1e6)))
+    lift = data.draw(arrays(np.float64, g.size, elements=st.floats(0.0, 1e3)))
+    v = u + lift
+    assert np.all(mat @ v - mat @ u >= 0.0)
+
+
+# ---------------------------------------------------------------------------
 # geometric member on the log grid
 # ---------------------------------------------------------------------------
 
@@ -143,6 +259,22 @@ def test_gbm_zero_is_fixed_point(log_grid):
     u = probe_function("sin", log_grid)
     i0 = log_grid.size // 2
     assert op.apply(1.0, u).values[i0] == u.values[i0]
+
+
+def test_gbm_zero_shift_dense_block(log_grid):
+    # mu = sigma^2/2 cancels the log drift: the block is a band, dense here
+    sigma, t = 0.4, 1.0
+    op = GBMOperator(log_grid, 0.5 * sigma ** 2, sigma)
+    n, ds = (log_grid.size - 1) // 2, log_grid.spacing
+    std = sigma * math.sqrt(t)
+    assert isinstance(gaussian_lattice_matrix(n, ds, 0.0, std, "reflect"), np.ndarray)
+    mat = op.matrix(t)
+    assert sp.issparse(mat)
+    block = _coo_gaussian(n, ds, std, "reflect")
+    ref = sp.block_diag([block[::-1, ::-1], sp.identity(1), block]).toarray()
+    assert np.max(np.abs(mat.toarray() - ref)) <= 1e-13
+    assert np.max(np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0)) <= 1e-13
+    assert mat.min() >= 0.0
 
 
 def test_gbm_weighted_norm_growth(log_grid):
