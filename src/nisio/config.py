@@ -19,6 +19,7 @@ from .operators import (ChainOperator, FamilyBounds, GBMOperator, HeatOperator,
 from .probes import probe_function
 
 _NUM = {"type": "number"}
+_POS = {"type": "number", "exclusiveMinimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
 _VECTOR = {"type": "array", "items": _NUM}
 _ROWS = {"type": "array", "items": _VECTOR}
@@ -52,7 +53,7 @@ _BOUNDARY = {"enum": ["renormalize", "reflect"]}
 _GRID = _tagged("kind", {
     "uniform": _closed("domain", "dx", domain=_PAIR, dx=_NUM, boundary=_BOUNDARY),
     "periodic": _closed("domain", "dx", domain=_PAIR, dx=_NUM),
-    "log": _closed("domain", "n", domain=_PAIR, n=_POS_INT, x_min_mag=_NUM,
+    "log": _closed("x_max", "n", x_max=_POS, n=_POS_INT, x_min_mag=_NUM,
                    boundary=_BOUNDARY),
     "labels": _closed("n", n=_POS_INT),
 }, kappa=_tagged("kind", {"constant": _closed(), "inverse_power": _closed(p=_NUM)}))
@@ -162,7 +163,7 @@ def build_grid(cfg):
     if kind == "labels":
         return WeightedGrid.labels(g["n"], kappa=kappa)
     if kind == "log":
-        return WeightedGrid.loggrid(g["domain"][1], g.get("x_min_mag", 1e-2), g["n"],
+        return WeightedGrid.loggrid(g["x_max"], g.get("x_min_mag", 1e-2), g["n"],
                                     kappa=kappa, boundary=boundary)
     lo, hi = g["domain"]
     return WeightedGrid.uniform(lo, hi, g["dx"], kappa=kappa, boundary=boundary,

@@ -11,17 +11,16 @@ row-stochastic quadrature matrix (or an FFT multiplier), so that
 * ``apply`` is linear in ``u``.
 
 Matrices are cached per duration, which makes repeated composition over a
-time partition cheap.  A Gaussian kernel whose mean offsets are all zero
-(every heat member above one cell, an OU member with B=0 and m=0, a GBM
-member with mu = sigma^2/2) is the same band in every row, so it is built by
-gathers from that one band and stored in whichever format holds fewer
-bytes: a dense ndarray when ``8 n^2 <= 12 nnz + 4 (n + 1)``, else CSR.
-Nonzero offsets and the sub-cell stencils go through a per-row assembly
-that returns CSR.  ``generator(u)`` evaluates the corresponding infinitesimal
-generator with second-order stencils; rows whose stencil leaves the grid are
-flagged invalid.  ``path_step(h)`` returns the member's exact-increment
-sampler over duration h, for members whose transition law can be drawn
-exactly.
+time partition cheap.  Every lattice kernel is stored dense when
+``8 n^2 <= 12 nnz + 4 (n + 1)`` (no more bytes than CSR), else as canonical
+CSR.  A Gaussian kernel whose mean offsets are all zero (every heat member
+above one cell, an OU member with B=0 and m=0, a GBM member with
+mu = sigma^2/2) is the same band in every row, so it is built by gathers from
+that one band; every other kernel goes from its per-row weights straight into
+CSR.  ``generator(u)`` evaluates the corresponding infinitesimal generator
+with second-order stencils; rows whose stencil leaves the grid are flagged
+invalid.  ``path_step(h)`` returns the member's exact-increment sampler over
+duration h, for members whose transition law can be drawn exactly.
 """
 
 from __future__ import annotations
@@ -54,12 +53,17 @@ def _reflect_indices(j, n):
     return np.where(j >= n, m - j, j)
 
 
+def _dense_is_cheaper(n, nnz):
+    """The one storage rule: an n x n ndarray takes no more bytes than CSR."""
+    return 8 * n * n <= 12 * nnz + 4 * (n + 1)
+
+
 def _assemble_rows(n, cols_raw, weights, mode):
-    """COO assembly of banded rows with boundary handling.
+    """Row-stochastic kernel from per-row weights, straight into CSR or dense.
 
     cols_raw has shape (n, bandwidth); out-of-range columns are folded back
     (``reflect``), wrapped (``wrap``), or dropped (``renormalize``).  Rows are
-    rescaled to sum to exactly one.
+    divided by their own sums; folded duplicates and zeros leave the CSR.
     """
     if mode == "reflect":
         cols = _reflect_indices(cols_raw, n)
@@ -71,12 +75,14 @@ def _assemble_rows(n, cols_raw, weights, mode):
         cols = np.clip(cols_raw, 0, n - 1)
     else:
         raise ConfigurationError(f"unknown boundary mode {mode!r}")
-    rows = np.repeat(np.arange(n), cols_raw.shape[1])
-    mat = sp.coo_matrix((weights.ravel(), (rows, cols.ravel())), shape=(n, n)).tocsr()
-    sums = np.asarray(mat.sum(axis=1)).ravel()
+    sums = weights.sum(axis=1)
     if np.any(sums <= 0.0):
         raise NumericalDegeneracyError("kernel row lost all mass")
-    return sp.diags(1.0 / sums) @ mat
+    mat = sp.csr_matrix(((weights / sums[:, None]).ravel(), cols.ravel(),
+                         np.arange(n + 1) * cols.shape[1]), shape=(n, n))
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    return mat.toarray() if _dense_is_cheaper(n, mat.nnz) else mat
 
 
 def _toeplitz(e, n):
@@ -95,7 +101,7 @@ def _band_matrix(n, w, mode):
     ``reflect`` only and not in the end columns (they are their own mirror
     images).  For ``renormalize`` the off-lattice nodes are dropped:
     ``A[i, j] = w[k + j - i] / S_i``, with the row sums S_i read off a
-    cumulative sum of w.  Stored dense when that takes fewer bytes than CSR.
+    cumulative sum of w.  Stored by ``_dense_is_cheaper``.
     """
     if n == 1:
         return np.eye(1)
@@ -121,7 +127,7 @@ def _band_matrix(n, w, mode):
         raise ConfigurationError(f"unknown boundary mode {mode!r}")
     nnz = int(counts.sum())
 
-    if 8 * n * n <= 12 * nnz + 4 * (n + 1):
+    if _dense_is_cheaper(n, nnz):
         lags = np.arange(-(n - 1), n)
         if mode == "renormalize":
             reach = min(k, n - 1)
@@ -168,8 +174,9 @@ def gaussian_lattice_matrix(n, dx, means_offset, std, mode):
 
     Row i targets mean ``i*dx + means_offset[i]`` (offsets need not be lattice
     aligned).  Requires ``std > 0``; callers switch to the stencil kernel when
-    the standard deviation is below one cell.  When every offset is zero the
-    kernel is translation invariant and comes from one band.
+    the standard deviation is below one cell.  The offsets pick the path: all
+    zero make a translation-invariant kernel built from one band, any other
+    go row by row through ``_assemble_rows``, straight into CSR or dense.
     """
     offsets = np.broadcast_to(np.asarray(means_offset, dtype=float), (n,))
     k_half = int(math.ceil(KERNEL_RADIUS * std / dx)) + 1
@@ -415,7 +422,6 @@ class GBMOperator(TransitionOperator):
             block = gaussian_lattice_matrix(n, ds, shift, math.sqrt(var), self.grid.boundary)
         else:
             block = stencil_lattice_matrix(n, ds, shift, var, self.grid.boundary)
-        block = sp.csr_matrix(block)    # a zero shift gives a band, maybe dense
         neg = block[::-1, ::-1]
         return sp.block_diag([neg, sp.identity(1), block], format="csr")
 
@@ -429,9 +435,7 @@ class GBMOperator(TransitionOperator):
             v = u.values[block]
             vals[block] = sgn * drift * _central_d1(v, ds) \
                 + 0.5 * self.sigma ** 2 * _central_d2(v, ds)
-            interior = np.zeros(n, dtype=bool)
-            interior[1:-1] = True
-            valid[block] = interior
+            valid[block] = _interior_mask(n)
         vals[n] = 0.0   # x = 0 is a fixed point
         valid[n] = True
         return GeneratorResult(vals, valid, self.grid)
@@ -549,13 +553,11 @@ class OUOperator(TransitionOperator):
             th = np.clip((xc - ax[j]) / (ax[j + 1] - ax[j]), 0.0, 1.0)
             brackets.append((j, th))
         (j0, t0), (j1, t1) = brackets
-        cols, weights = [], []
-        for dj0, w0 in ((0, 1.0 - t0), (1, t0)):
-            for dj1, w1 in ((0, 1.0 - t1), (1, t1)):
-                cols.append((j0 + dj0) * n1 + (j1 + dj1))
-                weights.append(w0 * w1)
-        return _assemble_rows(g.size, np.column_stack(cols), np.column_stack(weights),
-                              "renormalize")
+        # the four corners of each row's cell, in row-major order
+        cols = (j0[:, None] + [0, 0, 1, 1]) * n1 + j1[:, None] + [0, 1, 0, 1]
+        weights = np.column_stack([(1.0 - t0) * (1.0 - t1), (1.0 - t0) * t1,
+                                   t0 * (1.0 - t1), t0 * t1])
+        return _assemble_rows(g.size, cols, weights, "renormalize")
 
     def generator(self, u):
         g = self.grid
@@ -642,12 +644,8 @@ class KoopmanOperator(TransitionOperator):
         y = self.flow(t, g.points)
         self.exit_counts[t] = int(np.sum((y < g.points[0]) | (y > g.points[-1])))
         j, theta = g.interp_weights(y)
-        rows = np.arange(g.size)
-        mat = sp.coo_matrix(
-            (np.concatenate([1.0 - theta, theta]),
-             (np.concatenate([rows, rows]), np.concatenate([j, j + 1]))),
-            shape=(g.size, g.size)).tocsr()
-        return mat
+        return _assemble_rows(g.size, np.column_stack([j, j + 1]),
+                              np.column_stack([1.0 - theta, theta]), "renormalize")
 
     def generator(self, u):
         vals = _central_d1(u.values, self.grid.spacing) * self.F(self.grid.points)

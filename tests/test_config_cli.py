@@ -67,7 +67,7 @@ def test_schema_is_valid_2020_12(monkeypatch):
 READ_KEYS = {
     ("grid", "uniform"): {"domain", "dx", "kappa", "boundary"},
     ("grid", "periodic"): {"domain", "dx", "kappa"},
-    ("grid", "log"): {"domain", "n", "x_min_mag", "kappa", "boundary"},
+    ("grid", "log"): {"x_max", "n", "x_min_mag", "kappa", "boundary"},
     ("grid", "labels"): {"n", "kappa"},
     ("kappa", "constant"): set(),
     ("kappa", "inverse_power"): {"p"},
@@ -123,7 +123,7 @@ SMALL_CFG = {
     "u0": {"name": "quadratic"},
     "solve": {"t": 0.5, "max_level": 2},
 }
-LOG_GRID = {"kind": "log", "domain": [0, 8], "n": 50}
+LOG_GRID = {"kind": "log", "x_max": 8, "n": 50}
 LABEL_GRID = {"kind": "labels", "n": 2}
 HEAT = SMALL_CFG["family"]
 
@@ -141,6 +141,7 @@ REJECTED = {
         "kind": "heat", "sigmas": [1.0], "alpha": 0.0}}}, "'alpha'"),
     "constant-kappa-p": ({"grid": dict(SMALL_CFG["grid"],
                                        kappa={"kind": "constant", "p": 2})}, "'p'"),
+    "log-domain": ({"grid": dict(LOG_GRID, domain=[-8, 8])}, "'domain'"),
     # malformed configs
     "scaled-without-base": ({"family": {"kind": "scaled", "scales": [1.0]}}, "'base'"),
     "scaled-base-scaled": ({"family": {"kind": "scaled", "scales": [1.0], "base": {
@@ -156,6 +157,7 @@ REJECTED = {
     "heat-sigmas-and-range": ({"family": dict(HEAT, range=[0.5, 1.0])}, "'sigmas'"),
     "heat-neither": ({"family": {"kind": "heat"}}, "'sigmas'"),
     "grid-kind-unknown": ({"grid": {"kind": "hex"}}, "grid.kind"),
+    "log-x_max-negative": ({"grid": dict(LOG_GRID, x_max=-8)}, "grid.x_max"),
     # malformed data
     "chain-ragged": ({"grid": LABEL_GRID, "family": {
         "kind": "chain", "rate_matrices": [[[-1, 1], [1]]]}}, "rate_matrices"),
@@ -223,7 +225,7 @@ def test_builders_cover_family_kinds():
     specs = [
         {"grid": {"kind": "uniform", "domain": [-4, 4], "dx": 0.1},
          "family": {"kind": "heat", "range": [0.5, 1.0], "count": 3}},
-        {"grid": {"kind": "log", "domain": [0, 8], "n": 200, "x_min_mag": 0.01,
+        {"grid": {"kind": "log", "x_max": 8, "n": 200, "x_min_mag": 0.01,
                   "kappa": {"kind": "inverse_power", "p": 2}},
          "family": {"kind": "gbm", "members": [[0.05, 0.2], [0.1, 0.3]]}},
         {"grid": {"kind": "uniform", "domain": [-4, 4], "dx": 0.1},
@@ -260,10 +262,10 @@ def test_cli_full_cycle(tmp_path):
     assert files == ["control_gap.json", "control_policy.json", "dpp.json",
                      "mc.json", "properties.json", "report.json", "solve.csv",
                      "solve_levels.json"]
-    header, first = open(os.path.join(out, "solve.csv")).read().splitlines()[:2]
+    header, first = pathlib.Path(out, "solve.csv").read_text().splitlines()[:2]
     assert header == "x,u0,u_T"
     assert len(first.split(",")) == 3
-    report = json.load(open(os.path.join(out, "report.json")))
+    report = json.loads(pathlib.Path(out, "report.json").read_text())
     assert report["passed"] is True
     assert report["config_sha256"] == config_hash(BASE_CFG)
 
@@ -275,8 +277,8 @@ def test_cli_outputs_byte_identical(tmp_path):
         out = str(tmp_path / tag)
         assert run("solve", cfg_path, out) == 0
         assert run("mc", cfg_path, out) == 0
-        blobs.append((open(os.path.join(out, "solve.csv"), "rb").read(),
-                      open(os.path.join(out, "mc.json"), "rb").read()))
+        blobs.append((pathlib.Path(out, "solve.csv").read_bytes(),
+                      pathlib.Path(out, "mc.json").read_bytes()))
     assert blobs[0] == blobs[1]
 
 
@@ -311,8 +313,8 @@ def test_cli_seed_flag_overrides(tmp_path):
     out_a, out_b = str(tmp_path / "sa"), str(tmp_path / "sb")
     assert run("mc", cfg_path, out_a, seed=101) == 0
     assert run("mc", cfg_path, out_b, seed=202) == 0
-    a = json.load(open(os.path.join(out_a, "mc.json")))
-    b = json.load(open(os.path.join(out_b, "mc.json")))
+    a = json.loads(pathlib.Path(out_a, "mc.json").read_text())
+    b = json.loads(pathlib.Path(out_b, "mc.json").read_text())
     assert a["mc"]["estimate"] != b["mc"]["estimate"]
 
 
@@ -370,7 +372,7 @@ def test_cli_reports_carry_eps_q_and_flow_exits(tmp_path):
     out = str(tmp_path / "out")
     assert run("solve", cfg_path, out) == 0
     assert run("dpp", cfg_path, out) == 0
-    levels = json.load(open(os.path.join(out, "solve_levels.json")))
+    levels = json.loads(pathlib.Path(out, "solve_levels.json").read_text())
     assert "eps_q" in levels and levels["flow_exits"]["koopman"] > 0
-    dpp = json.load(open(os.path.join(out, "dpp.json")))
+    dpp = json.loads(pathlib.Path(out, "dpp.json").read_text())
     assert "eps_q" in dpp

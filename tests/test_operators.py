@@ -14,7 +14,7 @@ from nisio import (ChainOperator, ConfigurationError, GBMOperator, GridFunction,
                    generator_apply, lip_seminorm, quadrature_tolerance,
                    weighted_norm)
 from nisio import operators
-from nisio.operators import KERNEL_RADIUS, gaussian_lattice_matrix
+from nisio.operators import KERNEL_RADIUS, _reflect_indices, gaussian_lattice_matrix
 from nisio.probes import probe_function
 
 from conftest import Q_BD
@@ -114,32 +114,41 @@ def test_heat_sigma_zero_is_identity(heat_grid):
 
 
 # ---------------------------------------------------------------------------
-# translation-invariant Gaussian kernels, against the per-row COO assembly
+# lattice kernels built directly, against the per-row COO assembly
 # ---------------------------------------------------------------------------
 
+def _coo_rows(n, cols_raw, weights, mode):
+    """COO assembly of banded rows with boundary handling.
+
+    cols_raw has shape (n, bandwidth); out-of-range columns are folded back
+    (``reflect``), wrapped (``wrap``), or dropped (``renormalize``).  Rows are
+    rescaled to sum to exactly one.
+    """
+    if mode == "reflect":
+        cols = _reflect_indices(cols_raw, n)
+    elif mode == "wrap":
+        cols = np.mod(cols_raw, n)
+    elif mode == "renormalize":
+        inside = (cols_raw >= 0) & (cols_raw < n)
+        weights = np.where(inside, weights, 0.0)
+        cols = np.clip(cols_raw, 0, n - 1)
+    else:
+        raise ConfigurationError(f"unknown boundary mode {mode!r}")
+    rows = np.repeat(np.arange(n), cols_raw.shape[1])
+    mat = sp.coo_matrix((weights.ravel(), (rows, cols.ravel())), shape=(n, n)).tocsr()
+    sums = np.asarray(mat.sum(axis=1)).ravel()
+    if np.any(sums <= 0.0):
+        raise NumericalDegeneracyError("kernel row lost all mass")
+    return sp.diags(1.0 / sums) @ mat
+
+
 def _coo_gaussian(n, dx, std, mode):
-    """Oracle: the per-row assembly the band path replaced.  Every row holds
-    its own band of Gaussian weights; off-lattice columns are reflected about
-    the end nodes, wrapped or dropped, COO sums the folded duplicates, and
-    each row is divided by its own sum."""
+    """Oracle for the band path: every row holds its own band of Gaussian
+    weights, assembled by ``_coo_rows``."""
     k = int(math.ceil(KERNEL_RADIUS * std / dx)) + 1
     cols = np.arange(n)[:, None] + np.arange(-k, k + 1)[None, :]
     dist = cols * dx - (np.arange(n) * dx)[:, None]
-    weights = np.exp(-0.5 * (dist / std) ** 2)
-    if mode == "reflect":
-        period = max(2 * (n - 1), 1)
-        cols = np.mod(cols, period)
-        cols = np.where(cols >= n, period - cols, cols)
-    elif mode == "wrap":
-        cols = np.mod(cols, n)
-    else:
-        weights = np.where((cols >= 0) & (cols < n), weights, 0.0)
-        cols = np.clip(cols, 0, n - 1)
-    rows = np.repeat(np.arange(n), cols.shape[1])
-    mat = sp.coo_matrix((weights.ravel(), (rows, cols.ravel())), shape=(n, n)).tocsr()
-    mat.eliminate_zeros()
-    sums = np.asarray(mat.sum(axis=1)).ravel()
-    return sp.diags(1.0 / sums) @ mat
+    return _coo_rows(n, cols, np.exp(-0.5 * (dist / std) ** 2), mode)
 
 
 def _dense(mat):
@@ -156,7 +165,7 @@ def _check_against_oracle(mat, ref, rng):
     assert isinstance(mat, np.ndarray) == dense_cheaper
     if sp.issparse(mat):
         ref = ref.sorted_indices()
-        assert mat.has_sorted_indices
+        assert mat.has_canonical_format     # sorted, no duplicates
         assert np.array_equal(mat.indptr, ref.indptr)
         assert np.array_equal(mat.indices, ref.indices)
 
@@ -209,19 +218,83 @@ def test_band_kernel_serves_zero_offset_members(monkeypatch):
         _check_against_oracle(mat, _coo_gaussian(g.size, g.spacing, std, "reflect"), rng)
 
 
-@pytest.mark.parametrize("std", [0.03, 1.0])
+def _ou_bench_member(boundary="reflect"):
+    """The first member of bench/configs/ou.json, on its grid."""
+    return OUOperator(WeightedGrid.uniform(-8.0, 8.0, 0.01, boundary=boundary),
+                      -0.5, 0.2, 1.0)
+
+
+@pytest.fixture(scope="module")
+def monotone_members():
+    return {"heat": HeatOperator(WeightedGrid.uniform(-2.0, 2.0, 0.01, boundary="reflect"), 1.0),
+            "ou": _ou_bench_member()}
+
+
+# (member, duration, stored dense); the heat cases are named by their std
+@pytest.mark.parametrize("member, t, dense", [
+    pytest.param("heat", 0.03 ** 2, False, id="0.03"),
+    pytest.param("heat", 1.0, True, id="1.0"),
+    pytest.param("ou", 0.25, False, id="ou-0.25"),
+    pytest.param("ou", 1.0, True, id="ou-1.0"),
+])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_band_kernel_exactly_monotone(std, data):
+def test_band_kernel_exactly_monotone(monotone_members, member, t, dense, data):
     # u <= v must give A u <= A v bit for bit, in either storage
-    g = WeightedGrid.uniform(-2.0, 2.0, 0.01, boundary="reflect")
-    mat = HeatOperator(g, 1.0).matrix(std ** 2)
-    assert isinstance(mat, np.ndarray) == (std == 1.0)
+    op = monotone_members[member]
+    mat = op.matrix(t)
+    assert isinstance(mat, np.ndarray) == dense
     assert np.min(_dense(mat)) >= 0.0
-    u = data.draw(arrays(np.float64, g.size, elements=st.floats(-1e6, 1e6)))
-    lift = data.draw(arrays(np.float64, g.size, elements=st.floats(0.0, 1e3)))
+    u = data.draw(arrays(np.float64, op.grid.size, elements=st.floats(-1e6, 1e6)))
+    lift = data.draw(arrays(np.float64, op.grid.size, elements=st.floats(0.0, 1e3)))
     v = u + lift
     assert np.all(mat @ v - mat @ u >= 0.0)
+
+
+# id -> (member factory, duration) whose matrix is assembled row by row
+ROW_KERNELS = {
+    **{f"ou-{b}-{t}": (lambda b=b: _ou_bench_member(b), t)
+       for b in ("reflect", "renormalize") for t in (0.25, 1.0)},
+    # var <= ds^2 and a drift of 0.6 cells: a shifted stencil block
+    "gbm-shifted-stencil": (lambda: GBMOperator(
+        WeightedGrid.loggrid(8.0, 1e-2, 800, boundary="reflect"), 5.0, 0.2), 1e-3),
+    "heat-stencil-wrap": (lambda: HeatOperator(
+        WeightedGrid.uniform(-np.pi, np.pi, 2.0 * np.pi / 256.0, periodic=True), 1.0), 1e-4),
+    "ou-interp-stencil": (lambda: OUOperator(
+        WeightedGrid.uniform(-8.0, 8.0, 0.01, boundary="reflect"), -0.5, 0.2, 1e-6), 0.5),
+    "koopman": (lambda: KoopmanOperator(
+        WeightedGrid.uniform(-8.0, 8.0, 0.01), lambda x: -x + 0.3 * np.sin(x), 1.3), 0.5),
+    "ou-2d-bilinear": (lambda: OUOperator(
+        WeightedGrid.tensor([-1.0, -2.0], [1.0, 2.0], [5, 9]),
+        [[-0.3, 0.2], [0.1, -0.6]], [0.15, -0.4], np.zeros((2, 2))), 0.7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_KERNELS))
+def test_row_kernel_matches_coo_assembly(case, monkeypatch):
+    # the same rows go through the direct assembly and the COO oracle
+    calls = []
+    direct = operators._assemble_rows
+
+    def spy(*args):
+        calls.append((args, direct(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(operators, "_assemble_rows", spy)
+    member, t = ROW_KERNELS[case]
+    member().matrix(t)
+    [(args, mat)] = calls
+    _check_against_oracle(mat, _coo_rows(*args), np.random.default_rng(7))
+    if case.startswith("ou-re"):
+        assert isinstance(mat, np.ndarray) == (t == 1.0)
+
+
+@pytest.mark.parametrize("boundary", ["renormalize", "reflect"])
+def test_kernel_row_lost_all_mass(boundary):
+    # the mean lands ~1000 past the lattice: every weight underflows to zero
+    op = OUOperator(WeightedGrid.uniform(-8.0, 8.0, 0.01, boundary=boundary), 0.0, 1000.0, 0.01)
+    with pytest.raises(NumericalDegeneracyError, match="kernel row lost all mass"):
+        op.matrix(1.0)
 
 
 # ---------------------------------------------------------------------------
