@@ -66,9 +66,7 @@ class _Run:
 
 def _cmd_solve(run):
     cfg = run.cfg
-    solve = cfg.get("solve")
-    if solve is None:
-        raise ConfigurationError("solve subcommand needs a solve section")
+    solve = cfg["solve"]
     u0 = build_u0(cfg, run.grid)
     res = nisio_value(run.family, solve["t"], u0,
                       max_level=solve.get("max_level", 12),
@@ -109,9 +107,7 @@ def _cmd_properties(run):
 
 def _cmd_dpp(run):
     cfg = run.cfg
-    section = cfg.get("dpp")
-    if section is None:
-        raise ConfigurationError("dpp subcommand needs a dpp section")
+    section = cfg["dpp"]
     u0 = build_u0(cfg, run.grid)
     level = section.get("level", 6)
     out = dpp_check(run.family, section["s"], section["t"], u0,
@@ -132,9 +128,7 @@ def _cmd_dpp(run):
 
 def _cmd_control(run):
     cfg = run.cfg
-    section = cfg.get("control")
-    if section is None:
-        raise ConfigurationError("control subcommand needs a control section")
+    section = cfg["control"]
     u0 = build_u0(cfg, run.grid)
     t, m = section["t"], section["m"]
     out = duality_gap(run.family, t, u0, m,
@@ -162,9 +156,7 @@ def _cmd_control(run):
 
 def _cmd_mc(run):
     cfg = run.cfg
-    section = cfg.get("mc")
-    if section is None:
-        raise ConfigurationError("mc subcommand needs an mc section")
+    section = cfg["mc"]
     u0 = build_u0(cfg, run.grid)
     t = section["t"]
     m = section.get("m", 16)
@@ -200,6 +192,9 @@ def _cmd_report(run):
 
 _COMMANDS = {"solve": _cmd_solve, "properties": _cmd_properties, "dpp": _cmd_dpp,
              "control": _cmd_control, "mc": _cmd_mc, "report": _cmd_report}
+# subcommand -> the section it cannot run without, with its article
+_NEEDED_SECTIONS = {"solve": "a solve", "dpp": "a dpp", "control": "a control",
+                    "mc": "an mc"}
 
 
 def run(subcommand, config_path, out_dir, seed=None):
@@ -207,6 +202,9 @@ def run(subcommand, config_path, out_dir, seed=None):
         with open(config_path, encoding="utf-8") as fh:
             cfg = json.load(fh)
         validate_config(cfg)
+        if subcommand in _NEEDED_SECTIONS and cfg.get(subcommand) is None:
+            raise ConfigurationError(
+                f"{subcommand} subcommand needs {_NEEDED_SECTIONS[subcommand]} section")
     except (OSError, json.JSONDecodeError, ConfigurationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -11,7 +11,13 @@ row-stochastic quadrature matrix (or an FFT multiplier), so that
 * ``apply`` is linear in ``u``.
 
 Matrices are cached per duration, which makes repeated composition over a
-time partition cheap.  Every lattice kernel is stored dense when
+time partition cheap.  Heat, GBM and 1D OU members build every kernel through
+one selector, ``lattice_kernel``: a variance above one cell squared gets
+Gaussian weights on the lattice nodes, one at or below it the interpolation
+stencil, which keeps the weights nonnegative and the mean exact where Gaussian
+quadrature would alias.  Kernel mass past the ends of the lattice is folded
+back (``reflect``), wrapped (``wrap``), or dropped with the row renormalized
+(``renormalize``).  Every lattice kernel is stored dense when
 ``8 n^2 <= 12 nnz + 4 (n + 1)`` (no more bytes than CSR), else as canonical
 CSR.  A Gaussian kernel whose mean offsets are all zero (every heat member
 above one cell, an OU member with B=0 and m=0, a GBM member with
@@ -64,21 +70,24 @@ def _assemble_rows(n, cols_raw, weights, mode):
     cols_raw has shape (n, bandwidth); out-of-range columns are folded back
     (``reflect``), wrapped (``wrap``), or dropped (``renormalize``).  Rows are
     divided by their own sums; folded duplicates and zeros leave the CSR.
+    The caller's arrays are left as they are.
     """
+    own = None      # a private copy of the weights, divided in place
     if mode == "reflect":
         cols = _reflect_indices(cols_raw, n)
     elif mode == "wrap":
         cols = np.mod(cols_raw, n)
     elif mode == "renormalize":
         inside = (cols_raw >= 0) & (cols_raw < n)
-        weights = np.where(inside, weights, 0.0)
+        weights = own = np.where(inside, weights, 0.0)
         cols = np.clip(cols_raw, 0, n - 1)
     else:
         raise ConfigurationError(f"unknown boundary mode {mode!r}")
     sums = weights.sum(axis=1)
     if np.any(sums <= 0.0):
         raise NumericalDegeneracyError("kernel row lost all mass")
-    mat = sp.csr_matrix(((weights / sums[:, None]).ravel(), cols.ravel(),
+    data = np.divide(weights, sums[:, None], out=own)
+    mat = sp.csr_matrix((data.ravel(), cols.ravel(),
                          np.arange(n + 1) * cols.shape[1]), shape=(n, n))
     mat.sum_duplicates()
     mat.eliminate_zeros()
@@ -173,71 +182,51 @@ def gaussian_lattice_matrix(n, dx, means_offset, std, mode):
     """Row-stochastic Gaussian kernel on a uniform lattice.
 
     Row i targets mean ``i*dx + means_offset[i]`` (offsets need not be lattice
-    aligned).  Requires ``std > 0``; callers switch to the stencil kernel when
-    the standard deviation is below one cell.  The offsets pick the path: all
-    zero make a translation-invariant kernel built from one band, any other
-    go row by row through ``_assemble_rows``, straight into CSR or dense.
+    aligned).  Requires ``std > 0``; ``lattice_kernel`` takes the stencil
+    instead when the standard deviation is at or below one cell.  The offsets
+    pick the path: all zero make a translation-invariant kernel built from one
+    band, any other go row by row through ``_assemble_rows``, straight into
+    CSR or dense.
     """
     offsets = np.broadcast_to(np.asarray(means_offset, dtype=float), (n,))
     k_half = int(math.ceil(KERNEL_RADIUS * std / dx)) + 1
-    band = np.arange(-k_half, k_half + 1)
+    band = np.arange(-k_half, k_half + 1, dtype=np.int32)
     if not np.any(offsets):
         return _band_matrix(n, np.exp(-0.5 * (band * dx / std) ** 2), mode)
-    # targets far outside the lattice keep their in-domain tail (clamped center)
-    j_center = np.clip(np.rint(offsets / dx).astype(int) + np.arange(n), 0, n - 1)
-    cols_raw = j_center[:, None] + band[None, :]
-    dist = cols_raw * dx - (np.arange(n) * dx + offsets)[:, None]
-    weights = np.exp(-0.5 * (dist / std) ** 2)
-    return _assemble_rows(n, cols_raw, weights, mode)
-
-
-def stencil_lattice_matrix(n, dx, means_offset, var, mode):
-    """Monotone 3-point kernel matching the first two moments.
-
-    Used when the kernel width is at or below one cell.  The mean offset is
-    split into a whole-cell shift plus a remainder; the remainder and the
-    variance go into the stencil.  Nonnegativity is enforced by clamping,
-    which biases the variance by at most one under-resolved cell.
-    """
-    offsets = np.broadcast_to(np.asarray(means_offset, dtype=float), (n,)).copy()
-    var = np.broadcast_to(np.asarray(var, dtype=float), (n,))
-    k0 = np.rint(offsets / dx).astype(int)
-    rem = offsets - k0 * dx
-    w_plus = (var + rem ** 2 + rem * dx) / (2.0 * dx * dx)
-    w_minus = (var + rem ** 2 - rem * dx) / (2.0 * dx * dx)
-    # clamp: keep the mean exact, give up variance below the resolvable floor
-    neg = w_minus < 0.0
-    w_plus = np.where(neg, rem / dx, w_plus)
-    w_minus = np.where(neg, 0.0, w_minus)
-    neg = w_plus < 0.0
-    w_minus = np.where(neg, -rem / dx, w_minus)
-    w_plus = np.where(neg, 0.0, w_plus)
-    w_mid = 1.0 - w_plus - w_minus
-    if np.any(w_mid < -1e-12):
-        raise NumericalDegeneracyError("stencil kernel not monotone; step too large")
-    w_mid = np.maximum(w_mid, 0.0)
-    cols_raw = (np.arange(n) + k0)[:, None] + np.array([-1, 0, 1])[None, :]
-    weights = np.column_stack([w_minus, w_mid, w_plus])
+    # targets far outside the lattice keep their in-domain tail (clamped
+    # center); the float is clipped before the cast so it cannot overflow
+    rows = np.arange(n)
+    center = np.clip(np.rint(offsets / dx) + rows, 0, n - 1).astype(np.int32)
+    cols_raw = center[:, None] + band
+    # exp(-((col*dx - mean) / std)^2 / 2) in place, in one n x bandwidth array
+    weights = cols_raw * dx
+    weights -= (rows * dx + offsets)[:, None]
+    weights /= std
+    np.square(weights, out=weights)
+    weights *= -0.5
+    np.exp(weights, out=weights)
     return _assemble_rows(n, cols_raw, weights, mode)
 
 
 def interp_stencil_matrix(n, dx, means_index, var, mode):
-    """Kernel for arbitrary (non-lattice) target means on a uniform lattice.
+    """Sub-cell kernel for arbitrary (non-lattice) target means.
 
-    The mean is placed by monotone linear interpolation; variance is added by
-    a centered 3-point stencil corrected for the spurious spread of the
-    interpolation itself.  ``means_index`` is the target position in index
-    units (may lie outside [0, n-1]; boundary handling per ``mode``).
+    The mean is placed by monotone linear interpolation between the nodes j
+    and j+1 that bracket it (weights 1-theta and theta); the variance is added
+    by a centered 3-point stencil [a, 1-2a, a] around each of them, with
+    ``2a dx^2 = max(var - theta (1 - theta) dx^2, 0)`` so that the spread of
+    the interpolation itself is not counted twice.  Each row therefore has
+    nonnegative weights, the exact mean and variance
+    ``max(var, theta (1 - theta) dx^2)``.  Requires ``var <= dx^2`` (then
+    ``a <= 1/2``), which ``lattice_kernel`` guarantees.  ``means_index`` is
+    the target position in index units; one outside [0, n-1] is clamped to
+    the end node, and columns past the ends are handled per ``mode``.
     """
     mi = np.clip(np.asarray(means_index, dtype=float), 0.0, n - 1.0)
-    var = np.broadcast_to(np.asarray(var, dtype=float), (n,))
     j = np.minimum(np.floor(mi).astype(int), n - 2)
     theta = mi - j
     spread = theta * (1.0 - theta) * dx * dx
     a = np.maximum(var - spread, 0.0) / (2.0 * dx * dx)
-    if np.any(a > 0.5 + 1e-12):
-        raise NumericalDegeneracyError("variance too large for the interp stencil")
-    a = np.minimum(a, 0.5)
     cols_raw = j[:, None] + np.array([-1, 0, 1, 2])[None, :]
     weights = np.column_stack([
         (1.0 - theta) * a,
@@ -246,6 +235,20 @@ def interp_stencil_matrix(n, dx, means_index, var, mode):
         theta * a,
     ])
     return _assemble_rows(n, cols_raw, weights, mode)
+
+
+def lattice_kernel(n, dx, means_offset, var, mode):
+    """The one kernel of a Gaussian transition on a uniform lattice.
+
+    Row i targets mean ``i*dx + means_offset[i]`` (an array, or one scalar
+    for every row) and variance ``var``.  Above one cell squared the Gaussian
+    weights resolve the lattice; at or below it Gaussian quadrature aliases,
+    and the interpolation stencil matches both moments with nonnegative
+    weights instead.  Zero variance and zero offsets give the identity.
+    """
+    if var > dx * dx:
+        return gaussian_lattice_matrix(n, dx, means_offset, math.sqrt(var), mode)
+    return interp_stencil_matrix(n, dx, np.arange(n) + means_offset / dx, var, mode)
 
 
 def _boundary_mode(grid):
@@ -363,16 +366,8 @@ class HeatOperator(TransitionOperator):
         self.lipschitz_exact = grid.kind == "periodic" or grid.boundary == "reflect"
 
     def _build_matrix(self, t):
-        n, dx = self.grid.size, self.grid.spacing
-        var = self.sigma ** 2 * t
-        if var == 0.0:
-            return sp.identity(n, format="csr")
-        mode = _boundary_mode(self.grid)
-        # Gaussian quadrature is alias-free only when the kernel resolves the
-        # grid; below one cell the moment-matched stencil is strictly better.
-        if var <= dx * dx:
-            return stencil_lattice_matrix(n, dx, 0.0, var, mode)
-        return gaussian_lattice_matrix(n, dx, 0.0, math.sqrt(var), mode)
+        return lattice_kernel(self.grid.size, self.grid.spacing, 0.0,
+                              self.sigma ** 2 * t, _boundary_mode(self.grid))
 
     def generator(self, u):
         dx = self.grid.spacing
@@ -413,17 +408,10 @@ class GBMOperator(TransitionOperator):
         self._n_side = (grid.size - 1) // 2
 
     def _build_matrix(self, t):
-        n, ds = self._n_side, self.grid.spacing
-        shift = (self.mu - 0.5 * self.sigma ** 2) * t
-        var = self.sigma ** 2 * t
-        if shift == 0.0 and var == 0.0:
-            return sp.identity(self.grid.size, format="csr")
-        if var > ds * ds:
-            block = gaussian_lattice_matrix(n, ds, shift, math.sqrt(var), self.grid.boundary)
-        else:
-            block = stencil_lattice_matrix(n, ds, shift, var, self.grid.boundary)
-        neg = block[::-1, ::-1]
-        return sp.block_diag([neg, sp.identity(1), block], format="csr")
+        block = lattice_kernel(self._n_side, self.grid.spacing,
+                               (self.mu - 0.5 * self.sigma ** 2) * t,
+                               self.sigma ** 2 * t, self.grid.boundary)
+        return sp.block_diag([block[::-1, ::-1], sp.identity(1), block], format="csr")
 
     def generator(self, u):
         n, ds = self._n_side, self.grid.spacing
@@ -517,13 +505,9 @@ class OUOperator(TransitionOperator):
 
     def _matrix_1d(self, m_lin, drift, var):
         g = self.grid
-        n, dx, lo = g.size, g.spacing, g.points[0]
-        means = m_lin * g.points + drift
-        mode = _boundary_mode(g)
-        if var > dx * dx:
-            # gaussian_lattice_matrix wants offsets from each row's own node
-            return gaussian_lattice_matrix(n, dx, means - g.points, math.sqrt(var), mode)
-        return interp_stencil_matrix(n, dx, (means - lo) / dx, var, mode)
+        # lattice_kernel wants offsets from each row's own node
+        return lattice_kernel(g.size, g.spacing, m_lin * g.points + drift - g.points,
+                              var, _boundary_mode(g))
 
     def _matrix_2d(self, M, drift, cov):
         g = self.grid

@@ -186,6 +186,14 @@ def test_cli_rejects_config_with_exit_2(tmp_path, capsys, case):
     assert names in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub, article", [("solve", "a"), ("dpp", "a"),
+                                          ("control", "a"), ("mc", "an")])
+def test_cli_subcommand_needs_its_section(tmp_path, capsys, sub, article):
+    cfg = {k: v for k, v in BASE_CFG.items() if k != sub}
+    assert run(sub, write_cfg(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert f"{sub} subcommand needs {article} {sub} section" in capsys.readouterr().err
+
+
 SHIPPED = sorted(ROOT.glob("bench/configs/**/*.json"))
 
 
@@ -356,6 +364,23 @@ def test_cli_numerical_degeneracy_exits_3(tmp_path):
     }
     cfg_path = write_cfg(tmp_path, cfg)
     assert run("solve", cfg_path, str(tmp_path / "out")) == 3
+
+
+def test_cli_gbm_zero_volatility_member(tmp_path):
+    # a sigma = 0 member drifts off the top of the default renormalize log
+    # grid; its kernel keeps the mass on the end node
+    cfg = {
+        "grid": {"kind": "log", "x_max": 8, "n": 800},
+        "family": {"kind": "gbm", "members": [[0.02, 0.0], [0.05, 0.2]]},
+        "u0": {"name": "cos"},
+        "solve": {"t": 1.0, "max_level": 2},
+    }
+    out = tmp_path / "out"
+    assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 0
+    x, u0, uT = np.loadtxt(out / "solve.csv", delimiter=",", skiprows=1).T
+    assert np.all(np.isfinite(uT))
+    [i0] = np.flatnonzero(x == 0.0)
+    assert uT[i0] == u0[i0] == 1.0
 
 
 def test_cli_reports_carry_eps_q_and_flow_exits(tmp_path):

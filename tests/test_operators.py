@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from nisio import (ChainOperator, ConfigurationError, GBMOperator, GridFunction,
                    generator_apply, lip_seminorm, quadrature_tolerance,
                    weighted_norm)
 from nisio import operators
-from nisio.operators import KERNEL_RADIUS, _reflect_indices, gaussian_lattice_matrix
+from nisio.operators import (KERNEL_RADIUS, _assemble_rows, _reflect_indices,
+                             gaussian_lattice_matrix, lattice_kernel)
 from nisio.probes import probe_function
 
 from conftest import Q_BD
@@ -224,16 +226,25 @@ def _ou_bench_member(boundary="reflect"):
                       -0.5, 0.2, 1.0)
 
 
+def _gbm_shifted_member():
+    """A log-grid member whose kernel at t=1e-3 is below one cell, with a
+    drift of 0.6 cells."""
+    return GBMOperator(WeightedGrid.loggrid(8.0, 1e-2, 800, boundary="reflect"), 5.0, 0.2)
+
+
 @pytest.fixture(scope="module")
 def monotone_members():
     return {"heat": HeatOperator(WeightedGrid.uniform(-2.0, 2.0, 0.01, boundary="reflect"), 1.0),
-            "ou": _ou_bench_member()}
+            "ou": _ou_bench_member(),
+            "gbm": _gbm_shifted_member()}
 
 
 # (member, duration, stored dense); the heat cases are named by their std
 @pytest.mark.parametrize("member, t, dense", [
     pytest.param("heat", 0.03 ** 2, False, id="0.03"),
     pytest.param("heat", 1.0, True, id="1.0"),
+    pytest.param("heat", 0.5 * 0.01 ** 2, False, id="heat-sub-cell"),
+    pytest.param("gbm", 1e-3, False, id="gbm-sub-cell"),
     pytest.param("ou", 0.25, False, id="ou-0.25"),
     pytest.param("ou", 1.0, True, id="ou-1.0"),
 ])
@@ -255,9 +266,7 @@ def test_band_kernel_exactly_monotone(monotone_members, member, t, dense, data):
 ROW_KERNELS = {
     **{f"ou-{b}-{t}": (lambda b=b: _ou_bench_member(b), t)
        for b in ("reflect", "renormalize") for t in (0.25, 1.0)},
-    # var <= ds^2 and a drift of 0.6 cells: a shifted stencil block
-    "gbm-shifted-stencil": (lambda: GBMOperator(
-        WeightedGrid.loggrid(8.0, 1e-2, 800, boundary="reflect"), 5.0, 0.2), 1e-3),
+    "gbm-shifted-stencil": (_gbm_shifted_member, 1e-3),
     "heat-stencil-wrap": (lambda: HeatOperator(
         WeightedGrid.uniform(-np.pi, np.pi, 2.0 * np.pi / 256.0, periodic=True), 1.0), 1e-4),
     "ou-interp-stencil": (lambda: OUOperator(
@@ -295,6 +304,129 @@ def test_kernel_row_lost_all_mass(boundary):
     op = OUOperator(WeightedGrid.uniform(-8.0, 8.0, 0.01, boundary=boundary), 0.0, 1000.0, 0.01)
     with pytest.raises(NumericalDegeneracyError, match="kernel row lost all mass"):
         op.matrix(1.0)
+
+
+def test_offset_kernel_build_memory():
+    # the per-row Gaussian path holds few n x bandwidth temporaries at once
+    for boundary in ("reflect", "renormalize"):
+        op = _ou_bench_member(boundary)
+        tracemalloc.start()
+        try:
+            mat = op.matrix(1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(mat, np.ndarray)
+        assert peak <= 5 * mat.nbytes, (boundary, peak / mat.nbytes)
+
+
+# ---------------------------------------------------------------------------
+# sub-cell kernels: the interpolation stencil behind lattice_kernel
+# ---------------------------------------------------------------------------
+
+def stencil_lattice_matrix(n, dx, means_offset, var, mode):
+    """Monotone 3-point kernel matching the first two moments.
+
+    Used when the kernel width is at or below one cell.  The mean offset is
+    split into a whole-cell shift plus a remainder; the remainder and the
+    variance go into the stencil.  Nonnegativity is enforced by clamping,
+    which biases the variance by at most one under-resolved cell.
+    """
+    offsets = np.broadcast_to(np.asarray(means_offset, dtype=float), (n,)).copy()
+    var = np.broadcast_to(np.asarray(var, dtype=float), (n,))
+    k0 = np.rint(offsets / dx).astype(int)
+    rem = offsets - k0 * dx
+    w_plus = (var + rem ** 2 + rem * dx) / (2.0 * dx * dx)
+    w_minus = (var + rem ** 2 - rem * dx) / (2.0 * dx * dx)
+    # clamp: keep the mean exact, give up variance below the resolvable floor
+    neg = w_minus < 0.0
+    w_plus = np.where(neg, rem / dx, w_plus)
+    w_minus = np.where(neg, 0.0, w_minus)
+    neg = w_plus < 0.0
+    w_minus = np.where(neg, -rem / dx, w_minus)
+    w_plus = np.where(neg, 0.0, w_plus)
+    w_mid = 1.0 - w_plus - w_minus
+    if np.any(w_mid < -1e-12):
+        raise NumericalDegeneracyError("stencil kernel not monotone; step too large")
+    w_mid = np.maximum(w_mid, 0.0)
+    cols_raw = (np.arange(n) + k0)[:, None] + np.array([-1, 0, 1])[None, :]
+    weights = np.column_stack([w_minus, w_mid, w_plus])
+    return _assemble_rows(n, cols_raw, weights, mode)
+
+
+@pytest.mark.parametrize("mode", ["reflect", "wrap", "renormalize"])
+def test_heat_sub_cell_matches_three_point_stencil(mode):
+    # with zero offsets the interpolation stencil is the old 3-point kernel
+    # [a, 1-2a, a]; 1 - 2a and (1 - a) - a may differ in the last bit
+    if mode == "wrap":
+        g = WeightedGrid.uniform(-np.pi, np.pi, 2.0 * np.pi / 64.0, periodic=True)
+    else:
+        g = WeightedGrid.uniform(-2.0, 2.0, 0.1, boundary=mode)
+    n, dx = g.size, g.spacing
+    rng = np.random.default_rng(11)
+    for var in np.concatenate(([0.0, dx * dx], rng.random(298) * dx * dx)):
+        mat = HeatOperator(g, 1.0).matrix(var)
+        ref = stencil_lattice_matrix(n, dx, 0.0, var, mode)
+        assert np.max(np.abs(_dense(mat) - _dense(ref))) <= 2.3e-16, var
+
+
+def _row_moments(mat, rows):
+    """Weights, sums, mean and variance of the given rows, in cells about
+    each row's own node."""
+    w = _dense(mat)[rows]
+    lag = np.arange(w.shape[1])[None, :] - np.asarray(rows)[:, None]
+    sums = w.sum(axis=1)
+    mean = (w * lag).sum(axis=1) / sums
+    var = (w * (lag - mean[:, None]) ** 2).sum(axis=1) / sums
+    return w, sums, mean, var
+
+
+@pytest.mark.parametrize("mode", ["reflect", "wrap", "renormalize"])
+@pytest.mark.parametrize("offset", [-2.7, -0.5, 0.0, 0.3, 0.5, 1.5, 3.2])
+def test_sub_cell_kernel_moments(mode, offset):
+    # interior rows: nonnegative, conservative, exact mean, and the variance
+    # the lattice can hold, max(var, theta (1 - theta)) in cells^2
+    n, dx = 41, 0.05
+    theta = offset - math.floor(offset)
+    rows = np.arange(6, n - 6)
+    for ratio in (0.0, 0.1, 0.5, 0.99, 1.0):
+        mat = lattice_kernel(n, dx, offset * dx, ratio * dx * dx, mode)
+        w, sums, mean, var = _row_moments(mat, rows)
+        assert np.min(w) >= 0.0
+        assert np.max(np.abs(sums - 1.0)) <= 1e-15
+        assert np.max(np.abs(mean - offset)) <= 1e-12
+        assert np.max(np.abs(var - max(ratio, theta * (1.0 - theta)))) <= 1e-12
+
+
+def test_gbm_zero_volatility_on_renormalized_log_grid():
+    # sigma = 0: every row is a pure shift of 0.01 in log|x|, which leaves
+    # the lattice at the top rows; those targets clamp to the end node
+    g = WeightedGrid.loggrid(8.0, 1e-2, 800)
+    op = GBMOperator(g, 0.02, 0.0)
+    mat = op.matrix(0.5)
+    assert mat.min() >= 0.0
+    assert np.max(np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0)) <= 1e-15
+    n = op._n_side
+    s = np.log(g.points[n + 1:])
+    moved = mat[n + 1:, n + 1:] @ s
+    assert np.max(np.abs(moved - np.minimum(s + 0.01, s[-1]))) <= 1e-12
+
+
+@pytest.mark.parametrize("boundary", ["reflect", "renormalize"])
+def test_gbm_near_cell_variance_with_half_cell_drift(boundary):
+    # sigma^2 t = 0.99 ds^2 and a log drift of 1.5 ds: no 3-point kernel
+    # centered on a node holds both moments with nonnegative weights
+    g = WeightedGrid.loggrid(8.0, 1e-2, 200, boundary=boundary)
+    ds = g.spacing
+    sigma = math.sqrt(0.99) * ds
+    op = GBMOperator(g, 1.5 * ds + 0.5 * sigma ** 2, sigma)
+    mat = op.matrix(1.0)
+    assert mat.min() >= 0.0
+    n = op._n_side
+    w, sums, mean, var = _row_moments(mat[n + 1:, n + 1:], np.arange(5, n - 5))
+    assert np.max(np.abs(sums - 1.0)) <= 1e-15
+    assert np.max(np.abs(mean - 1.5)) <= 1e-12
+    assert np.max(np.abs(var - 0.99)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
