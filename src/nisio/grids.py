@@ -20,8 +20,9 @@ Point lookup (:meth:`WeightedGrid.nearest_index`,
 corrected by at most one step against the stored points, which gives
 exactly the bracket a binary search would.  ``log`` grids use binary
 search.  ``nearest_index`` breaks ties to the left neighbour (an exact
-midpoint maps to the lower index, unlike round-half-to-even); states
-beyond the grid map to the end nodes and NaN is rejected.
+midpoint maps to the lower index, unlike round-half-to-even), is
+non-decreasing in the state, maps states beyond the grid to the end nodes
+and rejects NaN.
 """
 
 from __future__ import annotations
@@ -198,10 +199,14 @@ class WeightedGrid:
         """Index of the nearest grid point; ties resolve to the left neighbour.
 
         States beyond the grid map to the end nodes; NaN raises
-        :class:`InvalidInputError`."""
+        :class:`InvalidInputError`.  The index is non-decreasing in ``x`` on
+        every 1D kind, so the nodes a batch of states can reach lie between
+        the lookups of its smallest and largest state (the Monte Carlo
+        sampler relies on this)."""
         x = _reject_nan(x)
         if self.kind == "labels":
-            return np.clip(np.rint(x).astype(int), 0, self.size - 1)
+            # clip the float before the cast so that +-inf cannot overflow
+            return np.clip(np.rint(x), 0, self.size - 1).astype(np.intp)
         if self.points.ndim != 1:
             raise ConfigurationError("nearest_index implemented for 1D grids only")
         if self.size == 1:

@@ -8,6 +8,16 @@ deterministic flow for Koopman members, a uniformization jump chain for
 conservative chains; a scaled member samples its base over the dilated
 duration).  The single-policy expectation is a lower bound for the envelope
 value; under the greedy policy it reproduces it.
+
+A stage first looks up only the smallest and largest state.  The nearest
+index is non-decreasing in the state, so every path sits at a node between
+those two; when the stage's selector names one member on that whole span,
+that member steps the whole batch at once, with no per-path lookup.  Only a
+selector that changes inside the span sends the stage through the per-path
+lookup and one masked step per member.  Both routes give every path the same
+member and draw the same numbers in the same order.  On a periodic grid the
+paths wrap around the period after each stage; elsewhere a safety box (by
+default the grid's end points) truncates them and counts the paths it caught.
 """
 
 from __future__ import annotations
@@ -29,7 +39,8 @@ class SamplerSpec:
     The policy must fit the family (selector length and member indices), and
     every member a selector uses must admit an exact-increment sampler
     (spectral jump members do not).  The stage step of each such (member,
-    stage duration) pair is built here, once."""
+    stage duration) pair is built here, once.  Without a ``safety_box``, a
+    1D grid that is not periodic takes its end points as the box."""
 
     family: object
     policy: ControlPolicy
@@ -48,8 +59,10 @@ class SamplerSpec:
                 if (k, h) not in steps:
                     steps[k, h] = self.family.members[k].path_step(h)
         object.__setattr__(self, "_steps", steps)
-        if self.safety_box is None and self.family.grid.points.ndim == 1:
-            pts = self.family.grid.points
+        grid = self.family.grid
+        if (self.safety_box is None and grid.points.ndim == 1
+                and grid.kind != "periodic"):
+            pts = grid.points
             object.__setattr__(self, "safety_box",
                                (float(pts[0]), float(pts[-1])))
 
@@ -60,8 +73,9 @@ class SamplerSpec:
 def sample_terminal_states(spec, x0, rng=None):
     """Terminal states of n_paths controlled paths started at x0.
 
-    Returns (states, n_flagged): paths leaving the safety box are truncated
-    at its edge and counted.
+    Returns (states, n_flagged): on a periodic grid a path that leaves the
+    period starting at ``points[0]`` is shifted back by whole periods; paths
+    leaving the safety box are truncated at its edge and counted.
     """
     grid = spec.family.grid
     if rng is None:
@@ -69,11 +83,22 @@ def sample_terminal_states(spec, x0, rng=None):
     states = np.full(spec.n_paths, float(x0))
     flagged = 0
     for h, sel in spec.policy.stages:
-        member_idx = sel[grid.nearest_index(states)]
-        for k in range(len(spec.family)):
-            mask = member_idx == k
-            if np.any(mask):
-                states[mask] = spec._steps[k, h](states[mask], rng)
+        # nearest_index is monotone: every path's node lies in [j_lo, j_hi]
+        j_lo, j_hi = grid.nearest_index([states.min(), states.max()])
+        span = sel[j_lo:j_hi + 1]
+        if span.min() == span.max():
+            states = spec._steps[int(span[0]), h](states, rng)
+        else:
+            member_idx = sel[grid.nearest_index(states)]
+            for k in range(len(spec.family)):
+                mask = member_idx == k
+                if np.any(mask):
+                    states[mask] = spec._steps[k, h](states[mask], rng)
+        if grid.kind == "periodic":
+            start, period = grid.points[0], grid.period
+            out = (states < start) | (states >= start + period)
+            if np.any(out):
+                states[out] = start + np.mod(states[out] - start, period)
         if spec.safety_box is not None:
             lo, hi = spec.safety_box
             out = (states < lo) | (states > hi)

@@ -70,24 +70,23 @@ def _assemble_rows(n, cols_raw, weights, mode):
     cols_raw has shape (n, bandwidth); out-of-range columns are folded back
     (``reflect``), wrapped (``wrap``), or dropped (``renormalize``).  Rows are
     divided by their own sums; folded duplicates and zeros leave the CSR.
-    The caller's arrays are left as they are.
+    ``weights`` is consumed: it is zeroed and divided in place, so callers
+    pass an array they built for this call alone.
     """
-    own = None      # a private copy of the weights, divided in place
     if mode == "reflect":
         cols = _reflect_indices(cols_raw, n)
     elif mode == "wrap":
         cols = np.mod(cols_raw, n)
     elif mode == "renormalize":
-        inside = (cols_raw >= 0) & (cols_raw < n)
-        weights = own = np.where(inside, weights, 0.0)
+        np.copyto(weights, 0.0, where=(cols_raw < 0) | (cols_raw >= n))
         cols = np.clip(cols_raw, 0, n - 1)
     else:
         raise ConfigurationError(f"unknown boundary mode {mode!r}")
     sums = weights.sum(axis=1)
     if np.any(sums <= 0.0):
         raise NumericalDegeneracyError("kernel row lost all mass")
-    data = np.divide(weights, sums[:, None], out=own)
-    mat = sp.csr_matrix((data.ravel(), cols.ravel(),
+    np.divide(weights, sums[:, None], out=weights)
+    mat = sp.csr_matrix((weights.ravel(), cols.ravel(),
                          np.arange(n + 1) * cols.shape[1]), shape=(n, n))
     mat.sum_duplicates()
     mat.eliminate_zeros()

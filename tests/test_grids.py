@@ -211,3 +211,31 @@ def test_uniform_grid_rejects_irregular_points():
         with pytest.raises(ConfigurationError):
             WeightedGrid(bent, np.ones(5), kind=kind, spacing=0.25)
     assert WeightedGrid(bent, np.ones(5), kind="log", spacing=0.25).size == 5
+
+
+def _grid_of_kind(kind, lo, dx, n, x_max, x_min_mag):
+    if kind == "log":
+        return WeightedGrid.loggrid(x_max, x_min_mag, n)
+    if kind == "labels":
+        return WeightedGrid.labels(n)
+    return WeightedGrid.uniform(lo, lo + n * dx, dx, periodic=kind == "periodic")
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["uniform", "periodic", "log", "labels"]),
+       lo=st.floats(-100.0, 100.0),
+       dx=st.sampled_from([0.1, 1.0 / 3.0, 0.01, 0.7, 2.0 * np.pi / 256.0]),
+       n=st.integers(2, 200),
+       x_max=st.floats(1.0, 100.0), x_min_mag=st.floats(1e-3, 0.5),
+       extra=st.lists(st.floats(allow_nan=False), max_size=50))
+def test_nearest_index_is_monotone(kind, lo, dx, n, x_max, x_min_mag, extra):
+    # the Monte Carlo sampler reads a batch's nodes off its two extreme states
+    g = _grid_of_kind(kind, lo, dx, n, x_max, x_min_mag)
+    x = np.sort(lookup_states(g, extra))
+    assert np.all(np.diff(g.nearest_index(x)) >= 0)
+
+
+def test_labels_lookup_clamps_far_states_to_the_end_labels():
+    g = WeightedGrid.labels(4)
+    x = np.array([-np.inf, -1e300, -0.6, 2.0, 3.4, 1e300, np.inf])
+    assert g.nearest_index(x).tolist() == [0, 0, 0, 2, 3, 3, 3]

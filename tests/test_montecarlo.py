@@ -252,3 +252,155 @@ def test_mc_compare_reads_the_sampled_label(chain_family, label_grid):
     assert low == zero
     assert low["grid"] == float(greedy.value.values[0])
     assert not low["flag"]
+
+
+# -- the whole-batch stage step vs the per-path sampler ----------------------
+
+def per_path_terminal_states(spec, x0, rng=None):
+    """The per-path sampler every stage used to run, kept as the oracle."""
+    grid = spec.family.grid
+    if rng is None:
+        rng = spec.rng()
+    states = np.full(spec.n_paths, float(x0))
+    flagged = 0
+    for h, sel in spec.policy.stages:
+        member_idx = sel[grid.nearest_index(states)]
+        for k in range(len(spec.family)):
+            mask = member_idx == k
+            if np.any(mask):
+                states[mask] = spec._steps[k, h](states[mask], rng)
+        if spec.safety_box is not None:
+            lo, hi = spec.safety_box
+            out = (states < lo) | (states > hi)
+            flagged += int(np.sum(out))
+            np.clip(states, lo, hi, out=states)
+    return states, flagged
+
+
+@pytest.fixture(scope="module")
+def readme_greedy(heat_family, heat_grid):
+    """The README config's mc policy: greedy, 64 stages to t = 1."""
+    u = probe_function("quadratic", heat_grid)
+    return greedy_policy(heat_family, 1.0, u, 64).policy
+
+
+@pytest.fixture
+def lookup_sizes(monkeypatch):
+    """Sizes of the state batches passed to nearest_index, in call order."""
+    sizes = []
+    lookup = WeightedGrid.nearest_index
+
+    def counting(self, x):
+        sizes.append(int(np.size(x)))
+        return lookup(self, x)
+
+    monkeypatch.setattr(WeightedGrid, "nearest_index", counting)
+    return sizes
+
+
+def assert_matches_per_path(spec, x0, sizes=None):
+    """Bit-identical paths from both samplers; with ``sizes`` (the
+    ``lookup_sizes`` fixture), the number of stages that looked up every
+    path."""
+    states, flagged = sample_terminal_states(spec, x0)
+    full_lookups = None if sizes is None else sizes.count(spec.n_paths)
+    ref_states, ref_flagged = per_path_terminal_states(spec, x0)
+    assert np.array_equal(states, ref_states)
+    assert flagged == ref_flagged
+    return full_lookups
+
+
+def test_sampler_matches_per_path_readme_greedy(heat_family, readme_greedy):
+    spec = SamplerSpec(heat_family, readme_greedy, 20_000, seed=1)
+    assert_matches_per_path(spec, 0.0)
+
+
+def test_sampler_matches_per_path_selector_switching_at_zero(
+        heat_family, heat_grid, lookup_sizes):
+    sel = (heat_grid.points > 0.0).astype(int)
+    pol = ControlPolicy(tuple((1.0 / 16, sel) for _ in range(16)))
+    # all paths start at one node; every later stage looks up every path
+    spec = SamplerSpec(heat_family, pol, 20_000, seed=2)
+    assert assert_matches_per_path(spec, 0.0, lookup_sizes) == 15
+
+
+def test_sampler_matches_per_path_selector_switching_late(heat_family, heat_grid,
+                                                          lookup_sizes):
+    early = np.ones(heat_grid.size, dtype=int)
+    late = (heat_grid.points > 0.5).astype(int)
+    pol = ControlPolicy(tuple((1.0 / 16, early) for _ in range(8))
+                        + tuple((1.0 / 16, late) for _ in range(8)))
+    spec = SamplerSpec(heat_family, pol, 20_000, seed=3)
+    assert assert_matches_per_path(spec, 0.0, lookup_sizes) == 8
+
+
+def test_sampler_matches_per_path_chain(chain_family, label_grid):
+    for sel in ([0, 1, 0, 1], [1, 1, 1, 0], [0, 1, 1, 0]):
+        pol = ControlPolicy(tuple((0.25, np.array(sel)) for _ in range(4)))
+        assert_matches_per_path(SamplerSpec(chain_family, pol, 5000, seed=5), 1.0)
+
+
+def test_sampler_matches_per_path_gbm(log_grid, lookup_sizes):
+    fam = SemigroupFamily([GBMOperator(log_grid, 0.1, 0.2),
+                           ScaledOperator(GBMOperator(log_grid, 0.0, 0.4), 0.5)])
+    # constant while the paths stay below x = 2, switching inside them later
+    sel = (log_grid.points > 2.0).astype(int)
+    pol = ControlPolicy(tuple((0.25, sel) for _ in range(8)))
+    full = assert_matches_per_path(SamplerSpec(fam, pol, 5000, seed=3), 1.0,
+                                   lookup_sizes)
+    assert 0 < full < 8
+
+
+class _Fan(HeatOperator):
+    """Stub member that spreads the batch evenly over [-1, 1], drawing nothing."""
+
+    def path_step(self, h):
+        return lambda states, rng: np.linspace(-1.0, 1.0, states.size)
+
+
+@pytest.mark.parametrize("end", [-1.0, 1.0])
+def test_sampler_matches_per_path_switch_at_span_end(coarse_grid, end):
+    # after the fan, only the paths next to one end of the span sit at the
+    # node where the selector names a third member
+    fam = SemigroupFamily([_Fan(coarse_grid, 1.0), HeatOperator(coarse_grid, 1.0),
+                           HeatOperator(coarse_grid, 0.5)])
+    sel = np.ones(coarse_grid.size, dtype=int)
+    sel[coarse_grid.nearest_index(end)] = 2
+    pol = ControlPolicy(((0.5, np.zeros(coarse_grid.size, dtype=int)), (0.5, sel)))
+    assert_matches_per_path(SamplerSpec(fam, pol, 1001, seed=6), 0.0)
+
+
+class _NaNBeyondZero(HeatOperator):
+    """Stub member whose stage step turns every positive state into NaN."""
+
+    def path_step(self, h):
+        def step(states, rng):
+            moved = states + rng.standard_normal(states.size)
+            return np.where(states > 0.0, np.nan, moved)
+        return step
+
+
+def test_sampler_rejects_nan_states_like_per_path(coarse_grid):
+    fam = SemigroupFamily([_NaNBeyondZero(coarse_grid, 1.0)])
+    spec = SamplerSpec(fam, constant_policy(coarse_grid, 0, 3, 1.0), 1000, seed=4)
+    for sampler in (sample_terminal_states, per_path_terminal_states):
+        with pytest.raises(InvalidInputError, match="states must not be NaN"):
+            sampler(spec, 0.0)
+
+
+def test_sampler_looks_up_two_states_per_stage(heat_family, readme_greedy,
+                                               lookup_sizes):
+    # a change that loses the whole-batch step fails here, not only in the
+    # benchmark
+    sample_terminal_states(SamplerSpec(heat_family, readme_greedy, 10_000, seed=1), 0.0)
+    assert sum(lookup_sizes) == 2 * 64
+
+
+def test_periodic_paths_wrap(periodic_grid):
+    # the heat kernel wraps on a periodic grid, so the paths must too:
+    # E cos(x0 + W_1) = exp(-1/2) cos(x0)
+    fam = SemigroupFamily([HeatOperator(periodic_grid, 1.0)])
+    spec = SamplerSpec(fam, constant_policy(periodic_grid, 0, 16, 1.0), 100_000, seed=8)
+    out = mc_value(spec, 2.5, probe_function("cos", periodic_grid))
+    assert out["flagged_paths"] == 0
+    assert abs(out["estimate"] - np.exp(-0.5) * np.cos(2.5)) <= 4.0 * out["std_error"]
