@@ -84,11 +84,11 @@ class GreedyResult:
 
 
 def greedy_policy(family, t, u, m):
-    """Backward argmax extraction over m equal stages, then a forward replay.
+    """Backward argmax extraction over m equal stages.
 
     The per-point argmax (lowest index on ties) realizes an exact optimizer
-    stage by stage, so the returned value coincides with the uniform
-    m-partition envelope to machine precision.
+    stage by stage, so the backward pass's value is both the returned
+    policy's value and the uniform m-partition envelope, bit for bit.
     """
     if m < 1:
         raise ConfigurationError("need at least one stage")
@@ -100,9 +100,8 @@ def greedy_policy(family, t, u, m):
     for _ in range(m):
         v, idx = envelope_step_argmax(family, h, v)
         selectors.append(idx)
-    stages = tuple((h, sel) for sel in reversed(selectors))
-    policy = ControlPolicy(stages)
-    return GreedyResult(policy, policy_value(family, policy, u))
+    policy = ControlPolicy(tuple((h, sel) for sel in reversed(selectors)))
+    return GreedyResult(policy, v)
 
 
 def duality_gap(family, t, u, m, max_level=12, tol=1e-6, window=None):

@@ -202,7 +202,8 @@ class WeightedGrid:
         :class:`InvalidInputError`.  The index is non-decreasing in ``x`` on
         every 1D kind, so the nodes a batch of states can reach lie between
         the lookups of its smallest and largest state (the Monte Carlo
-        sampler relies on this)."""
+        sampler relies on this).  For that reason a periodic grid does not
+        wrap here: states past the last node map to it, not to node 0."""
         x = _reject_nan(x)
         if self.kind == "labels":
             # clip the float before the cast so that +-inf cannot overflow
@@ -221,17 +222,26 @@ class WeightedGrid:
     def interp_weights(self, x):
         """Monotone linear interpolation with constant extrapolation.
 
-        Returns (j, theta): value at x is (1-theta) u[j] + theta u[j+1].
+        Returns (j, theta): value at x is (1-theta) u[j] + theta u[j+1 mod N].
+        Periodic grids wrap finite x into the period instead; j = N-1 is the
+        cell from the last node to node 0.
         """
         if self.points.ndim != 1:
             raise ConfigurationError("interp_weights implemented for 1D grids only")
         if self.size < 2:
             raise ConfigurationError("interp_weights needs at least two points")
         x = _reject_nan(x)
-        xc = np.clip(x, self.points[0], self.points[-1])
-        j = self._bracket(xc)
-        gap = self.points[j + 1] - self.points[j]
-        theta = np.clip((xc - self.points[j]) / gap, 0.0, 1.0)
+        pts = self.points
+        if self.kind == "periodic":
+            if not np.isfinite(x).all():
+                raise InvalidInputError("states on a periodic grid must be finite")
+            x = pts[0] + np.mod(x - pts[0], self.period)
+            j = self._bracket(x) + (x >= pts[-1])    # j = N-1 closes on node 0
+            pts = np.append(pts, pts[0] + self.period)
+        else:
+            x = np.clip(x, pts[0], pts[-1])
+            j = self._bracket(x)
+        theta = np.clip((x - pts[j]) / (pts[j + 1] - pts[j]), 0.0, 1.0)
         return j, theta
 
 
@@ -265,7 +275,7 @@ class GridFunction:
     def at(self, x):
         """Value at x by monotone linear interpolation (1D grids)."""
         j, theta = self.grid.interp_weights(x)
-        return (1.0 - theta) * self.values[j] + theta * self.values[j + 1]
+        return (1.0 - theta) * self.values[j] + theta * self.values.take(j + 1, mode="wrap")
 
 
 def weighted_norm(u, window=None):

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.special
 import scipy.stats
 
 from .errors import ConfigurationError, InvalidInputError, NumericalDegeneracyError
@@ -436,31 +437,9 @@ class GBMOperator(TransitionOperator):
             drift + vol * rng.standard_normal(states.size))
 
 
-def _adaptive_simpson(f, a, b, tol):
-    """Adaptive Simpson quadrature for array-valued integrands."""
-
-    def simpson(xa, fa, xb, fb):
-        xm = 0.5 * (xa + xb)
-        fm = f(xm)
-        return xm, fm, (xb - xa) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(xa, fa, xb, fb, whole, xm, fm, depth):
-        lm, flm, left = simpson(xa, fa, xm, fm)
-        rm, frm, right = simpson(xm, fm, xb, fb)
-        err = np.max(np.abs(left + right - whole))
-        if err < 15.0 * tol * max(1.0, float(np.max(np.abs(whole)))) or depth > 40:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(xa, fa, xm, fm, left, lm, flm, depth + 1)
-                + recurse(xm, fm, xb, fb, right, rm, frm, depth + 1))
-
-    fa, fb = f(a), f(b)
-    xm, fm, whole = simpson(a, fa, b, fb)
-    return recurse(a, fa, b, fb, whole, xm, fm, 0)
-
-
 class OUOperator(TransitionOperator):
     """Linear-drift Gaussian member: mean exp(tB)x + int_0^t exp(sB)m ds,
-    covariance int_0^t exp(sB) C exp(sB)^T ds."""
+    covariance int_0^t exp(sB) C exp(sB)^T ds, both exact (see ``moments``)."""
 
     def __init__(self, grid, B, m, C):
         B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -484,13 +463,27 @@ class OUOperator(TransitionOperator):
         self.name = f"ou(d={d})"
 
     def moments(self, t):
-        """(exp(tB), drift integral, covariance integral) at duration t."""
-        M = scipy.linalg.expm(t * self.B)
-        drift = _adaptive_simpson(lambda s: scipy.linalg.expm(s * self.B) @ self.m,
-                                  0.0, t, 1e-10)
-        cov = _adaptive_simpson(
-            lambda s: scipy.linalg.expm(s * self.B) @ self.C @ scipy.linalg.expm(s * self.B).T,
-            0.0, t, 1e-10)
+        """(exp(tB), drift integral, covariance integral) at duration t.
+
+        1D: exp(bt), m t exprel(bt), c t exprel(2bt).  2D, by block matrix
+        exponentials (Van Loan, IEEE TAC 23(3), 1978): expm(t [[B, m], [0, 0]])
+        holds exp(tB) and the drift integral, and expm(t [[-B, C], [0, B^T]])
+        = [[., F12], [0, F22]] the covariance integral F22^T F12.  1D stays
+        off expm, whose LAPACK getrs leaves an OpenBLAS worker busy-waiting
+        for about 0.1 s after each call, slowing the kernel builds after it.
+        """
+        d = self.d
+        if d == 1:
+            bt = t * self.B
+            M = np.exp(bt)
+            drift = self.m * t * scipy.special.exprel(bt[0])
+            cov = self.C * t * scipy.special.exprel(2.0 * bt)
+        else:
+            E = scipy.linalg.expm(t * np.block([[self.B, self.m[:, None]],
+                                                [np.zeros((1, d + 1))]]))
+            F = scipy.linalg.expm(t * np.block([[-self.B, self.C],
+                                                [np.zeros((d, d)), self.B.T]]))
+            M, drift, cov = E[:d, :d], E[:d, d], F[d:, d:].T @ F[:d, d:]
         cov = 0.5 * (cov + cov.T)
         if np.min(scipy.linalg.eigvalsh(cov)) < -1e-10 * max(1.0, np.max(np.abs(cov))):
             raise NumericalDegeneracyError("integrated covariance not PSD")

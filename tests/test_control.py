@@ -49,6 +49,7 @@ def test_greedy_matches_partition_apply_exactly(coarse_family, coarse_grid):
     res = greedy_policy(coarse_family, 1.0, u, m)
     ref = partition_apply(coarse_family, Partition.uniform(1.0, m), u)
     assert np.array_equal(res.value.values, ref.values)
+    assert np.array_equal(policy_value(coarse_family, res.policy, u).values, ref.values)
 
 
 def test_greedy_matches_partition_apply_at_non_dyadic_horizon(coarse_family,
@@ -59,6 +60,7 @@ def test_greedy_matches_partition_apply_at_non_dyadic_horizon(coarse_family,
     res = greedy_policy(coarse_family, 0.3, u, 8)
     ref = partition_apply(coarse_family, Partition.uniform(0.3, 8), u)
     assert np.array_equal(res.value.values, ref.values)
+    assert np.array_equal(policy_value(coarse_family, res.policy, u).values, ref.values)
 
 
 def test_greedy_convex_concave_selects_extremes(coarse_family, coarse_grid):
@@ -115,6 +117,8 @@ def test_duality_gap_matched_partitions(coarse_family, coarse_grid):
     res = nisio_value(coarse_family, 1.0, u, max_level=level, tol=1e-15)
     greedy = greedy_policy(coarse_family, 1.0, u, 2 ** level)
     assert np.array_equal(res.levels[level].values, greedy.value.values)
+    assert np.array_equal(policy_value(coarse_family, greedy.policy, u).values,
+                          greedy.value.values)
 
 
 def test_one_step_policy_is_weaker(coarse_family, coarse_grid):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from nisio import (ConfigurationError, GridFunction, InvalidInputError,
                    UndefinedSeminormError, WeightedGrid, lip_seminorm,
                    weighted_norm)
+from nisio.probes import probe_function
 
 
 def test_uniform_grid_points():
@@ -102,6 +103,18 @@ def test_interp_constant_extrapolation():
     assert u.at(np.array([0.25]))[0] == pytest.approx(1.5)
 
 
+def test_periodic_interp_wraps_across_the_seam(periodic_grid):
+    # the cell past the last node closes on node 0: linear interpolation of
+    # cos is within dx^2 / 8 there too, not the last node's value
+    u = probe_function("cos", periodic_grid)
+    x = np.array([np.pi - 0.001, -np.pi - 0.001, np.pi + 0.5])
+    bound = periodic_grid.spacing ** 2 / 8.0
+    assert np.max(np.abs(u.at(x) - np.cos(x))) <= bound
+    j, _ = periodic_grid.interp_weights(x)
+    assert j.tolist() == [255, 255, 20]
+    assert u.at(np.pi)[()] == u.values[0]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=40))
 def test_weighted_norm_is_a_norm(vals):
@@ -127,8 +140,13 @@ def oracle_nearest_index(points, x):
     return np.where((x - left) > (right - x), j, j - 1)
 
 
-def oracle_interp_weights(points, x):
-    """Binary-search interpolation bracket and weight, the reference path."""
+def oracle_interp_weights(points, x, period=None):
+    """Binary-search interpolation bracket and weight, the reference path.
+
+    With a period, x wraps into it and the last cell closes on node 0."""
+    if period is not None:
+        x = points[0] + np.mod(x - points[0], period)
+        points = np.append(points, points[0] + period)
     xc = np.clip(x, points[0], points[-1])
     j = np.searchsorted(points, xc, side="right") - 1
     j = np.clip(j, 0, len(points) - 2)
@@ -151,8 +169,17 @@ def lookup_states(g, extra=()):
 
 def assert_lookup_matches_oracle(g, x):
     assert np.array_equal(g.nearest_index(x), oracle_nearest_index(g.points, x))
+    period = None
+    if g.kind == "periodic":
+        period = g.period
+        # a state at infinity has no place on the circle
+        inf = np.isinf(x)
+        for xi in np.asarray(x)[inf]:
+            with pytest.raises(InvalidInputError):
+                g.interp_weights(np.array([0.0, xi]))
+        x = np.asarray(x)[~inf]
     j, theta = g.interp_weights(x)
-    j_ref, theta_ref = oracle_interp_weights(g.points, x)
+    j_ref, theta_ref = oracle_interp_weights(g.points, x, period)
     assert np.array_equal(j, j_ref)
     assert np.array_equal(theta, theta_ref)
 

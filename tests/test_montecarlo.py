@@ -161,8 +161,9 @@ def test_ou_moments_once_per_member_and_duration(ou_grid, monkeypatch):
     out = mc_value(SamplerSpec(fam, pol, 2000, seed=11), 0.0, u)
     assert calls == Counter({(id(m), h): 1 for m in members for h in (0.125, 0.25)})
     # hoisting changes no draw: the per-stage estimate, pinned bit for bit
-    assert out["estimate"] == 0.5515951530436175
-    assert out["std_error"] == 0.017786226574706715
+    # (recorded with the exact matrix-exponential moments)
+    assert out["estimate"] == 0.551595153043608
+    assert out["std_error"] == 0.01778622657470645
 
 
 def test_chain_and_gbm_stage_steps_golden(chain_family, label_grid, log_grid):

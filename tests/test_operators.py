@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -531,6 +533,60 @@ def test_ou_mean_reversion_moments(ou_grid):
     assert M[0, 0] == pytest.approx(np.exp(b * t), rel=1e-12)
     assert drift[0] == pytest.approx(m / b * (np.exp(b * t) - 1.0), rel=1e-9)
     assert cov[0, 0] == pytest.approx(c / (2 * abs(b)) * (1 - np.exp(2 * b * t)), rel=1e-9)
+
+
+@pytest.mark.parametrize("b, m, c, t", [(-0.5, 0.2, 1.0, 0.7), (-0.5, 1e-6, 1e-6, 1.0),
+                                        (-50.0, 1.0, 1.0, 1.0)],
+                         ids=["bench", "tiny-m-C", "stiff"])
+def test_ou_moments_match_closed_forms(ou_grid, b, m, c, t):
+    M, drift, cov = OUOperator(ou_grid, b, m, c).moments(t)
+    assert M[0, 0] == pytest.approx(np.exp(b * t), rel=1e-13, abs=0.0)
+    assert drift[0] == pytest.approx(m * np.expm1(b * t) / b, rel=1e-13, abs=0.0)
+    assert cov[0, 0] == pytest.approx(c * np.expm1(2.0 * b * t) / (2.0 * b), rel=1e-13, abs=0.0)
+
+
+def test_ou_2d_moments_match_quadrature():
+    g = WeightedGrid.tensor([-5.0, -5.0], [5.0, 5.0], 51)
+    B = np.array([[-0.3, 0.2], [0.1, -0.6]])     # not normal: B B^T != B^T B
+    m, C = np.array([0.15, -0.4]), np.array([[1.0, 0.3], [0.3, 0.5]])
+    for t in (0.25, 0.7, 1.0):
+        M, drift, cov = OUOperator(g, B, m, C).moments(t)
+
+        def flow(s):
+            return scipy.linalg.expm(s * B)
+
+        refs = (flow(t),
+                scipy.integrate.quad_vec(lambda s: flow(s) @ m, 0.0, t, epsrel=1e-14)[0],
+                scipy.integrate.quad_vec(lambda s: flow(s) @ C @ flow(s).T, 0.0, t,
+                                         epsrel=1e-14)[0])
+        for got, ref in zip((M, drift, cov), refs):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_ou_zero_drift_matrix_moments_are_exact():
+    # B = 0 gives (I, m t, C t) bit for bit: at any duration in 1D, and in
+    # 2D at the dyadic durations the bench configs build (k t / 16 and its
+    # halvings), where the Pade arithmetic on t m and t C is exact; within a
+    # few ulps at any duration in 2D
+    g = WeightedGrid.uniform(-8.0, 8.0, 0.01)
+    rng = np.random.default_rng(0)
+    for m, c, t in [(0.0, 0.5, 0.25), (0.3, 0.7, 0.1),
+                    *rng.uniform([-2.0, 0.1, 0.01], [2.0, 2.0, 2.0], size=(200, 3))]:
+        M, drift, cov = OUOperator(g, 0.0, m, c).moments(t)
+        assert (M[0, 0], drift[0], cov[0, 0]) == (1.0, m * t, c * t)
+    op = OUOperator(WeightedGrid.tensor([-5.0, -5.0], [5.0, 5.0], 51),
+                    np.zeros((2, 2)), [0.5, -0.25], np.diag([1.0, 0.5]))
+    for t in {h * k / 16 / 2 ** j for h in (0.25, 1.0) for k in range(1, 17)
+              for j in range(9)}:
+        M, drift, cov = op.moments(t)
+        assert np.array_equal(M, np.eye(2))
+        assert np.array_equal(drift, op.m * t)
+        assert np.array_equal(cov, op.C * t)
+    for t in rng.uniform(0.01, 2.0, size=50):
+        M, drift, cov = op.moments(t)
+        assert np.array_equal(M, np.eye(2))
+        assert np.max(np.abs(drift - op.m * t)) <= 1e-15 * np.max(np.abs(op.m * t))
+        assert np.max(np.abs(cov - op.C * t)) <= 1e-15 * np.max(np.abs(op.C * t))
 
 
 def test_ou_rejects_non_psd(ou_grid):
