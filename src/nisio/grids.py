@@ -207,7 +207,7 @@ class WeightedGrid:
         x = _reject_nan(x)
         if self.kind == "labels":
             # clip the float before the cast so that +-inf cannot overflow
-            return np.clip(np.rint(x), 0, self.size - 1).astype(np.intp)
+            return np.clip(np.ceil(x - 0.5), 0, self.size - 1).astype(np.intp)
         if self.points.ndim != 1:
             raise ConfigurationError("nearest_index implemented for 1D grids only")
         if self.size == 1:
@@ -273,7 +273,9 @@ class GridFunction:
         return replace(self, values=values)
 
     def at(self, x):
-        """Value at x by monotone linear interpolation (1D grids)."""
+        """Value at x: monotone linear interpolation, or the nearest label's."""
+        if self.grid.kind == "labels":
+            return self.values[self.grid.nearest_index(x)]
         j, theta = self.grid.interp_weights(x)
         return (1.0 - theta) * self.values[j] + theta * self.values.take(j + 1, mode="wrap")
 

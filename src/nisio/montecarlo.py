@@ -123,11 +123,7 @@ def mc_value(spec, x0, u):
     if spec.n_paths < 100:
         raise InvalidInputError("need at least 100 paths for an error estimate")
     states, flagged = sample_terminal_states(spec, x0)
-    grid = spec.family.grid
-    if grid.kind == "labels":
-        vals = u.values[grid.nearest_index(states)]
-    else:
-        vals = u.at(states)
+    vals = u.at(states)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(spec.n_paths))
     return {"estimate": est, "std_error": se, "n_paths": spec.n_paths,
@@ -140,13 +136,8 @@ def mc_compare(spec, x0, u, max_level=8, tol=1e-8):
     grid_fn = policy_value(spec.family, spec.policy, u)
     envelope = nisio_value(spec.family, spec.policy.horizon, u,
                            max_level=max_level, tol=tol)
-    if spec.family.grid.kind == "labels":
-        i = int(spec.family.grid.nearest_index(x0))
-        grid_val = float(grid_fn.values[i])
-        nisio_val = float(envelope.value.values[i])
-    else:
-        grid_val = float(grid_fn.at(x0))
-        nisio_val = float(envelope.value.at(x0))
+    grid_val = float(grid_fn.at(x0))
+    nisio_val = float(envelope.value.at(x0))
     diff = grid_val - mc["estimate"]
     if mc["std_error"] > 0.0:
         z = diff / mc["std_error"]

@@ -10,7 +10,10 @@ row-stochastic quadrature matrix (or an FFT multiplier), so that
   point, because every weight is nonnegative,
 * ``apply`` is linear in ``u``.
 
-Matrices are cached per duration, which makes repeated composition over a
+Each member keeps one kernel per duration (a matrix, or a spectral member's
+multiplier) in one store, ``matrix(t)``.  Past ``KERNEL_CACHE_BYTES`` per
+member it drops the least recently used durations.  An eviction costs only a
+rebuild, to the same bits, never a number.  The store makes composition over a
 time partition cheap.  Heat, GBM and 1D OU members build every kernel through
 one selector, ``lattice_kernel``: a variance above one cell squared gets
 Gaussian weights on the lattice nodes, one at or below it the interpolation
@@ -45,6 +48,9 @@ from .grids import WeightedGrid
 
 # kernel support radius in standard deviations; tail mass beyond is ~1e-23
 KERNEL_RADIUS = 10.0
+# kernel bytes per member; above every benchmark working set (225 MiB at most),
+# because LRU below the working set of a cyclic dyadic sweep loses every hit
+KERNEL_CACHE_BYTES = 512 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +308,18 @@ def _stay(states, rng):
     return states
 
 
+def _check_duration(t):
+    if not np.isfinite(t) or t < 0.0:
+        raise InvalidInputError(f"duration must be finite and >= 0, got {t}")
+
+
+def _nbytes(kernel):
+    """Bytes a kernel holds: an ndarray's buffer or a CSR matrix's arrays."""
+    if sp.issparse(kernel):
+        return kernel.data.nbytes + kernel.indices.nbytes + kernel.indptr.nbytes
+    return kernel.nbytes
+
+
 class TransitionOperator:
     """One member semigroup: a pure map (duration, function) -> function."""
 
@@ -311,10 +329,10 @@ class TransitionOperator:
     def __init__(self, grid):
         self.grid = grid
         self._cache = {}
+        self._held = 0
 
     def _check(self, t, u):
-        if not np.isfinite(t) or t < 0.0:
-            raise InvalidInputError(f"duration must be finite and >= 0, got {t}")
+        _check_duration(t)
         if u.grid is not self.grid and not (
             u.grid.kind == self.grid.kind and np.array_equal(u.grid.points, self.grid.points)
         ):
@@ -333,11 +351,18 @@ class TransitionOperator:
         return self.matrix(t) @ values
 
     def matrix(self, t):
-        mat = self._cache.get(t)
-        if mat is None:
-            mat = self._build_matrix(t)
-            self._cache[t] = mat
-        return mat
+        """The kernel of S(t): a row-stochastic matrix, or a spectral member's
+        Fourier multiplier.  Built on the first lookup of t and kept, most
+        recent last, under ``KERNEL_CACHE_BYTES``; never evicts its result."""
+        kernel = self._cache.pop(t, None)
+        if kernel is None:
+            _check_duration(t)
+            kernel = self._build_matrix(t)
+            self._held += _nbytes(kernel)
+            while self._held > KERNEL_CACHE_BYTES and self._cache:
+                self._held -= _nbytes(self._cache.pop(next(iter(self._cache))))
+        self._cache[t] = kernel
+        return kernel
 
     def _build_matrix(self, t):
         raise NotImplementedError
@@ -650,7 +675,7 @@ class StableOperator(TransitionOperator):
         self.name = f"stable(alpha={alpha:g})"
         self._xi = 2.0 * np.pi * np.fft.rfftfreq(grid.size, grid.spacing)
 
-    def symbol(self, t):
+    def _build_matrix(self, t):
         mult = np.exp(-t * np.abs(self._xi) ** (2.0 * self.alpha))
         mult[0] = 1.0
         return mult
@@ -658,14 +683,7 @@ class StableOperator(TransitionOperator):
     def apply_values(self, t, values):
         if t == 0.0:
             return values
-        mult = self._cache.get(t)
-        if mult is None:
-            mult = self.symbol(t)
-            self._cache[t] = mult
-        return np.fft.irfft(np.fft.rfft(values) * mult, n=self.grid.size)
-
-    def matrix(self, t):
-        raise ConfigurationError("spectral member has no materialized matrix")
+        return np.fft.irfft(np.fft.rfft(values) * self.matrix(t), n=self.grid.size)
 
     def generator(self, u):
         mult = -np.abs(self._xi) ** (2.0 * self.alpha)
@@ -819,6 +837,5 @@ class SemigroupFamily:
 
     def apply_all(self, t, values):
         """Stack of member applications, shape (n_members, n_points)."""
-        if not np.isfinite(t) or t < 0.0:
-            raise InvalidInputError(f"duration must be finite and >= 0, got {t}")
+        _check_duration(t)
         return np.stack([m.apply_values(t, values) for m in self.members])

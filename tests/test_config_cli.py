@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from nisio import ConfigurationError
+from nisio import ConfigurationError, operators
 from nisio.cli import main, run
 from nisio.config import (CONFIG_SCHEMA, build_family, build_grid, build_u0,
                           config_hash, parse_field, validate_config)
@@ -314,6 +314,54 @@ def test_cli_malformed_config_exits_2(tmp_path):
     assert run("solve", str(path), out) == 2
     path.write_text("not json at all")
     assert run("solve", str(path), out) == 2
+
+
+# small configs whose runs reach every member kind that builds a kernel
+# differently: lattice matrices, flow matrices (their exit counts are
+# recorded at build time) and Fourier multipliers
+STORE_RUNS = {
+    "heat": ({**BASE_CFG,
+              "grid": {"kind": "uniform", "domain": [-4, 4], "dx": 0.05,
+                       "boundary": "reflect"},
+              "solve": {"t": 1.0, "tol": 1e-7, "max_level": 4},
+              "dpp": {"s": 0.5, "t": 0.5, "level": 3, "threshold": 2e-2},
+              "control": {"t": 1.0, "m": 8, "trials": 3},
+              "mc": {"t": 1.0, "m": 8, "n_paths": 2000, "seed": 3, "x0": 0.0}},
+             ("solve", "properties", "dpp", "control", "mc")),
+    "koopman": ({"grid": {"kind": "uniform", "domain": [-4, 4], "dx": 0.02},
+                 "family": {"kind": "koopman", "fields": ["1.0 + 0*x"],
+                            "lipschitz_hint": 0.1},
+                 "u0": {"name": "sin"}, "solve": {"t": 1.0, "max_level": 3}},
+                ("solve",)),
+    "stable": ({"grid": {"kind": "periodic", "domain": [-np.pi, np.pi],
+                         "dx": 2.0 * np.pi / 256.0},
+                "family": {"kind": "stable", "alphas": [0.5, 0.9]},
+                "u0": {"name": "cos"}},
+               ("properties",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STORE_RUNS))
+def test_cli_outputs_do_not_depend_on_the_kernel_budget(tmp_path, monkeypatch, name):
+    # at one byte every lookup of a new duration evicts all the others, so
+    # kernels are rebuilt over and over; the output files keep every byte
+    cfg, subcommands = STORE_RUNS[name]
+    cfg_path = write_cfg(tmp_path, cfg)
+    sized = []
+    real_nbytes = operators._nbytes
+    monkeypatch.setattr(operators, "_nbytes", lambda k: sized.append(1) or real_nbytes(k))
+    blobs, counts = [], []
+    for budget in (operators.KERNEL_CACHE_BYTES, 1):
+        monkeypatch.setattr(operators, "KERNEL_CACHE_BYTES", budget)
+        out = tmp_path / f"budget{budget}"
+        for sub in subcommands:
+            assert run(sub, cfg_path, str(out)) == 0, sub
+        blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        counts.append(len(sized))
+    assert blobs[0] == blobs[1]
+    assert counts[1] - counts[0] > counts[0]   # the one-byte store evicted
+    if name == "koopman":
+        assert json.loads(blobs[0]["solve_levels.json"])["flow_exits"]["koopman"] > 0
 
 
 def test_cli_seed_flag_overrides(tmp_path):

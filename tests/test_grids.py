@@ -96,6 +96,20 @@ def test_nearest_index_ties_left():
     assert g.nearest_index(np.array([-5.0, 5.0])).tolist() == [0, 4]
 
 
+def test_labels_lookup_ties_left_like_a_uniform_grid():
+    x = np.array([0.5, 1.5, 2.5, 3.5, 0.49, 2.51])
+    for g in (WeightedGrid.labels(5), WeightedGrid.uniform(0.0, 4.0, 1.0)):
+        assert g.nearest_index(x).tolist() == [0, 1, 2, 3, 0, 3], g.kind
+
+
+def test_labels_function_reads_the_nearest_label():
+    # labels carry the discrete metric: a value between two labels is no
+    # value the function takes
+    u = GridFunction(np.arange(5.0) ** 2, WeightedGrid.labels(5))
+    x = np.array([1.5, 2.4, 2.6, -3.0, 9.0])
+    assert u.at(x).tolist() == [1.0, 4.0, 9.0, 0.0, 16.0]
+
+
 def test_interp_constant_extrapolation():
     g = WeightedGrid.uniform(0.0, 1.0, 0.5)
     u = GridFunction(np.array([1.0, 2.0, 3.0]), g)

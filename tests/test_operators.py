@@ -79,6 +79,61 @@ def test_negative_duration_rejected(heat_grid):
         op.apply(-0.1, probe_function("sin", heat_grid))
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+def test_bad_duration_rejected_before_the_store(t, heat_grid, log_grid, ou_grid,
+                                                periodic_grid, label_grid):
+    for op in _all_members(heat_grid, log_grid, ou_grid, periodic_grid, label_grid):
+        values = np.zeros(op.grid.size)
+        for call in (op.matrix, lambda t: op.apply_values(t, values)):
+            with pytest.raises(InvalidInputError, match="duration must be finite and >= 0"):
+                call(t)
+        stores = [op._cache, getattr(op, "base", op)._cache]
+        assert stores == [{}, {}], op.name
+
+
+def test_kernel_store_stays_within_its_byte_budget(monkeypatch):
+    # 100 distinct durations whose kernels range from a 3-point stencil to a
+    # dense matrix above the budget: held bytes never pass the budget but by
+    # the kernel just returned, and the running total is the store's sum
+    budget = 3 * 2 ** 20
+    monkeypatch.setattr(operators, "KERNEL_CACHE_BYTES", budget)
+    op = HeatOperator(WeightedGrid.uniform(-4.0, 4.0, 0.01, boundary="reflect"), 1.0)
+    sizes, oversized = [], 0
+    for t in np.geomspace(1e-6, 1.0, 100).tolist():
+        kernel = op.matrix(t)
+        held = sum(operators._nbytes(k) for k in op._cache.values())
+        assert op._held == held
+        assert held <= budget or list(op._cache) == [t]
+        assert list(op._cache)[-1] == t and op._cache[t] is kernel
+        sizes.append(len(op._cache))
+        oversized += held > budget
+    assert oversized and max(sizes) > 2
+    # a hit moves its duration to the back, so the next eviction spares it
+    stencil = operators._nbytes(op.matrix(1e-6))
+    monkeypatch.setattr(operators, "KERNEL_CACHE_BYTES", 2 * stencil)
+    op = HeatOperator(op.grid, 1.0)
+    first = op.matrix(1e-6)
+    op.matrix(2e-6)
+    assert op.matrix(1e-6) is first
+    op.matrix(3e-6)
+    assert list(op._cache) == [1e-6, 3e-6] and op._held == 2 * stencil
+
+
+def test_stable_apply_is_the_fft_formula(periodic_grid):
+    # the multiplier comes from the store; the product is the same to the bit
+    alpha, n = 0.7, periodic_grid.size
+    op = StableOperator(periodic_grid, alpha)
+    xi = 2.0 * np.pi * np.fft.rfftfreq(n, periodic_grid.spacing)
+    v = np.random.default_rng(3).standard_normal(n)
+    for t in (0.3, 1.0, 0.3):
+        mult = np.exp(-t * np.abs(xi) ** (2.0 * alpha))
+        mult[0] = 1.0
+        ref = np.fft.irfft(np.fft.rfft(v) * mult, n=n)
+        assert np.array_equal(op.apply_values(t, v), ref)
+        assert np.array_equal(ScaledOperator(op, 2.0).apply_values(t / 2.0, v), ref)
+    assert sorted(op._cache) == [0.3, 1.0]
+
+
 def test_composition_defect_small(heat_family):
     assert quadrature_tolerance(heat_family) <= 1e-10
 
