@@ -83,8 +83,9 @@ def _cmd_solve(run):
         "eps_q": quadrature_tolerance(run.family),
         "final_weighted_norm": weighted_norm(res.value, window=run.window),
     })
-    exits = {m.name: sum(m.exit_counts.values()) for m in run.family
-             if getattr(m, "exit_counts", None)}
+    # keyed "position:name": several Koopman members share the name "koopman"
+    exits = {f"{i}:{m.name}": sum(m.exit_counts.values())
+             for i, m in enumerate(run.family) if getattr(m, "exit_counts", None)}
     if exits:
         record["flow_exits"] = exits
     _write_json(run.path("solve_levels.json"), record)

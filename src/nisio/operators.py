@@ -30,6 +30,12 @@ CSR.  ``generator(u)`` evaluates the corresponding infinitesimal generator
 with second-order stencils; rows whose stencil leaves the grid are flagged
 invalid.  ``path_step(h)`` returns the member's exact-increment sampler over
 duration h, for members whose transition law can be drawn exactly.
+
+Importing this module loads ``scipy.sparse`` and ``scipy.special`` only.
+``scipy.linalg`` is imported inside the 2D OU code (``OUOperator.moments``
+and ``_matrix_2d``), so a run without 2D OU members never loads it; the chain
+member's Poisson weights come from ``scipy.special`` rather than
+``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -38,10 +44,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.special
-import scipy.stats
 
 from .errors import ConfigurationError, InvalidInputError, NumericalDegeneracyError
 from .grids import WeightedGrid
@@ -477,7 +481,7 @@ class OUOperator(TransitionOperator):
             raise ConfigurationError("inconsistent OU dimensions")
         if not np.allclose(C, C.T, atol=1e-12):
             raise ConfigurationError("C must be symmetric")
-        if np.min(scipy.linalg.eigvalsh(C)) < -1e-12:
+        if np.min(np.linalg.eigvalsh(C)) < -1e-12:
             raise ConfigurationError("C must be positive semidefinite")
         if d == 1 and grid.kind != "uniform":
             raise ConfigurationError("1D OU member needs a uniform grid")
@@ -493,24 +497,30 @@ class OUOperator(TransitionOperator):
         1D: exp(bt), m t exprel(bt), c t exprel(2bt).  2D, by block matrix
         exponentials (Van Loan, IEEE TAC 23(3), 1978): expm(t [[B, m], [0, 0]])
         holds exp(tB) and the drift integral, and expm(t [[-B, C], [0, B^T]])
-        = [[., F12], [0, F22]] the covariance integral F22^T F12.  1D stays
-        off expm, whose LAPACK getrs leaves an OpenBLAS worker busy-waiting
-        for about 0.1 s after each call, slowing the kernel builds after it.
+        = [[., F12], [0, F22]] the covariance integral F22^T F12.  Only this
+        2D branch imports ``scipy.linalg`` (``expm``), so runs without 2D
+        members never load it.  1D stays off expm, whose LAPACK getrs leaves
+        an OpenBLAS worker busy-waiting for about 0.1 s after each call,
+        slowing the kernel builds after it.  Moments that overflow (say
+        exp(bt) for bt = 800) raise ``NumericalDegeneracyError``.
         """
         d = self.d
         if d == 1:
             bt = t * self.B
-            M = np.exp(bt)
-            drift = self.m * t * scipy.special.exprel(bt[0])
-            cov = self.C * t * scipy.special.exprel(2.0 * bt)
+            # exp(bt) may overflow and 0 * inf give NaN; the check below catches both
+            with np.errstate(over="ignore", invalid="ignore"):
+                M = np.exp(bt)
+                drift = self.m * t * scipy.special.exprel(bt[0])
+                cov = self.C * t * scipy.special.exprel(2.0 * bt)
         else:
-            E = scipy.linalg.expm(t * np.block([[self.B, self.m[:, None]],
-                                                [np.zeros((1, d + 1))]]))
-            F = scipy.linalg.expm(t * np.block([[-self.B, self.C],
-                                                [np.zeros((d, d)), self.B.T]]))
+            from scipy.linalg import expm
+            E = expm(t * np.block([[self.B, self.m[:, None]], [np.zeros((1, d + 1))]]))
+            F = expm(t * np.block([[-self.B, self.C], [np.zeros((d, d)), self.B.T]]))
             M, drift, cov = E[:d, :d], E[:d, d], F[d:, d:].T @ F[:d, d:]
+        if not all(np.isfinite(a).all() for a in (M, drift, cov)):
+            raise NumericalDegeneracyError("OU moments not finite")
         cov = 0.5 * (cov + cov.T)
-        if np.min(scipy.linalg.eigvalsh(cov)) < -1e-10 * max(1.0, np.max(np.abs(cov))):
+        if np.min(np.linalg.eigvalsh(cov)) < -1e-10 * max(1.0, np.max(np.abs(cov))):
             raise NumericalDegeneracyError("integrated covariance not PSD")
         return M, drift, cov
 
@@ -527,17 +537,18 @@ class OUOperator(TransitionOperator):
                               var, _boundary_mode(g))
 
     def _matrix_2d(self, M, drift, cov):
+        from scipy.linalg import eigvalsh, inv
         g = self.grid
         pts = g.points
         means = pts @ M.T + drift
-        eigs = scipy.linalg.eigvalsh(cov)
+        eigs = eigvalsh(cov)
         dxmax = max(g.spacing)
         if eigs[1] < (0.05 * dxmax) ** 2:
             return self._interp_2d(means)
         if eigs[0] < (0.8 * dxmax) ** 2:
             raise NumericalDegeneracyError(
                 "2D covariance too anisotropic for the tensor-grid kernel")
-        prec = scipy.linalg.inv(cov)
+        prec = inv(cov)
         diff = pts[None, :, :] - means[:, None, :]
         q = np.einsum("rjk,kl,rjl->rj", diff, prec, diff)
         w = np.exp(-0.5 * q)
@@ -691,6 +702,12 @@ class StableOperator(TransitionOperator):
         return GeneratorResult(vals, np.ones(self.grid.size, dtype=bool), self.grid)
 
 
+def _poisson_pmf(k, mu):
+    """Poisson(mu) probabilities of the counts k, by the log-space formula
+    ``scipy.stats.poisson.pmf`` uses (same bits), without importing scipy.stats."""
+    return np.exp(scipy.special.xlogy(k, mu) - scipy.special.gammaln(k + 1) - mu)
+
+
 class ChainOperator(TransitionOperator):
     """Finite-state member exp(tQ), computed by uniformization.
 
@@ -729,7 +746,7 @@ class ChainOperator(TransitionOperator):
         if gt == 0.0:
             return np.eye(n)
         k_max = int(gt + 12.0 * math.sqrt(gt) + 30.0)
-        pmf = scipy.stats.poisson.pmf(np.arange(k_max + 1), gt)
+        pmf = _poisson_pmf(np.arange(k_max + 1), gt)
         acc = pmf[0] * np.eye(n)
         power = np.eye(n)
         for k in range(1, k_max + 1):

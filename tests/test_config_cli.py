@@ -361,7 +361,7 @@ def test_cli_outputs_do_not_depend_on_the_kernel_budget(tmp_path, monkeypatch, n
     assert blobs[0] == blobs[1]
     assert counts[1] - counts[0] > counts[0]   # the one-byte store evicted
     if name == "koopman":
-        assert json.loads(blobs[0]["solve_levels.json"])["flow_exits"]["koopman"] > 0
+        assert json.loads(blobs[0]["solve_levels.json"])["flow_exits"]["0:koopman"] > 0
 
 
 def test_cli_seed_flag_overrides(tmp_path):
@@ -414,6 +414,18 @@ def test_cli_numerical_degeneracy_exits_3(tmp_path):
     assert run("solve", cfg_path, str(tmp_path / "out")) == 3
 
 
+def test_cli_overflowing_ou_moments_exit_3(tmp_path, capsys):
+    # exp(800) overflows: the member's moments are not finite
+    cfg = {
+        "grid": {"kind": "uniform", "domain": [-1, 1], "dx": 0.1},
+        "family": {"kind": "ou", "members": [{"B": 800.0, "m": 0.0, "C": 1.0}]},
+        "u0": {"name": "sin"},
+        "solve": {"t": 1.0, "max_level": 3},
+    }
+    assert run("solve", write_cfg(tmp_path, cfg), str(tmp_path / "out")) == 3
+    assert "numerical degeneracy" in capsys.readouterr().err
+
+
 def test_cli_gbm_zero_volatility_member(tmp_path):
     # a sigma = 0 member drifts off the top of the default renormalize log
     # grid; its kernel keeps the mass on the end node
@@ -446,6 +458,26 @@ def test_cli_reports_carry_eps_q_and_flow_exits(tmp_path):
     assert run("solve", cfg_path, out) == 0
     assert run("dpp", cfg_path, out) == 0
     levels = json.loads(pathlib.Path(out, "solve_levels.json").read_text())
-    assert "eps_q" in levels and levels["flow_exits"]["koopman"] > 0
+    assert "eps_q" in levels and levels["flow_exits"]["0:koopman"] > 0
     dpp = json.loads(pathlib.Path(out, "dpp.json").read_text())
     assert "eps_q" in dpp
+
+
+def test_cli_flow_exits_report_every_koopman_member(tmp_path):
+    # both members are named "koopman"; each keeps its own total.  A tiny
+    # tol refines every run to max_level, so each member is built at the
+    # same durations alone as in the pair (alone, the translation member
+    # converges at level 1 under the default tol and builds fewer kernels)
+    def exits(fields):
+        cfg = {"grid": {"kind": "uniform", "domain": [-4, 4], "dx": 0.02},
+               "family": {"kind": "koopman", "fields": fields},
+               "u0": {"name": "sin"},
+               "solve": {"t": 1.0, "tol": 1e-300, "max_level": 3}}
+        out = tmp_path / "out"
+        assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 0
+        return json.loads((out / "solve_levels.json").read_text())["flow_exits"]
+
+    pair = exits(["1.0 + 0*x", "-x"])
+    assert pair == {"0:koopman": exits(["1.0 + 0*x"])["0:koopman"],
+                    "1:koopman": exits(["-x"])["0:koopman"]}
+    assert pair["0:koopman"] > 0

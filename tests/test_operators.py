@@ -6,6 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -17,8 +18,9 @@ from nisio import (ChainOperator, ConfigurationError, GBMOperator, GridFunction,
                    generator_apply, lip_seminorm, quadrature_tolerance,
                    weighted_norm)
 from nisio import operators
-from nisio.operators import (KERNEL_RADIUS, _assemble_rows, _reflect_indices,
-                             gaussian_lattice_matrix, lattice_kernel)
+from nisio.operators import (KERNEL_RADIUS, _assemble_rows, _poisson_pmf,
+                             _reflect_indices, gaussian_lattice_matrix,
+                             lattice_kernel)
 from nisio.probes import probe_function
 
 from conftest import Q_BD
@@ -785,6 +787,37 @@ def test_chain_two_state_closed_form():
         out = op.apply(t, u).values
         oracle = np.array([(1 + np.exp(-2 * t)) / 2, (1 - np.exp(-2 * t)) / 2])
         assert np.allclose(out, oracle, atol=1e-12)
+
+
+def _chain_matrix_scipy_stats(op, t):
+    """Oracle: the uniformization build as it was with scipy.stats.poisson."""
+    n = op.grid.size
+    gt = op.rate * t
+    if gt == 0.0:
+        return np.eye(n)
+    k_max = int(gt + 12.0 * math.sqrt(gt) + 30.0)
+    pmf = scipy.stats.poisson.pmf(np.arange(k_max + 1), gt)
+    acc = pmf[0] * np.eye(n)
+    power = np.eye(n)
+    for k in range(1, k_max + 1):
+        power = power @ op.jump_matrix
+        acc += pmf[k] * power
+    if op.conservative:
+        acc /= acc.sum(axis=1, keepdims=True)
+    return acc
+
+
+@pytest.mark.parametrize("mu", [1e-3, 0.1, 0.7, 1.0, 3.3, 10.0, 77.7, 1234.5])
+def test_poisson_pmf_matches_scipy_stats(mu):
+    k = np.arange(int(mu + 12.0 * math.sqrt(mu) + 30.0) + 1)
+    assert np.array_equal(_poisson_pmf(k, mu), scipy.stats.poisson.pmf(k, mu))
+
+
+@pytest.mark.parametrize("gt", [1e-3, 0.05, 1.0, 7.5, 60.0, 1000.0])
+def test_chain_matrix_matches_scipy_stats_build(chain_family, gt):
+    for op in chain_family:
+        t = gt / op.rate
+        assert np.array_equal(op.matrix(t), _chain_matrix_scipy_stats(op, t))
 
 
 def test_chain_rejects_bad_rates():
