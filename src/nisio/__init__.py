@@ -21,8 +21,7 @@ from .errors import (ConfigurationError, InvalidInputError,
                      NumericalDegeneracyError, ResolutionError,
                      UndefinedSeminormError)
 from .grids import GridFunction, WeightedGrid, lip_seminorm, weighted_norm
-from .montecarlo import (SamplerSpec, mc_compare, mc_value,
-                         sample_controlled_path, sample_terminal_states)
+from .montecarlo import SamplerSpec, mc_compare, mc_value, sample_terminal_states
 from .operators import (ChainOperator, FamilyBounds, GBMOperator, GeneratorResult,
                         HeatOperator, KoopmanOperator, OUOperator, ScaledOperator,
                         SemigroupFamily, StableOperator, TransitionOperator,
@@ -42,7 +41,7 @@ __all__ = [
     "envelope_step", "envelope_step_argmax", "generator_apply", "greedy_policy",
     "lip_seminorm", "mc_compare", "mc_value", "nisio_value", "partition_apply",
     "policy_value", "probe_function", "property_suite", "quadrature_tolerance",
-    "random_policy", "sample_controlled_path", "sample_terminal_states",
+    "random_policy", "sample_terminal_states",
     "strong_continuity_probe", "upper_bound_check", "viscosity_residual",
     "weighted_norm",
 ]

@@ -28,6 +28,7 @@ from .envelope import nisio_value, dpp_check, quadrature_tolerance
 from .errors import ConfigurationError, InvalidInputError, NumericalDegeneracyError
 from .grids import weighted_norm
 from .montecarlo import SamplerSpec, mc_compare
+from .operators import KoopmanOperator
 from .probes import probe_function
 
 EXIT_OK, EXIT_ASSERT, EXIT_SCHEMA, EXIT_DEGENERATE = 0, 1, 2, 3
@@ -83,9 +84,14 @@ def _cmd_solve(run):
         "eps_q": quadrature_tolerance(run.family),
         "final_weighted_norm": weighted_norm(res.value, window=run.window),
     })
-    # keyed "position:name": several Koopman members share the name "koopman"
-    exits = {f"{i}:{m.name}": sum(m.exit_counts.values())
-             for i, m in enumerate(run.family) if getattr(m, "exit_counts", None)}
+    # per Koopman member, the grid points its flow carries off the grid by
+    # solve.t; keyed "position:name", as every such member is named "koopman"
+    pts = run.grid.points
+    exits = {}
+    for i, m in enumerate(run.family):
+        if isinstance(m, KoopmanOperator):
+            y = m.flow(solve["t"], pts)
+            exits[f"{i}:{m.name}"] = int(np.sum((y < pts[0]) | (y > pts[-1])))
     if exits:
         record["flow_exits"] = exits
     _write_json(run.path("solve_levels.json"), record)

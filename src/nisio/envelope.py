@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
 from .grids import GridFunction, weighted_norm
+from .probes import probe_function
 
 # member applies a refinement through max_level may cost:
 # (2^(max_level+1) - 1) envelope steps times K members; 2^24 admits level 12
@@ -190,15 +191,6 @@ def upper_bound_check(family, t, u, max_level=12, tol=1e-6):
     return {"min_slack": slack, "result": res}
 
 
-def _eps_probes(grid):
-    pts = grid.points if grid.points.ndim == 1 else grid.points[:, 0]
-    return [
-        GridFunction(np.ones(grid.size), grid),
-        GridFunction(pts.copy(), grid),
-        GridFunction(np.sin(pts), grid),
-    ]
-
-
 def quadrature_tolerance(family):
     """Measured composition defect of the discretized members.
 
@@ -211,7 +203,8 @@ def quadrature_tolerance(family):
     t_ref = 0.1
     worst = 0.0
     splits = [(0.5 * t_ref, 0.5 * t_ref), (0.25 * t_ref, 0.75 * t_ref)]
-    for u in _eps_probes(family.grid):
+    for name in ("const", "linear", "sin"):
+        u = probe_function(name, family.grid)
         for member in family:
             direct = member.apply(t_ref, u)
             for h1, h2 in splits:

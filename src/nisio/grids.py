@@ -203,7 +203,9 @@ class WeightedGrid:
         every 1D kind, so the nodes a batch of states can reach lie between
         the lookups of its smallest and largest state (the Monte Carlo
         sampler relies on this).  For that reason a periodic grid does not
-        wrap here: states past the last node map to it, not to node 0."""
+        wrap here.  Its clamp is still the nearest node on the circle for
+        states inside the node-centred period ``[points[0] - dx/2,
+        points[0] - dx/2 + period)``, where the sampler keeps its paths."""
         x = _reject_nan(x)
         if self.kind == "labels":
             # clip the float before the cast so that +-inf cannot overflow

@@ -15,9 +15,11 @@ those two; when the stage's selector names one member on that whole span,
 that member steps the whole batch at once, with no per-path lookup.  Only a
 selector that changes inside the span sends the stage through the per-path
 lookup and one masked step per member.  Both routes give every path the same
-member and draw the same numbers in the same order.  On a periodic grid the
-paths wrap around the period after each stage; elsewhere a safety box (by
-default the grid's end points) truncates them and counts the paths it caught.
+member and draw the same numbers in the same order.  The paths live on the
+grid: a periodic grid, a circle, keeps the start and every stage's states in
+the node-centred period ``[p0 - dx/2, p0 - dx/2 + period)``, where the
+nearest node is the nearest one on the circle; any other grid clips a path
+that leaves ``[points[0], points[-1]]`` to that end and counts it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .control import ControlPolicy, _check_policy, policy_value
 from .envelope import nisio_value
-from .errors import ConfigurationError, InvalidInputError
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -39,19 +41,19 @@ class SamplerSpec:
     The policy must fit the family (selector length and member indices), and
     every member a selector uses must admit an exact-increment sampler
     (spectral jump members do not).  The stage step of each such (member,
-    stage duration) pair is built here, once.  Without a ``safety_box``, a
-    1D grid that is not periodic takes its end points as the box."""
+    stage duration) pair is built here, once.  An error estimate needs at
+    least 100 paths.  The sampler has no box of its own: the grid's end
+    points, or on a periodic grid its node-centred period."""
 
     family: object
     policy: ControlPolicy
     n_paths: int
     seed: int
-    safety_box: tuple | None = None
     _steps: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ConfigurationError("need at least one path")
+        if self.n_paths < 100:
+            raise InvalidInputError("need at least 100 paths for an error estimate")
         _check_policy(self.family, self.policy)
         steps = {}
         for h, sel in self.policy.stages:
@@ -59,28 +61,33 @@ class SamplerSpec:
                 if (k, h) not in steps:
                     steps[k, h] = self.family.members[k].path_step(h)
         object.__setattr__(self, "_steps", steps)
-        grid = self.family.grid
-        if (self.safety_box is None and grid.points.ndim == 1
-                and grid.kind != "periodic"):
-            pts = grid.points
-            object.__setattr__(self, "safety_box",
-                               (float(pts[0]), float(pts[-1])))
 
     def rng(self):
         return np.random.Generator(np.random.Philox(key=self.seed))
 
 
-def sample_terminal_states(spec, x0, rng=None):
+def _wrap_into_period(grid, states):
+    """Shift states by whole periods into the node-centred period, in place;
+    states already inside keep their bits."""
+    lo = grid.points[0] - 0.5 * grid.spacing
+    out = (states < lo) | (states >= lo + grid.period)
+    if np.any(out):
+        states[out] = lo + np.mod(states[out] - lo, grid.period)
+
+
+def sample_terminal_states(spec, x0):
     """Terminal states of n_paths controlled paths started at x0.
 
-    Returns (states, n_flagged): on a periodic grid a path that leaves the
-    period starting at ``points[0]`` is shifted back by whole periods; paths
-    leaving the safety box are truncated at its edge and counted.
+    Returns (states, n_flagged): on a periodic grid the paths stay in the
+    node-centred period; elsewhere paths leaving ``[points[0], points[-1]]``
+    are clipped to that end and counted.
     """
     grid = spec.family.grid
-    if rng is None:
-        rng = spec.rng()
+    periodic = grid.kind == "periodic"
+    rng = spec.rng()
     states = np.full(spec.n_paths, float(x0))
+    if periodic:
+        _wrap_into_period(grid, states)
     flagged = 0
     for h, sel in spec.policy.stages:
         # nearest_index is monotone: every path's node lies in [j_lo, j_hi]
@@ -94,24 +101,14 @@ def sample_terminal_states(spec, x0, rng=None):
                 mask = member_idx == k
                 if np.any(mask):
                     states[mask] = spec._steps[k, h](states[mask], rng)
-        if grid.kind == "periodic":
-            start, period = grid.points[0], grid.period
-            out = (states < start) | (states >= start + period)
-            if np.any(out):
-                states[out] = start + np.mod(states[out] - start, period)
-        if spec.safety_box is not None:
-            lo, hi = spec.safety_box
+        if periodic:
+            _wrap_into_period(grid, states)
+        else:
+            lo, hi = grid.points[0], grid.points[-1]
             out = (states < lo) | (states > hi)
             flagged += int(np.sum(out))
             np.clip(states, lo, hi, out=states)
     return states, flagged
-
-
-def sample_controlled_path(spec, x0, rng=None):
-    """Terminal state of a single controlled path (convenience wrapper)."""
-    one = SamplerSpec(spec.family, spec.policy, 1, spec.seed, spec.safety_box)
-    states, _ = sample_terminal_states(one, x0, rng=rng)
-    return float(states[0])
 
 
 def mc_value(spec, x0, u):
@@ -120,8 +117,6 @@ def mc_value(spec, x0, u):
     Reproducible: the counter-based generator is keyed by the seed alone, so
     identical (spec, x0) give bit-identical estimates.
     """
-    if spec.n_paths < 100:
-        raise InvalidInputError("need at least 100 paths for an error estimate")
     states, flagged = sample_terminal_states(spec, x0)
     vals = u.at(states)
     est = float(np.mean(vals))

@@ -616,8 +616,7 @@ class KoopmanOperator(TransitionOperator):
 
     The flow is integrated per grid point with classical RK4 (step at most
     0.01); the flowed value is read off by monotone linear interpolation.
-    States leaving the grid are clamped (constant extrapolation) and counted
-    in ``exit_counts``.
+    States leaving the grid are clamped (constant extrapolation).
     """
 
     lipschitz_exact = True
@@ -634,7 +633,6 @@ class KoopmanOperator(TransitionOperator):
             raise ConfigurationError(
                 f"field exceeds its Lipschitz hint: {np.max(slopes):.3g} > "
                 f"{self.lipschitz_hint:.3g}")
-        self.exit_counts = {}
         self.name = "koopman"
 
     def flow(self, t, x):
@@ -653,9 +651,7 @@ class KoopmanOperator(TransitionOperator):
 
     def _build_matrix(self, t):
         g = self.grid
-        y = self.flow(t, g.points)
-        self.exit_counts[t] = int(np.sum((y < g.points[0]) | (y > g.points[-1])))
-        j, theta = g.interp_weights(y)
+        j, theta = g.interp_weights(self.flow(t, g.points))
         return _assemble_rows(g.size, np.column_stack([j, j + 1]),
                               np.column_stack([1.0 - theta, theta]), "renormalize")
 

@@ -463,21 +463,35 @@ def test_cli_reports_carry_eps_q_and_flow_exits(tmp_path):
     assert "eps_q" in dpp
 
 
+def flow_exits(tmp_path, fields, **solve):
+    """``flow_exits`` of a ``solve`` run on Koopman fields over [-4, 4]."""
+    cfg = {"grid": {"kind": "uniform", "domain": [-4, 4], "dx": 0.02},
+           "family": {"kind": "koopman", "fields": fields},
+           "u0": {"name": "sin"},
+           "solve": {"t": 1.0, **solve}}
+    out = tmp_path / "out"
+    assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 0
+    return json.loads((out / "solve_levels.json").read_text())["flow_exits"]
+
+
 def test_cli_flow_exits_report_every_koopman_member(tmp_path):
     # both members are named "koopman"; each keeps its own total.  A tiny
     # tol refines every run to max_level, so each member is built at the
-    # same durations alone as in the pair (alone, the translation member
-    # converges at level 1 under the default tol and builds fewer kernels)
+    # same durations alone as in the pair
     def exits(fields):
-        cfg = {"grid": {"kind": "uniform", "domain": [-4, 4], "dx": 0.02},
-               "family": {"kind": "koopman", "fields": fields},
-               "u0": {"name": "sin"},
-               "solve": {"t": 1.0, "tol": 1e-300, "max_level": 3}}
-        out = tmp_path / "out"
-        assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 0
-        return json.loads((out / "solve_levels.json").read_text())["flow_exits"]
+        return flow_exits(tmp_path, fields, tol=1e-300, max_level=3)
 
     pair = exits(["1.0 + 0*x", "-x"])
     assert pair == {"0:koopman": exits(["1.0 + 0*x"])["0:koopman"],
                     "1:koopman": exits(["-x"])["0:koopman"]}
     assert pair["0:koopman"] > 0
+
+
+def test_cli_flow_exits_do_not_depend_on_the_refinement(tmp_path):
+    # the count is the flow's at solve.t: alone, the translation member
+    # converges at level 1 under the default tol, next to -x it refines to
+    # level 3, and the 50 points above x = 3 leave [-4, 4] either way
+    alone = flow_exits(tmp_path, ["1.0 + 0*x"], max_level=3)
+    pair = flow_exits(tmp_path, ["1.0 + 0*x", "-x"], max_level=3)
+    assert alone == {"0:koopman": 50}
+    assert pair == {"0:koopman": 50, "1:koopman": 0}

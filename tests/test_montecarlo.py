@@ -7,8 +7,7 @@ from nisio import (ChainOperator, ConfigurationError, ControlPolicy,
                    GBMOperator, GridFunction, HeatOperator, InvalidInputError,
                    KoopmanOperator, OUOperator, SamplerSpec, ScaledOperator,
                    SemigroupFamily, StableOperator, WeightedGrid, greedy_policy,
-                   mc_compare, mc_value, sample_controlled_path,
-                   sample_terminal_states)
+                   mc_compare, mc_value, sample_terminal_states)
 from nisio.probes import probe_function
 
 
@@ -57,7 +56,8 @@ def test_koopman_paths_deterministic(ou_grid):
     out = mc_value(spec, 1.0, probe_function("linear", ou_grid))
     assert out["std_error"] <= 1e-14   # identical paths; one ulp of the mean
     assert out["estimate"] == pytest.approx(np.exp(-1.0), abs=1e-6)
-    assert sample_controlled_path(spec, 1.0) == pytest.approx(np.exp(-1.0), abs=1e-8)
+    states, _ = sample_terminal_states(spec, 1.0)
+    assert states[0] == pytest.approx(np.exp(-1.0), abs=1e-8)
 
 
 def test_gbm_lognormal_mean(log_grid):
@@ -96,10 +96,11 @@ def test_stable_member_rejected(periodic_grid):
         SamplerSpec(fam, pol, 1000, seed=0)
 
 
-def test_safety_box_flags_and_truncates(coarse_grid):
-    fam = SemigroupFamily([HeatOperator(coarse_grid, 1.0)])
-    pol = constant_policy(coarse_grid, 0, 1, 1.0)
-    spec = SamplerSpec(fam, pol, 2000, seed=5, safety_box=(-0.5, 0.5))
+def test_safety_box_flags_and_truncates():
+    grid = WeightedGrid.uniform(-0.5, 0.5, 0.02, boundary="reflect")
+    fam = SemigroupFamily([HeatOperator(grid, 1.0)])
+    pol = constant_policy(grid, 0, 1, 1.0)
+    spec = SamplerSpec(fam, pol, 2000, seed=5)
     states, flagged = sample_terminal_states(spec, 0.0)
     assert flagged > 0
     assert np.all((states >= -0.5) & (states <= 0.5))
@@ -257,12 +258,21 @@ def test_mc_compare_reads_the_sampled_label(chain_family, label_grid):
 
 # -- the whole-batch stage step vs the per-path sampler ----------------------
 
-def per_path_terminal_states(spec, x0, rng=None):
+def per_path_terminal_states(spec, x0):
     """The per-path sampler every stage used to run, kept as the oracle."""
     grid = spec.family.grid
-    if rng is None:
-        rng = spec.rng()
+    rng = spec.rng()
+
+    def wrap(states):
+        # into the node-centred period; states inside keep their bits
+        lo = grid.points[0] - 0.5 * grid.spacing
+        out = (states < lo) | (states >= lo + grid.period)
+        return np.where(out, lo + np.mod(states - lo, grid.period), states)
+
+    periodic = grid.kind == "periodic"
     states = np.full(spec.n_paths, float(x0))
+    if periodic:
+        states = wrap(states)
     flagged = 0
     for h, sel in spec.policy.stages:
         member_idx = sel[grid.nearest_index(states)]
@@ -270,8 +280,10 @@ def per_path_terminal_states(spec, x0, rng=None):
             mask = member_idx == k
             if np.any(mask):
                 states[mask] = spec._steps[k, h](states[mask], rng)
-        if spec.safety_box is not None:
-            lo, hi = spec.safety_box
+        if periodic:
+            states = wrap(states)
+        else:
+            lo, hi = grid.points[0], grid.points[-1]
             out = (states < lo) | (states > hi)
             flagged += int(np.sum(out))
             np.clip(states, lo, hi, out=states)
@@ -379,6 +391,39 @@ class _NaNBeyondZero(HeatOperator):
             moved = states + rng.standard_normal(states.size)
             return np.where(states > 0.0, np.nan, moved)
         return step
+
+
+def test_sampler_matches_per_path_across_the_periodic_seam(periodic_grid,
+                                                          lookup_sizes):
+    # the paths start next to the seam at pi and spread over it; the
+    # selector changes between neighbouring nodes everywhere, so every stage
+    # but the first, whose paths all share one node, looks up every path
+    fam = SemigroupFamily([HeatOperator(periodic_grid, 0.5),
+                           HeatOperator(periodic_grid, 1.0)])
+    sel = np.arange(periodic_grid.size) % 2
+    pol = ControlPolicy(tuple((0.125, sel) for _ in range(8)))
+    spec = SamplerSpec(fam, pol, 5000, seed=13)
+    assert assert_matches_per_path(spec, np.pi - 0.001, lookup_sizes) == 7
+    states, _ = sample_terminal_states(spec, np.pi - 0.001)
+    assert np.any(states < 0.0) and np.any(states > 0.0)
+
+
+@pytest.mark.parametrize("x0, node", [(np.pi - 0.001, 0), (3.2, 2)],
+                         ids=["seam", "beyond-pi"])
+def test_periodic_paths_take_the_member_of_the_nearest_node_on_the_circle(
+        periodic_grid, x0, node):
+    # pi - 0.001 lies in the last half-cell before the seam, nearer to node 0
+    # (-pi) than to node 255; 3.2 - 2 pi lies nearest to node 2.  The member
+    # chosen there moves every path, every other node's member keeps it still
+    fam = SemigroupFamily([HeatOperator(periodic_grid, 0.0),
+                           HeatOperator(periodic_grid, 1.0)])
+    sel = np.zeros(periodic_grid.size, dtype=int)
+    sel[node] = 1
+    states, _ = sample_terminal_states(
+        SamplerSpec(fam, ControlPolicy(((0.01, sel),)), 1000, seed=17), x0)
+    moving, _ = sample_terminal_states(
+        SamplerSpec(fam, constant_policy(periodic_grid, 1, 1, 0.01), 1000, seed=17), x0)
+    assert np.array_equal(states, moving)
 
 
 def test_sampler_rejects_nan_states_like_per_path(coarse_grid):
