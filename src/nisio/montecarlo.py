@@ -18,8 +18,10 @@ lookup and one masked step per member.  Both routes give every path the same
 member and draw the same numbers in the same order.  The paths live on the
 grid: a periodic grid, a circle, keeps the start and every stage's states in
 the node-centred period ``[p0 - dx/2, p0 - dx/2 + period)``, where the
-nearest node is the nearest one on the circle; any other grid clips a path
-that leaves ``[points[0], points[-1]]`` to that end and counts it.
+nearest node is the nearest one on the circle; a label grid starts every path
+at the label nearest ``x0``, and chain members keep it on labels; any other
+grid clips a path that leaves ``[points[0], points[-1]]`` to that end and
+counts it.
 """
 
 from __future__ import annotations
@@ -85,6 +87,10 @@ def sample_terminal_states(spec, x0):
     grid = spec.family.grid
     periodic = grid.kind == "periodic"
     rng = spec.rng()
+    if grid.kind == "labels":
+        # chain members step from labels: start at the label nearest_index
+        # would pick, so that no stage looks a label up again
+        x0 = np.clip(np.ceil(float(x0) - 0.5), 0, grid.size - 1)
     states = np.full(spec.n_paths, float(x0))
     if periodic:
         _wrap_into_period(grid, states)

@@ -21,12 +21,17 @@ stencil, which keeps the weights nonnegative and the mean exact where Gaussian
 quadrature would alias.  Kernel mass past the ends of the lattice is folded
 back (``reflect``), wrapped (``wrap``), or dropped with the row renormalized
 (``renormalize``).  Every lattice kernel is stored dense when
-``8 n^2 <= 12 nnz + 4 (n + 1)`` (no more bytes than CSR), else as canonical
-CSR.  A Gaussian kernel whose mean offsets are all zero (every heat member
-above one cell, an OU member with B=0 and m=0, a GBM member with
-mu = sigma^2/2) is the same band in every row, so it is built by gathers from
-that one band; every other kernel goes from its per-row weights straight into
-CSR.  ``generator(u)`` evaluates the corresponding infinitesimal generator
+``8 n^2 <= 12 nnz + 4 (n + 1)`` (no more bytes than CSR).  A Gaussian kernel
+whose mean offsets are all zero (every heat member above one cell, an OU
+member with B=0 and m=0, a GBM member with mu = sigma^2/2) is the same band
+in every row, so it is built from that one band; when sparse it is stored by
+diagonals (DIA, 8 bytes per entry and no column indices) for ``reflect`` and
+``renormalize``, and as canonical CSR for ``wrap``, whose wrapped band would
+need about 4k+1 diagonals.  Every other kernel goes from its per-row weights
+straight into canonical CSR.  The DIA offsets ascend, so scipy's
+``dia_matvec`` adds each row's terms in ascending column order from +0.0, as
+``csr_matvec`` does, and the storage changes no bit of an apply.
+``generator(u)`` evaluates the corresponding infinitesimal generator
 with second-order stencils; rows whose stencil leaves the grid are flagged
 invalid.  ``path_step(h)`` returns the member's exact-increment sampler over
 duration h, for members whose transition law can be drawn exactly.
@@ -52,8 +57,14 @@ from .grids import WeightedGrid
 
 # kernel support radius in standard deviations; tail mass beyond is ~1e-23
 KERNEL_RADIUS = 10.0
-# kernel bytes per member; above every benchmark working set (225 MiB at most),
-# because LRU below the working set of a cyclic dyadic sweep loses every hit
+# Gaussian weights one kernel build may hold: the band of a zero-offset
+# kernel, or the n x (2k+1) array of the row-by-row path (2^24 float64 is
+# 128 MiB); every shipped config, demo and test needs at most 3.3e6
+MAX_KERNEL_WEIGHTS = 2 ** 24
+# kernel bytes per member; above every benchmark working set (225.3 MiB at
+# most: the offset OU member of ou.json; the README heat members hold 52.4 and
+# 101.4), because LRU below the working set of a cyclic dyadic sweep loses
+# every hit
 KERNEL_CACHE_BYTES = 512 * 2 ** 20
 
 
@@ -71,7 +82,9 @@ def _reflect_indices(j, n):
 
 
 def _dense_is_cheaper(n, nnz):
-    """The one storage rule: an n x n ndarray takes no more bytes than CSR."""
+    """The one storage rule: an n x n ndarray when it takes no more bytes than
+    CSR of the nnz entries; otherwise DIA for a ``reflect`` or ``renormalize``
+    band (``_band_matrix``) and CSR for every other kernel."""
     return 8 * n * n <= 12 * nnz + 4 * (n + 1)
 
 
@@ -113,14 +126,16 @@ def _band_matrix(n, w, mode):
     """Row-stochastic kernel that puts weight w[k + b] of row i on node i + b.
 
     ``w`` is a band of length 2k+1.  Every row is the same band shifted along
-    the diagonal, so each entry is a gather from it.  For ``reflect`` and
-    ``wrap`` the band is folded onto the period P (2(n-1) or n) of the
-    boundary map and divided by its sum, W, and
+    the diagonal, so the kernel is built from that band alone.  For
+    ``reflect`` and ``wrap`` the band is folded onto the period P (2(n-1) or
+    n) of the boundary map and divided by its sum, W, and
     ``A[i, j] = W[(j-i) mod P] + W[(-j-i) mod P]``, the mirror term for
     ``reflect`` only and not in the end columns (they are their own mirror
     images).  For ``renormalize`` the off-lattice nodes are dropped:
     ``A[i, j] = w[k + j - i] / S_i``, with the row sums S_i read off a
-    cumulative sum of w.  Stored by ``_dense_is_cheaper``.
+    cumulative sum of w.  Dense by ``_dense_is_cheaper``, with nnz the
+    entries on the lattice; otherwise ``wrap`` is CSR and the other two modes
+    are DIA, one diagonal per band offset -k..k (k < n - 1 there).
     """
     if n == 1:
         return np.eye(1)
@@ -169,23 +184,24 @@ def _band_matrix(n, w, mode):
         indices = ((pos + (rows - k)[:, None]) % n).ravel()
         return sp.csr_matrix((data, indices, np.arange(n + 1) * w.size), shape=(n, n))
 
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    indices = np.arange(nnz) - np.repeat(indptr[:-1] - lo, counts)
-    band_pos = indices - np.repeat(rows - k, counts)
+    # one diagonal per band offset b = -k..k, ascending, so that dia_matvec
+    # sums each row in ascending column order as csr_matvec does;
+    # data[k + b, j] is entry (j - b, j), and entries off the lattice are
+    # never read
     if mode == "renormalize":
-        data = w[band_pos] * np.repeat(scale, counts)
+        padded = np.concatenate((np.zeros(k), scale, np.zeros(k)))
+        data = w[:, None] * np.lib.stride_tricks.sliding_window_view(padded, n)[::-1]
     else:
         # the band does not wrap (2k+1 < P), so W[(j-i) mod P] is w[k+j-i]
         # normalized, and the mirror term reaches only entries with
-        # 1 <= i + j <= k (weight W[-(i+j)]) and their images
-        # (n-1-i, n-1-j), which sit at the mirrored position of data
-        data = wn[band_pos]
+        # 1 <= i + j <= k (weight W[-(i+j)]) and their images (n-1-i, n-1-j)
+        data = np.repeat(wn[:, None], n, axis=1)
         diag, col = np.tril_indices(k)      # i + j = diag + 1, j = col + 1
-        pos = indptr[diag - col] + col + 1
+        b = 2 * col + 1 - diag              # j - i
         fold = wn[k - 1 - diag]
-        data[pos] += fold
-        data[nnz - 1 - pos] += fold
-    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        data[k + b, col + 1] += fold
+        data[k - b, n - 2 - col] += fold
+    return sp.dia_matrix((data, np.arange(-k, k + 1)), shape=(n, n))
 
 
 def gaussian_lattice_matrix(n, dx, means_offset, std, mode):
@@ -199,9 +215,18 @@ def gaussian_lattice_matrix(n, dx, means_offset, std, mode):
     CSR or dense.
     """
     offsets = np.broadcast_to(np.asarray(means_offset, dtype=float), (n,))
-    k_half = int(math.ceil(KERNEL_RADIUS * std / dx)) + 1
+    shifted = bool(np.any(offsets))
+    # sized before anything is allocated: 2k+1 weights per row held, with
+    # k = ceil(reach) + 1 (estimated in floats while reach is itself too big)
+    reach = KERNEL_RADIUS * std / dx
+    per_row = 2 * math.ceil(reach) + 3 if reach <= MAX_KERNEL_WEIGHTS else 2 * reach + 3
+    held = per_row * (n if shifted else 1)
+    if not held <= MAX_KERNEL_WEIGHTS:
+        raise InvalidInputError(f"kernel of std {std:.3g} needs {held:.3g} Gaussian "
+                                f"weights, above the budget of {MAX_KERNEL_WEIGHTS}")
+    k_half = math.ceil(reach) + 1
     band = np.arange(-k_half, k_half + 1, dtype=np.int32)
-    if not np.any(offsets):
+    if not shifted:
         return _band_matrix(n, np.exp(-0.5 * (band * dx / std) ** 2), mode)
     # targets far outside the lattice keep their in-domain tail (clamped
     # center); the float is clipped before the cast so it cannot overflow
@@ -318,7 +343,10 @@ def _check_duration(t):
 
 
 def _nbytes(kernel):
-    """Bytes a kernel holds: an ndarray's buffer or a CSR matrix's arrays."""
+    """Bytes a kernel holds: an ndarray's buffer, a DIA matrix's diagonals and
+    offsets, or a CSR matrix's arrays."""
+    if isinstance(kernel, sp.dia_matrix):
+        return kernel.data.nbytes + kernel.offsets.nbytes
     if sp.issparse(kernel):
         return kernel.data.nbytes + kernel.indices.nbytes + kernel.indptr.nbytes
     return kernel.nbytes
@@ -361,7 +389,10 @@ class TransitionOperator:
         kernel = self._cache.pop(t, None)
         if kernel is None:
             _check_duration(t)
-            kernel = self._build_matrix(t)
+            try:
+                kernel = self._build_matrix(t)
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"{self.name} at duration {t:g}: {exc}") from None
             self._held += _nbytes(kernel)
             while self._held > KERNEL_CACHE_BYTES and self._cache:
                 self._held -= _nbytes(self._cache.pop(next(iter(self._cache))))
@@ -440,6 +471,8 @@ class GBMOperator(TransitionOperator):
         block = lattice_kernel(self._n_side, self.grid.spacing,
                                (self.mu - 0.5 * self.sigma ** 2) * t,
                                self.sigma ** 2 * t, self.grid.boundary)
+        if sp.issparse(block):
+            block = block.tocsr()       # a zero-drift band comes as DIA
         return sp.block_diag([block[::-1, ::-1], sp.identity(1), block], format="csr")
 
     def generator(self, u):
@@ -709,7 +742,8 @@ class ChainOperator(TransitionOperator):
 
     Q must have nonnegative off-diagonal and nonpositive diagonal entries.
     Conservative rows (Q 1 = 0) are required unless ``allow_nonconservative``;
-    only conservative chains admit the path sampler.
+    only conservative chains admit the path sampler, which steps labels
+    (states 0.0, 1.0, ..., n-1 as floats) to labels.
     """
 
     lipschitz_exact = True
@@ -767,7 +801,7 @@ class ChainOperator(TransitionOperator):
         mean_jumps = self.rate * h
 
         def step(states, rng):
-            idx = self.grid.nearest_index(states)
+            idx = states.astype(np.intp)        # the states are labels
             n_jumps = rng.poisson(mean_jumps, size=states.size)
             for j in range(int(n_jumps.max(initial=0))):
                 active = n_jumps > j

@@ -426,6 +426,23 @@ def test_cli_overflowing_ou_moments_exit_3(tmp_path, capsys):
     assert "numerical degeneracy" in capsys.readouterr().err
 
 
+def test_cli_unbuildable_kernel_exits_2(tmp_path, capsys):
+    # at duration 0.1 the moments are finite but the std is 1.4e33 cells:
+    # the kernel is rejected before any allocation, naming member and duration
+    cfg = {
+        "grid": {"kind": "uniform", "domain": [-1, 1], "dx": 0.1},
+        "family": {"kind": "ou", "members": [{"B": 800.0, "m": 0.0, "C": 1.0}]},
+        "u0": {"name": "sin"},
+        "properties": {"probes": ["sin"], "t_list": [0.25, 1.0],
+                       "partition_pairs": 2, "seed": 1},
+    }
+    assert run("properties", write_cfg(tmp_path, cfg), str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ou(d=1) at duration 0.1: kernel of std ")
+    assert f"above the budget of {operators.MAX_KERNEL_WEIGHTS}" in err
+    assert "Traceback" not in err
+
+
 def test_cli_gbm_zero_volatility_member(tmp_path):
     # a sigma = 0 member drifts off the top of the default renormalize log
     # grid; its kernel keeps the mass on the end node

@@ -353,6 +353,39 @@ def test_sampler_matches_per_path_chain(chain_family, label_grid):
         assert_matches_per_path(SamplerSpec(chain_family, pol, 5000, seed=5), 1.0)
 
 
+def _lookup_chain_step(member, h):
+    """The chain stage step that looked every state up, kept as the oracle."""
+    cum = np.cumsum(member.jump_matrix, axis=1)
+    cum[:, -1] = 1.0
+
+    def step(states, rng):
+        idx = member.grid.nearest_index(states)
+        n_jumps = rng.poisson(member.rate * h, size=states.size)
+        for j in range(int(n_jumps.max(initial=0))):
+            active = n_jumps > j
+            draws = rng.random(int(active.sum()))
+            idx[active] = (cum[idx[active]] < draws[:, None]).sum(axis=1)
+        return idx.astype(float)
+    return step
+
+
+def test_chain_stages_read_labels(chain_family, label_grid, lookup_sizes):
+    # the start is snapped to its label once; no stage looks a path up
+    pol = ControlPolicy(tuple((0.25, np.zeros(4, dtype=int)) for _ in range(4)))
+    spec = SamplerSpec(chain_family, pol, 5000, seed=5)
+    ref_spec = SamplerSpec(chain_family, pol, 5000, seed=5)
+    ref_spec._steps.update({key: _lookup_chain_step(chain_family.members[key[0]], key[1])
+                            for key in ref_spec._steps})
+    u = GridFunction(np.array([0.0, 1.0, 4.0, 9.0]), label_grid)
+    for x0, label in ((1.0, 1.0), (1.7, 2.0), (-0.6, 0.0), (3.5, 3.0)):
+        lookup_sizes.clear()
+        states, flagged = sample_terminal_states(spec, x0)
+        assert lookup_sizes == [2, 2, 2, 2]
+        ref_states, ref_flagged = per_path_terminal_states(ref_spec, x0)
+        assert np.array_equal(states, ref_states) and flagged == ref_flagged == 0
+        assert mc_value(spec, x0, u) == mc_value(spec, label, u)
+
+
 def test_sampler_matches_per_path_gbm(log_grid, lookup_sizes):
     fam = SemigroupFamily([GBMOperator(log_grid, 0.1, 0.2),
                            ScaledOperator(GBMOperator(log_grid, 0.0, 0.4), 0.5)])

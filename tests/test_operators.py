@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -222,9 +223,15 @@ def _check_against_oracle(mat, ref, rng):
     u = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
     assert np.max(np.abs(mat @ u - ref @ u)) <= 1e-12 * np.max(np.abs(u))
     # storage: dense exactly when it takes no more bytes than CSR would
-    dense_cheaper = 8 * n * n <= 12 * ref.nnz + 4 * (n + 1)
-    assert isinstance(mat, np.ndarray) == dense_cheaper
-    if sp.issparse(mat):
+    csr_bytes = 12 * ref.nnz + 4 * (n + 1)
+    assert isinstance(mat, np.ndarray) == (8 * n * n <= csr_bytes)
+    if isinstance(mat, sp.dia_matrix):
+        # one diagonal per offset, ascending, so each row sums its terms in
+        # ascending column order as CSR does: fewer bytes, the same bits
+        assert np.all(np.diff(mat.offsets) > 0)
+        assert operators._nbytes(mat) < csr_bytes
+        assert np.array_equal((mat @ u).view(np.int64), (mat.tocsr() @ u).view(np.int64))
+    elif sp.issparse(mat):
         ref = ref.sorted_indices()
         assert mat.has_canonical_format     # sorted, no duplicates
         assert np.array_equal(mat.indptr, ref.indptr)
@@ -250,7 +257,7 @@ def test_band_kernel_matches_coo_assembly(mode, n):
         _check_against_oracle(mat, _coo_gaussian(n, dx, ratio * dx, mode), rng)
         formats.add(type(mat))
     if n >= 801:
-        assert formats == {np.ndarray, sp.csr_matrix}
+        assert formats == {np.ndarray, sp.csr_matrix if mode == "wrap" else sp.dia_matrix}
 
 
 def test_band_kernel_serves_zero_offset_members(monkeypatch):
@@ -354,6 +361,7 @@ def test_row_kernel_matches_coo_assembly(case, monkeypatch):
     member, t = ROW_KERNELS[case]
     member().matrix(t)
     [(args, mat)] = calls
+    assert isinstance(mat, (np.ndarray, sp.csr_matrix))
     _check_against_oracle(mat, _coo_rows(*args), np.random.default_rng(7))
     if case.startswith("ou-re"):
         assert isinstance(mat, np.ndarray) == (t == 1.0)
@@ -383,6 +391,37 @@ def test_offset_kernel_build_memory():
         peaks[boundary] = peak
     # dropping the off-lattice weights costs no second weights array
     assert peaks["renormalize"] <= 1.01 * peaks["reflect"], peaks
+
+
+def test_kernel_weight_budget_is_checked_before_allocating():
+    # B = 5 on the README grid: std 47, a 1601 x 93865 weight array (1.2 GB);
+    # heat with sigma 1e7: a band of 2e11 weights
+    g = WeightedGrid.uniform(-8.0, 8.0, 0.01, boundary="reflect")
+    for op, name in ((OUOperator(g, 5.0, 0.0, 1.0), "ou(d=1)"),
+                     (HeatOperator(g, 1e7), "heat(sigma=1e+07)")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError,
+                               match=rf"^{re.escape(name)} at duration 1: .* above the "
+                                     rf"budget of {operators.MAX_KERNEL_WEIGHTS}$"):
+                op.matrix(1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert op._cache == {} and op._held == 0
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+def test_kernel_weight_budget_is_exact(shifted, monkeypatch):
+    # std = dx/2: reach 5 cells exactly, k = 6, so 13 weights per row held
+    n, held = 17, 13 * (17 if shifted else 1)
+    offsets = np.where(np.arange(n) == 3, 0.1, 0.0) if shifted else 0.0
+    monkeypatch.setattr(operators, "MAX_KERNEL_WEIGHTS", held)
+    gaussian_lattice_matrix(n, 0.25, offsets, 0.125, "reflect")
+    monkeypatch.setattr(operators, "MAX_KERNEL_WEIGHTS", held - 1)
+    with pytest.raises(InvalidInputError, match=f"needs {held} Gaussian weights"):
+        gaussian_lattice_matrix(n, 0.25, offsets, 0.125, "reflect")
 
 
 # ---------------------------------------------------------------------------
@@ -532,19 +571,27 @@ def test_gbm_zero_is_fixed_point(log_grid):
 
 
 def test_gbm_zero_shift_dense_block(log_grid):
-    # mu = sigma^2/2 cancels the log drift: the block is a band, dense here
-    sigma, t = 0.4, 1.0
-    op = GBMOperator(log_grid, 0.5 * sigma ** 2, sigma)
+    # mu = sigma^2/2 cancels the log drift: the block is a band, dense at
+    # sigma 0.4, t 1 and DIA at sigma 0.2, t 0.01
+    u = np.random.default_rng(5).standard_normal(log_grid.size)
     n, ds = (log_grid.size - 1) // 2, log_grid.spacing
-    std = sigma * math.sqrt(t)
-    assert isinstance(gaussian_lattice_matrix(n, ds, 0.0, std, "reflect"), np.ndarray)
-    mat = op.matrix(t)
-    assert sp.issparse(mat)
-    block = _coo_gaussian(n, ds, std, "reflect")
-    ref = sp.block_diag([block[::-1, ::-1], sp.identity(1), block]).toarray()
-    assert np.max(np.abs(mat.toarray() - ref)) <= 1e-13
-    assert np.max(np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0)) <= 1e-13
-    assert mat.min() >= 0.0
+    for sigma, t, block_type in ((0.4, 1.0, np.ndarray), (0.2, 0.01, sp.dia_matrix)):
+        op = GBMOperator(log_grid, 0.5 * sigma ** 2, sigma)
+        std = math.sqrt(sigma ** 2 * t)     # as lattice_kernel takes it
+        band = gaussian_lattice_matrix(n, ds, 0.0, std, "reflect")
+        assert isinstance(band, block_type)
+        mat = op.matrix(t)
+        assert isinstance(mat, sp.csr_matrix)
+        block = _coo_gaussian(n, ds, std, "reflect")
+        ref = sp.block_diag([block[::-1, ::-1], sp.identity(1), block]).toarray()
+        assert np.max(np.abs(mat.toarray() - ref)) <= 1e-13
+        assert np.max(np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0)) <= 1e-13
+        assert mat.min() >= 0.0
+        # every entry of the band, in ascending column order: the same bits
+        # as the CSR of its dense form
+        csr = sp.csr_matrix(_dense(band))
+        same = sp.block_diag([csr[::-1, ::-1], sp.identity(1), csr], format="csr")
+        assert np.array_equal((mat @ u).view(np.int64), (same @ u).view(np.int64))
 
 
 def test_gbm_weighted_norm_growth(log_grid):
