@@ -6,8 +6,10 @@ round-trip floats; reports are JSON with stable key order carrying the config
 hash.  Exit codes: 0 all enabled assertions pass, 1 assertion failure,
 2 malformed config (a schema violation such as a key its kind does not read
 or a missing required key, a ragged matrix, an unreadable u0 CSV, a
-refinement level over the work budget) or an unknown flag, 3 numerical
-degeneracy.
+refinement level or stage count over the work budget) or an unknown flag,
+3 numerical degeneracy.  Each subcommand returns its record's name and
+fields; ``run`` writes ``<name>.json`` and exits 1 exactly when the record
+says ``"passed": false``.
 """
 
 from __future__ import annotations
@@ -34,12 +36,6 @@ from .probes import probe_function
 EXIT_OK, EXIT_ASSERT, EXIT_SCHEMA, EXIT_DEGENERATE = 0, 1, 2, 3
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _write_csv(path, header, columns):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -61,8 +57,12 @@ class _Run:
     def path(self, name):
         return os.path.join(self.out, name)
 
-    def base_record(self):
-        return {"config_sha256": self.hash, "version": __version__}
+    def write(self, name, fields):
+        """Write ``<name>.json``: ``fields`` plus the config hash and version."""
+        record = dict(fields, config_sha256=self.hash, version=__version__)
+        with open(self.path(name + ".json"), "w", encoding="utf-8") as fh:
+            json.dump(record, fh, sort_keys=True, indent=2)
+            fh.write("\n")
 
 
 def _cmd_solve(run):
@@ -75,15 +75,14 @@ def _cmd_solve(run):
     x = run.grid.points if run.grid.points.ndim == 1 else run.grid.points[:, 0]
     _write_csv(run.path("solve.csv"), ["x", "u0", "u_T"],
                [x, u0.values, res.value.values])
-    record = run.base_record()
-    record.update({
+    record = {
         "t": solve["t"],
         "levels": len(res.levels),
         "level_diffs": [float(d) for d in res.diffs],
         "converged": res.converged,
         "eps_q": quadrature_tolerance(run.family),
         "final_weighted_norm": weighted_norm(res.value, window=run.window),
-    })
+    }
     # per Koopman member, the grid points its flow carries off the grid by
     # solve.t; keyed "position:name", as every such member is named "koopman"
     pts = run.grid.points
@@ -94,22 +93,17 @@ def _cmd_solve(run):
             exits[f"{i}:{m.name}"] = int(np.sum((y < pts[0]) | (y > pts[-1])))
     if exits:
         record["flow_exits"] = exits
-    _write_json(run.path("solve_levels.json"), record)
-    return EXIT_OK
+    return "solve_levels", record
 
 
 def _cmd_properties(run):
     section = run.cfg.get("properties", {})
     probe_names = section.get("probes", ["quadratic", "neg-quadratic", "sin"])
     probes = [probe_function(name, run.grid) for name in probe_names]
-    report = property_suite(
+    return "properties", property_suite(
         run.family, probes, section.get("t_list", [0.25, 1.0]),
         seed=section.get("seed", run.seed or 0),
         partition_pairs=section.get("partition_pairs", 5))
-    record = run.base_record()
-    record.update(report)
-    _write_json(run.path("properties.json"), record)
-    return EXIT_OK if report["passed"] else EXIT_ASSERT
 
 
 def _cmd_dpp(run):
@@ -119,18 +113,12 @@ def _cmd_dpp(run):
     level = section.get("level", 6)
     out = dpp_check(run.family, section["s"], section["t"], u0,
                     max_level=level, tol=1e-12, window=run.window)
-    record = run.base_record()
-    record.update({"s": section["s"], "t": section["t"], "level": level,
-                   "defect": out["defect"],
-                   "eps_q": quadrature_tolerance(run.family)})
-    status = EXIT_OK
+    record = {"s": section["s"], "t": section["t"], "level": level,
+              "defect": out["defect"], "eps_q": quadrature_tolerance(run.family)}
     if "threshold" in section:
         record["threshold"] = section["threshold"]
         record["passed"] = bool(out["defect"] <= section["threshold"])
-        if not record["passed"]:
-            status = EXIT_ASSERT
-    _write_json(run.path("dpp.json"), record)
-    return status
+    return "dpp", record
 
 
 def _cmd_control(run):
@@ -141,8 +129,7 @@ def _cmd_control(run):
     out = duality_gap(run.family, t, u0, m,
                       max_level=section.get("level", 6), tol=1e-12,
                       window=run.window)
-    _write_json(run.path("control_policy.json"),
-                dict(run.base_record(), **out["greedy"].policy.to_dict()))
+    run.write("control_policy", out["greedy"].policy.to_dict())
     eps = quadrature_tolerance(run.family)
     rng = np.random.default_rng(run.seed or 0)
     trials = section.get("trials", 20)
@@ -151,14 +138,11 @@ def _cmd_control(run):
         pol = random_policy(run.family, t, rng)
         excess = policy_value(run.family, pol, u0).values - out["nisio"].value.values
         worst = min(worst, -float(np.max(excess)))
-    passed = bool(worst >= -(eps + 1e-9))
-    record = run.base_record()
-    record.update({"t": t, "m": m, "gap": out["gap"], "eps_q": eps,
-                   "random_policy_trials": trials,
-                   "weak_duality_worst_slack": None if trials == 0 else float(worst),
-                   "passed": passed})
-    _write_json(run.path("control_gap.json"), record)
-    return EXIT_OK if passed else EXIT_ASSERT
+    return "control_gap", {
+        "t": t, "m": m, "gap": out["gap"], "eps_q": eps,
+        "random_policy_trials": trials,
+        "weak_duality_worst_slack": None if trials == 0 else float(worst),
+        "passed": bool(worst >= -(eps + 1e-9))}
 
 
 def _cmd_mc(run):
@@ -171,30 +155,19 @@ def _cmd_mc(run):
     greedy = greedy_policy(run.family, t, u0, m)
     spec = SamplerSpec(run.family, greedy.policy, section["n_paths"], seed)
     out = mc_compare(spec, section["x0"], u0)
-    record = run.base_record()
-    record.update({"t": t, "m": m, "seed": seed, "x0": section["x0"],
-                   "eps_q": quadrature_tolerance(run.family)})
-    record.update(out)
-    passed = not out["flag"]
-    record["passed"] = passed
-    _write_json(run.path("mc.json"), record)
-    return EXIT_OK if passed else EXIT_ASSERT
+    return "mc", dict(out, t=t, m=m, seed=seed, x0=section["x0"],
+                      eps_q=quadrature_tolerance(run.family), passed=not out["flag"])
 
 
 def _cmd_report(run):
     pieces = {}
-    ok = True
     for name in ("solve_levels", "properties", "dpp", "control_gap", "mc"):
         path = run.path(name + ".json")
         if os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
                 pieces[name] = json.load(fh)
-            if pieces[name].get("passed") is False:
-                ok = False
-    record = run.base_record()
-    record.update({"artifacts": pieces, "passed": ok})
-    _write_json(run.path("report.json"), record)
-    return EXIT_OK if ok else EXIT_ASSERT
+    return "report", {"artifacts": pieces, "passed": all(
+        piece.get("passed") is not False for piece in pieces.values())}
 
 
 _COMMANDS = {"solve": _cmd_solve, "properties": _cmd_properties, "dpp": _cmd_dpp,
@@ -217,13 +190,15 @@ def run(subcommand, config_path, out_dir, seed=None):
         return EXIT_SCHEMA
     try:
         ctx = _Run(cfg, out_dir, seed)
-        return _COMMANDS[subcommand](ctx)
+        name, fields = _COMMANDS[subcommand](ctx)
+        ctx.write(name, fields)
     except (ConfigurationError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except NumericalDegeneracyError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    return EXIT_ASSERT if fields.get("passed") is False else EXIT_OK
 
 
 def main(argv=None):

@@ -212,11 +212,13 @@ def build_family(cfg, grid):
                    for Q in f["rate_matrices"]]
         default = FamilyBounds(0.0, 2.0 * max(m.rate for m in members))
     else:  # scaled
-        base_members = build_family({"family": f["base"]}, grid).members
-        if len(base_members) != 1:
+        base = build_family({"family": f["base"]}, grid)
+        if len(base) != 1:
             raise ConfigurationError("scaled family needs a singleton base")
-        members = [ScaledOperator(base_members[0], s) for s in f["scales"]]
-        default = FamilyBounds(0.0, 0.0)
+        members = [ScaledOperator(base.members[0], s) for s in f["scales"]]
+        # S_s(t) = S(s t), so the base's growth rates scale with the largest s
+        top = max(f["scales"])
+        default = FamilyBounds(top * base.bounds.alpha, top * base.bounds.beta)
     alpha = float(f.get("alpha", default.alpha))
     beta = float(f.get("beta", default.beta))
     return SemigroupFamily(members, FamilyBounds(alpha, beta))

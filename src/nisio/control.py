@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import envelope_step_argmax, nisio_value
-from .errors import ConfigurationError
+from .envelope import MAX_MEMBER_APPLIES, envelope_step_argmax, nisio_value
+from .errors import ConfigurationError, InvalidInputError
 from .grids import weighted_norm
 
 
@@ -88,12 +88,18 @@ def greedy_policy(family, t, u, m):
 
     The per-point argmax (lowest index on ties) realizes an exact optimizer
     stage by stage, so the backward pass's value is both the returned
-    policy's value and the uniform m-partition envelope, bit for bit.
+    policy's value and the uniform m-partition envelope, bit for bit.  The m
+    stages cost m * K member applies; past ``MAX_MEMBER_APPLIES`` the call is
+    rejected before any step.
     """
     if m < 1:
         raise ConfigurationError("need at least one stage")
     if t <= 0.0:
         raise ConfigurationError("horizon must be positive")
+    if m * len(family) > MAX_MEMBER_APPLIES:
+        raise InvalidInputError(
+            f"{m} stages with {len(family)} members need {m * len(family)} "
+            f"member applies, above the budget of {MAX_MEMBER_APPLIES}")
     h = t / m
     v = u
     selectors = []
@@ -105,9 +111,12 @@ def greedy_policy(family, t, u, m):
 
 
 def duality_gap(family, t, u, m, max_level=12, tol=1e-6, window=None):
-    """Weighted-norm gap between the refined envelope and the greedy value."""
-    res = nisio_value(family, t, u, max_level=max_level, tol=tol)
+    """Weighted-norm gap between the refined envelope and the greedy value.
+
+    The greedy policy runs first, so a stage count over its budget is
+    rejected before the refinement."""
     greedy = greedy_policy(family, t, u, m)
+    res = nisio_value(family, t, u, max_level=max_level, tol=tol)
     diff = res.value.with_values(res.value.values - greedy.value.values)
     return {"gap": weighted_norm(diff, window=window),
             "nisio": res, "greedy": greedy}

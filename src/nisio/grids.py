@@ -161,18 +161,12 @@ class WeightedGrid:
 
     def window_mask(self, lo=None, hi=None):
         """Boolean mask of points inside [lo, hi] (per-coordinate for tensor grids)."""
-        if self.points.ndim == 1:
-            m = np.ones(self.size, dtype=bool)
-            if lo is not None:
-                m &= self.points >= lo
-            if hi is not None:
-                m &= self.points <= hi
-            return m
+        pts = self.points.reshape(self.size, -1)
         m = np.ones(self.size, dtype=bool)
         if lo is not None:
-            m &= np.all(self.points >= np.asarray(lo), axis=1)
+            m &= np.all(pts >= np.asarray(lo), axis=1)
         if hi is not None:
-            m &= np.all(self.points <= np.asarray(hi), axis=1)
+            m &= np.all(pts <= np.asarray(hi), axis=1)
         return m
 
     def _bracket(self, x):

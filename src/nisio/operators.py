@@ -31,9 +31,11 @@ need about 4k+1 diagonals.  Every other kernel goes from its per-row weights
 straight into canonical CSR.  The DIA offsets ascend, so scipy's
 ``dia_matvec`` adds each row's terms in ascending column order from +0.0, as
 ``csr_matvec`` does, and the storage changes no bit of an apply.
-``generator(u)`` evaluates the corresponding infinitesimal generator
-with second-order stencils; rows whose stencil leaves the grid are flagged
-invalid.  ``path_step(h)`` returns the member's exact-increment sampler over
+``generator(u)`` evaluates the corresponding infinitesimal generator.  Heat,
+GBM, OU and Koopman members take their second-order central differences from
+one helper, ``_central``: on a periodic grid it wraps and every row is valid;
+elsewhere the rows whose stencil leaves the grid are flagged invalid.
+``path_step(h)`` returns the member's exact-increment sampler over
 duration h, for members whose transition law can be drawn exactly.
 
 Importing this module loads ``scipy.sparse`` and ``scipy.special`` only.
@@ -313,20 +315,21 @@ class GeneratorResult:
         return float(np.max(np.abs(self.values[mask]) * self.grid.kappa[mask]))
 
 
-def _central_d1(v, dx):
-    out = np.zeros_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
-    return out
-
-def _central_d2(v, dx):
-    out = np.zeros_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
-    return out
-
-def _interior_mask(n):
-    m = np.zeros(n, dtype=bool)
-    m[1:-1] = True
-    return m
+def _central(v, dx, periodic=False):
+    """Second-order central first and second differences of ``v`` along its
+    first axis, and the rows where they hold.  A periodic grid wraps, so every
+    row is valid; on any other grid the end rows hold 0 and are invalid."""
+    n = len(v)
+    if periodic:
+        up, down = np.roll(v, -1, axis=0), np.roll(v, 1, axis=0)
+        return ((up - down) / (2.0 * dx), (up - 2.0 * v + down) / (dx * dx),
+                np.ones(n, dtype=bool))
+    d1, d2 = np.zeros_like(v), np.zeros_like(v)
+    d1[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
+    d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
+    valid = np.zeros(n, dtype=bool)
+    valid[1:-1] = True
+    return d1, d2, valid
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +433,9 @@ class HeatOperator(TransitionOperator):
                               self.sigma ** 2 * t, _boundary_mode(self.grid))
 
     def generator(self, u):
-        dx = self.grid.spacing
-        vals = 0.5 * self.sigma ** 2 * _central_d2(u.values, dx)
-        valid = _interior_mask(self.grid.size)
-        if self.grid.kind == "periodic":
-            v = u.values
-            vals[0] = 0.5 * self.sigma ** 2 * (v[1] - 2 * v[0] + v[-1]) / dx ** 2
-            vals[-1] = 0.5 * self.sigma ** 2 * (v[0] - 2 * v[-1] + v[-2]) / dx ** 2
-            valid[:] = True
-        return GeneratorResult(vals, valid, self.grid)
+        _, d2, valid = _central(u.values, self.grid.spacing,
+                                periodic=self.grid.kind == "periodic")
+        return GeneratorResult(0.5 * self.sigma ** 2 * d2, valid, self.grid)
 
     def path_step(self, h):
         if h == 0.0:
@@ -482,10 +479,8 @@ class GBMOperator(TransitionOperator):
         valid = np.zeros(self.grid.size, dtype=bool)
         # negative branch is stored in descending log|x|, so d/ds flips sign there
         for block, sgn in ((slice(0, n), -1.0), (slice(n + 1, 2 * n + 1), 1.0)):
-            v = u.values[block]
-            vals[block] = sgn * drift * _central_d1(v, ds) \
-                + 0.5 * self.sigma ** 2 * _central_d2(v, ds)
-            valid[block] = _interior_mask(n)
+            d1, d2, valid[block] = _central(u.values[block], ds)
+            vals[block] = sgn * drift * d1 + 0.5 * self.sigma ** 2 * d2
         vals[n] = 0.0   # x = 0 is a fixed point
         valid[n] = True
         return GeneratorResult(vals, valid, self.grid)
@@ -607,28 +602,21 @@ class OUOperator(TransitionOperator):
     def generator(self, u):
         g = self.grid
         if self.d == 1:
-            dx = g.spacing
+            d1, d2, valid = _central(u.values, g.spacing)
             drift_field = self.B[0, 0] * g.points + self.m[0]
-            vals = drift_field * _central_d1(u.values, dx) \
-                + 0.5 * self.C[0, 0] * _central_d2(u.values, dx)
-            return GeneratorResult(vals, _interior_mask(g.size), g)
+            return GeneratorResult(drift_field * d1 + 0.5 * self.C[0, 0] * d2, valid, g)
         n0, n1 = g.shape
         dx0, dx1 = g.spacing
         arr = u.values.reshape(n0, n1)
-        d0 = np.zeros_like(arr); d1 = np.zeros_like(arr)
-        d00 = np.zeros_like(arr); d11 = np.zeros_like(arr); d01 = np.zeros_like(arr)
-        d0[1:-1, :] = (arr[2:, :] - arr[:-2, :]) / (2 * dx0)
-        d1[:, 1:-1] = (arr[:, 2:] - arr[:, :-2]) / (2 * dx1)
-        d00[1:-1, :] = (arr[2:, :] - 2 * arr[1:-1, :] + arr[:-2, :]) / dx0 ** 2
-        d11[:, 1:-1] = (arr[:, 2:] - 2 * arr[:, 1:-1] + arr[:, :-2]) / dx1 ** 2
+        d0, d00, ok0 = _central(arr, dx0)
+        d1, d11, ok1 = (a.T for a in _central(arr.T, dx1))
+        d01 = np.zeros_like(arr)
         d01[1:-1, 1:-1] = (arr[2:, 2:] - arr[2:, :-2] - arr[:-2, 2:] + arr[:-2, :-2]) \
             / (4 * dx0 * dx1)
         drift_field = g.points @ self.B.T + self.m
         vals = drift_field[:, 0] * d0.ravel() + drift_field[:, 1] * d1.ravel() \
             + 0.5 * (self.C[0, 0] * d00 + self.C[1, 1] * d11 + 2 * self.C[0, 1] * d01).ravel()
-        valid = np.zeros((n0, n1), dtype=bool)
-        valid[1:-1, 1:-1] = True
-        return GeneratorResult(vals, valid.ravel(), g)
+        return GeneratorResult(vals, np.outer(ok0, ok1).ravel(), g)
 
     def path_step(self, h):
         if self.d != 1:
@@ -689,8 +677,8 @@ class KoopmanOperator(TransitionOperator):
                               np.column_stack([1.0 - theta, theta]), "renormalize")
 
     def generator(self, u):
-        vals = _central_d1(u.values, self.grid.spacing) * self.F(self.grid.points)
-        return GeneratorResult(vals, _interior_mask(self.grid.size), self.grid)
+        d1, _, valid = _central(u.values, self.grid.spacing)
+        return GeneratorResult(d1 * self.F(self.grid.points), valid, self.grid)
 
     def path_step(self, h):
         return lambda states, rng: self.flow(h, states)

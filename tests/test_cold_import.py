@@ -21,6 +21,8 @@ CASES = {
     "import": None,
     "solve": ["solve", "--config", str(CONFIGS / "readme.json")],
     "properties": ["properties", "--config", str(CONFIGS / "ou.json")],
+    # the greedy policy and the path sampler (1000 paths, m = 4)
+    "mc": ["mc", "--config", str(CONFIGS / "tiny" / "readme.json")],
 }
 
 

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from nisio import ConfigurationError, operators
+from nisio import (ConfigurationError, FamilyBounds, control, operators,
+                   property_suite)
 from nisio.cli import main, run
 from nisio.config import (CONFIG_SCHEMA, build_family, build_grid, build_u0,
                           config_hash, parse_field, validate_config)
+from nisio.envelope import MAX_MEMBER_APPLIES
+from nisio.probes import probe_function
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -194,6 +197,26 @@ def test_cli_subcommand_needs_its_section(tmp_path, capsys, sub, article):
     assert f"{sub} subcommand needs {article} {sub} section" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["control", "mc"])
+def test_cli_stage_count_over_budget_exits_2(tmp_path, capsys, monkeypatch, sub):
+    # m * K member applies past the budget: rejected before any greedy stage
+    # and before control's refinement
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr(control, "envelope_step_argmax", no_work)
+    monkeypatch.setattr(control, "nisio_value", no_work)
+    cfg = json.loads((ROOT / "bench/configs/tiny/readme.json").read_text(encoding="utf-8"))
+    cfg["control"] = {"t": 1.0, "m": 2 ** 40, "trials": 0}
+    cfg["mc"]["m"] = 2 ** 40
+    out = tmp_path / "out"
+    assert run(sub, write_cfg(tmp_path, cfg), str(out)) == 2
+    assert not any(out.iterdir())
+    err = capsys.readouterr().err
+    assert f"{2 ** 40} stages with 2 members" in err
+    assert f"above the budget of {MAX_MEMBER_APPLIES}" in err
+
+
 SHIPPED = sorted(ROOT.glob("bench/configs/**/*.json"))
 
 
@@ -258,6 +281,44 @@ def test_builders_cover_family_kinds():
         assert len(fam) >= 1
         u = build_u0(cfg, grid)
         assert u.grid is grid
+
+
+@pytest.mark.parametrize("base", [
+    {"kind": "koopman", "fields": ["0.5*x"], "lipschitz_hint": 0.5},
+    {"kind": "gbm", "members": [[0.05, 0.2]]},
+])
+def test_scaled_family_bounds_are_the_base_times_the_largest_scale(base):
+    grid = {"kind": "log", "x_max": 8, "n": 100, "kappa": {"kind": "inverse_power"}} \
+        if base["kind"] == "gbm" else {"kind": "uniform", "domain": [-4, 4], "dx": 0.1}
+    cfg = {"grid": grid, "family": {"kind": "scaled", "base": base, "scales": [0.5, 3.0]}}
+    g = build_grid(validate_config(cfg))
+    want = build_family({"family": base}, g).bounds
+    assert want.beta > 0.0
+    assert build_family(cfg, g).bounds == FamilyBounds(3.0 * want.alpha, 3.0 * want.beta)
+
+
+def test_scaled_koopman_family_propagates_lipschitz_like_its_members():
+    # S_2(t) = S(2t) grows Lipschitz seminorms like the field 1.0*x does, so
+    # the scaled family must pass where the plain koopman family passes
+    grid_cfg = {"kind": "uniform", "domain": [-4, 4], "dx": 0.02}
+    families = {
+        "scaled": {"kind": "scaled", "scales": [1, 2], "base": {
+            "kind": "koopman", "fields": ["0.5*x"], "lipschitz_hint": 0.5}},
+        "koopman": {"kind": "koopman", "fields": ["0.5*x", "1.0*x"],
+                    "lipschitz_hint": 1.0},
+    }
+    slack = {}
+    for name, family in families.items():
+        cfg = validate_config({"grid": grid_cfg, "family": family})
+        grid = build_grid(cfg)
+        fam = build_family(cfg, grid)
+        assert fam.bounds == FamilyBounds(0.0, 1.0)
+        rep = property_suite(fam, [probe_function(p, grid) for p in ("sin", "cos")],
+                             [0.25, 1.0])
+        check = {c["name"]: c for c in rep["checks"]}["lipschitz_propagation"]
+        assert check["passed"], (name, check)
+        slack[name] = check["worst_slack"]
+    assert slack["scaled"] == pytest.approx(slack["koopman"], abs=1e-9)
 
 
 def test_cli_full_cycle(tmp_path):

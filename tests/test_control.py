@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from nisio import (ConfigurationError, ControlPolicy, HeatOperator,
-                   SemigroupFamily, duality_gap, greedy_policy, nisio_value,
-                   partition_apply, Partition, policy_value, random_policy,
-                   quadrature_tolerance)
+                   InvalidInputError, SemigroupFamily, control, duality_gap,
+                   greedy_policy, nisio_value, partition_apply, Partition,
+                   policy_value, random_policy, quadrature_tolerance)
 from nisio.probes import probe_function
 
 
@@ -81,6 +81,20 @@ def test_greedy_singleton(coarse_grid):
     u = probe_function("sin", coarse_grid)
     res = greedy_policy(fam, 0.5, u, 8)
     assert np.allclose(res.value.values, member.apply(0.5, u).values, atol=1e-11)
+
+
+def test_greedy_stage_budget_is_exact(coarse_family, coarse_grid, monkeypatch):
+    # m stages over K members cost m * K applies; one stage past the budget
+    # is rejected before any step
+    monkeypatch.setattr(control, "MAX_MEMBER_APPLIES", 4 * len(coarse_family))
+    u = probe_function("sin", coarse_grid)
+    assert greedy_policy(coarse_family, 1.0, u, 4).policy.n_stages == 4
+    calls = []
+    monkeypatch.setattr(control, "envelope_step_argmax",
+                        lambda *args: calls.append(args))
+    with pytest.raises(InvalidInputError, match="5 stages with 2 members need 10"):
+        greedy_policy(coarse_family, 1.0, u, 5)
+    assert calls == []
 
 
 def test_greedy_determinism(coarse_family, coarse_grid):
