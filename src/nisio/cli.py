@@ -6,7 +6,8 @@ round-trip floats; reports are JSON with stable key order carrying the config
 hash.  Exit codes: 0 all enabled assertions pass, 1 assertion failure,
 2 malformed config (a schema violation such as a key its kind does not read
 or a missing required key, a ragged matrix, an unreadable u0 CSV, a
-refinement level or stage count over the work budget) or an unknown flag,
+refinement level, stage count or Monte Carlo path count over the work
+budget) or an unknown flag,
 3 numerical degeneracy.  Each subcommand returns its record's name and
 fields; ``run`` writes ``<name>.json`` and exits 1 exactly when the record
 says ``"passed": false``.
@@ -24,12 +25,13 @@ import numpy as np
 from . import __version__
 from .config import (build_family, build_grid, build_u0, build_window,
                      config_hash, validate_config)
-from .control import duality_gap, greedy_policy, policy_value, random_policy
+from .control import (check_greedy_stages, duality_gap, greedy_policy, policy_value,
+                      random_policy)
 from .diagnostics import property_suite
 from .envelope import nisio_value, dpp_check, quadrature_tolerance
 from .errors import ConfigurationError, InvalidInputError, NumericalDegeneracyError
 from .grids import weighted_norm
-from .montecarlo import SamplerSpec, mc_compare
+from .montecarlo import SamplerSpec, check_path_stages, mc_compare
 from .operators import KoopmanOperator
 from .probes import probe_function
 
@@ -148,9 +150,11 @@ def _cmd_control(run):
 def _cmd_mc(run):
     cfg = run.cfg
     section = cfg["mc"]
-    u0 = build_u0(cfg, run.grid)
     t = section["t"]
     m = section.get("m", 16)
+    check_greedy_stages(run.family, m)
+    check_path_stages(section["n_paths"], m)
+    u0 = build_u0(cfg, run.grid)
     seed = run.seed if run.seed is not None else section.get("seed", 0)
     greedy = greedy_policy(run.family, t, u0, m)
     spec = SamplerSpec(run.family, greedy.policy, section["n_paths"], seed)

@@ -83,6 +83,15 @@ class GreedyResult:
     value: object  # GridFunction
 
 
+def check_greedy_stages(family, m):
+    """Reject a greedy policy of m stages whose m * K member applies pass
+    ``MAX_MEMBER_APPLIES``, before any step."""
+    if m * len(family) > MAX_MEMBER_APPLIES:
+        raise InvalidInputError(
+            f"{m} stages with {len(family)} members need {m * len(family)} "
+            f"member applies, above the budget of {MAX_MEMBER_APPLIES}")
+
+
 def greedy_policy(family, t, u, m):
     """Backward argmax extraction over m equal stages.
 
@@ -96,10 +105,7 @@ def greedy_policy(family, t, u, m):
         raise ConfigurationError("need at least one stage")
     if t <= 0.0:
         raise ConfigurationError("horizon must be positive")
-    if m * len(family) > MAX_MEMBER_APPLIES:
-        raise InvalidInputError(
-            f"{m} stages with {len(family)} members need {m * len(family)} "
-            f"member applies, above the budget of {MAX_MEMBER_APPLIES}")
+    check_greedy_stages(family, m)
     h = t / m
     v = u
     selectors = []

@@ -35,6 +35,22 @@ from .control import ControlPolicy, _check_policy, policy_value
 from .envelope import nisio_value
 from .errors import InvalidInputError
 
+# path-stages, n_paths x stages, one sampler may draw; above every shipped
+# config, demo and test (the README's mc needs 1e6 x 64 = 6.4e7).  The
+# largest admitted n_paths, 2^26 over one stage, takes 512 MiB per float64
+# path array, and mc_value peaks at about 50 B per path (tracemalloc at 1e6
+# paths, whole-batch and per-path stages alike): about 3.1 GiB
+MAX_PATH_STAGES = 2 ** 26
+
+
+def check_path_stages(n_paths, n_stages):
+    """Reject a run of more than ``MAX_PATH_STAGES`` path-stages before any
+    path is allocated."""
+    if n_paths * n_stages > MAX_PATH_STAGES:
+        raise InvalidInputError(
+            f"{n_paths} paths over {n_stages} stages need {n_paths * n_stages} "
+            f"path-stages, above the budget of {MAX_PATH_STAGES}")
+
 
 @dataclass(frozen=True)
 class SamplerSpec:
@@ -44,8 +60,9 @@ class SamplerSpec:
     every member a selector uses must admit an exact-increment sampler
     (spectral jump members do not).  The stage step of each such (member,
     stage duration) pair is built here, once.  An error estimate needs at
-    least 100 paths.  The sampler has no box of its own: the grid's end
-    points, or on a periodic grid its node-centred period."""
+    least 100 paths, and n_paths x stages may not pass ``MAX_PATH_STAGES``.
+    The sampler has no box of its own: the grid's end points, or on a
+    periodic grid its node-centred period."""
 
     family: object
     policy: ControlPolicy
@@ -56,6 +73,7 @@ class SamplerSpec:
     def __post_init__(self):
         if self.n_paths < 100:
             raise InvalidInputError("need at least 100 paths for an error estimate")
+        check_path_stages(self.n_paths, self.policy.n_stages)
         _check_policy(self.family, self.policy)
         steps = {}
         for h, sel in self.policy.stages:

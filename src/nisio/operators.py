@@ -27,10 +27,15 @@ member with B=0 and m=0, a GBM member with mu = sigma^2/2) is the same band
 in every row, so it is built from that one band; when sparse it is stored by
 diagonals (DIA, 8 bytes per entry and no column indices) for ``reflect`` and
 ``renormalize``, and as canonical CSR for ``wrap``, whose wrapped band would
-need about 4k+1 diagonals.  Every other kernel goes from its per-row weights
-straight into canonical CSR.  The DIA offsets ascend, so scipy's
-``dia_matvec`` adds each row's terms in ascending column order from +0.0, as
-``csr_matvec`` does, and the storage changes no bit of an apply.
+need about 4k+1 diagonals.  Every other kernel is assembled row by row.  Rows
+that hold one run of consecutive columns (offset Gaussian rows, the stencil,
+Koopman's 2-wide rows) fold their boundary spill in place and go straight
+into canonical CSR, or into the dense array, with no sort; ``wrap`` rows,
+``reflect`` rows of half-width k > n - 2 and the 2D bilinear rows go through
+a sorted CSR, to the same bits a run would give where both apply.  The DIA
+offsets ascend, so scipy's ``dia_matvec`` adds each row's terms in ascending
+column order from +0.0, as ``csr_matvec`` does, and the storage changes no
+bit of an apply.
 ``generator(u)`` evaluates the corresponding infinitesimal generator.  Heat,
 GBM, OU and Koopman members take their second-order central differences from
 one helper, ``_central``: on a periodic grid it wraps and every row is valid;
@@ -90,14 +95,19 @@ def _dense_is_cheaper(n, nnz):
     return 8 * n * n <= 12 * nnz + 4 * (n + 1)
 
 
-def _assemble_rows(n, cols_raw, weights, mode):
-    """Row-stochastic kernel from per-row weights, straight into CSR or dense.
+def _sorted_rows(n, cols_raw, weights, mode):
+    """Row-stochastic kernel from per-row weights on any columns, through a
+    sorted CSR.
 
     cols_raw has shape (n, bandwidth); out-of-range columns are folded back
     (``reflect``), wrapped (``wrap``), or dropped (``renormalize``).  Rows are
     divided by their own sums; folded duplicates and zeros leave the CSR.
-    ``weights`` is consumed: it is zeroed and divided in place, so callers
-    pass an array they built for this call alone.
+    Only three row sets come here: ``wrap`` rows and the ``reflect`` rows
+    whose spill does not fold inside their own run, both from
+    ``_assemble_rows`` (for Gaussian rows a half-width k > n - 2, where one
+    column can take three or more terms and their order is the sort's); and
+    the 2D bilinear rows, whose four columns are not one run.  ``weights`` is
+    consumed.
     """
     if mode == "reflect":
         cols = _reflect_indices(cols_raw, n)
@@ -117,6 +127,71 @@ def _assemble_rows(n, cols_raw, weights, mode):
     mat.sum_duplicates()
     mat.eliminate_zeros()
     return mat.toarray() if _dense_is_cheaper(n, mat.nnz) else mat
+
+
+def _spill(lo, w, start, count):
+    """Flat indices into an (n, w) row array, and the raw columns, of the
+    entries in raw columns ``start[i] .. start[i] + count[i] - 1`` of each
+    row i, whose first raw column is ``lo[i]``."""
+    ends = np.cumsum(count)
+    col = np.arange(ends[-1]) + np.repeat(start - ends + count, count)
+    return col + np.repeat(np.arange(lo.size) * w - lo, count), col
+
+
+def _assemble_rows(n, cols_raw, weights, mode):
+    """Row-stochastic kernel from rows of consecutive raw columns, straight
+    into CSR or dense, with no sort.
+
+    Row i of ``cols_raw`` (shape (n, w)) is the run lo_i, lo_i + 1, ...,
+    lo_i + w - 1: the offset Gaussian rows, the interpolation stencil and
+    Koopman's 2-wide rows.  ``renormalize`` zeroes the entries off the
+    lattice and folds nothing, so it takes runs of any width.  Each row is
+    divided by its sum; ``reflect`` then adds each entry spilled past an end
+    onto its mirror column, -c or 2(n-1) - c, in place.  While w <= 2n - 2
+    and every run starts between (1 - w)/2 and (2n - 1 - w)/2 (Gaussian rows
+    centred on the lattice with k <= n - 2, the stencil on n >= 3 nodes),
+    each mirror lies inside its own run and no column takes more than two
+    terms, whose sum is the same in either order.  So the kernel has the bits
+    of ``_sorted_rows``, which keeps every other ``reflect`` row set and
+    every ``wrap`` one.  A row's columns are its run clipped to the lattice,
+    already ascending: its non-zero entries are the CSR row, or are added
+    onto an n x n array of zeros when dense, as ``toarray`` does.
+    ``weights`` is consumed.
+    """
+    w = cols_raw.shape[1]
+    lo = cols_raw[:, 0]
+    if mode != "renormalize" and not (mode == "reflect" and w <= 2 * n - 2 and
+                                      2 * lo.min() >= 1 - w and
+                                      2 * lo.max() <= 2 * n - 1 - w):
+        return _sorted_rows(n, cols_raw, weights, mode)
+    weights = np.ascontiguousarray(weights)
+    flat = weights.reshape(-1)      # a view, so the edits below reach weights
+    over = np.clip(lo + w - n, 0, w)
+    below, col_b = _spill(lo, w, lo, np.clip(-lo, 0, w))
+    above, col_a = _spill(lo, w, lo + w - over, over)
+    if mode == "renormalize":
+        flat[below] = 0.0
+        flat[above] = 0.0
+    sums = weights.sum(axis=1)
+    if np.any(sums <= 0.0):
+        raise NumericalDegeneracyError("kernel row lost all mass")
+    np.divide(weights, sums[:, None], out=weights)
+    if mode == "reflect":
+        flat[below - 2 * col_b] += flat[below]
+        flat[above + 2 * (n - 1 - col_a)] += flat[above]
+        flat[below] = 0.0
+        flat[above] = 0.0
+    keep = weights != 0.0           # on the lattice and non-zero: the CSR entries
+    counts = np.count_nonzero(keep, axis=1)
+    if _dense_is_cheaper(n, int(counts.sum())):
+        first, stop = np.maximum(lo, 0), np.minimum(lo + w, n)
+        dense = np.zeros((n, n))
+        for i, (a, b, s) in enumerate(zip(first.tolist(), stop.tolist(),
+                                          (first - lo).tolist())):
+            dense[i, a:b] += weights[i, s:s + b - a]
+        return dense
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return sp.csr_matrix((weights[keep], cols_raw[keep], indptr), shape=(n, n))
 
 
 def _toeplitz(e, n):
@@ -213,8 +288,11 @@ def gaussian_lattice_matrix(n, dx, means_offset, std, mode):
     aligned).  Requires ``std > 0``; ``lattice_kernel`` takes the stencil
     instead when the standard deviation is at or below one cell.  The offsets
     pick the path: all zero make a translation-invariant kernel built from one
-    band, any other go row by row through ``_assemble_rows``, straight into
-    CSR or dense.
+    band, any other go row by row through ``_assemble_rows``.  Each row is
+    the run of 2k+1 columns about its centre, clamped to the lattice, so a
+    ``renormalize`` kernel, and a ``reflect`` one with k <= n - 2 (which
+    folds its spill in place), goes straight into CSR or dense with no sort;
+    ``wrap`` and a wider ``reflect`` kernel keep the sorted assembly.
     """
     offsets = np.broadcast_to(np.asarray(means_offset, dtype=float), (n,))
     shifted = bool(np.any(offsets))
@@ -444,13 +522,24 @@ class HeatOperator(TransitionOperator):
         return lambda states, rng: states + vol * rng.standard_normal(states.size)
 
 
+def _log_drift(mu, sigma):
+    """``mu - sigma^2/2``, the drift of log|x| under GBM.  A difference
+    within four ulps of the larger term is rounding, not drift: mu = sigma^2/2
+    written in decimals, say (0.02, 0.2), leaves -3.5e-18.  It is taken as
+    exactly zero, so the kernel is the zero-offset band."""
+    drift = mu - 0.5 * sigma ** 2
+    if abs(drift) <= 4.0 * np.spacing(max(abs(mu), 0.5 * sigma ** 2)):
+        return 0.0
+    return drift
+
+
 class GBMOperator(TransitionOperator):
     """Geometric Brownian member on the sign-glued log grid.
 
     In log coordinates the transition is a Gaussian with mean shift
-    ``(mu - sigma^2/2) t`` and variance ``sigma^2 t``; the kernel lands on
-    lattice nodes, so no interpolation enters.  ``x = 0`` is an exact fixed
-    point and the negative branch mirrors the positive one.
+    ``(mu - sigma^2/2) t`` (``_log_drift``) and variance ``sigma^2 t``; the
+    kernel lands on lattice nodes, so no interpolation enters.  ``x = 0`` is
+    an exact fixed point and the negative branch mirrors the positive one.
     """
 
     def __init__(self, grid, mu, sigma):
@@ -463,18 +552,17 @@ class GBMOperator(TransitionOperator):
         self.sigma = float(sigma)
         self.name = f"gbm(mu={mu:g},sigma={sigma:g})"
         self._n_side = (grid.size - 1) // 2
+        self._drift = _log_drift(self.mu, self.sigma)
 
     def _build_matrix(self, t):
-        block = lattice_kernel(self._n_side, self.grid.spacing,
-                               (self.mu - 0.5 * self.sigma ** 2) * t,
+        block = lattice_kernel(self._n_side, self.grid.spacing, self._drift * t,
                                self.sigma ** 2 * t, self.grid.boundary)
         if sp.issparse(block):
             block = block.tocsr()       # a zero-drift band comes as DIA
         return sp.block_diag([block[::-1, ::-1], sp.identity(1), block], format="csr")
 
     def generator(self, u):
-        n, ds = self._n_side, self.grid.spacing
-        drift = self.mu - 0.5 * self.sigma ** 2
+        n, ds, drift = self._n_side, self.grid.spacing, self._drift
         vals = np.zeros(self.grid.size)
         valid = np.zeros(self.grid.size, dtype=bool)
         # negative branch is stored in descending log|x|, so d/ds flips sign there
@@ -488,7 +576,7 @@ class GBMOperator(TransitionOperator):
     def path_step(self, h):
         if h == 0.0:
             return _stay
-        drift = (self.mu - 0.5 * self.sigma ** 2) * h
+        drift = self._drift * h
         vol = self.sigma * math.sqrt(h)
         return lambda states, rng: states * np.exp(
             drift + vol * rng.standard_normal(states.size))
@@ -597,7 +685,7 @@ class OUOperator(TransitionOperator):
         cols = (j0[:, None] + [0, 0, 1, 1]) * n1 + j1[:, None] + [0, 1, 0, 1]
         weights = np.column_stack([(1.0 - t0) * (1.0 - t1), (1.0 - t0) * t1,
                                    t0 * (1.0 - t1), t0 * t1])
-        return _assemble_rows(g.size, cols, weights, "renormalize")
+        return _sorted_rows(g.size, cols, weights, "renormalize")
 
     def generator(self, u):
         g = self.grid

@@ -2,13 +2,14 @@ import json
 import os
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from nisio import (ConfigurationError, FamilyBounds, control, operators,
-                   property_suite)
+from nisio import (ConfigurationError, FamilyBounds, control, montecarlo,
+                   operators, property_suite)
 from nisio.cli import main, run
 from nisio.config import (CONFIG_SCHEMA, build_family, build_grid, build_u0,
                           config_hash, parse_field, validate_config)
@@ -215,6 +216,29 @@ def test_cli_stage_count_over_budget_exits_2(tmp_path, capsys, monkeypatch, sub)
     err = capsys.readouterr().err
     assert f"{2 ** 40} stages with 2 members" in err
     assert f"above the budget of {MAX_MEMBER_APPLIES}" in err
+
+
+def test_cli_mc_path_count_over_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # 2^25 paths over 4 stages pass the 2^26 path-stage budget: rejected
+    # before the greedy policy and before any path is allocated
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr(control, "envelope_step_argmax", no_work)
+    cfg = json.loads((ROOT / "bench/configs/tiny/readme.json").read_text(encoding="utf-8"))
+    cfg["mc"]["n_paths"] = 2 ** 25
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        assert run("mc", path, str(out)) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert not any(out.iterdir())
+    assert (f"{2 ** 25} paths over 4 stages need {2 ** 27} path-stages, above the "
+            f"budget of {montecarlo.MAX_PATH_STAGES}") in capsys.readouterr().err
 
 
 SHIPPED = sorted(ROOT.glob("bench/configs/**/*.json"))

@@ -8,12 +8,26 @@ from nisio import (ChainOperator, ConfigurationError, ControlPolicy,
                    KoopmanOperator, OUOperator, SamplerSpec, ScaledOperator,
                    SemigroupFamily, StableOperator, WeightedGrid, greedy_policy,
                    mc_compare, mc_value, sample_terminal_states)
+from nisio import montecarlo
 from nisio.probes import probe_function
 
 
 def constant_policy(grid, member_idx, m, t):
     return ControlPolicy(tuple((t / m, np.full(grid.size, member_idx))
                                for _ in range(m)))
+
+
+def test_path_stage_budget_is_exact(coarse_family, coarse_grid, monkeypatch):
+    # 101 paths over 3 stages draw 303 path-stages: a budget of 303 admits
+    # them, one of 302 rejects them before any path is allocated
+    pol = constant_policy(coarse_grid, 1, 3, 1.0)
+    monkeypatch.setattr(montecarlo, "MAX_PATH_STAGES", 303)
+    states, _ = sample_terminal_states(SamplerSpec(coarse_family, pol, 101, seed=1), 0.0)
+    assert states.size == 101
+    monkeypatch.setattr(montecarlo, "MAX_PATH_STAGES", 302)
+    with pytest.raises(InvalidInputError, match="101 paths over 3 stages need 303 "
+                                                "path-stages, above the budget of 302"):
+        SamplerSpec(coarse_family, pol, 101, seed=1)
 
 
 def test_reproducibility(coarse_family, coarse_grid):

@@ -348,8 +348,11 @@ ROW_KERNELS = {
 @pytest.mark.parametrize("case", sorted(ROW_KERNELS))
 def test_row_kernel_matches_coo_assembly(case, monkeypatch):
     # the same rows go through the direct assembly and the COO oracle
+    # (the 2D bilinear rows are not one run of columns: they enter the
+    # sorted assembly directly)
     calls = []
-    direct = operators._assemble_rows
+    entry = "_sorted_rows" if case == "ou-2d-bilinear" else "_assemble_rows"
+    direct = getattr(operators, entry)
 
     def spy(*args):
         # the assembly consumes its weights: the oracle gets the rows as built
@@ -357,7 +360,7 @@ def test_row_kernel_matches_coo_assembly(case, monkeypatch):
         calls.append((kept, direct(*args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(operators, "_assemble_rows", spy)
+    monkeypatch.setattr(operators, entry, spy)
     member, t = ROW_KERNELS[case]
     member().matrix(t)
     [(args, mat)] = calls
@@ -592,6 +595,51 @@ def test_gbm_zero_shift_dense_block(log_grid):
         csr = sp.csr_matrix(_dense(band))
         same = sp.block_diag([csr[::-1, ::-1], sp.identity(1), csr], format="csr")
         assert np.array_equal((mat @ u).view(np.int64), (same @ u).view(np.int64))
+
+
+@pytest.mark.parametrize("mu, sigma, ulps", [(0.02, 0.2, -1), (0.08, 0.4, -1),
+                                              (0.03125, 0.25, 0)])
+def test_gbm_decimal_zero_drift_takes_the_band(mu, sigma, ulps, monkeypatch):
+    # mu = sigma^2/2 written in decimals leaves a log drift of one ulp of mu
+    # (-3.5e-18 for (0.02, 0.2)); it is rounding, so the block is the
+    # zero-offset DIA band, not a CSR of shifted rows, and the generator and
+    # the sampler see no drift either.  (0.03125, 0.25) cancels exactly.
+    raw = mu - 0.5 * sigma ** 2
+    assert raw == ulps * np.spacing(mu)
+    blocks = []
+    build = operators.lattice_kernel
+    monkeypatch.setattr(operators, "lattice_kernel",
+                        lambda *args: blocks.append(build(*args)) or blocks[-1])
+    g = WeightedGrid.loggrid(8.0, 1e-2, 200, boundary="reflect")
+    op = GBMOperator(g, mu, sigma)
+    mat = op.matrix(0.1)
+    [block] = blocks
+    assert isinstance(block, sp.dia_matrix)
+    n = op._n_side
+    band = gaussian_lattice_matrix(n, g.spacing, 0.0, math.sqrt(sigma ** 2 * 0.1), "reflect")
+    assert np.array_equal(block.data.view(np.int64), band.data.view(np.int64))
+    assert np.array_equal(mat.toarray(), sp.block_diag(
+        [band.tocsr()[::-1, ::-1], sp.identity(1), band.tocsr()]).toarray())
+    u = probe_function("sin", g)
+    d2 = np.zeros(g.size)
+    for side in (slice(0, n), slice(n + 1, 2 * n + 1)):
+        v = u.values[side]
+        d2[side][1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (g.spacing * g.spacing)
+    assert np.array_equal(generator_apply(op, u).values, 0.5 * sigma ** 2 * d2)
+    states = np.linspace(0.5, 2.0, 7)
+    vol = sigma * math.sqrt(0.1)
+    z = np.random.default_rng(4).standard_normal(states.size)
+    assert np.array_equal(op.path_step(0.1)(states, np.random.default_rng(4)),
+                          states * np.exp(0.0 + vol * z))
+
+
+def test_gbm_small_true_drift_is_kept():
+    # a drift of a few hundred ulps is the law's own: rows keep their shift
+    mu = 0.02 + 1e-15
+    op = GBMOperator(WeightedGrid.loggrid(8.0, 1e-2, 200, boundary="reflect"), mu, 0.2)
+    assert op._drift == mu - 0.5 * 0.2 ** 2 != 0.0
+    assert isinstance(gaussian_lattice_matrix(100, op.grid.spacing, op._drift * 0.1,
+                                              math.sqrt(0.004), "reflect"), sp.csr_matrix)
 
 
 def test_gbm_weighted_norm_growth(log_grid):
