@@ -116,6 +116,8 @@ class WeightedGrid:
         """Sign-glued grid, uniform in log|x|, covering ±[x_min_mag, x_max] and 0."""
         if not (0.0 < x_min_mag < x_max):
             raise ConfigurationError("need 0 < x_min_mag < x_max")
+        if n_per_side < 2:
+            raise ConfigurationError("log grid needs at least 2 points per side")
         s = np.linspace(np.log(x_min_mag), np.log(x_max), n_per_side)
         pos = np.exp(s)
         pts = np.concatenate([-pos[::-1], [0.0], pos])

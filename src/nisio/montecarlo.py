@@ -22,6 +22,15 @@ nearest node is the nearest one on the circle; a label grid starts every path
 at the label nearest ``x0``, and chain members keep it on labels; any other
 grid clips a path that leaves ``[points[0], points[-1]]`` to that end and
 counts it.
+
+Each stage makes one bounds pass over the batch after its step: the smallest
+and largest state.  That pair serves twice, as the next stage's two-state
+lookup and as the test whether any path left the grid (or the period).  Only
+when a bound lies outside, or is NaN, does the stage run the elementwise
+clip and count (or the periodic wrap) and take the pair again; a stage whose
+paths all stay inside touches each path only in its step, its min and its
+max.  States inside keep their bits either way, so the stream, the states
+and the flagged count are those of a clip after every stage.
 """
 
 from __future__ import annotations
@@ -38,9 +47,14 @@ from .errors import InvalidInputError
 # path-stages, n_paths x stages, one sampler may draw; above every shipped
 # config, demo and test (the README's mc needs 1e6 x 64 = 6.4e7).  The
 # largest admitted n_paths, 2^26 over one stage, takes 512 MiB per float64
-# path array, and mc_value peaks at about 50 B per path (tracemalloc at 1e6
-# paths, whole-batch and per-path stages alike): about 3.1 GiB
+# path array, and mc_value peaks at about 24 B per path on whole-batch stages
+# (tracemalloc at 1e6 paths): about 1.5 GiB.  A per-path stage peaks at about
+# 49 B per path in its lookup, but only the second stage on can take that
+# route, so at most 2^25 paths: about 1.6 GiB
 MAX_PATH_STAGES = 2 ** 26
+# paths mc_value evaluates u at per block, so the evaluation's temporaries
+# stay a few MiB whatever n_paths is
+_EVAL_BLOCK = 2 ** 16
 
 
 def check_path_stages(n_paths, n_stages):
@@ -95,6 +109,15 @@ def _wrap_into_period(grid, states):
         states[out] = lo + np.mod(states[out] - lo, grid.period)
 
 
+def _clip_to_ends(grid, states):
+    """Clip states beyond ``[points[0], points[-1]]`` to that end, in place;
+    returns how many were clipped."""
+    lo, hi = grid.points[0], grid.points[-1]
+    out = (states < lo) | (states > hi)
+    np.clip(states, lo, hi, out=states)
+    return int(np.sum(out))
+
+
 def sample_terminal_states(spec, x0):
     """Terminal states of n_paths controlled paths started at x0.
 
@@ -111,11 +134,17 @@ def sample_terminal_states(spec, x0):
         x0 = np.clip(np.ceil(float(x0) - 0.5), 0, grid.size - 1)
     states = np.full(spec.n_paths, float(x0))
     if periodic:
+        lo = grid.points[0] - 0.5 * grid.spacing
+        # the period is half-open: its largest state is one ulp below its end
+        hi = np.nextafter(lo + grid.period, -np.inf)
         _wrap_into_period(grid, states)
+    else:
+        lo, hi = grid.points[0], grid.points[-1]
+    bounds = [states.min(), states.max()]
     flagged = 0
     for h, sel in spec.policy.stages:
         # nearest_index is monotone: every path's node lies in [j_lo, j_hi]
-        j_lo, j_hi = grid.nearest_index([states.min(), states.max()])
+        j_lo, j_hi = grid.nearest_index(bounds)
         span = sel[j_lo:j_hi + 1]
         if span.min() == span.max():
             states = spec._steps[int(span[0]), h](states, rng)
@@ -125,13 +154,15 @@ def sample_terminal_states(spec, x0):
                 mask = member_idx == k
                 if np.any(mask):
                     states[mask] = spec._steps[k, h](states[mask], rng)
-        if periodic:
-            _wrap_into_period(grid, states)
-        else:
-            lo, hi = grid.points[0], grid.points[-1]
-            out = (states < lo) | (states > hi)
-            flagged += int(np.sum(out))
-            np.clip(states, lo, hi, out=states)
+        bounds = [states.min(), states.max()]
+        # written so that a NaN bound also takes the elementwise pass and
+        # reaches the next stage's lookup, which rejects it
+        if not (lo <= bounds[0] and bounds[1] <= hi):
+            if periodic:
+                _wrap_into_period(grid, states)
+            else:
+                flagged += _clip_to_ends(grid, states)
+            bounds = [states.min(), states.max()]
     return states, flagged
 
 
@@ -142,7 +173,9 @@ def mc_value(spec, x0, u):
     identical (spec, x0) give bit-identical estimates.
     """
     states, flagged = sample_terminal_states(spec, x0)
-    vals = u.at(states)
+    vals = np.empty(states.size)
+    for i in range(0, states.size, _EVAL_BLOCK):
+        vals[i:i + _EVAL_BLOCK] = u.at(states[i:i + _EVAL_BLOCK])
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(spec.n_paths))
     return {"estimate": est, "std_error": se, "n_paths": spec.n_paths,

@@ -43,11 +43,13 @@ elsewhere the rows whose stencil leaves the grid are flagged invalid.
 ``path_step(h)`` returns the member's exact-increment sampler over
 duration h, for members whose transition law can be drawn exactly.
 
-Importing this module loads ``scipy.sparse`` and ``scipy.special`` only.
-``scipy.linalg`` is imported inside the 2D OU code (``OUOperator.moments``
-and ``_matrix_2d``), so a run without 2D OU members never loads it; the chain
-member's Poisson weights come from ``scipy.special`` rather than
-``scipy.stats``.
+Importing this module loads ``scipy.sparse`` only.  ``scipy.linalg`` is
+imported inside the 2D OU code (``OUOperator.moments`` and ``_matrix_2d``),
+so a run without 2D OU members never loads it.  The chain member's Poisson
+weights import ``scipy.special`` inside ``_poisson_pmf`` (never
+``scipy.stats``), so only runs that build a chain kernel load it; 1D OU
+moments take exprel from ``_exprel`` (``math.expm1``), to the bits of
+``scipy.special.exprel``.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.special
 
 from .errors import ConfigurationError, InvalidInputError, NumericalDegeneracyError
 from .grids import WeightedGrid
@@ -582,6 +583,22 @@ class GBMOperator(TransitionOperator):
             drift + vol * rng.standard_normal(states.size))
 
 
+_EPS = np.finfo(float).eps
+
+
+def _exprel(x):
+    """(e^x - 1) / x by ``math.expm1``, to the bits of ``scipy.special.exprel``
+    at every finite x, without importing ``scipy.special``: 1 for |x| below
+    machine epsilon, inf where e^x overflows.  numpy's ``expm1`` would differ
+    by an ulp on some arguments."""
+    if abs(x) < _EPS:
+        return 1.0
+    try:
+        return math.expm1(x) / x
+    except OverflowError:
+        return math.inf
+
+
 class OUOperator(TransitionOperator):
     """Linear-drift Gaussian member: mean exp(tB)x + int_0^t exp(sB)m ds,
     covariance int_0^t exp(sB) C exp(sB)^T ds, both exact (see ``moments``)."""
@@ -626,8 +643,8 @@ class OUOperator(TransitionOperator):
             # exp(bt) may overflow and 0 * inf give NaN; the check below catches both
             with np.errstate(over="ignore", invalid="ignore"):
                 M = np.exp(bt)
-                drift = self.m * t * scipy.special.exprel(bt[0])
-                cov = self.C * t * scipy.special.exprel(2.0 * bt)
+                drift = self.m * t * _exprel(bt[0, 0])
+                cov = self.C * t * _exprel(2.0 * bt[0, 0])
         else:
             from scipy.linalg import expm
             E = expm(t * np.block([[self.B, self.m[:, None]], [np.zeros((1, d + 1))]]))
@@ -810,7 +827,8 @@ class StableOperator(TransitionOperator):
 def _poisson_pmf(k, mu):
     """Poisson(mu) probabilities of the counts k, by the log-space formula
     ``scipy.stats.poisson.pmf`` uses (same bits), without importing scipy.stats."""
-    return np.exp(scipy.special.xlogy(k, mu) - scipy.special.gammaln(k + 1) - mu)
+    from scipy.special import gammaln, xlogy
+    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
 
 
 class ChainOperator(TransitionOperator):

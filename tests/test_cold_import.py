@@ -1,7 +1,8 @@
 """The CLI loads only the scipy submodules a run uses.
 
-``scipy.stats`` is never needed, and ``scipy.linalg`` only for 2D OU
-members; each costs import time and resident memory in every CLI process.
+``scipy.stats`` is never needed, ``scipy.linalg`` only for 2D OU members and
+``scipy.special`` only for chain members; each costs import time and
+resident memory in every CLI process.
 Each case runs in a fresh interpreter, so modules this test process has
 loaded do not count.
 """
@@ -14,7 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "bench" / "configs"
-UNUSED = ("scipy.stats", "scipy.linalg")
+UNUSED = ("scipy.stats", "scipy.linalg", "scipy.special")
 
 # case -> the CLI arguments run after the import (none: import only)
 CASES = {

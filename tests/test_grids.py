@@ -254,6 +254,13 @@ def test_uniform_grid_rejects_irregular_points():
     assert WeightedGrid(bent, np.ones(5), kind="log", spacing=0.25).size == 5
 
 
+def test_loggrid_needs_two_points_per_side():
+    # one point per side has no log spacing; it used to raise IndexError
+    with pytest.raises(ConfigurationError, match="at least 2 points per side"):
+        WeightedGrid.loggrid(8.0, 0.01, 1)
+    assert WeightedGrid.loggrid(8.0, 0.01, 2).size == 5
+
+
 def _grid_of_kind(kind, lo, dx, n, x_max, x_min_mag):
     if kind == "log":
         return WeightedGrid.loggrid(x_max, x_min_mag, n)

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -497,3 +498,94 @@ def test_periodic_paths_wrap(periodic_grid):
     out = mc_value(spec, 2.5, probe_function("cos", periodic_grid))
     assert out["flagged_paths"] == 0
     assert abs(out["estimate"] - np.exp(-0.5) * np.cos(2.5)) <= 4.0 * out["std_error"]
+
+
+# -- one bounds pass per stage: the elementwise clip only where paths left ----
+
+@pytest.fixture
+def elementwise_passes(monkeypatch):
+    """Names of the elementwise passes (end clip, periodic wrap) the sampler
+    ran, in call order."""
+    calls = []
+    for name in ("_clip_to_ends", "_wrap_into_period"):
+        def counting(grid, states, name=name, elementwise=getattr(montecarlo, name)):
+            calls.append(name)
+            return elementwise(grid, states)
+        monkeypatch.setattr(montecarlo, name, counting)
+    return calls
+
+
+def test_sampler_clips_only_the_stages_whose_paths_left_heat(elementwise_passes):
+    # sigma 1 over 0.25 spreads the paths past both ends of [-0.5, 0.5];
+    # sigma 0 keeps them; the third selector diffuses only x > 0, through the
+    # per-path route, and carries some paths past the right end
+    grid = WeightedGrid.uniform(-0.5, 0.5, 0.02, boundary="reflect")
+    fam = SemigroupFamily([HeatOperator(grid, 1.0), HeatOperator(grid, 0.0)])
+    wide, still = np.zeros(grid.size, dtype=int), np.ones(grid.size, dtype=int)
+    right = np.where(grid.points > 0.0, 0, 1)
+    pol = ControlPolicy(tuple((0.25, sel) for sel in (wide, still, still, right, still)))
+    spec = SamplerSpec(fam, pol, 2000, seed=5)
+    states, flagged = sample_terminal_states(spec, 0.0)
+    assert flagged > 0
+    assert elementwise_passes == ["_clip_to_ends"] * 2
+    assert_matches_per_path(spec, 0.0)
+
+
+def test_sampler_clips_only_the_stages_whose_paths_left_ou(elementwise_passes):
+    # unit noise over 0.25 leaves [-1, 1]; B = -20 pulls every path back
+    # within 0.1 of the origin
+    grid = WeightedGrid.uniform(-1.0, 1.0, 0.01, boundary="reflect")
+    fam = SemigroupFamily([OUOperator(grid, 0.0, 0.0, 4.0),
+                           OUOperator(grid, -20.0, 0.0, 0.01)])
+    noise, pull = np.zeros(grid.size, dtype=int), np.ones(grid.size, dtype=int)
+    pol = ControlPolicy(tuple((0.25, sel) for sel in (noise, pull, noise, pull)))
+    spec = SamplerSpec(fam, pol, 2000, seed=9)
+    states, flagged = sample_terminal_states(spec, 0.0)
+    assert flagged > 0 and np.max(np.abs(states)) < 0.1
+    assert elementwise_passes == ["_clip_to_ends"] * 2
+    assert_matches_per_path(spec, 0.0)
+
+
+def test_sampler_wraps_only_once_the_paths_reach_the_seam(periodic_grid,
+                                                          elementwise_passes):
+    # sigma 0.05 keeps the paths near 0 for four stages; sigma 3 then carries
+    # some across the seam at +-pi in each of the last four
+    fam = SemigroupFamily([HeatOperator(periodic_grid, 0.05),
+                           HeatOperator(periodic_grid, 3.0)])
+    pol = ControlPolicy(tuple((0.125, np.full(periodic_grid.size, k))
+                              for k in (0, 0, 0, 0, 1, 1, 1, 1)))
+    spec = SamplerSpec(fam, pol, 5000, seed=13)
+    states, flagged = sample_terminal_states(spec, 0.0)
+    # the start's wrap, then one per stage that crossed the seam
+    assert elementwise_passes == ["_wrap_into_period"] * 5
+    assert flagged == 0 and np.any(np.abs(states) > 3.0)
+    assert_matches_per_path(spec, 0.0)
+
+
+def test_sampler_skips_the_clip_when_no_path_leaves(heat_family, readme_greedy,
+                                                    elementwise_passes):
+    # no path of the README greedy run leaves [-8, 8]: the stages read their
+    # bounds and run no elementwise compare or clip
+    states, flagged = sample_terminal_states(
+        SamplerSpec(heat_family, readme_greedy, 10_000, seed=1), 0.0)
+    assert flagged == 0
+    assert elementwise_passes == []
+
+
+@pytest.mark.parametrize("route", ["whole-batch", "per-path"])
+def test_mc_value_memory_per_path(coarse_family, coarse_grid, route):
+    # u is evaluated in blocks into one array; at 2^20 paths over two stages
+    # the whole-batch route peaks at 24 B per path (states, values, and the
+    # standard deviation's temporary), the per-path route at 49 (its lookup)
+    sel = (np.ones(coarse_grid.size, dtype=int) if route == "whole-batch"
+           else (coarse_grid.points > 0.0).astype(int))
+    n = 2 ** 20
+    spec = SamplerSpec(coarse_family, ControlPolicy(((0.5, sel), (0.5, sel))), n, seed=1)
+    u = probe_function("quadratic", coarse_grid)
+    tracemalloc.start()
+    try:
+        mc_value(spec, 0.0, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= {"whole-batch": 26, "per-path": 52}[route] * n, peak / n

@@ -7,6 +7,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from nisio import (ChainOperator, ConfigurationError, GBMOperator, GridFunction,
                    generator_apply, lip_seminorm, quadrature_tolerance,
                    weighted_norm)
 from nisio import operators
-from nisio.operators import (KERNEL_RADIUS, _assemble_rows, _poisson_pmf,
+from nisio.operators import (KERNEL_RADIUS, _assemble_rows, _exprel, _poisson_pmf,
                              _reflect_indices, gaussian_lattice_matrix,
                              lattice_kernel)
 from nisio.probes import probe_function
@@ -695,6 +696,20 @@ def test_ou_moments_match_closed_forms(ou_grid, b, m, c, t):
     assert M[0, 0] == pytest.approx(np.exp(b * t), rel=1e-13, abs=0.0)
     assert drift[0] == pytest.approx(m * np.expm1(b * t) / b, rel=1e-13, abs=0.0)
     assert cov[0, 0] == pytest.approx(c * np.expm1(2.0 * b * t) / (2.0 * b), rel=1e-13, abs=0.0)
+
+
+def test_exprel_matches_scipy_special_bit_for_bit():
+    # finite arguments: uniform in [-5, 5], tiny ones around the
+    # machine-epsilon switch, large ones up to the overflow of exp and past it
+    rng = np.random.default_rng(17)
+    eps = np.finfo(float).eps
+    xs = np.concatenate([
+        rng.uniform(-5.0, 5.0, 20_000), rng.uniform(-1e-12, 1e-12, 2_000),
+        rng.uniform(-50.0, 709.0, 2_000),
+        [0.0, -0.0, 1e-16, -1e-16, eps, -eps, 0.999 * eps, -0.999 * eps, 1e-300,
+         -745.0, -800.0, 709.0, 709.78, 710.0, 717.0, 800.0]])
+    ours = np.array([_exprel(x) for x in xs.tolist()])
+    assert np.array_equal(ours.view(np.int64), scipy.special.exprel(xs).view(np.int64))
 
 
 def test_ou_2d_moments_match_quadrature():
