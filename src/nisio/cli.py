@@ -7,7 +7,7 @@ hash.  Exit codes: 0 all enabled assertions pass, 1 assertion failure,
 2 malformed config (a schema violation such as a key its kind does not read
 or a missing required key, a ragged matrix, an unreadable u0 CSV, a
 refinement level, stage count or Monte Carlo path count over the work
-budget) or an unknown flag,
+budget, an ``mc`` run on a periodic grid of one point) or an unknown flag,
 3 numerical degeneracy.  Each subcommand returns its record's name and
 fields; ``run`` writes ``<name>.json`` and exits 1 exactly when the record
 says ``"passed": false``.
@@ -152,6 +152,11 @@ def _cmd_mc(run):
     section = cfg["mc"]
     t = section["t"]
     m = section.get("m", 16)
+    if run.grid.kind == "periodic" and run.grid.size < 2:
+        # mc_value reads u between nodes, which needs two of them
+        raise ConfigurationError(
+            f"mc on a periodic grid needs at least two points: grid.dx "
+            f"{cfg['grid']['dx']:g} spans the whole domain")
     check_greedy_stages(run.family, m)
     check_path_stages(section["n_paths"], m)
     u0 = build_u0(cfg, run.grid)

@@ -149,6 +149,9 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     """
     if not probes:
         raise InvalidInputError("need at least one probe")
+    if max(t_list) <= 0.0:
+        # the partition pairs and the refinements run to the largest t
+        raise InvalidInputError("t_list needs a positive horizon")
     eps = quadrature_tolerance(family)
     rng = np.random.default_rng(seed)
     grid = family.grid

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError
 from .grids import GridFunction, weighted_norm
-from .probes import probe_function
 
 # member applies a refinement through max_level may cost:
 # (2^(max_level+1) - 1) envelope steps times K members; 2^24 admits level 12
@@ -194,21 +193,13 @@ def upper_bound_check(family, t, u, max_level=12, tol=1e-6):
 def quadrature_tolerance(family):
     """Measured composition defect of the discretized members.
 
-    Maximum over members, probe functions {1, x, sin x} and two splittings of
-    t_ref = 0.1 of  || S(h1) S(h2) u - S(h1+h2) u ||  in the weighted norm,
-    floored at 1e-12 to absorb plain floating-point noise.  This is the
-    only inexactness the envelope inherits, so every inequality check reads
-    its slack tolerance from here.
+    Maximum over members of ``member.composition_defect()``: over probe
+    functions {1, x, sin x} and two splittings of t_ref = 0.1, the largest
+    || S(h1) S(h2) u - S(h1+h2) u ||  in the weighted norm.  Floored at 1e-12
+    to absorb plain floating-point noise.  This is the only inexactness the
+    envelope inherits, so every inequality check reads its slack tolerance
+    from here.  Each member measures its defect once, one member at a time,
+    and keeps only the float: the kernels at 0.1, 0.05, 0.025 and 0.075 it
+    builds leave its store again, so a later call builds and applies nothing.
     """
-    t_ref = 0.1
-    worst = 0.0
-    splits = [(0.5 * t_ref, 0.5 * t_ref), (0.25 * t_ref, 0.75 * t_ref)]
-    for name in ("const", "linear", "sin"):
-        u = probe_function(name, family.grid)
-        for member in family:
-            direct = member.apply(t_ref, u)
-            for h1, h2 in splits:
-                two_step = member.apply(h1, member.apply(h2, u))
-                defect = weighted_norm(direct.with_values(two_step.values - direct.values))
-                worst = max(worst, defect)
-    return max(worst, 1e-12)
+    return max(1e-12, *(member.composition_defect() for member in family))

@@ -48,12 +48,12 @@ from .errors import InvalidInputError
 # config, demo and test (the README's mc needs 1e6 x 64 = 6.4e7).  The
 # largest admitted n_paths, 2^26 over one stage, takes 512 MiB per float64
 # path array, and mc_value peaks at about 24 B per path on whole-batch stages
-# (tracemalloc at 1e6 paths): about 1.5 GiB.  A per-path stage peaks at about
-# 49 B per path in its lookup, but only the second stage on can take that
-# route, so at most 2^25 paths: about 1.6 GiB
+# (tracemalloc at 1e6 paths): about 1.5 GiB.  A per-path stage looks its
+# paths up in blocks and peaks at about 25 B per path; only the second stage
+# on can take that route, so at most 2^25 paths: about 0.8 GiB
 MAX_PATH_STAGES = 2 ** 26
-# paths mc_value evaluates u at per block, so the evaluation's temporaries
-# stay a few MiB whatever n_paths is
+# paths mc_value evaluates u at, and a per-path stage looks up, per block, so
+# their temporaries stay a few MiB whatever n_paths is
 _EVAL_BLOCK = 2 ** 16
 
 
@@ -118,6 +118,15 @@ def _clip_to_ends(grid, states):
     return int(np.sum(out))
 
 
+def _member_indices(grid, sel, states):
+    """``sel[grid.nearest_index(states)]``, looked up over blocks of
+    ``_EVAL_BLOCK`` states into one array."""
+    out = np.empty(states.size, dtype=sel.dtype)
+    for i in range(0, states.size, _EVAL_BLOCK):
+        out[i:i + _EVAL_BLOCK] = sel[grid.nearest_index(states[i:i + _EVAL_BLOCK])]
+    return out
+
+
 def sample_terminal_states(spec, x0):
     """Terminal states of n_paths controlled paths started at x0.
 
@@ -149,7 +158,7 @@ def sample_terminal_states(spec, x0):
         if span.min() == span.max():
             states = spec._steps[int(span[0]), h](states, rng)
         else:
-            member_idx = sel[grid.nearest_index(states)]
+            member_idx = _member_indices(grid, sel, states)
             for k in range(len(spec.family)):
                 mask = member_idx == k
                 if np.any(mask):

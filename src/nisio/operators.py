@@ -14,11 +14,17 @@ Each member keeps one kernel per duration (a matrix, or a spectral member's
 multiplier) in one store, ``matrix(t)``.  Past ``KERNEL_CACHE_BYTES`` per
 member it drops the least recently used durations.  An eviction costs only a
 rebuild, to the same bits, never a number.  The store makes composition over a
-time partition cheap.  Heat, GBM and 1D OU members build every kernel through
-one selector, ``lattice_kernel``: a variance above one cell squared gets
-Gaussian weights on the lattice nodes, one at or below it the interpolation
-stencil, which keeps the weights nonnegative and the mean exact where Gaussian
-quadrature would alias.  Kernel mass past the ends of the lattice is folded
+time partition cheap.  Beside it each member keeps one float, its composition
+defect (``composition_defect``), measured once on first use.  The kernels
+that measurement builds are never held: it runs inside ``transient``, on
+whose exit the store drops every duration it did not hold on entry, so a run
+keeps no kernel that only the measurement reads.
+
+Heat, GBM and 1D OU members build every kernel through one selector,
+``lattice_kernel``: a variance above one cell squared gets Gaussian weights
+on the lattice nodes, one at or below it the interpolation stencil, which
+keeps the weights nonnegative and the mean exact where Gaussian quadrature
+would alias.  Kernel mass past the ends of the lattice is folded
 back (``reflect``), wrapped (``wrap``), or dropped with the row renormalized
 (``renormalize``).  Every lattice kernel is stored dense when
 ``8 n^2 <= 12 nnz + 4 (n + 1)`` (no more bytes than CSR).  A Gaussian kernel
@@ -55,13 +61,15 @@ moments take exprel from ``_exprel`` (``math.expm1``), to the bits of
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError, InvalidInputError, NumericalDegeneracyError
-from .grids import WeightedGrid
+from .grids import WeightedGrid, weighted_norm
+from .probes import probe_function
 
 # kernel support radius in standard deviations; tail mass beyond is ~1e-23
 KERNEL_RADIUS = 10.0
@@ -69,10 +77,10 @@ KERNEL_RADIUS = 10.0
 # kernel, or the n x (2k+1) array of the row-by-row path (2^24 float64 is
 # 128 MiB); every shipped config, demo and test needs at most 3.3e6
 MAX_KERNEL_WEIGHTS = 2 ** 24
-# kernel bytes per member; above every benchmark working set (225.3 MiB at
+# kernel bytes per member; above every benchmark working set (192.3 MiB at
 # most: the offset OU member of ou.json; the README heat members hold 52.4 and
-# 101.4), because LRU below the working set of a cyclic dyadic sweep loses
-# every hit
+# 101.4, of which 12.1 and 23.9 only while their eps_q is measured), because
+# LRU below the working set of a cyclic dyadic sweep loses every hit
 KERNEL_CACHE_BYTES = 512 * 2 ** 20
 
 
@@ -444,6 +452,7 @@ class TransitionOperator:
         self.grid = grid
         self._cache = {}
         self._held = 0
+        self._defect = None
 
     def _check(self, t, u):
         _check_duration(t)
@@ -480,6 +489,39 @@ class TransitionOperator:
                 self._held -= _nbytes(self._cache.pop(next(iter(self._cache))))
         self._cache[t] = kernel
         return kernel
+
+    @contextmanager
+    def transient(self, durations):
+        """Context whose kernels of ``durations`` are not kept: on exit the
+        store drops each of them it did not hold on entry."""
+        fresh = {t for t in durations if t not in self._cache}
+        try:
+            yield
+        finally:
+            for t in fresh:
+                kernel = self._cache.pop(t, None)
+                if kernel is not None:
+                    self._held -= _nbytes(kernel)
+
+    def composition_defect(self):
+        """Max over the probes const, linear and sin and the splits (0.05,
+        0.05) and (0.025, 0.075) of t_ref = 0.1 of
+        || S(h1) S(h2) u - S(h1+h2) u ||  in the weighted norm.  Measured on
+        the first call and kept; its kernels are not."""
+        if self._defect is None:
+            t_ref = 0.1
+            splits = ((0.5 * t_ref, 0.5 * t_ref), (0.25 * t_ref, 0.75 * t_ref))
+            worst = 0.0
+            with self.transient((t_ref,) + sum(splits, ())):
+                for name in ("const", "linear", "sin"):
+                    u = probe_function(name, self.grid)
+                    direct = self.apply(t_ref, u)
+                    for h1, h2 in splits:
+                        two_step = self.apply(h1, self.apply(h2, u))
+                        worst = max(worst, weighted_norm(
+                            direct.with_values(two_step.values - direct.values)))
+            self._defect = worst
+        return self._defect
 
     def _build_matrix(self, t):
         raise NotImplementedError
@@ -923,6 +965,9 @@ class ScaledOperator(TransitionOperator):
 
     def matrix(self, t):
         return self.base.matrix(self.scale * t)
+
+    def transient(self, durations):
+        return self.base.transient([self.scale * t for t in durations])
 
     def generator(self, u):
         res = self.base.generator(u)

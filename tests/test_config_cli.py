@@ -241,7 +241,35 @@ def test_cli_mc_path_count_over_budget_exits_2(tmp_path, capsys, monkeypatch):
             f"budget of {montecarlo.MAX_PATH_STAGES}") in capsys.readouterr().err
 
 
-SHIPPED = sorted(ROOT.glob("bench/configs/**/*.json"))
+def test_cli_mc_on_a_one_point_periodic_grid_exits_2(tmp_path, capsys, monkeypatch):
+    # u is read between two nodes at the paths' ends: a one-point period is
+    # rejected, naming the key, before the greedy policy or any path
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the grid check")
+
+    monkeypatch.setattr(control, "envelope_step_argmax", no_work)
+    monkeypatch.setattr(montecarlo, "sample_terminal_states", no_work)
+    cfg = {"grid": {"kind": "periodic", "domain": [-1, 1], "dx": 2},
+           "family": {"kind": "heat", "sigmas": [0.5, 1.0]},
+           "mc": {"t": 0.5, "m": 2, "n_paths": 100, "x0": 0.0}}
+    out = tmp_path / "out"
+    assert run("mc", write_cfg(tmp_path, cfg), str(out)) == 2
+    assert not any(out.iterdir())
+    err = capsys.readouterr().err
+    assert "config error" in err and "grid.dx 2" in err
+
+
+def test_cli_properties_without_a_positive_horizon_exits_2(tmp_path, capsys):
+    # the partition pairs and refinements run to max(t_list); at 0 they
+    # used to raise ValueError from the pair sampler
+    cfg = {"grid": {"kind": "labels", "n": 3},
+           "family": {"kind": "chain", "rate_matrices": [[[-1, 1, 0], [0, 0, 0], [0, 0, 0]]]},
+           "properties": {"probes": ["const"], "t_list": [0.0, 0.0]}}
+    assert run("properties", write_cfg(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert "t_list needs a positive horizon" in capsys.readouterr().err
+
+
+SHIPPED =sorted(ROOT.glob("bench/configs/**/*.json"))
 
 
 def _readme_config():

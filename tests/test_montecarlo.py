@@ -576,7 +576,8 @@ def test_sampler_skips_the_clip_when_no_path_leaves(heat_family, readme_greedy,
 def test_mc_value_memory_per_path(coarse_family, coarse_grid, route):
     # u is evaluated in blocks into one array; at 2^20 paths over two stages
     # the whole-batch route peaks at 24 B per path (states, values, and the
-    # standard deviation's temporary), the per-path route at 49 (its lookup)
+    # standard deviation's temporary), the per-path route at 25 (its blocked
+    # lookup's member indices, a mask, and the masked states and their step)
     sel = (np.ones(coarse_grid.size, dtype=int) if route == "whole-batch"
            else (coarse_grid.points > 0.0).astype(int))
     n = 2 ** 20
@@ -588,4 +589,41 @@ def test_mc_value_memory_per_path(coarse_family, coarse_grid, route):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= {"whole-batch": 26, "per-path": 52}[route] * n, peak / n
+    assert peak <= {"whole-batch": 26, "per-path": 32}[route] * n, peak / n
+
+
+def test_member_indices_match_the_whole_batch_lookup(coarse_grid, monkeypatch):
+    # a block size that divides nothing, states on and off the grid, ties
+    monkeypatch.setattr(montecarlo, "_EVAL_BLOCK", 7)
+    rng = np.random.default_rng(4)
+    states = np.concatenate([rng.uniform(-10.0, 10.0, 1000),
+                             coarse_grid.points[::37] + 0.01, [-np.inf, np.inf]])
+    sel = rng.integers(0, 3, coarse_grid.size)
+    got = montecarlo._member_indices(coarse_grid, sel, states)
+    expected = sel[coarse_grid.nearest_index(states)]
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+def test_blocked_lookup_matches_per_path(heat_family, heat_grid, monkeypatch):
+    # per-path stages over several lookup blocks give the oracle's states
+    monkeypatch.setattr(montecarlo, "_EVAL_BLOCK", 4096)
+    sel = (heat_grid.points > 0.0).astype(int)
+    pol = ControlPolicy(tuple((1.0 / 8, sel) for _ in range(8)))
+    assert_matches_per_path(SamplerSpec(heat_family, pol, 20_000, seed=6), 0.0)
+
+
+def test_per_path_stage_memory_per_path(coarse_family, coarse_grid):
+    # the per-path lookup fills one member-index array block by block, so a
+    # per-path stage peaks near 25 B per path, not at the 49 of a lookup over
+    # the whole batch
+    sel = (coarse_grid.points > 0.0).astype(int)
+    n = 2 ** 20
+    spec = SamplerSpec(coarse_family, ControlPolicy(((0.5, sel), (0.5, sel))), n, seed=1)
+    tracemalloc.start()
+    try:
+        sample_terminal_states(spec, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * n, peak / n
