@@ -3,14 +3,19 @@
 Subcommands: solve | properties | dpp | control | mc | report, each taking
 --config <path> --out <dir> [--seed N].  Value tables are CSV with full
 round-trip floats; reports are JSON with stable key order carrying the config
-hash.  Exit codes: 0 all enabled assertions pass, 1 assertion failure,
-2 malformed config (a schema violation such as a key its kind does not read
-or a missing required key, a ragged matrix, an unreadable u0 CSV, a
-refinement level, stage count or Monte Carlo path count over the work
-budget, an ``mc`` run on a periodic grid of one point) or an unknown flag,
-3 numerical degeneracy.  Each subcommand returns its record's name and
-fields; ``run`` writes ``<name>.json`` and exits 1 exactly when the record
-says ``"passed": false``.
+hash.  Every subcommand runs in one order: read the config, its section, the
+grid, the family and u0 once; check the work budgets and horizons; measure
+eps_q while the kernel stores are empty (its kernels at 0.1, 0.05, 0.025 and
+0.075 leave them again, so a run whose work uses one of those durations
+builds it twice); then work.  Exit codes: 0 all enabled assertions pass,
+1 assertion failure, 2 malformed config (a schema violation such as a key
+its kind does not read or a missing required key, a ragged matrix, an
+unreadable u0 CSV, a refinement level, stage count or Monte Carlo path count
+over the work budget, a horizon that is negative, not finite or too small
+to split, an ``mc`` run on a periodic grid of one point), an unusable --out directory or
+an unknown flag, 3 numerical degeneracy.  Each subcommand returns its
+record's name and fields; ``run`` writes ``<name>.json`` and exits 1 exactly
+when the record says ``"passed": false``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .config import (build_family, build_grid, build_u0, build_window,
 from .control import (check_greedy_stages, duality_gap, greedy_policy, policy_value,
                       random_policy)
 from .diagnostics import property_suite
-from .envelope import nisio_value, dpp_check, quadrature_tolerance
+from .envelope import check_levels, dpp_check, nisio_value, quadrature_tolerance
 from .errors import ConfigurationError, InvalidInputError, NumericalDegeneracyError
 from .grids import weighted_norm
 from .montecarlo import SamplerSpec, check_path_stages, mc_compare
@@ -45,14 +50,31 @@ def _write_csv(path, header, columns):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _check_horizons(key, horizons, steps, positive=False):
+    """Reject, naming ``key``, a horizon that is negative, not finite, zero
+    where the work needs it positive, or too small to split into ``steps``
+    equal steps of a normal float (the times they space would repeat)."""
+    for t in horizons:
+        if not 0.0 <= t < np.inf or (positive and t == 0.0):
+            raise ConfigurationError(
+                f"{key} {t!r} must be {'positive' if positive else '>= 0'} and finite")
+        if 0.0 < t < steps * np.finfo(float).tiny:
+            raise ConfigurationError(f"{key} {t!r} is too small to split into {steps} steps")
+
+
 class _Run:
-    def __init__(self, cfg, out_dir, seed):
+    def __init__(self, subcommand, cfg, out_dir, seed):
+        if subcommand in _NEEDED_SECTIONS and subcommand not in cfg:
+            raise ConfigurationError(
+                f"{subcommand} subcommand needs {_NEEDED_SECTIONS[subcommand]} section")
         self.cfg = cfg
+        self.section = cfg.get(subcommand, {})
         self.out = out_dir
         self.hash = config_hash(cfg)
         self.grid = build_grid(cfg)
         self.family = build_family(cfg, self.grid)
         self.window = build_window(cfg, self.grid)
+        self.u0 = build_u0(cfg, self.grid) if subcommand in _NEEDED_SECTIONS else None
         self.seed = seed
         os.makedirs(out_dir, exist_ok=True)
 
@@ -68,21 +90,22 @@ class _Run:
 
 
 def _cmd_solve(run):
-    cfg = run.cfg
-    solve = cfg["solve"]
-    u0 = build_u0(cfg, run.grid)
-    res = nisio_value(run.family, solve["t"], u0,
-                      max_level=solve.get("max_level", 12),
+    solve = run.section
+    level = solve.get("max_level", 12)
+    check_levels(run.family, level)
+    _check_horizons("solve.t", [solve["t"]], 2 ** level)
+    eps = quadrature_tolerance(run.family)
+    res = nisio_value(run.family, solve["t"], run.u0, max_level=level,
                       tol=solve.get("tol", 1e-6))
     x = run.grid.points if run.grid.points.ndim == 1 else run.grid.points[:, 0]
     _write_csv(run.path("solve.csv"), ["x", "u0", "u_T"],
-               [x, u0.values, res.value.values])
+               [x, run.u0.values, res.value.values])
     record = {
         "t": solve["t"],
         "levels": len(res.levels),
         "level_diffs": [float(d) for d in res.diffs],
         "converged": res.converged,
-        "eps_q": quadrature_tolerance(run.family),
+        "eps_q": eps,
         "final_weighted_norm": weighted_norm(res.value, window=run.window),
     }
     # per Koopman member, the grid points its flow carries off the grid by
@@ -99,24 +122,29 @@ def _cmd_solve(run):
 
 
 def _cmd_properties(run):
-    section = run.cfg.get("properties", {})
+    section = run.section
+    t_list = section.get("t_list", [0.25, 1.0])
+    # the partition pairs' t/16 lattice and the level-4 refinements
+    _check_horizons("properties.t_list", t_list, 16)
     probe_names = section.get("probes", ["quadratic", "neg-quadratic", "sin"])
     probes = [probe_function(name, run.grid) for name in probe_names]
     return "properties", property_suite(
-        run.family, probes, section.get("t_list", [0.25, 1.0]),
+        run.family, probes, t_list,
         seed=section.get("seed", run.seed or 0),
         partition_pairs=section.get("partition_pairs", 5))
 
 
 def _cmd_dpp(run):
-    cfg = run.cfg
-    section = cfg["dpp"]
-    u0 = build_u0(cfg, run.grid)
+    section = run.section
     level = section.get("level", 6)
-    out = dpp_check(run.family, section["s"], section["t"], u0,
+    check_levels(run.family, level)
+    for key in ("s", "t"):
+        _check_horizons(f"dpp.{key}", [section[key]], 2 ** level)
+    eps = quadrature_tolerance(run.family)
+    out = dpp_check(run.family, section["s"], section["t"], run.u0,
                     max_level=level, tol=1e-12, window=run.window)
     record = {"s": section["s"], "t": section["t"], "level": level,
-              "defect": out["defect"], "eps_q": quadrature_tolerance(run.family)}
+              "defect": out["defect"], "eps_q": eps}
     if "threshold" in section:
         record["threshold"] = section["threshold"]
         record["passed"] = bool(out["defect"] <= section["threshold"])
@@ -124,21 +152,22 @@ def _cmd_dpp(run):
 
 
 def _cmd_control(run):
-    cfg = run.cfg
-    section = cfg["control"]
-    u0 = build_u0(cfg, run.grid)
-    t, m = section["t"], section["m"]
-    out = duality_gap(run.family, t, u0, m,
-                      max_level=section.get("level", 6), tol=1e-12,
+    section = run.section
+    t, m, level = section["t"], section["m"], section.get("level", 6)
+    check_greedy_stages(run.family, m)
+    check_levels(run.family, level)
+    # greedy stages of t/m, dyadic refinements, random policies on a t/16 lattice
+    _check_horizons("control.t", [t], max(m, 2 ** level, 16), positive=True)
+    eps = quadrature_tolerance(run.family)
+    out = duality_gap(run.family, t, run.u0, m, max_level=level, tol=1e-12,
                       window=run.window)
     run.write("control_policy", out["greedy"].policy.to_dict())
-    eps = quadrature_tolerance(run.family)
     rng = np.random.default_rng(run.seed or 0)
     trials = section.get("trials", 20)
     worst = np.inf
     for _ in range(trials):
         pol = random_policy(run.family, t, rng)
-        excess = policy_value(run.family, pol, u0).values - out["nisio"].value.values
+        excess = policy_value(run.family, pol, run.u0).values - out["nisio"].value.values
         worst = min(worst, -float(np.max(excess)))
     return "control_gap", {
         "t": t, "m": m, "gap": out["gap"], "eps_q": eps,
@@ -148,24 +177,23 @@ def _cmd_control(run):
 
 
 def _cmd_mc(run):
-    cfg = run.cfg
-    section = cfg["mc"]
-    t = section["t"]
-    m = section.get("m", 16)
+    section = run.section
+    t, m = section["t"], section.get("m", 16)
     if run.grid.kind == "periodic" and run.grid.size < 2:
         # mc_value reads u between nodes, which needs two of them
         raise ConfigurationError(
             f"mc on a periodic grid needs at least two points: grid.dx "
-            f"{cfg['grid']['dx']:g} spans the whole domain")
+            f"{run.cfg['grid']['dx']:g} spans the whole domain")
     check_greedy_stages(run.family, m)
     check_path_stages(section["n_paths"], m)
-    u0 = build_u0(cfg, run.grid)
+    _check_horizons("mc.t", [t], m, positive=True)
+    eps = quadrature_tolerance(run.family)
     seed = run.seed if run.seed is not None else section.get("seed", 0)
-    greedy = greedy_policy(run.family, t, u0, m)
+    greedy = greedy_policy(run.family, t, run.u0, m)
     spec = SamplerSpec(run.family, greedy.policy, section["n_paths"], seed)
-    out = mc_compare(spec, section["x0"], u0)
-    return "mc", dict(out, t=t, m=m, seed=seed, x0=section["x0"],
-                      eps_q=quadrature_tolerance(run.family), passed=not out["flag"])
+    out = mc_compare(spec, section["x0"], run.u0)
+    return "mc", dict(out, t=t, m=m, seed=seed, x0=section["x0"], eps_q=eps,
+                      passed=not out["flag"])
 
 
 def _cmd_report(run):
@@ -189,19 +217,11 @@ _NEEDED_SECTIONS = {"solve": "a solve", "dpp": "a dpp", "control": "a control",
 def run(subcommand, config_path, out_dir, seed=None):
     try:
         with open(config_path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        validate_config(cfg)
-        if subcommand in _NEEDED_SECTIONS and cfg.get(subcommand) is None:
-            raise ConfigurationError(
-                f"{subcommand} subcommand needs {_NEEDED_SECTIONS[subcommand]} section")
-    except (OSError, json.JSONDecodeError, ConfigurationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    try:
-        ctx = _Run(cfg, out_dir, seed)
+            cfg = validate_config(json.load(fh))
+        ctx = _Run(subcommand, cfg, out_dir, seed)
         name, fields = _COMMANDS[subcommand](ctx)
         ctx.write(name, fields)
-    except (ConfigurationError, InvalidInputError) as exc:
+    except (OSError, json.JSONDecodeError, ConfigurationError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except NumericalDegeneracyError as exc:

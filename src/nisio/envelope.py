@@ -127,6 +127,17 @@ class NisioResult:
         return len(self.levels) - 1
 
 
+def check_levels(family, max_level):
+    """Reject a refinement whose worst case passes ``MAX_MEMBER_APPLIES``."""
+    if max_level < 1:
+        raise InvalidInputError("max_level must be >= 1")
+    applies = (2 ** (max_level + 1) - 1) * len(family)
+    if applies > MAX_MEMBER_APPLIES:
+        raise InvalidInputError(
+            f"max_level {max_level} with {len(family)} members needs up to {applies} "
+            f"member applies, above the budget of {MAX_MEMBER_APPLIES}")
+
+
 def nisio_value(family, t, u, max_level=12, tol=1e-6):
     """Envelope value S(t)u by dyadic partition refinement.
 
@@ -137,13 +148,7 @@ def nisio_value(family, t, u, max_level=12, tol=1e-6):
     """
     if tol <= 0.0:
         raise InvalidInputError("tol must be positive")
-    if max_level < 1:
-        raise InvalidInputError("max_level must be >= 1")
-    applies = (2 ** (max_level + 1) - 1) * len(family)
-    if applies > MAX_MEMBER_APPLIES:
-        raise InvalidInputError(
-            f"max_level {max_level} with {len(family)} members needs up to {applies} "
-            f"member applies, above the budget of {MAX_MEMBER_APPLIES}")
+    check_levels(family, max_level)
     if not np.isfinite(t) or t < 0.0:
         raise InvalidInputError(f"horizon must be finite and >= 0, got {t}")
     if t == 0.0:

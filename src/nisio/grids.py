@@ -47,10 +47,7 @@ def _as_weight(kappa, points):
         if out.ndim > 1:
             out = out.reshape(len(points))
         return out
-    out = np.asarray(kappa, dtype=float)
-    if out.shape != (len(points),):
-        raise ConfigurationError(f"kappa has shape {out.shape}, expected ({len(points)},)")
-    return out
+    return kappa
 
 
 @dataclass(frozen=True)
@@ -78,6 +75,8 @@ class WeightedGrid:
             raise ConfigurationError(f"unknown boundary policy {self.boundary!r}")
         if len(pts) == 0:
             raise ConfigurationError("empty grid")
+        if kap.shape != (len(pts),):
+            raise ConfigurationError(f"kappa has shape {kap.shape}, expected ({len(pts)},)")
         if not np.all(np.isfinite(pts)):
             raise ConfigurationError("grid points must be finite")
         if not (np.all(kap > 0.0) and np.all(np.isfinite(kap))):
@@ -141,12 +140,10 @@ class WeightedGrid:
         xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
         if kappa is None:
-            kap = np.ones(len(pts))
+            kappa = np.ones(len(pts))
         elif callable(kappa):
-            kap = np.asarray(kappa(pts[:, 0], pts[:, 1]), dtype=float)
-        else:
-            kap = np.asarray(kappa, dtype=float)
-        return cls(pts, kap, kind="tensor", boundary=boundary, spacing=dx,
+            kappa = kappa(pts[:, 0], pts[:, 1])
+        return cls(pts, kappa, kind="tensor", boundary=boundary, spacing=dx,
                    shape=(int(n[0]), int(n[1])))
 
     # -- queries -----------------------------------------------------------

@@ -78,9 +78,10 @@ KERNEL_RADIUS = 10.0
 # 128 MiB); every shipped config, demo and test needs at most 3.3e6
 MAX_KERNEL_WEIGHTS = 2 ** 24
 # kernel bytes per member; above every benchmark working set (192.3 MiB at
-# most: the offset OU member of ou.json; the README heat members hold 52.4 and
-# 101.4, of which 12.1 and 23.9 only while their eps_q is measured), because
-# LRU below the working set of a cyclic dyadic sweep loses every hit
+# most: the offset OU member of ou.json; the README heat members hold at most
+# 40.3 and 77.4, since eps_q's kernels leave the store before the work
+# builds any), because LRU below the working set of a cyclic dyadic sweep
+# loses every hit
 KERNEL_CACHE_BYTES = 512 * 2 ** 20
 
 

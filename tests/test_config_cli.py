@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from nisio import (ConfigurationError, FamilyBounds, control, montecarlo,
-                   operators, property_suite)
+from nisio import (ConfigurationError, FamilyBounds, cli, control, montecarlo,
+                   operators, property_suite, quadrature_tolerance)
 from nisio.cli import main, run
 from nisio.config import (CONFIG_SCHEMA, build_family, build_grid, build_u0,
                           config_hash, parse_field, validate_config)
@@ -174,6 +174,14 @@ REJECTED = {
     "csv-not-numeric": ({"u0": {"name": "csv", "path": "bad.csv"}}, "u0 path"),
     # work budget, checked before any matrix is built
     "max-level-over-budget": ({"solve": {"t": 0.5, "max_level": 40}}, "max_level 40"),
+    # eps_q's kernel at 0.1 is past the Gaussian-weight budget and is built
+    # before the solve's kernel at 1, whose moments overflow: exit 2, as
+    # under properties
+    "ou-kernel-over-budget": ({"grid": {"kind": "uniform", "domain": [-1, 1], "dx": 0.1},
+                               "family": {"kind": "ou", "members": [
+                                   {"B": 800.0, "m": 0.0, "C": 1.0}]},
+                               "u0": {"name": "sin"}, "solve": {"t": 1.0, "max_level": 3}},
+                              "ou(d=1) at duration 0.1: kernel of std "),
 }
 
 
@@ -267,6 +275,119 @@ def test_cli_properties_without_a_positive_horizon_exits_2(tmp_path, capsys):
            "properties": {"probes": ["const"], "t_list": [0.0, 0.0]}}
     assert run("properties", write_cfg(tmp_path, cfg), str(tmp_path / "out")) == 2
     assert "t_list needs a positive horizon" in capsys.readouterr().err
+
+
+# eps_q's durations, as composition_defect forms them from t_ref = 0.1
+EPS_Q_DURATIONS = {0.1, 0.5 * 0.1, 0.25 * 0.1, 0.75 * 0.1}
+
+
+def _spy_builds(monkeypatch):
+    """Record ``(member, duration)`` for every kernel build and ``"eps_q"`` when
+    the CLI's eps_q measurement returns; return the events and the families
+    the CLI builds."""
+    events, families = [], []
+    matrix = operators.TransitionOperator.matrix
+
+    def spy_matrix(self, t):
+        if t not in self._cache:
+            events.append((self, t))
+        return matrix(self, t)
+
+    def spy_tolerance(family):
+        eps = quadrature_tolerance(family)
+        events.append("eps_q")
+        return eps
+
+    def spy_family(cfg, grid):
+        families.append(build_family(cfg, grid))
+        return families[-1]
+
+    monkeypatch.setattr(operators.TransitionOperator, "matrix", spy_matrix)
+    monkeypatch.setattr(cli, "quadrature_tolerance", spy_tolerance)
+    monkeypatch.setattr(cli, "build_family", spy_family)
+    return events, families
+
+
+# small heat runs whose work builds kernels at some of eps_q's durations
+SHARED_DURATION_CFG = {
+    "grid": {"kind": "uniform", "domain": [-4, 4], "dx": 0.05, "boundary": "reflect"},
+    "family": {"kind": "heat", "sigmas": [0.5, 1.0]},
+    "u0": {"name": "quadratic"},
+    "solve": {"t": 0.2, "max_level": 2},
+    "dpp": {"s": 0.1, "t": 0.1, "level": 2},
+    "control": {"t": 0.2, "m": 2, "level": 2, "trials": 3},
+    "mc": {"t": 0.2, "m": 2, "n_paths": 200, "seed": 3, "x0": 0.0},
+}
+
+
+@pytest.mark.parametrize("sub", ["solve", "dpp", "control", "mc"])
+def test_cli_measures_eps_q_on_empty_stores_before_the_work(tmp_path, monkeypatch, sub):
+    events, families = _spy_builds(monkeypatch)
+    assert run(sub, write_cfg(tmp_path, SHARED_DURATION_CFG), str(tmp_path / "out")) == 0
+    mark = events.index("eps_q")
+    before, work = events[:mark], events[mark + 1:]
+    members = families[0].members
+    # eps_q first: every member's four kernels, and nothing the work builds
+    assert sorted((members.index(m), t) for m, t in before) == sorted(
+        (i, t) for i in range(len(members)) for t in EPS_Q_DURATIONS)
+    for i, member in enumerate(members):
+        used = {t for m, t in work if m is member}
+        assert 0.1 in used                # built once for eps_q, once for the work
+        assert set(member._cache) & EPS_Q_DURATIONS <= used
+
+
+# over-budget and unsplittable runs, each rejected before any kernel is built
+NO_WORK = {
+    "solve-level": ("solve", {"solve": {"t": 1.0, "max_level": 40}}, "max_level 40"),
+    "dpp-level": ("dpp", {"dpp": {"s": 0.5, "t": 0.5, "level": 40}}, "max_level 40"),
+    "control-level": ("control", {"control": {"t": 1.0, "m": 4, "level": 40}},
+                      "max_level 40"),
+    "control-stages": ("control", {"control": {"t": 1.0, "m": 2 ** 40}},
+                       f"{2 ** 40} stages"),
+    "mc-stages": ("mc", {"mc": dict(BASE_CFG["mc"], m=2 ** 40)}, f"{2 ** 40} stages"),
+    "mc-paths": ("mc", {"mc": dict(BASE_CFG["mc"], m=4, n_paths=2 ** 25)},
+                 f"{2 ** 25} paths"),
+    "mc-one-point": ("mc", {"grid": {"kind": "periodic", "domain": [-1, 1], "dx": 2}},
+                     "grid.dx 2"),
+    "solve-subnormal": ("solve", {"solve": {"t": 5e-324}},
+                        "solve.t 5e-324 is too small to split into 4096 steps"),
+    "dpp-subnormal": ("dpp", {"dpp": {"s": 0.5, "t": 5e-324}},
+                      "dpp.t 5e-324 is too small to split into 64 steps"),
+    "control-subnormal": ("control", {"control": {"t": 5e-324, "m": 100}},
+                          "control.t 5e-324 is too small to split into 100 steps"),
+    "mc-subnormal": ("mc", {"mc": dict(BASE_CFG["mc"], t=5e-324)},
+                     "mc.t 5e-324 is too small to split into 16 steps"),
+    "properties-subnormal": ("properties", {"properties": {"t_list": [0.5, 5e-324]}},
+                             "properties.t_list 5e-324 is too small to split into 16 steps"),
+    "solve-negative": ("solve", {"solve": {"t": -1.0}}, "solve.t -1.0 must be >= 0 and finite"),
+    "properties-negative": ("properties", {"properties": {"t_list": [0.5, -0.25]}},
+                            "properties.t_list -0.25 must be >= 0 and finite"),
+    "control-zero": ("control", {"control": {"t": 0.0, "m": 2}},
+                     "control.t 0.0 must be positive and finite"),
+    "mc-zero": ("mc", {"mc": dict(BASE_CFG["mc"], t=0.0)}, "mc.t 0.0 must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_WORK))
+def test_cli_rejects_before_any_kernel_build(tmp_path, capsys, monkeypatch, case):
+    sub, sections, message = NO_WORK[case]
+    events, _ = _spy_builds(monkeypatch)
+    cfg = {**SHARED_DURATION_CFG, **sections}
+    out = tmp_path / "out"
+    assert run(sub, write_cfg(tmp_path, cfg), str(out)) == 2
+    assert events == [] and not any(out.iterdir())
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("sub", ["solve", "properties", "dpp", "control", "mc", "report"])
+def test_cli_out_under_a_regular_file_exits_2(tmp_path, capsys, sub):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert run(sub, write_cfg(tmp_path, SHARED_DURATION_CFG), str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(out) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 SHIPPED =sorted(ROOT.glob("bench/configs/**/*.json"))
@@ -528,10 +649,11 @@ def test_cli_numerical_degeneracy_exits_3(tmp_path):
 
 
 def test_cli_overflowing_ou_moments_exit_3(tmp_path, capsys):
-    # exp(800) overflows: the member's moments are not finite
+    # exp(3e4 t) overflows at every duration the run builds, eps_q's included:
+    # the member's moments are not finite
     cfg = {
         "grid": {"kind": "uniform", "domain": [-1, 1], "dx": 0.1},
-        "family": {"kind": "ou", "members": [{"B": 800.0, "m": 0.0, "C": 1.0}]},
+        "family": {"kind": "ou", "members": [{"B": 3e4, "m": 0.0, "C": 1.0}]},
         "u0": {"name": "sin"},
         "solve": {"t": 1.0, "max_level": 3},
     }

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nisio import (ChainOperator, GridFunction, HeatOperator, InvalidInputError,
-                   KoopmanOperator, ResolutionError, SemigroupFamily,
+                   KoopmanOperator, ResolutionError, ScaledOperator, SemigroupFamily,
                    WeightedGrid, cutoff_decay_probe, cutoff_family,
                    envelope_step, property_suite, strong_continuity_probe,
                    viscosity_residual, FamilyBounds)
@@ -76,6 +76,23 @@ def test_viscosity_residual_analytic_solution(heat_family, heat_grid):
              for k in range(5)]
     out = viscosity_residual(heat_family, snaps, dt)
     assert out["max_interior_residual"] < 1e-6
+
+
+def test_viscosity_residual_scaled_family(heat_grid):
+    # scales 0.25 and 2 of a sigma = 1 heat member: the worst-case evolution
+    # of x^2 is u(t) = x^2 + 2 t, read through the scaled generators
+    base = HeatOperator(heat_grid, 1.0)
+    family = SemigroupFamily([ScaledOperator(base, s) for s in (0.25, 2.0)],
+                             FamilyBounds(0.0, 0.0))
+    dt = 0.1
+    snaps = [GridFunction(heat_grid.points ** 2 + 2.0 * k * dt, heat_grid)
+             for k in range(5)]
+    out = viscosity_residual(family, snaps, dt)
+    assert out["max_interior_residual"] < 1e-6
+    # with the scales ignored the residual is off by the generator gap
+    snaps = [GridFunction(heat_grid.points ** 2 + 1.0 * k * dt, heat_grid)
+             for k in range(5)]
+    assert viscosity_residual(family, snaps, dt)["max_interior_residual"] > 0.9
 
 
 def test_viscosity_residual_constant_solution(chain_family, label_grid):

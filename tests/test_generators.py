@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nisio import (GBMOperator, GridFunction, HeatOperator, KoopmanOperator,
-                   OUOperator, WeightedGrid)
+                   OUOperator, ScaledOperator, WeightedGrid)
 from nisio.operators import generator_apply
 from nisio.probes import bump
 
@@ -141,6 +141,19 @@ def test_generator_keeps_the_bits_of_its_stencil(member, probe):
     want, want_valid = oracle(op, values)
     assert np.array_equal(res.valid, want_valid)
     assert np.array_equal(res.values.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+@pytest.mark.parametrize("member", ["heat-reflect", "ou-1d", "koopman"])
+def test_scaled_generator_is_the_scale_times_the_base(member, probe):
+    base = MEMBERS[member][0]()
+    u = GridFunction(_probe_values(probe, base.grid), base.grid)
+    want = generator_apply(base, u)
+    for scale in (0.0, 0.3, 2.5):
+        res = generator_apply(ScaledOperator(base, scale), u)
+        assert np.array_equal(res.valid, want.valid)
+        assert np.array_equal(res.values.view(np.int64),
+                              (scale * want.values).view(np.int64))
 
 
 @pytest.mark.parametrize("probe", sorted(PROBES))

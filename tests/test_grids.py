@@ -34,6 +34,28 @@ def test_kappa_must_be_positive():
         WeightedGrid.uniform(0.0, 1.0, 0.5, kappa=lambda x: x)  # zero at 0
 
 
+# a kappa of the wrong shape from every source, on every grid kind
+WRONG_KAPPA = {
+    "uniform-array": lambda: WeightedGrid.uniform(-1.0, 1.0, 0.5, kappa=np.ones(3)),
+    "uniform-callable": lambda: WeightedGrid.uniform(-1.0, 1.0, 0.5,
+                                                     kappa=lambda x: np.ones(2)),
+    "log-scalar-callable": lambda: WeightedGrid.loggrid(8.0, 0.01, 3, kappa=lambda x: 1.0),
+    "labels-matrix": lambda: WeightedGrid.labels(4, kappa=np.ones((2, 2))),
+    "tensor-array": lambda: WeightedGrid.tensor([-1, -1], [1, 1], 5, kappa=np.ones(3)),
+    "tensor-callable": lambda: WeightedGrid.tensor([-1, -1], [1, 1], 5,
+                                                   kappa=lambda x, y: np.ones(5)),
+    "direct": lambda: WeightedGrid(np.linspace(0.0, 1.0, 5), np.ones(4), spacing=0.25),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_KAPPA))
+def test_kappa_needs_one_weight_per_point(case):
+    # a tensor grid of 25 points with 3 weights used to build, and its
+    # weighted_norm raised numpy's broadcast ValueError
+    with pytest.raises(ConfigurationError, match=r"kappa has shape \(.*\), expected \(\d+,\)"):
+        WRONG_KAPPA[case]()
+
+
 def test_loggrid_symmetry_and_zero():
     g = WeightedGrid.loggrid(8.0, 0.01, 50)
     assert g.size == 101
@@ -69,6 +91,15 @@ def test_lip_seminorm_basics():
     # max |cos| at grid midpoints is 1 up to O(dx^2)
     u = GridFunction(np.sin(g.points), g)
     assert lip_seminorm(u) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_lip_seminorm_tensor_takes_the_steeper_axis():
+    # x in {0, 0.5, 1}, y in {0, 0.5, ..., 2}: every difference below is exact
+    g = WeightedGrid.tensor([0.0, 0.0], [1.0, 2.0], [3, 5])
+    x, y = g.points[:, 0], g.points[:, 1]
+    # along x: 1.5 / 0.5; along y: (4 - 2.25) / 0.5 at the top edge
+    assert lip_seminorm(GridFunction(3.0 * x + y ** 2, g)) == 3.5
+    assert lip_seminorm(GridFunction(8.0 * x + y ** 2, g)) == 8.0
 
 
 def test_lip_seminorm_single_point_rejected():

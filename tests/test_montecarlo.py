@@ -244,6 +244,19 @@ def test_zero_duration_stays_put_without_drawing(coarse_grid, log_grid, ou_grid,
         assert rng.random() == first_draw, member.name
 
 
+def test_zero_variance_ou_samples_the_affine_map(ou_grid):
+    # C = 0: a step of h moves x to exp(B h) x + (m / B)(exp(B h) - 1) and
+    # draws nothing
+    B, m, h = -0.5, 0.2, 0.3
+    states = np.linspace(-2.0, 2.0, 9)
+    rng = np.random.Generator(np.random.Philox(key=2))
+    first_draw = np.random.Generator(np.random.Philox(key=2)).random()
+    out = OUOperator(ou_grid, B, m, 0.0).path_step(h)(states.copy(), rng)
+    decay = np.exp(B * h)
+    assert np.allclose(out, decay * states + m / B * (decay - 1.0), rtol=1e-13, atol=1e-15)
+    assert rng.random() == first_draw
+
+
 def test_nested_scaling_uses_the_grid_duration(coarse_grid):
     # the grid path dilates outside in, S_b(S_a)(h) = S(a * (b * h)), which is
     # one ulp off (a * b) * h here; sampling must use the same duration
