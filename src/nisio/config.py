@@ -163,6 +163,9 @@ def build_grid(cfg):
     if kind == "labels":
         return WeightedGrid.labels(g["n"], kappa=kappa)
     if kind == "log":
+        if g["n"] < 2:
+            raise ConfigurationError(
+                f"a log grid needs at least 2 points per side: grid.n {g['n']}")
         return WeightedGrid.loggrid(g["x_max"], g.get("x_min_mag", 1e-2), g["n"],
                                     kappa=kappa, boundary=boundary)
     lo, hi = g["domain"]

@@ -31,11 +31,22 @@ clip and count (or the periodic wrap) and take the pair again; a stage whose
 paths all stay inside touches each path only in its step, its min and its
 max.  States inside keep their bits either way, so the stream, the states
 and the flagged count are those of a clip after every stage.
+
+The normals are drawn ahead on one helper thread.  While the stage loop runs
+its arithmetic, the thread fills a small ring of buffers from the spec's own
+Philox generator, and the member steps read them in order through a stream
+object with the generator's ``standard_normal(size)``.  Numpy's Philox
+normals do not depend on how a run of draws is split into calls, so the
+stream is the generator's, draw for draw.  A spec with a chain member among
+the ones its policy selects keeps the plain generator (a chain step draws
+Poisson and uniform numbers).  No thread outlives the run.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,14 +58,19 @@ from .errors import InvalidInputError
 # path-stages, n_paths x stages, one sampler may draw; above every shipped
 # config, demo and test (the README's mc needs 1e6 x 64 = 6.4e7).  The
 # largest admitted n_paths, 2^26 over one stage, takes 512 MiB per float64
-# path array, and mc_value peaks at about 24 B per path on whole-batch stages
-# (tracemalloc at 1e6 paths): about 1.5 GiB.  A per-path stage looks its
-# paths up in blocks and peaks at about 25 B per path; only the second stage
-# on can take that route, so at most 2^25 paths: about 0.8 GiB
+# path array.  Traced at 2^20 paths, mc_value peaks at 18.5 B per path on
+# whole-batch stages, of which 2.5 are the normals ring's fixed 2.5 MiB:
+# about 1 GiB at 2^26.  A per-path stage looks its paths up in blocks and
+# peaks at 27.7 B per path (25.2 without the ring); only the second stage on
+# can take that route, so at most 2^25 paths: about 0.8 GiB
 MAX_PATH_STAGES = 2 ** 26
 # paths mc_value evaluates u at, and a per-path stage looks up, per block, so
 # their temporaries stay a few MiB whatever n_paths is
 _EVAL_BLOCK = 2 ** 16
+# normals per buffer of the helper thread's ring, and buffers in the ring; with
+# three the thread could not get a stage's arithmetic ahead
+_NORMALS_CHUNK = 2 ** 16
+_NORMALS_RING = 5
 
 
 def check_path_stages(n_paths, n_stages):
@@ -100,6 +116,96 @@ class SamplerSpec:
         return np.random.Generator(np.random.Philox(key=self.seed))
 
 
+class _NormalStream:
+    """``standard_normal(size)`` of ``rng``, drawn ahead on one helper thread.
+
+    The thread fills the buffers of a ring, allocated here by the calling
+    thread, chunk by chunk with ``rng.standard_normal(out=...)`` and stops
+    after ``total`` normals; ``standard_normal`` copies them out in order.
+    Philox normals split into any chunks are those of one call, so the
+    caller gets ``rng``'s draws bit for bit.  An error in the thread is
+    raised in the caller once it reaches the chunk that failed.  ``close``
+    stops the thread and joins it."""
+
+    def __init__(self, rng, total):
+        self._ring = [np.empty(min(_NORMALS_CHUNK, total)) for _ in range(_NORMALS_RING)]
+        self._free = threading.Semaphore(_NORMALS_RING)
+        self._filled = threading.Semaphore(0)
+        self._produced = 0          # chunks filled, then the end marker
+        self._taken = 0             # chunks the caller has opened
+        self._error = None
+        self._closing = False
+        self._chunk = self._ring[0][:0]
+        self._pos = 0
+        self._thread = threading.Thread(target=self._produce, args=(rng, total),
+                                        name="nisio-normals", daemon=True)
+        self._thread.start()
+
+    def _produce(self, rng, total):
+        try:
+            while total > 0:
+                self._free.acquire()
+                if self._closing:
+                    return
+                slot = self._produced % _NORMALS_RING
+                self._ring[slot] = self._ring[slot][:total]     # the last may be short
+                rng.standard_normal(out=self._ring[slot])
+                total -= self._ring[slot].size
+                self._produced += 1
+                self._filled.release()
+        except BaseException as exc:        # re-raised in the caller
+            self._error = exc
+        finally:
+            self._filled.release()          # the end marker
+
+    def _next_chunk(self):
+        if self._taken:
+            self._free.release()            # the chunk just read goes back
+        self._filled.acquire()
+        if self._taken == self._produced:   # the end marker: keep it there
+            self._filled.release()
+            if self._error is not None:
+                raise self._error
+            raise RuntimeError("normal stream exhausted")
+        slot = self._taken % _NORMALS_RING
+        self._taken += 1
+        self._chunk = self._ring[slot]
+        self._pos = 0
+
+    def standard_normal(self, size):
+        out = np.empty(size)
+        done = 0
+        while done < size:
+            if self._pos == self._chunk.size:
+                self._next_chunk()
+            k = min(size - done, self._chunk.size - self._pos)
+            out[done:done + k] = self._chunk[self._pos:self._pos + k]
+            done += k
+            self._pos += k
+        return out
+
+    def close(self):
+        self._closing = True
+        self._free.release()
+        self._thread.join()
+
+
+@contextmanager
+def _draws(spec):
+    """The generator a run's member steps draw from: the spec's Philox
+    generator behind a ``_NormalStream`` of n_paths x stages normals, or the
+    generator itself when a selected member draws other numbers."""
+    rng = spec.rng()
+    if not all(spec.family.members[k].draws_only_normals for k, _ in spec._steps):
+        yield rng
+        return
+    stream = _NormalStream(rng, spec.n_paths * spec.policy.n_stages)
+    try:
+        yield stream
+    finally:
+        stream.close()
+
+
 def _wrap_into_period(grid, states):
     """Shift states by whole periods into the node-centred period, in place;
     states already inside keep their bits."""
@@ -136,7 +242,6 @@ def sample_terminal_states(spec, x0):
     """
     grid = spec.family.grid
     periodic = grid.kind == "periodic"
-    rng = spec.rng()
     if grid.kind == "labels":
         # chain members step from labels: start at the label nearest_index
         # would pick, so that no stage looks a label up again
@@ -151,27 +256,28 @@ def sample_terminal_states(spec, x0):
         lo, hi = grid.points[0], grid.points[-1]
     bounds = [states.min(), states.max()]
     flagged = 0
-    for h, sel in spec.policy.stages:
-        # nearest_index is monotone: every path's node lies in [j_lo, j_hi]
-        j_lo, j_hi = grid.nearest_index(bounds)
-        span = sel[j_lo:j_hi + 1]
-        if span.min() == span.max():
-            states = spec._steps[int(span[0]), h](states, rng)
-        else:
-            member_idx = _member_indices(grid, sel, states)
-            for k in range(len(spec.family)):
-                mask = member_idx == k
-                if np.any(mask):
-                    states[mask] = spec._steps[k, h](states[mask], rng)
-        bounds = [states.min(), states.max()]
-        # written so that a NaN bound also takes the elementwise pass and
-        # reaches the next stage's lookup, which rejects it
-        if not (lo <= bounds[0] and bounds[1] <= hi):
-            if periodic:
-                _wrap_into_period(grid, states)
+    with _draws(spec) as rng:
+        for h, sel in spec.policy.stages:
+            # nearest_index is monotone: every path's node lies in [j_lo, j_hi]
+            j_lo, j_hi = grid.nearest_index(bounds)
+            span = sel[j_lo:j_hi + 1]
+            if span.min() == span.max():
+                states = spec._steps[int(span[0]), h](states, rng)
             else:
-                flagged += _clip_to_ends(grid, states)
+                member_idx = _member_indices(grid, sel, states)
+                for k in range(len(spec.family)):
+                    mask = member_idx == k
+                    if np.any(mask):
+                        states[mask] = spec._steps[k, h](states[mask], rng)
             bounds = [states.min(), states.max()]
+            # written so that a NaN bound also takes the elementwise pass and
+            # reaches the next stage's lookup, which rejects it
+            if not (lo <= bounds[0] and bounds[1] <= hi):
+                if periodic:
+                    _wrap_into_period(grid, states)
+                else:
+                    flagged += _clip_to_ends(grid, states)
+                bounds = [states.min(), states.max()]
     return states, flagged
 
 
@@ -186,9 +292,19 @@ def mc_value(spec, x0, u):
     for i in range(0, states.size, _EVAL_BLOCK):
         vals[i:i + _EVAL_BLOCK] = u.at(states[i:i + _EVAL_BLOCK])
     est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(spec.n_paths))
+    se = _sample_std(vals) / math.sqrt(spec.n_paths)
     return {"estimate": est, "std_error": se, "n_paths": spec.n_paths,
             "flagged_paths": flagged}
+
+
+def _sample_std(vals):
+    """``np.std(vals, ddof=1)`` by numpy's own ufunc sequence, computed in
+    ``vals``' memory (which it overwrites), so that no temporary of its size
+    is made."""
+    mean = np.mean(vals)
+    np.subtract(vals, mean, out=vals)
+    np.multiply(vals, vals, out=vals)
+    return math.sqrt(np.add.reduce(vals) / (vals.size - 1))
 
 
 def mc_compare(spec, x0, u, max_level=8, tol=1e-8):

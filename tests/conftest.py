@@ -1,8 +1,20 @@
+import threading
+
 import numpy as np
 import pytest
 
 from nisio import (ChainOperator, FamilyBounds, HeatOperator,
                    SemigroupFamily, WeightedGrid)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves alive a thread it started (the Monte Carlo
+    sampler's normals thread must be joined however a run ends)."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture(scope="session")

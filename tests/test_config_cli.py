@@ -162,6 +162,7 @@ REJECTED = {
     "heat-neither": ({"family": {"kind": "heat"}}, "'sigmas'"),
     "grid-kind-unknown": ({"grid": {"kind": "hex"}}, "grid.kind"),
     "log-x_max-negative": ({"grid": dict(LOG_GRID, x_max=-8)}, "grid.x_max"),
+    "log-n-1": ({"grid": dict(LOG_GRID, n=1)}, "grid.n 1"),
     # malformed data
     "chain-ragged": ({"grid": LABEL_GRID, "family": {
         "kind": "chain", "rate_matrices": [[[-1, 1], [1]]]}}, "rate_matrices"),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from nisio import (ConfigurationError, ControlPolicy, HeatOperator,
                    InvalidInputError, SemigroupFamily, control, duality_gap,
                    greedy_policy, nisio_value, partition_apply, Partition,
                    policy_value, random_policy, quadrature_tolerance)
+from nisio.cli import run
 from nisio.probes import probe_function
 
 
@@ -149,3 +152,24 @@ def test_policy_serialization_roundtrip(coarse_family, coarse_grid):
     u = probe_function("sin", coarse_grid)
     assert np.array_equal(policy_value(coarse_family, back, u).values,
                           res.value.values)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="on a log grid of 7 points per side the worst of 3 random policies "
+    "sits above the level-4 envelope: weak-duality slack -0.0295 against eps_q "
+    "0.0030.  A random policy composes up to 6 stages on the t/16 lattice, "
+    "while eps_q measures one split at t_ref = 0.1 (property_suite's "
+    "partition_refinement allows 16 eps_q for such compositions); whether "
+    "one eps_q is the right tolerance is open.")
+def test_control_weak_duality_on_a_coarse_gbm_log_grid(tmp_path):
+    cfg = {"grid": {"kind": "log", "x_max": 9.37, "n": 7, "boundary": "reflect"},
+           "family": {"kind": "gbm", "members": [[-0.037, 0.73]]},
+           "u0": {"name": "bump"},
+           "control": {"t": 2.0, "m": 5, "level": 4, "trials": 3}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = run("control", str(path), str(out))
+    record = json.loads((out / "control_gap.json").read_text())
+    assert code == 0, (record["weak_duality_worst_slack"], record["eps_q"])

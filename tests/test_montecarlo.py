@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -640,3 +642,224 @@ def test_per_path_stage_memory_per_path(coarse_family, coarse_grid):
     finally:
         tracemalloc.stop()
     assert peak <= 32 * n, peak / n
+
+
+# -- the normals drawn ahead on a helper thread --------------------------------
+
+def test_philox_normals_do_not_depend_on_how_the_draws_are_split():
+    # the stream relies on this: a run of standard_normal calls, fresh or
+    # into buffers, draws the normals of one call of the total size
+    sizes = [1, 2 ** 16 - 1, 2, 2 ** 16 + 1, 7, 100_000, 3]
+    for key in (0, 1, 12345):
+        whole = np.random.Generator(np.random.Philox(key=key)).standard_normal(sum(sizes))
+        fresh = np.random.Generator(np.random.Philox(key=key))
+        assert np.array_equal(np.concatenate([fresh.standard_normal(k) for k in sizes]),
+                              whole)
+        into = np.random.Generator(np.random.Philox(key=key))
+        buf = np.empty(max(sizes))
+        parts = []
+        for k in sizes:
+            into.standard_normal(out=buf[:k])
+            parts.append(buf[:k].copy())
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("chunk", [7, 1000, 2 ** 16])
+def test_normal_stream_matches_the_generator(monkeypatch, chunk):
+    monkeypatch.setattr(montecarlo, "_NORMALS_CHUNK", chunk)
+    sizes = [1, 6, 7, 8, 999, 1000, 1001, 0, 5000, 3]
+    whole = np.random.Generator(np.random.Philox(key=9)).standard_normal(sum(sizes))
+    stream = montecarlo._NormalStream(np.random.Generator(np.random.Philox(key=9)),
+                                      sum(sizes))
+    try:
+        parts = [stream.standard_normal(k) for k in sizes]
+        with pytest.raises(RuntimeError, match="exhausted"):
+            stream.standard_normal(1)
+    finally:
+        stream.close()
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+def _stream_case(name, coarse_grid, log_grid, ou_grid, periodic_grid):
+    """(members, selector switching inside the paths' span, x0) of a case."""
+    if name == "heat":
+        members = [HeatOperator(coarse_grid, 0.5), HeatOperator(coarse_grid, 1.0)]
+        return members, (coarse_grid.points > 0.0).astype(int), 0.0
+    if name == "gbm":
+        members = [GBMOperator(log_grid, 0.1, 0.2), GBMOperator(log_grid, 0.0, 0.4)]
+        return members, (log_grid.points > 1.0).astype(int), 1.0
+    if name in ("ou", "ou-std-0"):
+        c = 1.0 if name == "ou" else 0.0
+        members = [OUOperator(ou_grid, -0.5, 0.2, c), OUOperator(ou_grid, 0.0, 0.0, 0.5)]
+        return members, (ou_grid.points > 0.1).astype(int), 0.0
+    if name == "koopman":
+        grid = WeightedGrid.uniform(-4.0, 4.0, 0.02, boundary="reflect")
+        members = [KoopmanOperator(grid, lambda x: -0.5 * x, 1.0), HeatOperator(grid, 1.0)]
+        return members, (grid.points > 0.0).astype(int), 0.3
+    if name == "scaled":
+        members = [ScaledOperator(HeatOperator(coarse_grid, 1.0), 0.5),
+                   ScaledOperator(ScaledOperator(HeatOperator(coarse_grid, 0.5), 3.0), 0.7)]
+        return members, (coarse_grid.points > 0.0).astype(int), 0.0
+    assert name == "periodic"
+    members = [HeatOperator(periodic_grid, 0.5), HeatOperator(periodic_grid, 1.0)]
+    return members, np.arange(periodic_grid.size) % 2, np.pi - 0.001
+
+
+@pytest.fixture
+def streams(monkeypatch):
+    """The normal streams the sampler closed, in order."""
+    closed = []
+    close = montecarlo._NormalStream.close
+
+    def counting(self):
+        closed.append(self)
+        close(self)
+
+    monkeypatch.setattr(montecarlo._NormalStream, "close", counting)
+    return closed
+
+
+@pytest.mark.parametrize("chunk", [7, 1000])
+@pytest.mark.parametrize("route", ["whole-batch", "per-path"])
+@pytest.mark.parametrize("name", ["heat", "gbm", "ou", "ou-std-0", "koopman",
+                                  "scaled", "periodic"])
+def test_streamed_sampler_matches_per_path(name, route, chunk, coarse_grid, log_grid,
+                                           ou_grid, periodic_grid, monkeypatch, streams):
+    # the oracle draws from the plain generator; the sampler reads the same
+    # normals through the stream, in chunks that split the stages' draws.
+    # Whole-batch: each member in turn steps every path for two stages;
+    # per-path: the selector switches inside the paths' span
+    monkeypatch.setattr(montecarlo, "_NORMALS_CHUNK", chunk)
+    members, switching, x0 = _stream_case(name, coarse_grid, log_grid, ou_grid,
+                                          periodic_grid)
+    fam = SemigroupFamily(members)
+    stages = [switching if route == "per-path" else np.full(fam.grid.size, i // 2 % 2)
+              for i in range(8)]
+    spec = SamplerSpec(fam, ControlPolicy(tuple((0.125, sel) for sel in stages)),
+                       3001, seed=11)
+    assert_matches_per_path(spec, x0)
+    assert len(streams) == 1
+
+
+def _recording_steps(spec):
+    """Wrap the spec's stage steps so that each records the type of the
+    generator it is handed; returns that list."""
+    seen = []
+    for key, step in list(spec._steps.items()):
+        def recording(states, rng, step=step):
+            seen.append(type(rng))
+            return step(states, rng)
+        spec._steps[key] = recording
+    return seen
+
+
+def test_chain_specs_keep_the_plain_generator(chain_family, label_grid):
+    scaled = SemigroupFamily([ScaledOperator(m, 2.0) for m in chain_family.members])
+    for fam in (chain_family, scaled):
+        assert not any(m.draws_only_normals for m in fam.members)
+        pol = ControlPolicy(tuple((0.25, np.array([0, 1, 1, 0])) for _ in range(4)))
+        spec = SamplerSpec(fam, pol, 1000, seed=5)
+        seen = _recording_steps(spec)
+        sample_terminal_states(spec, 1.0)
+        assert seen and set(seen) == {np.random.Generator}
+
+
+def test_normal_only_specs_read_the_stream(heat_family, readme_greedy):
+    spec = SamplerSpec(heat_family, readme_greedy, 1000, seed=1)
+    seen = _recording_steps(spec)
+    sample_terminal_states(spec, 0.0)
+    assert len(seen) == 64 and set(seen) == {montecarlo._NormalStream}
+
+
+class _FailingPhilox:
+    """Philox generator whose ``k``-th ``standard_normal`` call raises."""
+
+    def __init__(self, seed, k):
+        self.rng = np.random.Generator(np.random.Philox(key=seed))
+        self.calls = 0
+        self.k = k
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.k:
+            raise FloatingPointError(f"chunk {self.k} failed")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 40])
+def test_producer_error_reaches_the_caller(heat_family, readme_greedy, monkeypatch,
+                                           streams, k):
+    # 20,000 paths over 64 stages draw 20 chunks of 2^16 normals: the error
+    # raises in the stage that reaches the failed chunk; the 40th is never
+    # drawn, so the run completes with the generator's own states
+    monkeypatch.setattr(SamplerSpec, "rng", lambda self: _FailingPhilox(self.seed, k))
+    spec = SamplerSpec(heat_family, readme_greedy, 20_000, seed=1)
+    if k <= 20:
+        with pytest.raises(FloatingPointError, match=f"chunk {k} failed"):
+            sample_terminal_states(spec, 0.0)
+    else:
+        states, _ = sample_terminal_states(spec, 0.0)
+        monkeypatch.undo()
+        assert np.array_equal(states, per_path_terminal_states(spec, 0.0)[0])
+    assert len(streams) == 1 and not streams[0]._thread.is_alive()
+
+
+def test_no_thread_outlives_a_run_that_raises_mid_stage(coarse_grid, streams):
+    # the NaN stub draws normals, so its run reads the stream; the run
+    # raises in the lookup after the step that made the NaNs
+    fam = SemigroupFamily([_NaNBeyondZero(coarse_grid, 1.0)])
+    spec = SamplerSpec(fam, constant_policy(coarse_grid, 0, 3, 1.0), 1000, seed=4)
+    before = threading.active_count()
+    with pytest.raises(InvalidInputError, match="states must not be NaN"):
+        sample_terminal_states(spec, 0.0)
+    assert threading.active_count() == before
+    assert len(streams) == 1 and not streams[0]._thread.is_alive()
+
+
+def test_concurrent_streamed_samplers_keep_their_draws(heat_family, heat_grid,
+                                                       monkeypatch):
+    # four samplers on four threads, each with its own normals thread, on two
+    # cores, with a thread switch forced every microsecond and chunks of 7:
+    # a chunk handed over before it is filled, or refilled before it is read,
+    # changes some path
+    monkeypatch.setattr(montecarlo, "_NORMALS_CHUNK", 7)
+    sel = (heat_grid.points > 0.0).astype(int)
+    specs = [SamplerSpec(heat_family, ControlPolicy(tuple((0.25, sel) for _ in range(4))),
+                         500, seed=seed) for seed in range(4)]
+    results = [None] * len(specs)
+
+    def sample(i):
+        results[i] = sample_terminal_states(specs[i], 0.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=sample, args=(i,)) for i in range(len(specs))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for spec, (states, flagged) in zip(specs, results):
+        ref_states, ref_flagged = per_path_terminal_states(spec, 0.0)
+        assert np.array_equal(states, ref_states) and flagged == ref_flagged
+
+
+def test_closing_an_unread_stream_stops_its_thread(monkeypatch):
+    # the thread waits on a full ring; close wakes and joins it
+    monkeypatch.setattr(montecarlo, "_NORMALS_CHUNK", 10)
+    stream = montecarlo._NormalStream(np.random.Generator(np.random.Philox(key=1)),
+                                      10 ** 6)
+    stream.close()
+    assert not stream._thread.is_alive()
+
+
+@pytest.mark.parametrize("n", [2, 100, 101, 1000, 2 ** 16 + 3, 10 ** 6])
+def test_sample_std_is_numpys_to_the_bit(n):
+    # the in-place sequence gives np.std(ddof=1) to the bit
+    for seed in (1, 7, 12345):
+        vals = np.random.default_rng(seed).lognormal(0.0, 2.0, n)
+        expected = float(np.std(vals, ddof=1))
+        assert montecarlo._sample_std(vals) == expected
