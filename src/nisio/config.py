@@ -204,6 +204,11 @@ def build_family(cfg, grid):
                    for m in f["members"]]
         default = FamilyBounds(0.0, max(_ou_beta(m) for m in members))
     elif kind == "koopman":
+        # the flowed values are read off by interpolation: no boundary rule
+        boundary = cfg.get("grid", {}).get("boundary")
+        if boundary is not None:
+            raise ConfigurationError(
+                f"a koopman family reads no grid boundary: grid.boundary {boundary!r}")
         hint = float(f.get("lipschitz_hint", 1.0))
         members = [KoopmanOperator(grid, parse_field(e), hint) for e in f["fields"]]
         default = FamilyBounds(0.0, hint)
@@ -215,7 +220,7 @@ def build_family(cfg, grid):
                    for Q in f["rate_matrices"]]
         default = FamilyBounds(0.0, 2.0 * max(m.rate for m in members))
     else:  # scaled
-        base = build_family({"family": f["base"]}, grid)
+        base = build_family(dict(cfg, family=f["base"]), grid)
         if len(base) != 1:
             raise ConfigurationError("scaled family needs a singleton base")
         members = [ScaledOperator(base.members[0], s) for s in f["scales"]]

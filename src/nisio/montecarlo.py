@@ -32,20 +32,23 @@ paths all stay inside touches each path only in its step, its min and its
 max.  States inside keep their bits either way, so the stream, the states
 and the flagged count are those of a clip after every stage.
 
-The normals are drawn ahead on one helper thread.  While the stage loop runs
-its arithmetic, the thread fills a small ring of buffers from the spec's own
-Philox generator, and the member steps read them in order through a stream
-object with the generator's ``standard_normal(size)``.  Numpy's Philox
-normals do not depend on how a run of draws is split into calls, so the
-stream is the generator's, draw for draw.  A spec with a chain member among
-the ones its policy selects keeps the plain generator (a chain step draws
-Poisson and uniform numbers).  No thread outlives the run.
+The normals are drawn ahead by a one-thread pool that starts on the run's
+first draw.  While the stage loop runs its arithmetic, the pool fills a small
+ring of buffers from the spec's own Philox generator, and the member steps
+read them in order through a stream object with the generator's
+``standard_normal(size)``.  Numpy's Philox normals do not depend on how a run
+of draws is split into calls, so the stream is the generator's, draw for
+draw.  A run whose steps draw nothing (Koopman flows, OU members with zero
+variance) starts no thread and allocates no ring.  A spec with a chain member
+among the ones its policy selects keeps the plain generator (a chain step
+draws Poisson and uniform numbers).  No thread outlives the run.
 """
 
 from __future__ import annotations
 
 import math
-import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -60,15 +63,17 @@ from .errors import InvalidInputError
 # largest admitted n_paths, 2^26 over one stage, takes 512 MiB per float64
 # path array.  Traced at 2^20 paths, mc_value peaks at 18.5 B per path on
 # whole-batch stages, of which 2.5 are the normals ring's fixed 2.5 MiB:
-# about 1 GiB at 2^26.  A per-path stage looks its paths up in blocks and
+# about 1 GiB at 2^26.  The one-thread pool that fills the ring starts on the
+# run's first draw; a run whose steps draw nothing starts no thread and
+# allocates no ring.  A per-path stage looks its paths up in blocks and
 # peaks at 27.7 B per path (25.2 without the ring); only the second stage on
 # can take that route, so at most 2^25 paths: about 0.8 GiB
 MAX_PATH_STAGES = 2 ** 26
 # paths mc_value evaluates u at, and a per-path stage looks up, per block, so
 # their temporaries stay a few MiB whatever n_paths is
 _EVAL_BLOCK = 2 ** 16
-# normals per buffer of the helper thread's ring, and buffers in the ring; with
-# three the thread could not get a stage's arithmetic ahead
+# normals per buffer of the normals pool's ring, and buffers in the ring; with
+# three the pool could not get a stage's arithmetic ahead
 _NORMALS_CHUNK = 2 ** 16
 _NORMALS_RING = 5
 
@@ -117,67 +122,49 @@ class SamplerSpec:
 
 
 class _NormalStream:
-    """``standard_normal(size)`` of ``rng``, drawn ahead on one helper thread.
+    """``standard_normal(size)`` of ``rng``, drawn ahead by a one-thread pool.
 
-    The thread fills the buffers of a ring, allocated here by the calling
-    thread, chunk by chunk with ``rng.standard_normal(out=...)`` and stops
-    after ``total`` normals; ``standard_normal`` copies them out in order.
-    Philox normals split into any chunks are those of one call, so the
-    caller gets ``rng``'s draws bit for bit.  An error in the thread is
-    raised in the caller once it reaches the chunk that failed.  ``close``
-    stops the thread and joins it."""
+    The first draw starts the pool and submits one fill per buffer of a
+    ring, allocated by the calling thread (buffers made on the pool's thread
+    stay in its malloc arena and raise the peak RSS); each fill is
+    ``rng.standard_normal(out=...)`` of the next chunk, and the fills stop
+    at ``total`` normals.  ``standard_normal`` copies the chunks out in
+    order, and each chunk read goes back as the next fill.  Philox normals split
+    into any chunks are those of one call, so the caller gets ``rng``'s
+    draws bit for bit.  A failed fill raises in the caller at its chunk.  A
+    stream never drawn from starts no thread and allocates no ring;
+    ``close`` cancels the fills not yet begun and joins the thread."""
 
     def __init__(self, rng, total):
-        self._ring = [np.empty(min(_NORMALS_CHUNK, total)) for _ in range(_NORMALS_RING)]
-        self._free = threading.Semaphore(_NORMALS_RING)
-        self._filled = threading.Semaphore(0)
-        self._produced = 0          # chunks filled, then the end marker
-        self._taken = 0             # chunks the caller has opened
-        self._error = None
-        self._closing = False
-        self._chunk = self._ring[0][:0]
+        self._rng = rng
+        self._left = total          # normals not yet submitted
+        self._pool = None
+        self._fills = deque()       # (buffer, future), in the order submitted
+        self._chunk = np.empty(0)
         self._pos = 0
-        self._thread = threading.Thread(target=self._produce, args=(rng, total),
-                                        name="nisio-normals", daemon=True)
-        self._thread.start()
 
-    def _produce(self, rng, total):
-        try:
-            while total > 0:
-                self._free.acquire()
-                if self._closing:
-                    return
-                slot = self._produced % _NORMALS_RING
-                self._ring[slot] = self._ring[slot][:total]     # the last may be short
-                rng.standard_normal(out=self._ring[slot])
-                total -= self._ring[slot].size
-                self._produced += 1
-                self._filled.release()
-        except BaseException as exc:        # re-raised in the caller
-            self._error = exc
-        finally:
-            self._filled.release()          # the end marker
-
-    def _next_chunk(self):
-        if self._taken:
-            self._free.release()            # the chunk just read goes back
-        self._filled.acquire()
-        if self._taken == self._produced:   # the end marker: keep it there
-            self._filled.release()
-            if self._error is not None:
-                raise self._error
-            raise RuntimeError("normal stream exhausted")
-        slot = self._taken % _NORMALS_RING
-        self._taken += 1
-        self._chunk = self._ring[slot]
-        self._pos = 0
+    def _fill(self, buf):
+        buf = buf[:self._left]      # the last fill may be short
+        if buf.size:
+            self._left -= buf.size
+            self._fills.append((buf, self._pool.submit(self._rng.standard_normal, out=buf)))
 
     def standard_normal(self, size):
         out = np.empty(size)
         done = 0
         while done < size:
             if self._pos == self._chunk.size:
-                self._next_chunk()
+                if self._pool is None:
+                    self._pool = ThreadPoolExecutor(1, thread_name_prefix="nisio-normals")
+                    for _ in range(_NORMALS_RING):
+                        self._fill(np.empty(min(_NORMALS_CHUNK, self._left)))
+                if not self._fills:
+                    raise RuntimeError("normal stream exhausted")
+                buf, fill = self._fills[0]
+                fill.result()       # re-raises a failed fill, on every draw from here
+                self._fills.popleft()
+                self._fill(self._chunk)     # the chunk just read goes back
+                self._chunk, self._pos = buf, 0
             k = min(size - done, self._chunk.size - self._pos)
             out[done:done + k] = self._chunk[self._pos:self._pos + k]
             done += k
@@ -185,9 +172,8 @@ class _NormalStream:
         return out
 
     def close(self):
-        self._closing = True
-        self._free.release()
-        self._thread.join()
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
 
 @contextmanager

@@ -10,8 +10,9 @@ def num(lo, hi):
 
 
 @st.composite
-def grid(draw, kind):
-    """A grid section of ``kind`` with at most 50 cells."""
+def grid(draw, kind, boundary=True):
+    """A grid section of ``kind`` with at most 50 cells; a uniform one has a
+    ``boundary`` unless ``boundary`` is false."""
     if kind == "labels":
         return {"kind": "labels", "n": draw(st.integers(1, 6))}
     if kind == "log":
@@ -21,7 +22,7 @@ def grid(draw, kind):
     half = draw(num(0.5, 5.0))
     section = {"kind": kind, "domain": [-half, half],
                "dx": 2.0 * half / draw(st.integers(1, 50))}
-    if kind == "uniform":
+    if kind == "uniform" and boundary:
         section["boundary"] = draw(st.sampled_from(["reflect", "renormalize"]))
     return section
 
@@ -59,8 +60,10 @@ def grid_and_family(draw, families):
     """A grid section of a kind in ``families`` (grid kind -> family kinds)
     and a family section of one of its family kinds, up to three members or a
     scaled singleton with up to three scales."""
-    section = draw(grid(draw(st.sampled_from(sorted(families)))))
-    kind = draw(st.sampled_from(families[section["kind"]]))
+    grid_kind = draw(st.sampled_from(sorted(families)))
+    kind = draw(st.sampled_from(families[grid_kind]))
+    # a Koopman family rejects a boundary, which it would not read
+    section = draw(grid(grid_kind, boundary=kind != "koopman"))
     if draw(st.booleans()):
         family = {"kind": "scaled",
                   "base": dict(kind=kind, **draw(members(kind, section, 1))),

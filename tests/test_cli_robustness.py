@@ -2,10 +2,11 @@
 code, twice alike.
 
 Each example is a schema-valid config for one subcommand: a grid kind
-(uniform with either boundary, periodic, log, labels) with a family kind its
-members accept there (heat, 1D OU and Koopman on uniform grids, heat and
-stable on periodic ones, GBM on log grids, chains on labels, or a scaled
-singleton of one of them), at most 50 grid cells.  ``mc`` keeps to the
+(uniform with either boundary, or with none under a Koopman family, which
+rejects one; periodic, log, labels) with a family kind its members accept
+there (heat, 1D OU and Koopman on uniform grids, heat and stable on periodic
+ones, GBM on log grids, chains on labels, or a scaled singleton of one of
+them), at most 50 grid cells.  ``mc`` keeps to the
 family kinds with a path sampler on the grid (no stable members) and draws
 at most 8 stages and 100 to 2000 paths.  ``properties`` draws one to three
 probes, one or two horizons (one of them positive) and one or two partition

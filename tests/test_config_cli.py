@@ -163,6 +163,14 @@ REJECTED = {
     "grid-kind-unknown": ({"grid": {"kind": "hex"}}, "grid.kind"),
     "log-x_max-negative": ({"grid": dict(LOG_GRID, x_max=-8)}, "grid.x_max"),
     "log-n-1": ({"grid": dict(LOG_GRID, n=1)}, "grid.n 1"),
+    # a Koopman member interpolates its flowed values and reads no boundary
+    "koopman-boundary": ({"grid": dict(SMALL_CFG["grid"], boundary="reflect"),
+                          "family": {"kind": "koopman", "fields": ["-x"]}},
+                         "grid.boundary 'reflect'"),
+    "scaled-koopman-boundary": ({"grid": dict(SMALL_CFG["grid"], boundary="renormalize"),
+                                 "family": {"kind": "scaled", "scales": [1.0], "base": {
+                                     "kind": "koopman", "fields": ["-x"]}}},
+                                "grid.boundary 'renormalize'"),
     # malformed data
     "chain-ragged": ({"grid": LABEL_GRID, "family": {
         "kind": "chain", "rate_matrices": [[[-1, 1], [1]]]}}, "rate_matrices"),
@@ -698,8 +706,7 @@ def test_cli_gbm_zero_volatility_member(tmp_path):
 
 def test_cli_reports_carry_eps_q_and_flow_exits(tmp_path):
     cfg = {
-        "grid": {"kind": "uniform", "domain": [-4, 4], "dx": 0.02,
-                 "boundary": "reflect"},
+        "grid": {"kind": "uniform", "domain": [-4, 4], "dx": 0.02},
         "family": {"kind": "koopman", "fields": ["1.0 + 0*x"],
                    "lipschitz_hint": 0.1},
         "u0": {"name": "sin"},

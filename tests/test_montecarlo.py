@@ -589,9 +589,10 @@ def test_sampler_skips_the_clip_when_no_path_leaves(heat_family, readme_greedy,
 
 @pytest.mark.parametrize("route", ["whole-batch", "per-path"])
 def test_mc_value_memory_per_path(coarse_family, coarse_grid, route):
-    # u is evaluated in blocks into one array; at 2^20 paths over two stages
-    # the whole-batch route peaks at 24 B per path (states, values, and the
-    # standard deviation's temporary), the per-path route at 25 (its blocked
+    # u is evaluated in blocks into one array and the standard deviation is
+    # taken in place; traced at 2^20 paths over two stages, the whole-batch
+    # route peaks at 18.5 B per path (states, values, and the normals ring's
+    # fixed 2.5 MiB), the per-path route at 27.7 (the ring, its blocked
     # lookup's member indices, a mask, and the masked states and their step)
     sel = (np.ones(coarse_grid.size, dtype=int) if route == "whole-batch"
            else (coarse_grid.points > 0.0).astype(int))
@@ -630,8 +631,8 @@ def test_blocked_lookup_matches_per_path(heat_family, heat_grid, monkeypatch):
 
 def test_per_path_stage_memory_per_path(coarse_family, coarse_grid):
     # the per-path lookup fills one member-index array block by block, so a
-    # per-path stage peaks near 25 B per path, not at the 49 of a lookup over
-    # the whole batch
+    # per-path stage peaks at 27.7 B per path traced at 2^20 paths (25.2
+    # without the normals ring), not at the 49 of a lookup over the whole batch
     sel = (coarse_grid.points > 0.0).astype(int)
     n = 2 ** 20
     spec = SamplerSpec(coarse_family, ControlPolicy(((0.5, sel), (0.5, sel))), n, seed=1)
@@ -644,7 +645,7 @@ def test_per_path_stage_memory_per_path(coarse_family, coarse_grid):
     assert peak <= 32 * n, peak / n
 
 
-# -- the normals drawn ahead on a helper thread --------------------------------
+# -- the normals drawn ahead by a one-thread pool ------------------------------
 
 def test_philox_normals_do_not_depend_on_how_the_draws_are_split():
     # the stream relies on this: a run of standard_normal calls, fresh or
@@ -703,6 +704,25 @@ def _stream_case(name, coarse_grid, log_grid, ou_grid, periodic_grid):
     assert name == "periodic"
     members = [HeatOperator(periodic_grid, 0.5), HeatOperator(periodic_grid, 1.0)]
     return members, np.arange(periodic_grid.size) % 2, np.pi - 0.001
+
+
+def _normals_threads():
+    """The sampler's normals threads alive now."""
+    return [t for t in threading.enumerate() if t.name.startswith("nisio-normals")]
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The names of the threads started while the test runs, in order."""
+    names = []
+    start = threading.Thread.start
+
+    def recording(self):
+        names.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return names
 
 
 @pytest.fixture
@@ -801,7 +821,7 @@ def test_producer_error_reaches_the_caller(heat_family, readme_greedy, monkeypat
         states, _ = sample_terminal_states(spec, 0.0)
         monkeypatch.undo()
         assert np.array_equal(states, per_path_terminal_states(spec, 0.0)[0])
-    assert len(streams) == 1 and not streams[0]._thread.is_alive()
+    assert len(streams) == 1 and not _normals_threads()
 
 
 def test_no_thread_outlives_a_run_that_raises_mid_stage(coarse_grid, streams):
@@ -813,7 +833,7 @@ def test_no_thread_outlives_a_run_that_raises_mid_stage(coarse_grid, streams):
     with pytest.raises(InvalidInputError, match="states must not be NaN"):
         sample_terminal_states(spec, 0.0)
     assert threading.active_count() == before
-    assert len(streams) == 1 and not streams[0]._thread.is_alive()
+    assert len(streams) == 1 and not _normals_threads()
 
 
 def test_concurrent_streamed_samplers_keep_their_draws(heat_family, heat_grid,
@@ -847,13 +867,30 @@ def test_concurrent_streamed_samplers_keep_their_draws(heat_family, heat_grid,
         assert np.array_equal(states, ref_states) and flagged == ref_flagged
 
 
-def test_closing_an_unread_stream_stops_its_thread(monkeypatch):
-    # the thread waits on a full ring; close wakes and joins it
-    monkeypatch.setattr(montecarlo, "_NORMALS_CHUNK", 10)
+def test_an_unread_stream_starts_no_thread(started_threads):
+    # the pool starts on the first draw of a normal; a draw of none is not one
     stream = montecarlo._NormalStream(np.random.Generator(np.random.Philox(key=1)),
                                       10 ** 6)
+    assert stream.standard_normal(0).size == 0
     stream.close()
-    assert not stream._thread.is_alive()
+    assert started_threads == []
+
+
+@pytest.mark.parametrize("name, starts", [("koopman", 0), ("ou-std-0", 0), ("heat", 1)])
+def test_only_a_run_that_draws_starts_the_normals_thread(name, starts, ou_grid,
+                                                          started_threads):
+    # Koopman flows and OU members with C = 0 draw nothing: their run takes
+    # the stream but never reads it, so no thread starts and no ring is made
+    members = {"koopman": [KoopmanOperator(ou_grid, lambda x: -0.5 * x, 1.0),
+                           KoopmanOperator(ou_grid, lambda x: 0.0 * x + 0.5, 1.0)],
+               "ou-std-0": [OUOperator(ou_grid, -0.5, 0.2, 0.0),
+                            OUOperator(ou_grid, 0.0, 0.5, 0.0)],
+               "heat": [HeatOperator(ou_grid, 1.0)]}[name]
+    sel = np.arange(ou_grid.size) % len(members)
+    spec = SamplerSpec(SemigroupFamily(members),
+                       ControlPolicy(tuple((0.25, sel) for _ in range(4))), 1000, seed=3)
+    assert_matches_per_path(spec, 0.3)
+    assert sum(n.startswith("nisio-normals") for n in started_threads) == starts
 
 
 @pytest.mark.parametrize("n", [2, 100, 101, 1000, 2 ** 16 + 3, 10 ** 6])
