@@ -18,7 +18,7 @@ u0 = probe_function("quadratic", grid)
 
 greedy = greedy_policy(family, 1.0, u0, m=32)
 spec = SamplerSpec(family, greedy.policy, n_paths=200_000, seed=7)
-out = mc_compare(spec, 0.0, u0, max_level=6, tol=1e-9)
+out = mc_compare(spec, 0.0, u0, greedy.value, max_level=6, tol=1e-9)
 print("convex data, greedy policy, x0 = 0, t = 1:")
 print(f"  Monte Carlo:  {out['mc']['estimate']:.5f} +- {out['mc']['std_error']:.1e}")
 print(f"  grid policy:  {out['grid']:.5f}")

@@ -33,7 +33,7 @@ from .config import (build_family, build_grid, build_u0, build_window,
 from .control import (check_greedy_stages, duality_gap, greedy_policy, policy_value,
                       random_policy)
 from .diagnostics import property_suite
-from .envelope import check_levels, dpp_check, nisio_value, quadrature_tolerance
+from .envelope import CHECK_LEVEL, check_levels, dpp_check, nisio_value, quadrature_tolerance
 from .errors import ConfigurationError, InvalidInputError, NumericalDegeneracyError
 from .grids import weighted_norm
 from .montecarlo import SamplerSpec, check_path_stages, mc_compare
@@ -124,8 +124,8 @@ def _cmd_solve(run):
 def _cmd_properties(run):
     section = run.section
     t_list = section.get("t_list", [0.25, 1.0])
-    # the partition pairs' t/16 lattice and the level-4 refinements
-    _check_horizons("properties.t_list", t_list, 16)
+    # the partition pairs and the refinements on the check lattice
+    _check_horizons("properties.t_list", t_list, 2 ** CHECK_LEVEL)
     probe_names = section.get("probes", ["quadratic", "neg-quadratic", "sin"])
     probes = [probe_function(name, run.grid) for name in probe_names]
     return "properties", property_suite(
@@ -156,8 +156,8 @@ def _cmd_control(run):
     t, m, level = section["t"], section["m"], section.get("level", 6)
     check_greedy_stages(run.family, m)
     check_levels(run.family, level)
-    # greedy stages of t/m, dyadic refinements, random policies on a t/16 lattice
-    _check_horizons("control.t", [t], max(m, 2 ** level, 16), positive=True)
+    # greedy stages of t/m, dyadic refinements, random policies on the check lattice
+    _check_horizons("control.t", [t], max(m, 2 ** level, 2 ** CHECK_LEVEL), positive=True)
     eps = quadrature_tolerance(run.family)
     out = duality_gap(run.family, t, run.u0, m, max_level=level, tol=1e-12,
                       window=run.window)
@@ -191,7 +191,7 @@ def _cmd_mc(run):
     seed = run.seed if run.seed is not None else section.get("seed", 0)
     greedy = greedy_policy(run.family, t, run.u0, m)
     spec = SamplerSpec(run.family, greedy.policy, section["n_paths"], seed)
-    out = mc_compare(spec, section["x0"], run.u0)
+    out = mc_compare(spec, section["x0"], run.u0, greedy.value)
     return "mc", dict(out, t=t, m=m, seed=seed, x0=section["x0"], eps_q=eps,
                       passed=not out["flag"])
 

@@ -5,13 +5,12 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-import math
 
 import numpy as np
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, GridKindError
 from .grids import GridFunction, WeightedGrid
 from .operators import (ChainOperator, FamilyBounds, GBMOperator, HeatOperator,
                         KoopmanOperator, OUOperator, ScaledOperator,
@@ -148,17 +147,16 @@ def config_hash(cfg):
     return hashlib.sha256(blob).hexdigest()
 
 
-def _kappa_callable(spec):
-    if spec is None or spec["kind"] == "constant":
-        return None
-    p = float(spec.get("p", 2.0))
-    return lambda x: (1.0 + np.abs(x)) ** (-p)
+def _kappa_exponent(spec):
+    """p of an inverse-power kappa = (1 + |x|)^-p, or None for a constant one."""
+    return None if spec is None or spec["kind"] == "constant" else float(spec.get("p", 2.0))
 
 
 def build_grid(cfg):
     g = cfg["grid"]
     kind = g["kind"]
-    kappa = _kappa_callable(g.get("kappa"))
+    p = _kappa_exponent(g.get("kappa"))
+    kappa = None if p is None else (lambda x: (1.0 + np.abs(x)) ** (-p))
     boundary = g.get("boundary", "renormalize")
     if kind == "labels":
         return WeightedGrid.labels(g["n"], kappa=kappa)
@@ -190,18 +188,46 @@ def _floats(value, what):
 
 def build_family(cfg, grid):
     f = cfg["family"]
+    members, default = _members(cfg, f, "family", grid)
+    alpha = float(f.get("alpha", default.alpha))
+    beta = float(f.get("beta", default.beta))
+    return SemigroupFamily(members, FamilyBounds(alpha, beta))
+
+
+def _each(key, make, entries, grid):
+    """``[make(e) for e in entries]``; a member's own check that rejects entry
+    i names ``key`` (formatted with ``i``), and on a grid it cannot live on
+    also ``grid.kind``."""
+    out = []
+    for i, entry in enumerate(entries):
+        try:
+            out.append(make(entry))
+        except ConfigurationError as exc:
+            where = key.format(i=i)
+            if isinstance(exc, GridKindError):
+                where += f" on grid.kind {grid.kind!r}"
+            raise ConfigurationError(f"{where}: {exc}") from None
+    return out
+
+
+def _members(cfg, f, key, grid):
+    """Members of family section ``f``, found at ``key``, and the default
+    bounds of its kind."""
     kind = f["kind"]
     if kind == "heat":
-        members = [HeatOperator(grid, s) for s in _heat_sigmas(f)]
+        where = key + (".sigmas[{i}]" if "sigmas" in f else ".range")
+        members = _each(where, lambda s: HeatOperator(grid, s), _heat_sigmas(f), grid)
         default = FamilyBounds(0.0, 0.0)
     elif kind == "gbm":
-        members = [GBMOperator(grid, mu, sigma) for mu, sigma in f["members"]]
+        members = _each(key + ".members[{i}]", lambda ms: GBMOperator(grid, *ms),
+                        f["members"], grid)
         beta = max(abs(mu) + 0.5 * sigma ** 2 for mu, sigma in f["members"])
-        p = _gbm_weight_exponent(grid)
+        # kappa = (1 + |x|)^-p turns GBM's growth beta into the weight's p beta
+        p = _kappa_exponent(cfg["grid"].get("kappa")) or 0.0
         default = FamilyBounds(p * beta, beta)
     elif kind == "ou":
-        members = [OUOperator(grid, *(_floats(m[k], f"ou member {k}") for k in "BmC"))
-                   for m in f["members"]]
+        members = _each(key + ".members[{i}]", lambda m: OUOperator(
+            grid, *(_floats(m[k], f"ou member {k}") for k in "BmC")), f["members"], grid)
         default = FamilyBounds(0.0, max(_ou_beta(m) for m in members))
     elif kind == "koopman":
         # the flowed values are read off by interpolation: no boundary rule
@@ -210,35 +236,29 @@ def build_family(cfg, grid):
             raise ConfigurationError(
                 f"a koopman family reads no grid boundary: grid.boundary {boundary!r}")
         hint = float(f.get("lipschitz_hint", 1.0))
-        members = [KoopmanOperator(grid, parse_field(e), hint) for e in f["fields"]]
+        members = _each(key + ".fields[{i}]", lambda e: KoopmanOperator(
+            grid, parse_field(e), hint), f["fields"], grid)
         default = FamilyBounds(0.0, hint)
     elif kind == "stable":
-        members = [StableOperator(grid, a) for a in f["alphas"]]
+        members = _each(key + ".alphas[{i}]", lambda a: StableOperator(grid, a),
+                        f["alphas"], grid)
         default = FamilyBounds(0.0, 0.0)
     elif kind == "chain":
-        members = [ChainOperator(grid, _floats(Q, "rate_matrices"))
-                   for Q in f["rate_matrices"]]
+        members = _each(key + ".rate_matrices[{i}]",
+                        lambda Q: ChainOperator(grid, _floats(Q, "rate matrix")),
+                        f["rate_matrices"], grid)
         default = FamilyBounds(0.0, 2.0 * max(m.rate for m in members))
     else:  # scaled
-        base = build_family(dict(cfg, family=f["base"]), grid)
+        base, base_bounds = _members(cfg, f["base"], key + ".base", grid)
         if len(base) != 1:
-            raise ConfigurationError("scaled family needs a singleton base")
-        members = [ScaledOperator(base.members[0], s) for s in f["scales"]]
+            raise ConfigurationError(
+                f"scaled family needs a singleton base: {key}.base has {len(base)} members")
+        members = _each(key + ".scales[{i}]", lambda s: ScaledOperator(base[0], s),
+                        f["scales"], grid)
         # S_s(t) = S(s t), so the base's growth rates scale with the largest s
         top = max(f["scales"])
-        default = FamilyBounds(top * base.bounds.alpha, top * base.bounds.beta)
-    alpha = float(f.get("alpha", default.alpha))
-    beta = float(f.get("beta", default.beta))
-    return SemigroupFamily(members, FamilyBounds(alpha, beta))
-
-
-def _gbm_weight_exponent(grid):
-    # recover p from kappa = (1+|x|)^-p at the largest point; constant -> 0
-    x = float(np.max(np.abs(grid.points)))
-    k = float(grid.kappa[np.argmax(np.abs(grid.points))])
-    if abs(k - 1.0) < 1e-12 or x == 0.0:
-        return 0.0
-    return -math.log(k) / math.log1p(x)
+        default = FamilyBounds(top * base_bounds.alpha, top * base_bounds.beta)
+    return members, default
 
 
 def _ou_beta(member):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import MAX_MEMBER_APPLIES, envelope_step_argmax, nisio_value
+from .envelope import CHECK_LEVEL, MAX_MEMBER_APPLIES, envelope_step_argmax, nisio_value
 from .errors import ConfigurationError, InvalidInputError
 from .grids import weighted_norm
 
@@ -129,9 +129,11 @@ def duality_gap(family, t, u, m, max_level=12, tol=1e-6, window=None):
 
 
 def random_policy(family, t, rng):
-    """Admissible policy with 1 to 6 random stage durations (on a t/16
-    lattice) and independent random per-point selectors."""
-    max_stages, quantum = 6, 16
+    """Admissible policy with 1 to 6 random stage durations on the
+    t / 2^CHECK_LEVEL lattice (``envelope.CHECK_LEVEL``, where
+    ``property_suite``'s checks carry 2^CHECK_LEVEL eps_q) and independent
+    random per-point selectors."""
+    max_stages, quantum = 6, 2 ** CHECK_LEVEL
     m = int(rng.integers(1, max_stages + 1))
     cuts = np.sort(rng.choice(np.arange(1, quantum), size=m - 1, replace=False)) \
         if m > 1 else np.array([], dtype=int)

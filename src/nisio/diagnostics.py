@@ -5,15 +5,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .envelope import (Partition, envelope_step, nisio_value, partition_apply,
-                       quadrature_tolerance, upper_bound_check)
+from .envelope import (CHECK_LEVEL, Partition, envelope_step, nisio_value,
+                       partition_apply, quadrature_tolerance, upper_bound_check)
 from .errors import InvalidInputError, ResolutionError
 from .grids import GridFunction, lip_seminorm, weighted_norm
 from .operators import generator_apply
 from .probes import bump, smootherstep
-
-# dyadic depth of property_suite's refinement and domination checks
-_NISIO_LEVEL = 4
 
 
 def strong_continuity_probe(family, u, h_list, window=None):
@@ -129,8 +126,9 @@ def viscosity_residual(family, snapshots, dt, window=None):
     return {"residual_field": field, "max_interior_residual": worst}
 
 
-def _nested_partition_pair(t, rng, quantum=16):
-    """Random nested pair pi1 subset pi2 with endpoint t, on a 1/quantum lattice."""
+def _nested_partition_pair(t, rng):
+    """Random nested pair pi1 subset pi2 with endpoint t, on the t / 2^CHECK_LEVEL lattice."""
+    quantum = 2 ** CHECK_LEVEL
     k2 = rng.integers(2, 7)
     interior = rng.choice(np.arange(1, quantum), size=min(k2, quantum - 1), replace=False)
     times2 = np.concatenate([[0.0], np.sort(interior) * (t / quantum), [t]])
@@ -145,7 +143,9 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
 
     Every inequality is tested with tolerance eps_q (the members' measured
     composition defect); identities that only suffer floating point use a
-    scale-aware machine tolerance instead.  Returns a JSON-shaped report.
+    scale-aware machine tolerance instead.  The partition pairs and dyadic
+    refinements live on the t / 2^CHECK_LEVEL lattice (``envelope.CHECK_LEVEL``)
+    and carry 2^CHECK_LEVEL eps_q, one per split.  Returns a JSON-shaped report.
     """
     if not probes:
         raise InvalidInputError("need at least one probe")
@@ -231,26 +231,25 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     # per split (members with exactly composing kernels keep it at eps_q)
     worst = np.inf
     t_ref = max(t_list)
-    quantum = 16
     for _ in range(partition_pairs):
-        p1, p2 = _nested_partition_pair(t_ref, rng, quantum=quantum)
+        p1, p2 = _nested_partition_pair(t_ref, rng)
         for u in probes:
             gap = partition_apply(family, p2, u).values \
                 - partition_apply(family, p1, u).values
             worst = min(worst, float(np.min(gap)))
-    record("partition_refinement", worst, quantum * eps)
+    record("partition_refinement", worst, 2 ** CHECK_LEVEL * eps)
 
-    # one level-4 refinement of probes[0] at t_ref serves both checks below
-    bounds = {t: upper_bound_check(family, t, probes[0], max_level=_NISIO_LEVEL,
+    # one refinement of probes[0] at t_ref serves both checks below
+    bounds = {t: upper_bound_check(family, t, probes[0], max_level=CHECK_LEVEL,
                                    tol=1e-12) for t in t_list}
     runs = [bounds[t_ref]["result"]] + [
-        nisio_value(family, t_ref, u, max_level=_NISIO_LEVEL, tol=1e-12)
+        nisio_value(family, t_ref, u, max_level=CHECK_LEVEL, tol=1e-12)
         for u in probes[1:]]
     worst = np.inf
     for res in runs:
         for a, b in zip(res.levels, res.levels[1:]):
             worst = min(worst, float(np.min(b.values - a.values)))
-    record("dyadic_levels_nondecreasing", worst, 2 ** _NISIO_LEVEL * eps)
+    record("dyadic_levels_nondecreasing", worst, 2 ** CHECK_LEVEL * eps)
 
     # envelope dominates every member
     worst = min(bound["min_slack"] for bound in bounds.values())

@@ -20,6 +20,9 @@ from .grids import GridFunction, weighted_norm
 # (2^(max_level+1) - 1) envelope steps times K members; 2^24 admits level 12
 # with up to 2048 members
 MAX_MEMBER_APPLIES = 2 ** 24
+# the checks' lattice is t / 2^CHECK_LEVEL: property_suite's refinements and
+# partition pairs, random_policy's stage cuts
+CHECK_LEVEL = 4
 
 
 @dataclass(frozen=True)

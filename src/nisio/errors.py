@@ -13,6 +13,10 @@ class ConfigurationError(ValueError):
     """Raised for structurally invalid specs, families, or policies."""
 
 
+class GridKindError(ConfigurationError):
+    """Raised when a member cannot live on its grid's kind."""
+
+
 class ResolutionError(ConfigurationError):
     """Raised when a requested probe is below the grid resolution."""
 

@@ -7,7 +7,8 @@ increments for heat and 1D OU members, lognormal ones for GBM members, the
 deterministic flow for Koopman members, a uniformization jump chain for
 conservative chains; a scaled member samples its base over the dilated
 duration).  The single-policy expectation is a lower bound for the envelope
-value; under the greedy policy it reproduces it.
+value; under the greedy policy it reproduces it.  ``mc_compare`` takes the
+policy's grid value from its caller: a greedy policy's backward pass returns it.
 
 A stage first looks up only the smallest and largest state.  The nearest
 index is non-decreasing in the state, so every path sits at a node between
@@ -54,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControlPolicy, _check_policy, policy_value
+from .control import ControlPolicy, _check_policy
 from .envelope import nisio_value
 from .errors import InvalidInputError
 
@@ -293,13 +294,13 @@ def _sample_std(vals):
     return math.sqrt(np.add.reduce(vals) / (vals.size - 1))
 
 
-def mc_compare(spec, x0, u, max_level=8, tol=1e-8):
-    """Monte Carlo vs grid policy value vs refined envelope at one state."""
+def mc_compare(spec, x0, u, value, max_level=8, tol=1e-8):
+    """Monte Carlo vs the policy's grid value of u, ``value`` (a greedy
+    policy's ``GreedyResult.value``), vs refined envelope at one state."""
     mc = mc_value(spec, x0, u)
-    grid_fn = policy_value(spec.family, spec.policy, u)
     envelope = nisio_value(spec.family, spec.policy.horizon, u,
                            max_level=max_level, tol=tol)
-    grid_val = float(grid_fn.at(x0))
+    grid_val = float(value.at(x0))
     nisio_val = float(envelope.value.at(x0))
     diff = grid_val - mc["estimate"]
     if mc["std_error"] > 0.0:

@@ -69,7 +69,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigurationError, InvalidInputError, NumericalDegeneracyError
+from .errors import (ConfigurationError, GridKindError, InvalidInputError,
+                     NumericalDegeneracyError)
 from .grids import WeightedGrid, weighted_norm
 from .probes import probe_function
 
@@ -546,7 +547,7 @@ class HeatOperator(TransitionOperator):
 
     def __init__(self, grid, sigma):
         if grid.kind not in ("uniform", "periodic"):
-            raise ConfigurationError("heat member needs a uniform grid")
+            raise GridKindError("heat member needs a uniform grid")
         if sigma < 0.0:
             raise ConfigurationError("sigma must be >= 0")
         super().__init__(grid)
@@ -592,7 +593,7 @@ class GBMOperator(TransitionOperator):
 
     def __init__(self, grid, mu, sigma):
         if grid.kind != "log":
-            raise ConfigurationError("GBM member needs a log grid")
+            raise GridKindError("GBM member needs a log grid")
         if sigma < 0.0:
             raise ConfigurationError("sigma must be >= 0")
         super().__init__(grid)
@@ -664,9 +665,9 @@ class OUOperator(TransitionOperator):
         if np.min(np.linalg.eigvalsh(C)) < -1e-12:
             raise ConfigurationError("C must be positive semidefinite")
         if d == 1 and grid.kind != "uniform":
-            raise ConfigurationError("1D OU member needs a uniform grid")
+            raise GridKindError("1D OU member needs a uniform grid")
         if d == 2 and grid.kind != "tensor":
-            raise ConfigurationError("2D OU member needs a tensor grid")
+            raise GridKindError("2D OU member needs a tensor grid")
         super().__init__(grid)
         self.B, self.m, self.C, self.d = B, m, C, d
         self.name = f"ou(d={d})"
@@ -796,7 +797,7 @@ class KoopmanOperator(TransitionOperator):
 
     def __init__(self, grid, F, lipschitz_hint=1.0):
         if grid.kind != "uniform":
-            raise ConfigurationError("Koopman member needs a uniform grid")
+            raise GridKindError("Koopman member needs a uniform grid")
         super().__init__(grid)
         self.F = F
         self.lipschitz_hint = float(lipschitz_hint)
@@ -847,7 +848,7 @@ class StableOperator(TransitionOperator):
 
     def __init__(self, grid, alpha):
         if grid.kind != "periodic":
-            raise ConfigurationError("stable member needs a uniform periodic grid")
+            raise GridKindError("stable member needs a uniform periodic grid")
         if not 0.0 < alpha < 1.0:
             raise ConfigurationError("alpha must lie in (0, 1)")
         super().__init__(grid)
@@ -892,7 +893,7 @@ class ChainOperator(TransitionOperator):
 
     def __init__(self, grid, Q, allow_nonconservative=False):
         if grid.kind != "labels":
-            raise ConfigurationError("chain member needs a label grid")
+            raise GridKindError("chain member needs a label grid")
         Q = np.asarray(Q, dtype=float)
         if Q.shape != (grid.size, grid.size):
             raise ConfigurationError("rate matrix shape mismatch")

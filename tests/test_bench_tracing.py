@@ -1,9 +1,11 @@
-"""The benchmark's tracer still finds every nisio function it wraps.
+"""The benchmark's hooks into nisio still find what they read.
 
 ``bench/tracing.py`` reaches functions by name (``montecarlo.mc_value``,
-``envelope.quadrature_tolerance``, ...), so renaming or deleting one breaks
-the traced benchmark.  ``Tracer().install()`` runs in a fresh interpreter,
-with ``src`` and ``bench`` on the path, and must exit cleanly.
+``envelope.quadrature_tolerance``, ...) and reads ``member._cache`` and
+``Partition.times``; the policy-mc workload times ``mc_value`` by replacing
+``nisio.montecarlo.mc_value``.  Renaming or deleting any of these breaks the
+benchmark, or leaves a metric unmeasured, without failing a run.  Each test
+runs in a fresh interpreter, with ``src`` and ``bench`` on the path.
 """
 import os
 import subprocess
@@ -12,12 +14,49 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# a traced solve reports builds, applies, steps and the level-0 time; an mc
+# run calls montecarlo.mc_value by its module-global name, once
+TRACED_RUNS = """
+import tempfile
+from tracing import Tracer, op_metrics
+from nisio import cli, montecarlo
 
-def test_tracer_installs_on_the_current_package():
+tiny = "bench/configs/tiny/readme.json"
+tracer = Tracer()
+tracer.install()
+with tempfile.TemporaryDirectory() as out:
+    tracer.op = 0
+    assert cli.run("solve", tiny, out) == 0
+    tracer.op = None
+    metrics = op_metrics(tracer.spans, 0)
+    for key in ("operators.build_count", "operators.apply_count",
+                "envelope.step_count", "envelope.level_s.L0"):
+        assert metrics[key] > 0, (key, metrics[key])
+    calls = []
+    mc_value = montecarlo.mc_value
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return mc_value(*args, **kwargs)
+
+    montecarlo.mc_value = counted
+    assert cli.run("mc", tiny, out) == 0
+    assert len(calls) == 1, calls
+"""
+
+
+def _run(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
         str(ROOT / "src"), str(ROOT / "bench"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "from tracing import Tracer; Tracer().install()"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_tracer_installs_on_the_current_package():
+    _run("from tracing import Tracer; Tracer().install()")
+
+
+def test_traced_runs_read_the_hooks_the_benchmark_needs():
+    _run(TRACED_RUNS)

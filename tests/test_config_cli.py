@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -171,6 +172,40 @@ REJECTED = {
                                  "family": {"kind": "scaled", "scales": [1.0], "base": {
                                      "kind": "koopman", "fields": ["-x"]}}},
                                 "grid.boundary 'renormalize'"),
+    # an entry a member's own check rejects: the message names the entry,
+    # and grid.kind when the member cannot live on that grid
+    "heat-sigma-negative": ({"family": dict(HEAT, sigmas=[-1])}, "family.sigmas[0]: sigma"),
+    "heat-range-negative": ({"family": {"kind": "heat", "range": [-1, 1]}}, "family.range: sigma"),
+    "heat-on-log-grid": ({"grid": LOG_GRID},
+                         "family.sigmas[0] on grid.kind 'log': heat member needs"),
+    "gbm-on-uniform-grid": ({"family": {"kind": "gbm", "members": [[0.1, 0.2]]}},
+                            "family.members[0] on grid.kind 'uniform'"),
+    "stable-alpha-1.5": ({"grid": {"kind": "periodic", "domain": [-3, 3], "dx": 0.1},
+                          "family": {"kind": "stable", "alphas": [0.5, 1.5]}},
+                         "family.alphas[1]: alpha"),
+    "chain-negative-rate": ({"grid": LABEL_GRID, "family": {
+        "kind": "chain", "rate_matrices": [[[1, -1], [1, -1]]]}}, "family.rate_matrices[0]: "),
+    "scales-negative": ({"family": {"kind": "scaled", "scales": [1.0, -1.0], "base": {
+        "kind": "heat", "sigmas": [1.0]}}},
+                        "family.scales[1]: scale"),
+    "scaled-base-two-members": ({"family": {"kind": "scaled", "scales": [1.0], "base": HEAT}},
+                                "family.base has 2 members"),
+    "scaled-base-sigma-negative": ({"family": {"kind": "scaled", "scales": [1.0], "base": {
+        "kind": "heat", "sigmas": [-1.0]}}}, "family.base.sigmas[0]: sigma"),
+    "scaled-base-on-log-grid": ({"grid": LOG_GRID, "family": {
+        "kind": "scaled", "scales": [1.0], "base": {"kind": "heat", "sigmas": [1.0]}}},
+        "family.base.sigmas[0] on grid.kind 'log'"),
+    "koopman-over-hint": ({"family": {"kind": "koopman", "fields": ["-3*x"],
+                                      "lipschitz_hint": 1}}, "family.fields[0]: field exceeds"),
+    "ou-C-negative": ({"family": {"kind": "ou", "members": [{"B": -0.5, "m": 0.0, "C": -1}]}},
+                      "family.members[0]: C must be"),
+    "ou-2d-on-uniform-grid": ({"family": {"kind": "ou", "members": [
+        {"B": [[-1, 0], [0, -1]], "m": [0, 0], "C": [[1, 0], [0, 1]]}]}},
+        "family.members[0] on grid.kind 'uniform': 2D OU"),
+    "ou-3d": ({"family": {"kind": "ou", "members": [
+        {"B": -0.5, "m": 0.0, "C": 1.0},
+        {"B": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]], "m": [0, 0, 0],
+         "C": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}}, "family.members[1]: OU member supports"),
     # malformed data
     "chain-ragged": ({"grid": LABEL_GRID, "family": {
         "kind": "chain", "rate_matrices": [[[-1, 1], [1]]]}}, "rate_matrices"),
@@ -474,9 +509,35 @@ def test_scaled_family_bounds_are_the_base_times_the_largest_scale(base):
         if base["kind"] == "gbm" else {"kind": "uniform", "domain": [-4, 4], "dx": 0.1}
     cfg = {"grid": grid, "family": {"kind": "scaled", "base": base, "scales": [0.5, 3.0]}}
     g = build_grid(validate_config(cfg))
-    want = build_family({"family": base}, g).bounds
+    want = build_family({"grid": grid, "family": base}, g).bounds
     assert want.beta > 0.0
     assert build_family(cfg, g).bounds == FamilyBounds(3.0 * want.alpha, 3.0 * want.beta)
+
+
+GBM_PAIR = {"kind": "gbm", "members": [[0.05, 0.2], [0.1, 0.3]]}
+
+
+def _gbm_bounds(grid):
+    cfg = validate_config({"grid": grid, "family": GBM_PAIR})
+    return build_family(cfg, build_grid(cfg)).bounds
+
+
+@pytest.mark.parametrize("p", [0.5, 1, 1.5, 2, 3])
+def test_gbm_default_alpha_is_the_kappa_exponent_times_beta(p):
+    # kappa = (1 + |x|)^-p: alpha is p * beta exactly, p read from the
+    # config rather than recovered from kappa's values at the grid's end
+    for x_max in (2, 8, 9.37, 100):
+        for n in (7, 100):
+            bounds = _gbm_bounds({"kind": "log", "x_max": x_max, "n": n,
+                                  "kappa": {"kind": "inverse_power", "p": p}})
+            assert bounds.alpha == p * bounds.beta, (x_max, n)
+
+
+def test_gbm_default_alpha_reads_kappa_s_default_and_constant_kinds():
+    bounds = _gbm_bounds(dict(LOG_GRID, kappa={"kind": "inverse_power"}))
+    assert bounds.alpha == 2.0 * bounds.beta > 0.0
+    for grid in (LOG_GRID, dict(LOG_GRID, kappa={"kind": "constant"})):
+        assert _gbm_bounds(grid).alpha == 0.0
 
 
 def test_scaled_koopman_family_propagates_lipschitz_like_its_members():
@@ -615,6 +676,26 @@ def test_cli_seed_flag_overrides(tmp_path):
     a = json.loads(pathlib.Path(out_a, "mc.json").read_text())
     b = json.loads(pathlib.Path(out_b, "mc.json").read_text())
     assert a["mc"]["estimate"] != b["mc"]["estimate"]
+
+
+def test_cli_mc_passes_the_greedy_value_on(tmp_path, monkeypatch):
+    # the greedy backward pass already holds its policy's grid value: mc
+    # writes the same record with every nisio binding of policy_value raising
+    tiny = str(ROOT / "bench/configs/tiny/readme.json")
+    assert run("mc", tiny, str(tmp_path / "ref")) == 0
+    original = control.policy_value
+
+    def replay(*args, **kwargs):
+        raise AssertionError("mc replayed the greedy policy")
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "nisio" or name.startswith("nisio.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replay)
+    assert run("mc", tiny, str(tmp_path / "out")) == 0
+    assert (tmp_path / "out" / "mc.json").read_bytes() == \
+        (tmp_path / "ref" / "mc.json").read_bytes()
 
 
 def test_cli_main_entrypoint(tmp_path):

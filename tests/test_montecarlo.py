@@ -127,7 +127,7 @@ def test_mc_compare_greedy_convex(coarse_family, coarse_grid):
     u = probe_function("quadratic", coarse_grid)
     greedy = greedy_policy(coarse_family, 1.0, u, 16)
     spec = SamplerSpec(coarse_family, greedy.policy, 100_000, seed=12)
-    out = mc_compare(spec, 0.0, u, max_level=5, tol=1e-9)
+    out = mc_compare(spec, 0.0, u, greedy.value, max_level=5, tol=1e-9)
     assert not out["flag"]
     assert out["nisio"] == pytest.approx(1.0, abs=1e-3)
     assert out["grid"] == pytest.approx(1.0, abs=1e-3)
@@ -280,7 +280,8 @@ def test_mc_compare_reads_the_sampled_label(chain_family, label_grid):
     u = GridFunction(np.array([0.0, 1.0, 4.0, 9.0]), label_grid)
     greedy = greedy_policy(chain_family, 1.0, u, 4)
     spec = SamplerSpec(chain_family, greedy.policy, 20_000, seed=3)
-    low, zero = mc_compare(spec, -1.0, u), mc_compare(spec, 0.0, u)
+    low = mc_compare(spec, -1.0, u, greedy.value)
+    zero = mc_compare(spec, 0.0, u, greedy.value)
     assert low == zero
     assert low["grid"] == float(greedy.value.values[0])
     assert not low["flag"]
