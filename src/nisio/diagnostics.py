@@ -217,7 +217,7 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     # Lipschitz propagation (only meaningful when members preserve it exactly)
     if all(m.lipschitz_exact for m in family) and grid.size > 1:
         beta = family.bounds.beta
-        gap_min = float(np.min(np.diff(pts))) if grid.kind != "labels" else 1.0
+        gap_min = float(np.min(np.diff(pts)))
         worst = np.inf
         for i, u in enumerate(probes):
             lu = lip_seminorm(u)

@@ -15,14 +15,14 @@ The two functionals every module relies on are :func:`weighted_norm`
 constant w.r.t. the grid metric).
 
 Point lookup (:meth:`WeightedGrid.nearest_index`,
-:meth:`WeightedGrid.interp_weights`) is O(1) per state on ``uniform`` and
-``periodic`` grids: an arithmetic floor of ``(x - points[0]) / spacing``,
-corrected by at most one step against the stored points, which gives
-exactly the bracket a binary search would.  ``log`` grids use binary
-search.  ``nearest_index`` breaks ties to the left neighbour (an exact
-midpoint maps to the lower index, unlike round-half-to-even), is
-non-decreasing in the state, maps states beyond the grid to the end nodes
-and rejects NaN.
+:meth:`WeightedGrid.interp_weights`) is O(1) per state on ``uniform``,
+``periodic`` and ``labels`` grids: an arithmetic floor of
+``(x - points[0]) / spacing``, corrected by at most one step against the
+stored points, which gives exactly the bracket a binary search would.
+``log`` grids use binary search.  ``nearest_index`` breaks ties to the left
+neighbour (an exact midpoint maps to the lower index, unlike
+round-half-to-even), is non-decreasing in the state, maps states beyond the
+grid to the end nodes and rejects NaN.
 """
 
 from __future__ import annotations
@@ -90,6 +90,10 @@ class WeightedGrid:
             if np.max(np.abs(pts - ideal)) > _UNIFORM_RTOL * self.spacing:
                 raise ConfigurationError(
                     "uniform grid points must be points[0] + spacing * k")
+        if self.kind == "labels" and not (
+                self.spacing == 1.0 and np.array_equal(pts, np.arange(len(pts)))):
+            # so does it on labels, and chain members read a label as its index
+            raise ConfigurationError("label grid points must be 0, 1, ..., n-1")
         self.points.setflags(write=False)
         self.kappa.setflags(write=False)
 
@@ -172,12 +176,12 @@ class WeightedGrid:
         """Left bracket index j in [0, N-2] with points[j] <= x < points[j+1],
         i.e. ``searchsorted(points, x, side="right") - 1`` clipped.
 
-        O(1) per state on uniform and periodic grids: the arithmetic floor is
-        off by at most one step, which one comparison per side corrects.
-        The arithmetic runs in place to spare temporaries on large batches."""
+        O(1) per state on every kind but log: the arithmetic floor is off by
+        at most one step, which one comparison per side corrects.  The
+        arithmetic runs in place to spare temporaries on large batches."""
         pts = self.points
         last = pts.size - 2
-        if self.kind not in ("uniform", "periodic"):
+        if self.kind == "log":
             return np.clip(np.searchsorted(pts, x, side="right") - 1, 0, last)
         with np.errstate(over="ignore"):
             q = np.subtract(x, pts[0], out=np.empty_like(x))
@@ -200,9 +204,6 @@ class WeightedGrid:
         states inside the node-centred period ``[points[0] - dx/2,
         points[0] - dx/2 + period)``, where the sampler keeps its paths."""
         x = _reject_nan(x)
-        if self.kind == "labels":
-            # clip the float before the cast so that +-inf cannot overflow
-            return np.clip(np.ceil(x - 0.5), 0, self.size - 1).astype(np.intp)
         if self.points.ndim != 1:
             raise ConfigurationError("nearest_index implemented for 1D grids only")
         if self.size == 1:

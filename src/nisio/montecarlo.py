@@ -7,8 +7,8 @@ increments for heat and 1D OU members, lognormal ones for GBM members, the
 deterministic flow for Koopman members, a uniformization jump chain for
 conservative chains; a scaled member samples its base over the dilated
 duration).  The single-policy expectation is a lower bound for the envelope
-value; under the greedy policy it reproduces it.  ``mc_compare`` takes the
-policy's grid value from its caller: a greedy policy's backward pass returns it.
+value; under the greedy policy it reproduces it.  ``mc_compare`` compares the
+sample mean with the policy's grid value, as a greedy backward pass returns it.
 
 A stage first looks up only the smallest and largest state.  The nearest
 index is non-decreasing in the state, so every path sits at a node between
@@ -20,9 +20,9 @@ member and draw the same numbers in the same order.  The paths live on the
 grid: a periodic grid, a circle, keeps the start and every stage's states in
 the node-centred period ``[p0 - dx/2, p0 - dx/2 + period)``, where the
 nearest node is the nearest one on the circle; a label grid starts every path
-at the label nearest ``x0``, and chain members keep it on labels; any other
-grid clips a path that leaves ``[points[0], points[-1]]`` to that end and
-counts it.
+at the label ``nearest_index`` picks for ``x0``, and chain members keep it on
+labels; any other grid clips a path that leaves ``[points[0], points[-1]]`` to
+that end and counts it.
 
 Each stage makes one bounds pass over the batch after its step: the smallest
 and largest state.  That pair serves twice, as the next stage's two-state
@@ -40,9 +40,9 @@ read them in order through a stream object with the generator's
 ``standard_normal(size)``.  Numpy's Philox normals do not depend on how a run
 of draws is split into calls, so the stream is the generator's, draw for
 draw.  A run whose steps draw nothing (Koopman flows, OU members with zero
-variance) starts no thread and allocates no ring.  A spec with a chain member
-among the ones its policy selects keeps the plain generator (a chain step
-draws Poisson and uniform numbers).  No thread outlives the run.
+variance) starts no thread and allocates no ring.  A run on a label grid keeps
+the plain generator: only chain members (or scaled ones) live there, and a
+chain step draws Poisson and uniform numbers.  No thread outlives the run.
 """
 
 from __future__ import annotations
@@ -50,13 +50,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .control import ControlPolicy, _check_policy
-from .envelope import nisio_value
 from .errors import InvalidInputError
 
 # path-stages, n_paths x stages, one sampler may draw; above every shipped
@@ -134,7 +133,8 @@ class _NormalStream:
     into any chunks are those of one call, so the caller gets ``rng``'s
     draws bit for bit.  A failed fill raises in the caller at its chunk.  A
     stream never drawn from starts no thread and allocates no ring;
-    ``close`` cancels the fills not yet begun and joins the thread."""
+    ``close`` (or leaving its ``with``) cancels the fills not yet begun and
+    joins the thread."""
 
     def __init__(self, rng, total):
         self._rng = rng
@@ -176,21 +176,11 @@ class _NormalStream:
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
 
+    def __enter__(self):
+        return self
 
-@contextmanager
-def _draws(spec):
-    """The generator a run's member steps draw from: the spec's Philox
-    generator behind a ``_NormalStream`` of n_paths x stages normals, or the
-    generator itself when a selected member draws other numbers."""
-    rng = spec.rng()
-    if not all(spec.family.members[k].draws_only_normals for k, _ in spec._steps):
-        yield rng
-        return
-    stream = _NormalStream(rng, spec.n_paths * spec.policy.n_stages)
-    try:
-        yield stream
-    finally:
-        stream.close()
+    def __exit__(self, *exc):
+        self.close()
 
 
 def _wrap_into_period(grid, states):
@@ -230,9 +220,9 @@ def sample_terminal_states(spec, x0):
     grid = spec.family.grid
     periodic = grid.kind == "periodic"
     if grid.kind == "labels":
-        # chain members step from labels: start at the label nearest_index
-        # would pick, so that no stage looks a label up again
-        x0 = np.clip(np.ceil(float(x0) - 0.5), 0, grid.size - 1)
+        # chain members step from labels: start at the nearest label, so
+        # that no stage looks a label up again
+        x0 = grid.points[grid.nearest_index(float(x0))]
     states = np.full(spec.n_paths, float(x0))
     if periodic:
         lo = grid.points[0] - 0.5 * grid.spacing
@@ -243,7 +233,10 @@ def sample_terminal_states(spec, x0):
         lo, hi = grid.points[0], grid.points[-1]
     bounds = [states.min(), states.max()]
     flagged = 0
-    with _draws(spec) as rng:
+    rng = spec.rng()
+    # a label grid holds only chain members, which draw more than normals
+    with (nullcontext(rng) if grid.kind == "labels"
+          else _NormalStream(rng, spec.n_paths * spec.policy.n_stages)) as rng:
         for h, sel in spec.policy.stages:
             # nearest_index is monotone: every path's node lies in [j_lo, j_hi]
             j_lo, j_hi = grid.nearest_index(bounds)
@@ -294,18 +287,15 @@ def _sample_std(vals):
     return math.sqrt(np.add.reduce(vals) / (vals.size - 1))
 
 
-def mc_compare(spec, x0, u, value, max_level=8, tol=1e-8):
+def mc_compare(spec, x0, u, value):
     """Monte Carlo vs the policy's grid value of u, ``value`` (a greedy
-    policy's ``GreedyResult.value``), vs refined envelope at one state."""
+    policy's ``GreedyResult.value``), at one state."""
     mc = mc_value(spec, x0, u)
-    envelope = nisio_value(spec.family, spec.policy.horizon, u,
-                           max_level=max_level, tol=tol)
     grid_val = float(value.at(x0))
-    nisio_val = float(envelope.value.at(x0))
     diff = grid_val - mc["estimate"]
     if mc["std_error"] > 0.0:
         z = diff / mc["std_error"]
     else:
         z = 0.0 if abs(diff) <= 1e-12 else math.inf
-    return {"mc": mc, "grid": grid_val, "nisio": nisio_val,
+    return {"mc": mc, "grid": grid_val,
             "z_score": float(z), "flag": bool(abs(z) > 3.0)}

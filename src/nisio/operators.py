@@ -47,9 +47,9 @@ GBM, OU and Koopman members take their second-order central differences from
 one helper, ``_central``: on a periodic grid it wraps and every row is valid;
 elsewhere the rows whose stencil leaves the grid are flagged invalid.
 ``path_step(h)`` returns the member's exact-increment sampler over
-duration h, for members whose transition law can be drawn exactly;
-``draws_only_normals`` says whether its steps draw nothing but
-``rng.standard_normal(size)`` (every sampler but the chain's).
+duration h, for members whose transition law can be drawn exactly.  Every
+sampler but the chain's draws nothing but ``rng.standard_normal(size)``; a
+chain lives only on a label grid, and only a chain (or a scaled one) does.
 
 Importing this module loads ``scipy.sparse`` only.  ``scipy.linalg`` is
 imported inside the 2D OU code (``OUOperator.moments`` and ``_matrix_2d``),
@@ -450,8 +450,6 @@ class TransitionOperator:
     """One member semigroup: a pure map (duration, function) -> function."""
 
     lipschitz_exact = False
-    # path_step's steps draw from rng by standard_normal(size) alone
-    draws_only_normals = True
     name = "operator"
 
     def __init__(self, grid):
@@ -889,7 +887,6 @@ class ChainOperator(TransitionOperator):
     """
 
     lipschitz_exact = True
-    draws_only_normals = False      # Poisson jump counts and uniform targets
 
     def __init__(self, grid, Q, allow_nonconservative=False):
         if grid.kind != "labels":
@@ -965,7 +962,6 @@ class ScaledOperator(TransitionOperator):
         self.base = base
         self.scale = float(scale)
         self.lipschitz_exact = base.lipschitz_exact
-        self.draws_only_normals = base.draws_only_normals
         self.name = f"scaled({base.name},{scale:g})"
 
     def apply_values(self, t, values):

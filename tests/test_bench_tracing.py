@@ -15,7 +15,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # a traced solve reports builds, applies, steps and the level-0 time; an mc
-# run calls montecarlo.mc_value by its module-global name, once
+# run calls montecarlo.mc_value by its module-global name, once, and reports
+# its sampling time and the level-0 time of the refinement the CLI runs
 TRACED_RUNS = """
 import tempfile
 from tracing import Tracer, op_metrics
@@ -40,8 +41,13 @@ with tempfile.TemporaryDirectory() as out:
         return mc_value(*args, **kwargs)
 
     montecarlo.mc_value = counted
+    tracer.op = 1
     assert cli.run("mc", tiny, out) == 0
+    tracer.op = None
     assert len(calls) == 1, calls
+    metrics = op_metrics(tracer.spans, 1)
+    for key in ("envelope.level_s.L0", "montecarlo.sample_s"):
+        assert metrics[key] > 0, (key, metrics[key])
 """
 
 

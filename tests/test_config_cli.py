@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from nisio import (ConfigurationError, FamilyBounds, cli, control, montecarlo,
-                   operators, property_suite, quadrature_tolerance)
+from nisio import (ConfigurationError, FamilyBounds, cli, control, envelope, montecarlo,
+                   nisio_value, operators, property_suite, quadrature_tolerance)
 from nisio.cli import main, run
 from nisio.config import (CONFIG_SCHEMA, build_family, build_grid, build_u0,
                           config_hash, parse_field, validate_config)
@@ -424,6 +424,25 @@ def test_cli_rejects_before_any_kernel_build(tmp_path, capsys, monkeypatch, case
     assert err.startswith("config error: ") and message in err
 
 
+@pytest.mark.parametrize("budget, code", [(1021, 2), (1022, 0)])
+def test_cli_mc_checks_its_refinement_budget_before_any_work(tmp_path, capsys, monkeypatch,
+                                                             budget, code):
+    # mc.json's level-8 envelope of 2 members takes up to (2^9 - 1) * 2 = 1022
+    # member applies; one fewer in the budget rejects the run before eps_q,
+    # any kernel build, the greedy policy or any path (control binds its own
+    # copy of the budget, so the greedy stage check is not the one that fires)
+    events, _ = _spy_builds(monkeypatch)
+    monkeypatch.setattr(envelope, "MAX_MEMBER_APPLIES", budget)
+    out = tmp_path / "out"
+    assert run("mc", write_cfg(tmp_path, SHARED_DURATION_CFG), str(out)) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert events == [] and not any(out.iterdir())
+        assert err.startswith("config error: ") and "max_level 8 with 2 members" in err
+    else:
+        assert "eps_q" in events and err == ""
+
+
 @pytest.mark.parametrize("sub", ["solve", "properties", "dpp", "control", "mc", "report"])
 def test_cli_out_under_a_regular_file_exits_2(tmp_path, capsys, sub):
     (tmp_path / "file").write_text("")
@@ -698,6 +717,28 @@ def test_cli_mc_passes_the_greedy_value_on(tmp_path, monkeypatch):
         (tmp_path / "ref" / "mc.json").read_bytes()
 
 
+def test_cli_mc_refines_over_the_policy_horizon_after_sampling(tmp_path, monkeypatch):
+    # mc_compare only compares; the CLI refines the envelope mc.json reports
+    # to level 8 over the greedy policy's horizon (m steps of t/m, which can
+    # miss t by an ulp), once the paths are sampled and freed
+    tiny = ROOT / "bench/configs/tiny/readme.json"
+    calls = []
+    for module, name in ((montecarlo, "mc_value"), (cli, "nisio_value")):
+        def spy(*args, fn=getattr(module, name), name=name, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    assert run("mc", str(tiny), str(tmp_path / "out")) == 0
+    assert calls == ["mc_value", "nisio_value"]
+    rec = json.loads((tmp_path / "out" / "mc.json").read_text())
+    cfg = validate_config(json.loads(tiny.read_text()))
+    grid = build_grid(cfg)
+    family, u0, mc = build_family(cfg, grid), build_u0(cfg, grid), cfg["mc"]
+    greedy = control.greedy_policy(family, mc["t"], u0, mc["m"])
+    env = nisio_value(family, greedy.policy.horizon, u0, 8, 1e-8)
+    assert rec["nisio"] == float(env.value.at(mc["x0"]))
+
+
 def test_cli_main_entrypoint(tmp_path):
     cfg_path = write_cfg(tmp_path, BASE_CFG)
     out = str(tmp_path / "out")
@@ -705,6 +746,24 @@ def test_cli_main_entrypoint(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--config", cfg_path, "--out", out, "--threads", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("sub", ["solve", "dpp", "report"])
+def test_cli_seed_flag_only_where_a_run_draws(tmp_path, monkeypatch, sub):
+    # solve, dpp and report draw nothing: --seed is an unknown flag there,
+    # as --threads is; properties, control and mc pass it on
+    cfg_path = write_cfg(tmp_path, BASE_CFG)
+    out = str(tmp_path / "out")
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--config", cfg_path, "--out", out, "--seed", "1"])
+    assert exc.value.code == 2 and not os.path.exists(out)
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda *args: seen.append(args) or 0)
+    for drawing in ("properties", "control", "mc"):
+        assert main([drawing, "--config", cfg_path, "--out", out, "--seed", "5"]) == 0
+    assert main([sub, "--config", cfg_path, "--out", out]) == 0
+    assert seen == [(name, cfg_path, out, seed) for name, seed in
+                    (("properties", 5), ("control", 5), ("mc", 5), (sub, None))]
 
 
 def test_csv_u0_roundtrip(tmp_path):

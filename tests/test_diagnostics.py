@@ -185,7 +185,7 @@ def test_property_suite_golden(coarse_family, coarse_grid):
     "member's one-step S_k(t)u by that member's own composition defect: "
     "worst slack -0.00850 against eps_q 0.00494.  Each step re-interpolates "
     "linearly, so the defect grows with the number of steps, while eps_q "
-    "measures one split at t_ref = 0.1.  See ROADMAP item 4.")
+    "measures one split at t_ref = 0.1.  See ROADMAP item 3.")
 def test_koopman_family_envelope_dominates_members():
     cfg = validate_config({
         "grid": {"kind": "uniform", "domain": [-4, 4], "dx": 0.02},

@@ -318,3 +318,33 @@ def test_labels_lookup_clamps_far_states_to_the_end_labels():
     g = WeightedGrid.labels(4)
     x = np.array([-np.inf, -1e300, -0.6, 2.0, 3.4, 1e300, np.inf])
     assert g.nearest_index(x).tolist() == [0, 0, 0, 2, 3, 3, 3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_labels_lookup_matches_the_ceil_rule(n):
+    # labels take the uniform grids' bracket; the rule they used to state on
+    # their own, clip(ceil(x - 0.5)), stays the oracle: ties, their
+    # neighbouring floats, +-inf, -0.0 and far states
+    g = WeightedGrid.labels(n)
+    ties = np.arange(-2, n + 2) - 0.5
+    x = np.concatenate([
+        ties, np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf),
+        np.arange(-2.0, n + 2),
+        [-np.inf, np.inf, -0.0, 0.0, 1e300, -1e300, 5e-324, 0.49999999999999994],
+        np.random.default_rng(n).uniform(-2.0, n + 2.0, 1000)])
+    expected = np.clip(np.ceil(x - 0.5), 0, n - 1).astype(np.intp)
+    assert np.array_equal(g.nearest_index(x), expected)
+    with pytest.raises(InvalidInputError):
+        g.nearest_index(np.array([0.0, np.nan]))
+
+
+@pytest.mark.parametrize("points, spacing", [([0.0, 1.0, 3.0], 1.0),
+                                             ([1.0, 2.0, 3.0], 1.0),
+                                             ([0.0, 2.0, 4.0], 2.0),
+                                             ([0.0, 1.0, 2.0], 0.5)])
+def test_labels_grid_needs_the_labels_zero_to_n_minus_one(points, spacing):
+    # the O(1) lookup and the chain members, which read a state as its
+    # label's index, rely on points 0, 1, ..., n-1
+    assert WeightedGrid(np.arange(3.0), np.ones(3), kind="labels").size == 3
+    with pytest.raises(ConfigurationError, match=r"label grid points must be 0, 1, \.\.\., n-1"):
+        WeightedGrid(np.array(points), np.ones(3), kind="labels", spacing=spacing)
