@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .envelope import (CHECK_LEVEL, Partition, envelope_step, nisio_value,
-                       partition_apply, quadrature_tolerance, upper_bound_check)
+from .envelope import (CHECK_LEVEL, Partition, domination_slack, envelope_step,
+                       nisio_value, quadrature_tolerance, refine_levels)
 from .errors import InvalidInputError, ResolutionError
 from .grids import GridFunction, lip_seminorm, weighted_norm
 from .operators import generator_apply
@@ -145,7 +145,13 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     composition defect); identities that only suffer floating point use a
     scale-aware machine tolerance instead.  The partition pairs and dyadic
     refinements live on the t / 2^CHECK_LEVEL lattice (``envelope.CHECK_LEVEL``)
-    and carry 2^CHECK_LEVEL eps_q, one per split.  Returns a JSON-shaped report.
+    and carry 2^CHECK_LEVEL eps_q, one per split.  Each probe's composition
+    over each partition tail is computed once per call: the one-step
+    envelopes, both partitions of every nested pair and the dyadic levels
+    read one table keyed by the probe and the tail's gaps, composed right to
+    left, so partitions that share trailing intervals share their steps.  The
+    report is that of composing every partition afresh, bit for bit.
+    Returns a JSON-shaped report.
     """
     if not probes:
         raise InvalidInputError("need at least one probe")
@@ -161,11 +167,37 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
         checks.append({"name": name, "worst_slack": float(worst_slack),
                        "tolerance": float(tol), "passed": bool(worst_slack >= -tol)})
 
+    # probes[i] under the one-step envelope composed over a partition's tail,
+    # keyed (i, the tail's exact gaps from the last one backward); this call's
+    # own steps bound it
+    composed = {}
+
+    def compose(i, backward):
+        v, tail = probes[i], ()
+        for h in backward:
+            tail += (float(h),)
+            if (i, tail) not in composed:
+                composed[i, tail] = envelope_step(family, h, v)
+            v = composed[i, tail]
+        return v
+
+    def refined(i, t):
+        """probes[i]'s dyadic iterates at t up to CHECK_LEVEL, under
+        nisio_value's stop rule at tol 1e-12."""
+        if t == 0.0:
+            return [probes[i]]
+        return refine_levels((compose(i, Partition.dyadic(t, level).gaps[::-1])
+                              for level in range(CHECK_LEVEL + 1)), 1e-12).levels
+
     scale = max(1.0, max(float(np.max(np.abs(u.values))) for u in probes))
     fp_tol = 1e-11 * scale
-    # one-step envelope of every probe at every t, read by all checks below
-    step = {(i, t): envelope_step(family, t, u).values
-            for i, u in enumerate(probes) for t in t_list}
+    # one-step envelope of every probe at every t, read by all checks below;
+    # probes[0]'s member stacks also give the domination check its S_k(t)u
+    stacks = {t: family.apply_all(t, probes[0].values) for t in t_list}
+    for t, stack in stacks.items():
+        if t != 0.0:
+            composed[0, (float(t),)] = probes[0].with_values(np.max(stack, axis=0))
+    step = {(i, t): compose(i, (t,)).values for i in range(len(probes)) for t in t_list}
 
     # constants preserved
     one = GridFunction(np.ones(grid.size), grid)
@@ -185,21 +217,25 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
             worst = min(worst, float(np.min(gap)))
     record("monotone", worst, eps)
 
-    # sublinearity and positive homogeneity
+    # sublinearity and positive homogeneity; u + u == 2u exactly, so the
+    # c = 2 step is also the i = j subadditive term
+    scales = (0.0, 0.5, 2.0)
+    scaled = {(i, c, t): envelope_step(family, t, u.with_values(c * u.values)).values
+              for i, u in enumerate(probes) for c in scales for t in t_list}
     worst = np.inf
     for i, u in enumerate(probes):
         for j in range(i, len(probes)):
             s = u.with_values(u.values + probes[j].values)
             for t in t_list:
-                gap = step[i, t] + step[j, t] - envelope_step(family, t, s).values
+                joint = scaled[i, 2.0, t] if j == i else envelope_step(family, t, s).values
+                gap = step[i, t] + step[j, t] - joint
                 worst = min(worst, float(np.min(gap)))
     record("subadditive", worst, max(eps, fp_tol))
     worst = np.inf
-    for i, u in enumerate(probes):
-        for c in (0.0, 0.5, 2.0):
-            cu = u.with_values(c * u.values)
+    for i in range(len(probes)):
+        for c in scales:
             for t in t_list:
-                diff = envelope_step(family, t, cu).values - c * step[i, t]
+                diff = scaled[i, c, t] - c * step[i, t]
                 worst = min(worst, -float(np.max(np.abs(diff))))
     record("positively_homogeneous", worst, fp_tol)
 
@@ -233,26 +269,22 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     t_ref = max(t_list)
     for _ in range(partition_pairs):
         p1, p2 = _nested_partition_pair(t_ref, rng)
-        for u in probes:
-            gap = partition_apply(family, p2, u).values \
-                - partition_apply(family, p1, u).values
+        for i in range(len(probes)):
+            gap = compose(i, p2.gaps[::-1]).values - compose(i, p1.gaps[::-1]).values
             worst = min(worst, float(np.min(gap)))
     record("partition_refinement", worst, 2 ** CHECK_LEVEL * eps)
 
-    # one refinement of probes[0] at t_ref serves both checks below
-    bounds = {t: upper_bound_check(family, t, probes[0], max_level=CHECK_LEVEL,
-                                   tol=1e-12) for t in t_list}
-    runs = [bounds[t_ref]["result"]] + [
-        nisio_value(family, t_ref, u, max_level=CHECK_LEVEL, tol=1e-12)
-        for u in probes[1:]]
+    # one refinement of probes[0] at each t serves both checks below
+    tops = {t: refined(0, t) for t in stacks}
+    runs = [tops[t_ref]] + [refined(i, t_ref) for i in range(1, len(probes))]
     worst = np.inf
-    for res in runs:
-        for a, b in zip(res.levels, res.levels[1:]):
+    for levels in runs:
+        for a, b in zip(levels, levels[1:]):
             worst = min(worst, float(np.min(b.values - a.values)))
     record("dyadic_levels_nondecreasing", worst, 2 ** CHECK_LEVEL * eps)
 
     # envelope dominates every member
-    worst = min(bound["min_slack"] for bound in bounds.values())
+    worst = min(domination_slack(family, tops[t][-1], stack) for t, stack in stacks.items())
     record("envelope_dominates_members", worst, eps)
 
     return {"eps_q": float(eps), "checks": checks,

@@ -141,6 +141,20 @@ def check_levels(family, max_level):
             f"member applies, above the budget of {MAX_MEMBER_APPLIES}")
 
 
+def refine_levels(levels, tol):
+    """The dyadic refinement's stop rule over ``levels``, an iterable of the
+    iterates from level 0 up, read lazily: stop at the first level whose
+    weighted-norm difference from the one before is ``<= tol``."""
+    levels = iter(levels)
+    kept, diffs = [next(levels)], []
+    for v in levels:
+        diffs.append(weighted_norm(v.with_values(v.values - kept[-1].values)))
+        kept.append(v)
+        if diffs[-1] <= tol:
+            return NisioResult(v, kept, diffs, True)
+    return NisioResult(kept[-1], kept, diffs, False)
+
+
 def nisio_value(family, t, u, max_level=12, tol=1e-6):
     """Envelope value S(t)u by dyadic partition refinement.
 
@@ -156,17 +170,8 @@ def nisio_value(family, t, u, max_level=12, tol=1e-6):
         raise InvalidInputError(f"horizon must be finite and >= 0, got {t}")
     if t == 0.0:
         return NisioResult(u, [u], [], True)
-    levels = [partition_apply(family, Partition.dyadic(t, 0), u)]
-    diffs = []
-    converged = False
-    for level in range(1, max_level + 1):
-        v = partition_apply(family, Partition.dyadic(t, level), u)
-        diffs.append(weighted_norm(v.with_values(v.values - levels[-1].values)))
-        levels.append(v)
-        if diffs[-1] <= tol:
-            converged = True
-            break
-    return NisioResult(levels[-1], levels, diffs, converged)
+    return refine_levels((partition_apply(family, Partition.dyadic(t, level), u)
+                          for level in range(max_level + 1)), tol)
 
 
 def dpp_check(family, s, t, u, max_level=12, tol=1e-6, window=None):
@@ -184,6 +189,13 @@ def dpp_check(family, s, t, u, max_level=12, tol=1e-6, window=None):
     return {"defect": weighted_norm(diff, window=window)}
 
 
+def domination_slack(family, value, stack):
+    """min over members k and points of kappa * (value - stack[k]), where
+    ``stack`` is the member stack ``family.apply_all(t, u.values)``."""
+    kappa = family.grid.kappa
+    return min(np.inf, *(float(np.min((value.values - row) * kappa)) for row in stack))
+
+
 def upper_bound_check(family, t, u, max_level=12, tol=1e-6):
     """Least-upper-bound slack: min over members and points of S(t)u - S_member(t)u.
 
@@ -191,10 +203,7 @@ def upper_bound_check(family, t, u, max_level=12, tol=1e-6):
     composition tolerance eps_q (which is measured in the weighted norm).
     """
     res = nisio_value(family, t, u, max_level, tol)
-    slack = np.inf
-    for member in family:
-        gap = (res.value.values - member.apply(t, u).values) * family.grid.kappa
-        slack = min(slack, float(np.min(gap)))
+    slack = domination_slack(family, res.value, family.apply_all(t, u.values))
     return {"min_slack": slack, "result": res}
 
 

@@ -2,7 +2,12 @@
 robustness tests that run CLI subcommands in process."""
 from hypothesis import strategies as st
 
+from nisio.probes import PROBE_NAMES
+
 FIELDS = ("-x", "0.5*x", "-0.5*x", "1.0 + 0*x", "sin(x)", "-tanh(x)")
+# family kinds whose members each grid kind accepts
+FAMILIES = {"uniform": ("heat", "ou", "koopman"), "periodic": ("heat", "stable"),
+            "log": ("gbm",), "labels": ("chain",)}
 
 
 def num(lo, hi):
@@ -71,6 +76,18 @@ def grid_and_family(draw, families):
     else:
         family = dict(kind=kind, **draw(members(kind, section, 3)))
     return section, family
+
+
+def properties(grid):
+    """A ``properties`` section: one to three probes, one positive horizon
+    and sometimes t = 0 beside it, one or two partition pairs."""
+    return st.fixed_dictionaries({"properties": st.fixed_dictionaries({
+        "probes": st.lists(st.sampled_from(PROBE_NAMES), min_size=1, max_size=3),
+        "t_list": st.tuples(num(0.01, 1.0), st.lists(
+            st.one_of(st.just(0.0), num(0.01, 1.0)), max_size=1)).map(
+                lambda pair: [pair[0]] + pair[1]),
+        "seed": st.integers(0, 2 ** 31 - 1),
+        "partition_pairs": st.integers(1, 2)})})
 
 
 def outputs(out_dir):

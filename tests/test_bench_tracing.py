@@ -51,6 +51,37 @@ with tempfile.TemporaryDirectory() as out:
 """
 
 
+# a traced properties run counts every member apply a spy counts, reports
+# the suite's time, and every metric it reports is finite; the spy wraps each
+# operator class's own apply_values (the tiny config's OU members delegate
+# to no other member)
+TRACED_PROPERTIES = """
+import math
+import tempfile
+from tracing import Tracer, op_metrics
+from nisio import cli, operators
+
+tracer = Tracer()
+tracer.install()
+calls = []
+for cls in vars(operators).values():
+    if isinstance(cls, type) and "apply_values" in vars(cls):
+        def spy(self, t, values, _apply=vars(cls)["apply_values"]):
+            calls.append(1)
+            return _apply(self, t, values)
+        cls.apply_values = spy
+with tempfile.TemporaryDirectory() as out:
+    tracer.op = 0
+    assert cli.run("properties", "bench/configs/tiny/ou.json", out) == 0
+    tracer.op = None
+metrics = op_metrics(tracer.spans, 0)
+assert calls and metrics["operators.apply_count"] == len(calls), (
+    metrics["operators.apply_count"], len(calls))
+assert metrics["diagnostics.property_suite_s"] > 0, metrics
+assert all(math.isfinite(v) for v in metrics.values()), metrics
+"""
+
+
 def _run(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
@@ -66,3 +97,7 @@ def test_tracer_installs_on_the_current_package():
 
 def test_traced_runs_read_the_hooks_the_benchmark_needs():
     _run(TRACED_RUNS)
+
+
+def test_traced_properties_counts_the_applies_a_spy_counts():
+    _run(TRACED_PROPERTIES)

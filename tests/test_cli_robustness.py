@@ -22,15 +22,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from config_strategies import grid_and_family, num, outputs
+from config_strategies import FAMILIES, grid_and_family, num, outputs, properties
 from nisio import cli
 from nisio.probes import PROBE_NAMES
 
-# family kinds whose members each grid kind accepts
-_FAMILIES = {"uniform": ("heat", "ou", "koopman"), "periodic": ("heat", "stable"),
-             "log": ("gbm",), "labels": ("chain",)}
 # family kinds with a path sampler on each grid kind
-_SAMPLED = dict(_FAMILIES, periodic=("heat",))
+_SAMPLED = dict(FAMILIES, periodic=("heat",))
 
 
 _U0 = st.fixed_dictionaries({"name": st.sampled_from(PROBE_NAMES)})
@@ -70,24 +67,13 @@ def _mc(grid):
          "x0": num(-2.0 * reach, 2.0 * reach)})})
 
 
-def _properties(grid):
-    return st.fixed_dictionaries({"properties": st.fixed_dictionaries({
-        "probes": st.lists(st.sampled_from(PROBE_NAMES), min_size=1, max_size=3),
-        # one positive horizon, and sometimes t = 0 beside it
-        "t_list": st.tuples(num(0.01, 1.0), st.lists(
-            st.one_of(st.just(0.0), num(0.01, 1.0)), max_size=1)).map(
-                lambda pair: [pair[0]] + pair[1]),
-        "seed": st.integers(0, 2 ** 31 - 1),
-        "partition_pairs": st.integers(1, 2)})})
-
-
 # subcommand -> (its config strategy, examples per run)
 CASES = {
-    "solve": (_config(_FAMILIES, _solve), 40),
-    "dpp": (_config(_FAMILIES, _dpp), 40),
-    "control": (_config(_FAMILIES, _control), 40),
+    "solve": (_config(FAMILIES, _solve), 40),
+    "dpp": (_config(FAMILIES, _dpp), 40),
+    "control": (_config(FAMILIES, _control), 40),
     "mc": (_config(_SAMPLED, _mc), 40),
-    "properties": (_config(_FAMILIES, _properties), 30),
+    "properties": (_config(FAMILIES, properties), 30),
 }
 
 
