@@ -7,8 +7,8 @@ JSON with stable key order carrying the config hash.  Every subcommand runs in
 one order: read the config, its section, the
 grid, the family and u0 once; check the work budgets and horizons; measure
 eps_q while the kernel stores are empty (its kernels at 0.1, 0.05, 0.025 and
-0.075 leave them again, so a run whose work uses one of those durations
-builds it twice); then work.  Exit codes: 0 all enabled assertions pass,
+0.075 are built on scratch twins of the members and never enter the stores,
+so a run whose work uses one of those durations builds it twice); then work.  Exit codes: 0 all enabled assertions pass,
 1 assertion failure, 2 malformed config (a schema violation such as a key
 its kind does not read or a missing required key, a ragged matrix, an
 unreadable u0 CSV, a refinement level, stage count or Monte Carlo path count

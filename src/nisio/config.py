@@ -15,7 +15,7 @@ from .grids import GridFunction, WeightedGrid
 from .operators import (ChainOperator, FamilyBounds, GBMOperator, HeatOperator,
                         KoopmanOperator, OUOperator, ScaledOperator,
                         SemigroupFamily, StableOperator)
-from .probes import probe_function
+from .probes import PROBES, probe_function
 
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
@@ -77,10 +77,8 @@ CONFIG_SCHEMA = _closed(
         "base", "scales", base=_tagged("kind", _MEMBER_KINDS), scales=_list(_NUM))),
         alpha=_NUM, beta=_NUM),
     u0=_tagged("name", {
-        "const": _closed(value=_NUM), "linear": _closed(), "quadratic": _closed(),
-        "neg-quadratic": _closed(), "sin": _closed(frequency=_NUM),
-        "cos": _closed(frequency=_NUM), "bump": _closed(center=_NUM, width=_NUM),
-        "call-payoff": _closed(strike=_NUM),
+        **{name: _closed(**dict.fromkeys(defaults, _NUM))
+           for name, (defaults, _) in PROBES.items()},
         "csv": _closed("path", path={"type": "string"}),
     }),
     solve=_closed("t", t=_NUM, tol=_NUM, max_level=_POS_INT),
@@ -157,7 +155,6 @@ def build_grid(cfg):
     kind = g["kind"]
     p = _kappa_exponent(g.get("kappa"))
     kappa = None if p is None else (lambda x: (1.0 + np.abs(x)) ** (-p))
-    boundary = g.get("boundary", "renormalize")
     if kind == "labels":
         return WeightedGrid.labels(g["n"], kappa=kappa)
     if kind == "log":
@@ -165,9 +162,9 @@ def build_grid(cfg):
             raise ConfigurationError(
                 f"a log grid needs at least 2 points per side: grid.n {g['n']}")
         return WeightedGrid.loggrid(g["x_max"], g.get("x_min_mag", 1e-2), g["n"],
-                                    kappa=kappa, boundary=boundary)
+                                    kappa=kappa, boundary=g.get("boundary"))
     lo, hi = g["domain"]
-    return WeightedGrid.uniform(lo, hi, g["dx"], kappa=kappa, boundary=boundary,
+    return WeightedGrid.uniform(lo, hi, g["dx"], kappa=kappa, boundary=g.get("boundary"),
                                 periodic=(kind == "periodic"))
 
 

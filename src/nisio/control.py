@@ -72,7 +72,7 @@ def policy_value(family, policy, u):
     v = u
     cols = np.arange(family.grid.size)
     for h, sel in reversed(policy.stages):
-        stacked = family.apply_all(h, v.values)
+        stacked = family.apply_all(h, v)
         v = v.with_values(stacked[sel, cols])
     return v
 

@@ -193,7 +193,7 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     fp_tol = 1e-11 * scale
     # one-step envelope of every probe at every t, read by all checks below;
     # probes[0]'s member stacks also give the domination check its S_k(t)u
-    stacks = {t: family.apply_all(t, probes[0].values) for t in t_list}
+    stacks = {t: family.apply_all(t, probes[0]) for t in t_list}
     for t, stack in stacks.items():
         if t != 0.0:
             composed[0, (float(t),)] = probes[0].with_values(np.max(stack, axis=0))

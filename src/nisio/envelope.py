@@ -86,7 +86,7 @@ def envelope_step(family, h, u):
     """One-step envelope: pointwise max over members of S_member(h) u."""
     if h == 0.0:
         return u
-    return u.with_values(np.max(family.apply_all(h, u.values), axis=0))
+    return u.with_values(np.max(family.apply_all(h, u), axis=0))
 
 
 def envelope_step_argmax(family, h, u):
@@ -94,7 +94,7 @@ def envelope_step_argmax(family, h, u):
 
     Ties resolve to the lowest index (np.argmax keeps the first maximum).
     """
-    stacked = family.apply_all(h, u.values)
+    stacked = family.apply_all(h, u)
     idx = np.argmax(stacked, axis=0)
     return u.with_values(stacked[idx, np.arange(stacked.shape[1])]), idx
 
@@ -191,7 +191,7 @@ def dpp_check(family, s, t, u, max_level=12, tol=1e-6, window=None):
 
 def domination_slack(family, value, stack):
     """min over members k and points of kappa * (value - stack[k]), where
-    ``stack`` is the member stack ``family.apply_all(t, u.values)``."""
+    ``stack`` is the member stack ``family.apply_all(t, u)``."""
     kappa = family.grid.kappa
     return min(np.inf, *(float(np.min((value.values - row) * kappa)) for row in stack))
 
@@ -203,7 +203,7 @@ def upper_bound_check(family, t, u, max_level=12, tol=1e-6):
     composition tolerance eps_q (which is measured in the weighted norm).
     """
     res = nisio_value(family, t, u, max_level, tol)
-    slack = domination_slack(family, res.value, family.apply_all(t, u.values))
+    slack = domination_slack(family, res.value, family.apply_all(t, u))
     return {"min_slack": slack, "result": res}
 
 
@@ -216,7 +216,8 @@ def quadrature_tolerance(family):
     to absorb plain floating-point noise.  This is the only inexactness the
     envelope inherits, so every inequality check reads its slack tolerance
     from here.  Each member measures its defect once, one member at a time,
-    and keeps only the float: the kernels at 0.1, 0.05, 0.025 and 0.075 it
-    builds leave its store again, so a later call builds and applies nothing.
+    and keeps only the float: the kernels at 0.1, 0.05, 0.025 and 0.075 are
+    built on a scratch twin of the member and never enter its store, so a
+    later call builds and applies nothing.
     """
     return max(1e-12, *(member.composition_defect() for member in family))

@@ -33,7 +33,10 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, UndefinedSeminormError
 
-BOUNDARY_POLICIES = ("renormalize", "reflect")
+# the boundary rules each kind admits, its default first: a periodic grid
+# wraps, tensor grids' 2D kernels always renormalize, labels have no ends
+BOUNDARIES = {"uniform": ("renormalize", "reflect"), "log": ("renormalize", "reflect"),
+              "periodic": ("wrap",), "tensor": ("renormalize",), "labels": ("renormalize",)}
 # largest deviation of a uniform grid's points from points[0] + spacing * k,
 # as a fraction of spacing
 _UNIFORM_RTOL = 1e-6
@@ -56,13 +59,14 @@ class WeightedGrid:
 
     ``points`` is ``(N,)`` for 1D kinds and ``(N, 2)`` for tensor grids.
     ``spacing`` is the mesh width (log-spacing for ``log`` grids, per-axis
-    tuple for tensor grids, 1 for labels).
+    tuple for tensor grids, 1 for labels).  ``boundary`` is a rule
+    ``BOUNDARIES`` admits for the kind; None takes the kind's default.
     """
 
     points: np.ndarray
     kappa: np.ndarray
     kind: str = "uniform"
-    boundary: str = "renormalize"
+    boundary: str | None = None
     spacing: float | tuple = 1.0
     shape: tuple = field(default=())
 
@@ -71,8 +75,14 @@ class WeightedGrid:
         kap = np.asarray(self.kappa, dtype=float)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "kappa", kap)
-        if self.boundary not in BOUNDARY_POLICIES:
-            raise ConfigurationError(f"unknown boundary policy {self.boundary!r}")
+        if self.kind not in BOUNDARIES:
+            raise ConfigurationError(f"unknown grid kind {self.kind!r}")
+        allowed = BOUNDARIES[self.kind]
+        if self.boundary is None:
+            object.__setattr__(self, "boundary", allowed[0])
+        if self.boundary not in allowed:
+            raise ConfigurationError(f"a {self.kind} grid takes boundary "
+                                     f"{' or '.join(allowed)}, not {self.boundary!r}")
         if len(pts) == 0:
             raise ConfigurationError("empty grid")
         if kap.shape != (len(pts),):
@@ -100,10 +110,10 @@ class WeightedGrid:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def uniform(cls, lo, hi, dx, kappa=None, boundary="renormalize", periodic=False):
+    def uniform(cls, lo, hi, dx, kappa=None, boundary=None, periodic=False):
         """Uniform 1D grid over [lo, hi] with spacing dx.
 
-        Periodic grids cover [lo, hi) so that hi is identified with lo.
+        Periodic grids cover [lo, hi) so that hi is identified with lo, and wrap.
         """
         if dx <= 0.0:
             raise ConfigurationError("dx must be positive")
@@ -115,7 +125,7 @@ class WeightedGrid:
         return cls(pts, _as_weight(kappa, pts), kind=kind, boundary=boundary, spacing=dx)
 
     @classmethod
-    def loggrid(cls, x_max, x_min_mag, n_per_side, kappa=None, boundary="renormalize"):
+    def loggrid(cls, x_max, x_min_mag, n_per_side, kappa=None, boundary=None):
         """Sign-glued grid, uniform in log|x|, covering ±[x_min_mag, x_max] and 0."""
         if not (0.0 < x_min_mag < x_max):
             raise ConfigurationError("need 0 < x_min_mag < x_max")
@@ -134,7 +144,7 @@ class WeightedGrid:
         return cls(pts, _as_weight(kappa, pts), kind="labels", spacing=1.0)
 
     @classmethod
-    def tensor(cls, lo, hi, n, kappa=None, boundary="renormalize"):
+    def tensor(cls, lo, hi, n, kappa=None):
         """2D tensor grid over [lo0,hi0] x [lo1,hi1], n points per axis, row-major."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
@@ -147,7 +157,7 @@ class WeightedGrid:
             kappa = np.ones(len(pts))
         elif callable(kappa):
             kappa = kappa(pts[:, 0], pts[:, 1])
-        return cls(pts, kappa, kind="tensor", boundary=boundary, spacing=dx,
+        return cls(pts, kappa, kind="tensor", spacing=dx,
                    shape=(int(n[0]), int(n[1])))
 
     # -- queries -----------------------------------------------------------

@@ -11,23 +11,23 @@ row-stochastic quadrature matrix (or an FFT multiplier), so that
 * ``apply`` is linear in ``u``.
 
 Each member keeps one kernel per duration (a matrix, or a spectral member's
-multiplier) in one store, ``matrix(t)``.  Past ``KERNEL_CACHE_BYTES`` per
-member it drops the least recently used durations.  An eviction costs only a
-rebuild, to the same bits, never a number.  The store makes composition over a
-time partition cheap.  Beside it each member keeps one float, its composition
-defect (``composition_defect``), measured once on first use.  The kernels
-that measurement builds are never held: it runs inside ``transient``, on
-whose exit the store drops every duration it did not hold on entry, so a run
-keeps no kernel that only the measurement reads.
+multiplier) in one store, ``matrix(t)``, the one place a kernel is looked
+up, built or evicted.  Past ``KERNEL_CACHE_BYTES`` per member it drops the
+least recently used durations: a rebuild gives the same bits.  Every apply is
+``apply_values``, the kernel times the values (``_apply_kernel``, an FFT
+product for a spectral member).  Beside the store each member keeps its
+composition defect (``composition_defect``), measured once on a scratch twin
+with an empty store of its own, so the measurement's kernels never enter it.
 
 Heat, GBM and 1D OU members build every kernel through one selector,
 ``lattice_kernel``: a variance above one cell squared gets Gaussian weights
 on the lattice nodes, one at or below it the interpolation stencil, which
 keeps the weights nonnegative and the mean exact where Gaussian quadrature
-would alias.  Kernel mass past the ends of the lattice is folded
-back (``reflect``), wrapped (``wrap``), or dropped with the row renormalized
-(``renormalize``).  Every lattice kernel is stored dense when
-``8 n^2 <= 12 nnz + 4 (n + 1)`` (no more bytes than CSR).  A Gaussian kernel
+would alias.  Kernel mass past the ends of the lattice is folded back
+(``reflect``), wrapped (``wrap``) or dropped with the row renormalized
+(``renormalize``), as the grid's ``boundary`` says.  Every lattice kernel is
+stored dense when ``8 n^2 <= 12 nnz + 4 (n + 1)`` (no more bytes than CSR).
+A Gaussian kernel
 whose mean offsets are all zero (every heat member above one cell, an OU
 member with B=0 and m=0, a GBM member with mu = sigma^2/2) is the same band
 in every row, so it is built from that one band; when sparse it is stored by
@@ -62,8 +62,8 @@ moments take exprel from ``_exprel`` (``math.expm1``), to the bits of
 
 from __future__ import annotations
 
+import copy
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -379,12 +379,6 @@ def lattice_kernel(n, dx, means_offset, var, mode):
     return interp_stencil_matrix(n, dx, np.arange(n) + means_offset / dx, var, mode)
 
 
-def _boundary_mode(grid):
-    if grid.kind == "periodic":
-        return "wrap"
-    return grid.boundary
-
-
 # ---------------------------------------------------------------------------
 # generator stencils
 # ---------------------------------------------------------------------------
@@ -436,6 +430,16 @@ def _check_duration(t):
         raise InvalidInputError(f"duration must be finite and >= 0, got {t}")
 
 
+def _check_input(grid, t, u):
+    """Reject a duration that is negative or not finite, and a function that
+    does not live on ``grid``: the same object, or the same kind and points."""
+    _check_duration(t)
+    if u.grid is not grid and not (
+        u.grid.kind == grid.kind and np.array_equal(u.grid.points, grid.points)
+    ):
+        raise InvalidInputError("function lives on a different grid")
+
+
 def _nbytes(kernel):
     """Bytes a kernel holds: an ndarray's buffer, a DIA matrix's diagonals and
     offsets, or a CSR matrix's arrays."""
@@ -458,16 +462,9 @@ class TransitionOperator:
         self._held = 0
         self._defect = None
 
-    def _check(self, t, u):
-        _check_duration(t)
-        if u.grid is not self.grid and not (
-            u.grid.kind == self.grid.kind and np.array_equal(u.grid.points, self.grid.points)
-        ):
-            raise InvalidInputError("function lives on a different grid")
-
     def apply(self, t, u):
         """Evaluate S(t)u.  t == 0 returns u unchanged."""
-        self._check(t, u)
+        _check_input(self.grid, t, u)
         if t == 0.0:
             return u
         return u.with_values(self.apply_values(t, u.values))
@@ -475,7 +472,10 @@ class TransitionOperator:
     def apply_values(self, t, values):
         if t == 0.0:
             return values
-        return self.matrix(t) @ values
+        return self._apply_kernel(self.matrix(t), values)
+
+    def _apply_kernel(self, kernel, values):
+        return kernel @ values
 
     def matrix(self, t):
         """The kernel of S(t): a row-stochastic matrix, or a spectral member's
@@ -494,36 +494,29 @@ class TransitionOperator:
         self._cache[t] = kernel
         return kernel
 
-    @contextmanager
-    def transient(self, durations):
-        """Context whose kernels of ``durations`` are not kept: on exit the
-        store drops each of them it did not hold on entry."""
-        fresh = {t for t in durations if t not in self._cache}
-        try:
-            yield
-        finally:
-            for t in fresh:
-                kernel = self._cache.pop(t, None)
-                if kernel is not None:
-                    self._held -= _nbytes(kernel)
+    def _twin(self):
+        """A shallow copy of this member with an empty store of its own."""
+        twin = copy.copy(self)
+        twin._cache, twin._held = {}, 0
+        return twin
 
     def composition_defect(self):
         """Max over the probes const, linear and sin and the splits (0.05,
         0.05) and (0.025, 0.075) of t_ref = 0.1 of
         || S(h1) S(h2) u - S(h1+h2) u ||  in the weighted norm.  Measured on
-        the first call and kept; its kernels are not."""
+        the first call, on a scratch twin, and kept; its kernels are not."""
         if self._defect is None:
+            twin = self._twin()
             t_ref = 0.1
             splits = ((0.5 * t_ref, 0.5 * t_ref), (0.25 * t_ref, 0.75 * t_ref))
             worst = 0.0
-            with self.transient((t_ref,) + sum(splits, ())):
-                for name in ("const", "linear", "sin"):
-                    u = probe_function(name, self.grid)
-                    direct = self.apply(t_ref, u)
-                    for h1, h2 in splits:
-                        two_step = self.apply(h1, self.apply(h2, u))
-                        worst = max(worst, weighted_norm(
-                            direct.with_values(two_step.values - direct.values)))
+            for name in ("const", "linear", "sin"):
+                u = probe_function(name, self.grid)
+                direct = twin.apply(t_ref, u)
+                for h1, h2 in splits:
+                    two_step = twin.apply(h1, twin.apply(h2, u))
+                    worst = max(worst, weighted_norm(
+                        direct.with_values(two_step.values - direct.values)))
             self._defect = worst
         return self._defect
 
@@ -551,11 +544,11 @@ class HeatOperator(TransitionOperator):
         super().__init__(grid)
         self.sigma = float(sigma)
         self.name = f"heat(sigma={sigma:g})"
-        self.lipschitz_exact = grid.kind == "periodic" or grid.boundary == "reflect"
+        self.lipschitz_exact = grid.boundary in ("wrap", "reflect")
 
     def _build_matrix(self, t):
         return lattice_kernel(self.grid.size, self.grid.spacing, 0.0,
-                              self.sigma ** 2 * t, _boundary_mode(self.grid))
+                              self.sigma ** 2 * t, self.grid.boundary)
 
     def generator(self, u):
         _, d2, valid = _central(u.values, self.grid.spacing,
@@ -713,7 +706,7 @@ class OUOperator(TransitionOperator):
         g = self.grid
         # lattice_kernel wants offsets from each row's own node
         return lattice_kernel(g.size, g.spacing, m_lin * g.points + drift - g.points,
-                              var, _boundary_mode(g))
+                              var, g.boundary)
 
     def _matrix_2d(self, M, drift, cov):
         from scipy.linalg import eigvalsh, inv
@@ -859,14 +852,11 @@ class StableOperator(TransitionOperator):
         mult[0] = 1.0
         return mult
 
-    def apply_values(self, t, values):
-        if t == 0.0:
-            return values
-        return np.fft.irfft(np.fft.rfft(values) * self.matrix(t), n=self.grid.size)
+    def _apply_kernel(self, mult, values):
+        return np.fft.irfft(np.fft.rfft(values) * mult, n=self.grid.size)
 
     def generator(self, u):
-        mult = -np.abs(self._xi) ** (2.0 * self.alpha)
-        vals = np.fft.irfft(np.fft.rfft(u.values) * mult, n=self.grid.size)
+        vals = self._apply_kernel(-np.abs(self._xi) ** (2.0 * self.alpha), u.values)
         return GeneratorResult(vals, np.ones(self.grid.size, dtype=bool), self.grid)
 
 
@@ -970,8 +960,10 @@ class ScaledOperator(TransitionOperator):
     def matrix(self, t):
         return self.base.matrix(self.scale * t)
 
-    def transient(self, durations):
-        return self.base.transient([self.scale * t for t in durations])
+    def _twin(self):
+        twin = super()._twin()
+        twin.base = self.base._twin()
+        return twin
 
     def generator(self, u):
         res = self.base.generator(u)
@@ -983,7 +975,7 @@ class ScaledOperator(TransitionOperator):
 
 def generator_apply(member, u):
     """Infinitesimal generator of one member applied to u."""
-    member._check(0.0, u)
+    _check_input(member.grid, 0.0, u)
     return member.generator(u)
 
 
@@ -1025,7 +1017,8 @@ class SemigroupFamily:
     def __iter__(self):
         return iter(self.members)
 
-    def apply_all(self, t, values):
-        """Stack of member applications, shape (n_members, n_points)."""
-        _check_duration(t)
-        return np.stack([m.apply_values(t, values) for m in self.members])
+    def apply_all(self, t, u):
+        """Stack of the members applied to u for duration t, shape (K, n): the
+        family's one way to its members, checking t and u once, as ``apply``."""
+        _check_input(self.grid, t, u)
+        return np.stack([m.apply_values(t, u.values) for m in self.members])

@@ -7,9 +7,6 @@ import numpy as np
 from .errors import ConfigurationError
 from .grids import GridFunction
 
-PROBE_NAMES = ("const", "linear", "quadratic", "neg-quadratic", "sin", "cos",
-               "bump", "call-payoff")
-
 
 def smootherstep(z):
     """C^2 monotone ramp: 0 below 0, 1 above 1."""
@@ -23,29 +20,29 @@ def bump(x, center=0.0, width=1.0):
     return 1.0 - smootherstep(2.0 * r - 1.0)
 
 
-def probe_function(name, grid, **params):
-    """Build a named probe on a grid.
+# each probe's parameters with their defaults, and its values on the first
+# coordinate x from them; the config's u0 schema is read off this table too
+PROBES = {
+    "const": ({"value": 1.0}, lambda x, value: np.full(x.size, value)),
+    "linear": ({}, lambda x: x.copy()),
+    "quadratic": ({}, lambda x: x ** 2),
+    "neg-quadratic": ({}, lambda x: -(x ** 2)),
+    "sin": ({"frequency": 1.0}, lambda x, frequency: np.sin(frequency * x)),
+    "cos": ({"frequency": 1.0}, lambda x, frequency: np.cos(frequency * x)),
+    "bump": ({"center": 0.0, "width": 1.0}, bump),
+    "call-payoff": ({"strike": 1.0}, lambda x, strike: np.maximum(x - strike, 0.0)),
+}
+PROBE_NAMES = tuple(PROBES)
 
-    Supported names: const (value), linear, quadratic, neg-quadratic, sin,
-    cos (frequency), bump (center, width), call-payoff (strike).
-    """
-    x = grid.points if grid.points.ndim == 1 else grid.points[:, 0]
-    if name == "const":
-        vals = np.full(grid.size, float(params.get("value", 1.0)))
-    elif name == "linear":
-        vals = x.copy()
-    elif name == "quadratic":
-        vals = x ** 2
-    elif name == "neg-quadratic":
-        vals = -(x ** 2)
-    elif name == "sin":
-        vals = np.sin(float(params.get("frequency", 1.0)) * x)
-    elif name == "cos":
-        vals = np.cos(float(params.get("frequency", 1.0)) * x)
-    elif name == "bump":
-        vals = bump(x, float(params.get("center", 0.0)), float(params.get("width", 1.0)))
-    elif name == "call-payoff":
-        vals = np.maximum(x - float(params.get("strike", 1.0)), 0.0)
-    else:
+
+def probe_function(name, grid, **params):
+    """Named probe of ``PROBES`` on a grid; a parameter it does not read is rejected."""
+    if name not in PROBES:
         raise ConfigurationError(f"unknown probe {name!r}; choose from {PROBE_NAMES}")
-    return GridFunction(vals, grid)
+    defaults, values = PROBES[name]
+    unread = sorted(set(params) - set(defaults))
+    if unread:
+        raise ConfigurationError(f"probe {name!r} does not read {', '.join(unread)}")
+    x = grid.points if grid.points.ndim == 1 else grid.points[:, 0]
+    return GridFunction(values(x, **{k: float(params.get(k, v))
+                                     for k, v in defaults.items()}), grid)

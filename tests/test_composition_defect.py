@@ -152,16 +152,18 @@ def test_defect_is_measured_once_per_member(monkeypatch):
 def test_measurement_failure_still_drops_its_kernels(monkeypatch):
     family = _family("heat")
     member = family.members[0]
-    real = member.apply_values
+    real = operators.TransitionOperator.apply_values
     count = []
 
-    def failing(t, values):
+    def failing(self, t, values):
         count.append(t)
         if len(count) == 3:
             raise RuntimeError("stop")
-        return real(t, values)
+        return real(self, t, values)
 
-    monkeypatch.setattr(member, "apply_values", failing)
+    # on the class: the measurement applies through a copy of the member,
+    # which would carry an instance patch bound to the member's own store
+    monkeypatch.setattr(operators.TransitionOperator, "apply_values", failing)
     with pytest.raises(RuntimeError):
         member.composition_defect()
     assert member._cache == {} and member._held == 0

@@ -326,15 +326,16 @@ EPS_Q_DURATIONS = {0.1, 0.5 * 0.1, 0.25 * 0.1, 0.75 * 0.1}
 
 
 def _spy_builds(monkeypatch):
-    """Record ``(member, duration)`` for every kernel build and ``"eps_q"`` when
-    the CLI's eps_q measurement returns; return the events and the families
-    the CLI builds."""
+    """Record ``(member name, duration)`` for every kernel build and
+    ``"eps_q"`` when the CLI's eps_q measurement returns; return the events
+    and the families the CLI builds.  Builds are keyed by name because eps_q
+    builds on scratch copies of the members."""
     events, families = [], []
     matrix = operators.TransitionOperator.matrix
 
     def spy_matrix(self, t):
         if t not in self._cache:
-            events.append((self, t))
+            events.append((self.name, t))
         return matrix(self, t)
 
     def spy_tolerance(family):
@@ -371,11 +372,12 @@ def test_cli_measures_eps_q_on_empty_stores_before_the_work(tmp_path, monkeypatc
     mark = events.index("eps_q")
     before, work = events[:mark], events[mark + 1:]
     members = families[0].members
+    names = [m.name for m in members]
     # eps_q first: every member's four kernels, and nothing the work builds
-    assert sorted((members.index(m), t) for m, t in before) == sorted(
+    assert sorted((names.index(m), t) for m, t in before) == sorted(
         (i, t) for i in range(len(members)) for t in EPS_Q_DURATIONS)
     for i, member in enumerate(members):
-        used = {t for m, t in work if m is member}
+        used = {t for m, t in work if m == member.name}
         assert 0.1 in used                # built once for eps_q, once for the work
         assert set(member._cache) & EPS_Q_DURATIONS <= used
 

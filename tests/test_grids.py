@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from nisio import (ConfigurationError, GridFunction, InvalidInputError,
                    UndefinedSeminormError, WeightedGrid, lip_seminorm,
                    weighted_norm)
+from nisio.config import build_grid
 from nisio.probes import probe_function
 
 
@@ -348,3 +349,60 @@ def test_labels_grid_needs_the_labels_zero_to_n_minus_one(points, spacing):
     assert WeightedGrid(np.arange(3.0), np.ones(3), kind="labels").size == 3
     with pytest.raises(ConfigurationError, match=r"label grid points must be 0, 1, \.\.\., n-1"):
         WeightedGrid(np.array(points), np.ones(3), kind="labels", spacing=spacing)
+
+
+# the boundary rule a grid states is the one its members read
+def test_periodic_grid_wraps_and_refuses_other_boundaries():
+    assert WeightedGrid.uniform(-1.0, 1.0, 0.5, periodic=True).boundary == "wrap"
+    assert WeightedGrid.uniform(-1.0, 1.0, 0.5, periodic=True, boundary="wrap").boundary \
+        == "wrap"
+    for boundary in ("reflect", "renormalize"):
+        with pytest.raises(ConfigurationError, match="periodic grid takes boundary wrap"):
+            WeightedGrid.uniform(-1.0, 1.0, 0.5, periodic=True, boundary=boundary)
+
+
+def test_boundary_none_takes_the_kind_default():
+    assert WeightedGrid.uniform(-1.0, 1.0, 0.5).boundary == "renormalize"
+    assert WeightedGrid.uniform(-1.0, 1.0, 0.5, boundary=None).boundary == "renormalize"
+    assert WeightedGrid.loggrid(8.0, 0.01, 5, boundary=None).boundary == "renormalize"
+    assert WeightedGrid.labels(3).boundary == "renormalize"
+    assert WeightedGrid.uniform(-1.0, 1.0, 0.5, boundary="reflect").boundary == "reflect"
+    assert WeightedGrid.loggrid(8.0, 0.01, 5, boundary="reflect").boundary == "reflect"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: WeightedGrid.uniform(-1.0, 1.0, 0.5, boundary="wrap"),
+    lambda: WeightedGrid.uniform(-1.0, 1.0, 0.5, boundary="absorb"),
+    lambda: WeightedGrid.loggrid(8.0, 0.01, 5, boundary="wrap"),
+    lambda: WeightedGrid(np.arange(3.0), np.ones(3), kind="labels", boundary="reflect"),
+])
+def test_grid_rejects_a_boundary_its_kind_does_not_admit(make):
+    with pytest.raises(ConfigurationError, match="grid takes boundary"):
+        make()
+
+
+def test_grid_rejects_an_unknown_kind():
+    with pytest.raises(ConfigurationError, match="unknown grid kind 'hex'"):
+        WeightedGrid(np.arange(3.0), np.ones(3), kind="hex")
+
+
+def test_tensor_grid_renormalizes_and_takes_no_boundary():
+    assert WeightedGrid.tensor([-1, -1], [1, 1], 3).boundary == "renormalize"
+    with pytest.raises(TypeError):
+        WeightedGrid.tensor([-1, -1], [1, 1], 3, boundary="reflect")
+    pts = WeightedGrid.tensor([-1, -1], [1, 1], 3).points
+    with pytest.raises(ConfigurationError, match="tensor grid takes boundary renormalize"):
+        WeightedGrid(pts, np.ones(len(pts)), kind="tensor", boundary="reflect",
+                     spacing=(1.0, 1.0), shape=(3, 3))
+
+
+@pytest.mark.parametrize("section, boundary", [
+    ({"kind": "periodic", "domain": [-1, 1], "dx": 0.5}, "wrap"),
+    ({"kind": "uniform", "domain": [-1, 1], "dx": 0.5}, "renormalize"),
+    ({"kind": "uniform", "domain": [-1, 1], "dx": 0.5, "boundary": "reflect"}, "reflect"),
+    ({"kind": "log", "x_max": 8, "n": 5}, "renormalize"),
+    ({"kind": "log", "x_max": 8, "n": 5, "boundary": "reflect"}, "reflect"),
+    ({"kind": "labels", "n": 3}, "renormalize"),
+])
+def test_config_grid_states_the_boundary_its_members_read(section, boundary):
+    assert build_grid({"grid": section}).boundary == boundary

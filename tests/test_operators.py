@@ -1010,3 +1010,18 @@ def test_heat_monotone_random(vals):
 def test_koopman_lipschitz_hint_validated(ou_grid):
     with pytest.raises(ConfigurationError):
         KoopmanOperator(ou_grid, lambda x: -3.0 * x, lipschitz_hint=1.0)
+
+
+# members read the boundary rule their grid states
+@pytest.mark.parametrize("grid, exact", [
+    (WeightedGrid.uniform(-2.0, 2.0, 0.1), False),
+    (WeightedGrid.uniform(-2.0, 2.0, 0.1, boundary="reflect"), True),
+    (WeightedGrid.uniform(-2.0, 2.0, 0.1, periodic=True), True),
+])
+def test_heat_member_reads_its_grid_boundary(grid, exact):
+    op = HeatOperator(grid, 1.0)
+    assert op.lipschitz_exact is exact
+    ref = lattice_kernel(grid.size, grid.spacing, 0.0, 0.5, grid.boundary)
+    kernel = op.matrix(0.5)
+    dense = kernel.toarray() if sp.issparse(kernel) else kernel
+    assert np.array_equal(dense, ref.toarray() if sp.issparse(ref) else ref)

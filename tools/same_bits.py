@@ -1,0 +1,84 @@
+"""Check that the CLI outputs of the working tree match those of a git
+revision, byte for byte.
+
+    python3 tools/same_bits.py [REF]        # REF defaults to HEAD
+
+Exports REF's ``src/`` with ``git archive`` into a temporary directory and
+runs the same outputs through ``nisio.cli.run`` for both trees, one fresh
+interpreter per run with ``PYTHONDONTWRITEBYTECODE=1``: ``solve``, ``dpp``,
+``control`` and ``mc`` on ``bench/configs/readme.json`` at seeds 1 and 7, and
+``properties`` on ``bench/configs/ou.json`` (13 files).  Both trees read the
+working tree's configs.  Prints each file's sha256 on both sides and exits 1
+on any difference, in a file or in an exit code.  Everything it writes goes
+into the temporary directory; it needs no network.  Dense kernels' bits
+depend on the BLAS thread count, so compare on one host only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+README, OU = "bench/configs/readme.json", "bench/configs/ou.json"
+RUNS = [(sub, README, seed) for seed in (1, 7) for sub in ("solve", "dpp", "control", "mc")]
+RUNS.append(("properties", OU, None))
+CALL = ("import sys; from nisio.cli import run; "
+        "sys.exit(run(sys.argv[1], sys.argv[2], sys.argv[3], "
+        "None if sys.argv[4] == '-' else int(sys.argv[4])))")
+
+
+def export_src(ref, dest):
+    """Extract ``ref``'s ``src/`` into ``dest``; return the tree's ``src``."""
+    blob = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", ref, "src"],
+                          check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest / "src"
+
+
+def outputs(src, out):
+    """Run every entry of RUNS on the package under ``src``; return
+    {label: sha256 or exit code}."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    found = {}
+    for sub, config, seed in RUNS:
+        tag = sub if seed is None else f"{sub} seed {seed}"
+        run_dir = out / tag.replace(" ", "-")
+        proc = subprocess.run(
+            [sys.executable, "-c", CALL, sub, str(ROOT / config), str(run_dir),
+             "-" if seed is None else str(seed)],
+            env=env, cwd=out, capture_output=True, text=True)
+        found[f"{tag}: exit code"] = str(proc.returncode)
+        for path in sorted(run_dir.iterdir()) if run_dir.is_dir() else ():
+            found[f"{tag}: {path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return found
+
+
+def main(argv):
+    ref = argv[1] if len(argv) > 1 else "HEAD"
+    with tempfile.TemporaryDirectory(prefix="same_bits_") as tmp:
+        tmp = Path(tmp)
+        for side in ("ref", "work"):
+            (tmp / side).mkdir()
+        theirs = outputs(export_src(ref, tmp / "ref"), tmp / "ref")
+        ours = outputs(ROOT / "src", tmp / "work")
+    differ = 0
+    for label in sorted(set(theirs) | set(ours)):
+        a, b = theirs.get(label, "missing"), ours.get(label, "missing")
+        same = a == b
+        differ += not same
+        print(f"{'same' if same else 'DIFF'}  {label}\n      {ref}: {a}\n      work: {b}")
+    files = sum(not label.endswith("exit code") for label in ours)
+    print(f"{files} files, {differ} differences against {ref}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
