@@ -13,9 +13,10 @@ so a run whose work uses one of those durations builds it twice); then work.  Ex
 its kind does not read or a missing required key, a ragged matrix, an
 unreadable u0 CSV, a refinement level, stage count or Monte Carlo path count
 over the work budget, a horizon that is negative, not finite or too small
-to split, an ``mc`` run on a periodic grid of one point), an unusable --out directory or
-an unknown flag, 3 numerical degeneracy.  Each subcommand returns its
-record's name and fields; ``run`` writes ``<name>.json`` and exits 1 exactly
+to split, an ``mc`` run on a periodic grid of one point, a seed outside
+Philox's key range [0, 2^128 - 1] in the config or in --seed), an unusable
+--out directory or an unknown flag, 3 numerical degeneracy.  Each subcommand
+returns its record's name and fields; ``run`` writes ``<name>.json`` and exits 1 exactly
 when the record says ``"passed": false``.
 """
 
@@ -37,7 +38,7 @@ from .diagnostics import property_suite
 from .envelope import CHECK_LEVEL, check_levels, dpp_check, nisio_value, quadrature_tolerance
 from .errors import ConfigurationError, InvalidInputError, NumericalDegeneracyError
 from .grids import weighted_norm
-from .montecarlo import SamplerSpec, check_path_stages, mc_compare
+from .montecarlo import SEED_MAX, SamplerSpec, check_path_stages, mc_compare
 from .operators import KoopmanOperator
 from .probes import probe_function
 
@@ -223,6 +224,8 @@ _NEEDED_SECTIONS = {"solve": "a solve", "dpp": "a dpp", "control": "a control",
 
 def run(subcommand, config_path, out_dir, seed=None):
     try:
+        if seed is not None and not 0 <= seed <= SEED_MAX:
+            raise ConfigurationError(f"--seed {seed} is outside [0, 2**128 - 1]")
         with open(config_path, encoding="utf-8") as fh:
             cfg = validate_config(json.load(fh))
         ctx = _Run(subcommand, cfg, out_dir, seed)

@@ -12,6 +12,7 @@ from jsonschema.exceptions import best_match
 
 from .errors import ConfigurationError, GridKindError
 from .grids import GridFunction, WeightedGrid
+from .montecarlo import SEED_MAX
 from .operators import (ChainOperator, FamilyBounds, GBMOperator, HeatOperator,
                         KoopmanOperator, OUOperator, ScaledOperator,
                         SemigroupFamily, StableOperator)
@@ -23,6 +24,7 @@ _POS_INT = {"type": "integer", "minimum": 1}
 _VECTOR = {"type": "array", "items": _NUM}
 _ROWS = {"type": "array", "items": _VECTOR}
 _PAIR = dict(_VECTOR, minItems=2, maxItems=2)
+_SEED = {"type": "integer", "minimum": 0, "maximum": SEED_MAX}
 
 
 def _list(item):
@@ -87,9 +89,9 @@ CONFIG_SCHEMA = _closed(
                     trials={"type": "integer", "minimum": 0}, level=_POS_INT),
     mc=_closed("t", "n_paths", "x0", t=_NUM, m=_POS_INT,
                n_paths={"type": "integer", "minimum": 100},
-               seed={"type": "integer"}, x0=_NUM),
+               seed=_SEED, x0=_NUM),
     properties=_closed(probes=_list({"type": "string"}), t_list=_list(_NUM),
-                       seed={"type": "integer"}, partition_pairs=_POS_INT),
+                       seed=_SEED, partition_pairs=_POS_INT),
     report_window=_PAIR,
 )
 

@@ -32,8 +32,8 @@ class ControlPolicy:
         if not stages:
             raise ConfigurationError("policy needs at least one stage")
         for h, sel in stages:
-            if h <= 0.0:
-                raise ConfigurationError("stage durations must be positive")
+            if not 0.0 < h < np.inf:
+                raise ConfigurationError(f"stage durations must be positive and finite, got {h}")
             if sel.ndim != 1:
                 raise ConfigurationError("selectors must be 1D per-point arrays")
 

@@ -24,14 +24,8 @@ def strong_continuity_probe(family, u, h_list, window=None):
     h_arr = np.asarray(sorted(h_list, reverse=True), dtype=float)
     if np.any(h_arr <= 0.0):
         raise InvalidInputError("h values must be positive")
-    rates = []
-    for h in h_arr:
-        worst = 0.0
-        for member in family:
-            diff = member.apply(h, u).values - u.values
-            worst = max(worst, weighted_norm(u.with_values(diff), window=window))
-        rates.append(worst)
-    rates = np.asarray(rates)
+    rates = np.asarray([max(0.0, *(weighted_norm(u.with_values(row - u.values), window=window)
+                                   for row in family.apply_all(h, u))) for h in h_arr])
     hs = h_arr[-3:] if len(h_arr) >= 3 else h_arr
     rs = rates[-3:] if len(h_arr) >= 3 else rates
     slope = float(np.sum(rs * hs) / np.sum(hs * hs))

@@ -85,6 +85,7 @@ class Partition:
 def envelope_step(family, h, u):
     """One-step envelope: pointwise max over members of S_member(h) u."""
     if h == 0.0:
+        family.check(h, u)
         return u
     return u.with_values(np.max(family.apply_all(h, u), axis=0))
 
@@ -102,10 +103,9 @@ def envelope_step_argmax(family, h, u):
 def partition_apply(family, pi, u):
     """Compose the one-step envelope over the gaps of a partition.
 
-    Right-to-left composition; the trivial partition {0} returns u.
+    Right-to-left composition after the family's check; {0} returns u.
     """
-    if pi.endpoint == 0.0:
-        return u
+    family.check(pi.endpoint, u)
     v = u
     for h in pi.gaps[::-1]:
         v = envelope_step(family, h, v)
@@ -166,8 +166,7 @@ def nisio_value(family, t, u, max_level=12, tol=1e-6):
     if tol <= 0.0:
         raise InvalidInputError("tol must be positive")
     check_levels(family, max_level)
-    if not np.isfinite(t) or t < 0.0:
-        raise InvalidInputError(f"horizon must be finite and >= 0, got {t}")
+    family.check(t, u)
     if t == 0.0:
         return NisioResult(u, [u], [], True)
     return refine_levels((partition_apply(family, Partition.dyadic(t, level), u)
@@ -179,7 +178,10 @@ def dpp_check(family, s, t, u, max_level=12, tol=1e-6, window=None):
 
     Reported, not asserted.  ``window`` restricts the norm to a mask of grid
     points (useful to keep boundary-layer artifacts out of the comparison).
+    ``s``, ``t`` and ``u`` pass the family's check before a zero defect.
     """
+    family.check(s, u)
+    family.check(t, u)
     if s == 0.0 or t == 0.0:
         return {"defect": 0.0}
     joint = nisio_value(family, s + t, u, max_level, tol)

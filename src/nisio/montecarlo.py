@@ -69,6 +69,8 @@ from .errors import InvalidInputError
 # peaks at 27.7 B per path (25.2 without the ring); only the second stage on
 # can take that route, so at most 2^25 paths: about 0.8 GiB
 MAX_PATH_STAGES = 2 ** 26
+# the largest seed: Philox keys are 128-bit
+SEED_MAX = 2 ** 128 - 1
 # paths mc_value evaluates u at, and a per-path stage looks up, per block, so
 # their temporaries stay a few MiB whatever n_paths is
 _EVAL_BLOCK = 2 ** 16
@@ -95,7 +97,9 @@ class SamplerSpec:
     every member a selector uses must admit an exact-increment sampler
     (spectral jump members do not).  The stage step of each such (member,
     stage duration) pair is built here, once.  An error estimate needs at
-    least 100 paths, and n_paths x stages may not pass ``MAX_PATH_STAGES``.
+    least 100 paths, n_paths x stages may not pass ``MAX_PATH_STAGES``, and
+    the seed is a Philox key, in [0, ``SEED_MAX``]; all is checked before
+    any path is drawn.
     The sampler has no box of its own: the grid's end points, or on a
     periodic grid its node-centred period."""
 
@@ -109,6 +113,8 @@ class SamplerSpec:
         if self.n_paths < 100:
             raise InvalidInputError("need at least 100 paths for an error estimate")
         check_path_stages(self.n_paths, self.policy.n_stages)
+        if not 0 <= self.seed <= SEED_MAX:
+            raise InvalidInputError(f"seed {self.seed} is outside [0, 2**128 - 1]")
         _check_policy(self.family, self.policy)
         steps = {}
         for h, sel in self.policy.stages:
@@ -265,8 +271,10 @@ def mc_value(spec, x0, u):
     """Sample mean and standard error of u(X_T) under the policy.
 
     Reproducible: the counter-based generator is keyed by the seed alone, so
-    identical (spec, x0) give bit-identical estimates.
+    identical (spec, x0) give bit-identical estimates.  ``u`` passes the
+    family's check at the policy's horizon before any path is drawn.
     """
+    spec.family.check(spec.policy.horizon, u)
     states, flagged = sample_terminal_states(spec, x0)
     vals = np.empty(states.size)
     for i in range(0, states.size, _EVAL_BLOCK):
@@ -289,7 +297,9 @@ def _sample_std(vals):
 
 def mc_compare(spec, x0, u, value):
     """Monte Carlo vs the policy's grid value of u, ``value`` (a greedy
-    policy's ``GreedyResult.value``), at one state."""
+    policy's ``GreedyResult.value``), at one state.  ``value`` passes the
+    family's check at the policy's horizon before ``mc_value`` runs."""
+    spec.family.check(spec.policy.horizon, value)
     mc = mc_value(spec, x0, u)
     grid_val = float(value.at(x0))
     diff = grid_val - mc["estimate"]

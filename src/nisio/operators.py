@@ -431,12 +431,12 @@ def _check_duration(t):
 
 
 def _check_input(grid, t, u):
-    """Reject a duration that is negative or not finite, and a function that
-    does not live on ``grid``: the same object, or the same kind and points."""
+    """Reject a negative or non-finite duration, and a function off ``grid``'s
+    space: neither the same object nor one of the same kind, points and kappa."""
     _check_duration(t)
-    if u.grid is not grid and not (
-        u.grid.kind == grid.kind and np.array_equal(u.grid.points, grid.points)
-    ):
+    g = u.grid
+    if g is not grid and not (g.kind == grid.kind and np.array_equal(g.points, grid.points)
+                              and np.array_equal(g.kappa, grid.kappa)):
         raise InvalidInputError("function lives on a different grid")
 
 
@@ -1017,8 +1017,12 @@ class SemigroupFamily:
     def __iter__(self):
         return iter(self.members)
 
+    def check(self, t, u):
+        """``_check_input`` of t and u against the family's grid and weight."""
+        _check_input(self.grid, t, u)
+
     def apply_all(self, t, u):
         """Stack of the members applied to u for duration t, shape (K, n): the
-        family's one way to its members, checking t and u once, as ``apply``."""
-        _check_input(self.grid, t, u)
+        family's one way to its members, after one ``check`` of t and u."""
+        self.check(t, u)
         return np.stack([m.apply_values(t, u.values) for m in self.members])

@@ -897,3 +897,30 @@ def test_cli_flow_exits_do_not_depend_on_the_refinement(tmp_path):
     pair = flow_exits(tmp_path, ["1.0 + 0*x", "-x"], max_level=3)
     assert alone == {"0:koopman": 50}
     assert pair == {"0:koopman": 50, "1:koopman": 0}
+
+
+@pytest.mark.parametrize("sub, seed", [("mc", -5), ("control", -3), ("properties", -1),
+                                       ("mc", 2 ** 128)])
+def test_cli_rejects_a_seed_flag_outside_the_philox_key_range(tmp_path, capsys, monkeypatch,
+                                                            sub, seed):
+    # exit 2 naming --seed, before the config is read or any work starts
+    cfg = json.loads(json.dumps(BASE_CFG))
+    cfg["properties"] = {"t_list": [0.25], "partition_pairs": 1}
+    cfg_path = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "validate_config", lambda c: pytest.fail("config read"))
+    assert main([sub, "--config", cfg_path, "--out", str(out), "--seed", str(seed)]) == 2
+    assert f"--seed {seed} is outside [0, 2**128 - 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, seed", [("mc", -1), ("properties", -2),
+                                           ("mc", 2 ** 128), ("properties", 2 ** 128)])
+def test_cli_rejects_a_config_seed_outside_the_philox_key_range(tmp_path, capsys, section, seed):
+    cfg = json.loads(json.dumps(BASE_CFG))
+    cfg["properties"] = {"t_list": [0.25], "partition_pairs": 1}
+    cfg[section]["seed"] = seed
+    assert run(section, write_cfg(tmp_path, cfg), str(tmp_path / "out")) == 2
+    assert f"config rejected at $.{section}.seed" in capsys.readouterr().err
+    cfg[section]["seed"] = 2 ** 128 - 1
+    assert validate_config(cfg) is cfg

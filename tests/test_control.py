@@ -173,3 +173,13 @@ def test_control_weak_duality_on_a_coarse_gbm_log_grid(tmp_path):
     code = run("control", str(path), str(out))
     record = json.loads((out / "control_gap.json").read_text())
     assert code == 0, (record["weak_duality_worst_slack"], record["eps_q"])
+
+
+@pytest.mark.parametrize("h", [0.0, -0.5, np.inf, np.nan])
+def test_policy_rejects_a_stage_duration_not_positive_and_finite(h):
+    # an infinite stage used to reach mc_value, which flagged every path and
+    # returned an estimate; a NaN one passed `h <= 0`
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        ControlPolicy(((h, np.zeros(3, dtype=int)),))
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        ControlPolicy.from_dict({"stages": [{"h": h, "selector": [0, 0, 0]}]})

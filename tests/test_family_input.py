@@ -1,27 +1,37 @@
-"""Every call that reaches a family's members goes through
-``SemigroupFamily.apply_all``, which checks the function's grid once: a
-function on another grid of the same size is rejected, one on an equal grid
-built separately is accepted."""
+"""Every entry that takes a function checks it against the family's space
+before any work or shortcut: ``SemigroupFamily.check`` (the one statement,
+``operators._check_input``) accepts a function on the family's grid object
+or on one of the same kind, points and weight kappa.  A function on another
+grid of the same size, or on an equal grid with another kappa, is rejected,
+at zero durations too."""
+
+import inspect
 
 import numpy as np
 import pytest
 
+import nisio
 from nisio import (ControlPolicy, HeatOperator, InvalidInputError, Partition,
-                   SemigroupFamily, WeightedGrid, dpp_check, duality_gap,
-                   envelope_step, envelope_step_argmax, greedy_policy, nisio_value,
-                   partition_apply, policy_value, property_suite, upper_bound_check)
+                   SamplerSpec, SemigroupFamily, WeightedGrid, dpp_check, duality_gap,
+                   envelope_step, envelope_step_argmax, generator_apply, greedy_policy,
+                   mc_compare, mc_value, nisio_value, partition_apply, policy_value,
+                   property_suite, strong_continuity_probe, upper_bound_check,
+                   viscosity_residual, weighted_norm)
 from nisio.probes import probe_function
 
 
-def _grid(lo=-2.0, hi=2.0):
-    return WeightedGrid.uniform(lo, hi, 0.1, boundary="reflect")
+def _grid(lo=-2.0, hi=2.0, kappa=None):
+    return WeightedGrid.uniform(lo, hi, 0.1, kappa=kappa, boundary="reflect")
 
 
 GRID = _grid()
 FAMILY = SemigroupFamily([HeatOperator(GRID, 0.5), HeatOperator(GRID, 1.0)])
 ONE_STAGE = ControlPolicy(((0.1, np.zeros(GRID.size, dtype=np.int64)),))
+SPEC = SamplerSpec(FAMILY, ONE_STAGE, 100, seed=1)
+U = probe_function("sin", GRID)
 
-# the ten calls that compose members, each at a positive duration
+# every public entry that takes a function, at a positive duration where it
+# takes one; mc_compare's u is the family's own, so its value is the one tried
 CALLS = {
     "nisio_value": lambda u: nisio_value(FAMILY, 0.2, u, max_level=2),
     "partition_apply": lambda u: partition_apply(FAMILY, Partition.uniform(0.2, 2), u),
@@ -33,22 +43,79 @@ CALLS = {
     "dpp_check": lambda u: dpp_check(FAMILY, 0.1, 0.1, u, max_level=2),
     "duality_gap": lambda u: duality_gap(FAMILY, 0.2, u, 2, max_level=2),
     "upper_bound_check": lambda u: upper_bound_check(FAMILY, 0.2, u, max_level=2),
+    "mc_value": lambda u: mc_value(SPEC, 0.0, u),
+    "mc_compare": lambda u: mc_compare(SPEC, 0.0, U, u),
+    "strong_continuity_probe": lambda u: strong_continuity_probe(FAMILY, u, [0.1, 0.05]),
+    "viscosity_residual": lambda u: viscosity_residual(FAMILY, [u, u, u], 0.1),
+    "generator_apply": lambda u: generator_apply(FAMILY.members[0], u),
+}
+# the zero-duration shortcuts, each reached after the check
+ZERO_CALLS = {
+    "envelope_step at h = 0": lambda u: envelope_step(FAMILY, 0.0, u),
+    "partition_apply on {0}": lambda u: partition_apply(FAMILY, Partition(np.array([0.0])), u),
+    "nisio_value at t = 0": lambda u: nisio_value(FAMILY, 0.0, u),
+    "dpp_check at s = 0": lambda u: dpp_check(FAMILY, 0.0, 0.1, u),
+    "dpp_check at t = 0": lambda u: dpp_check(FAMILY, 0.1, 0.0, u),
+}
+# public callables that take a function (a parameter in FUNCTION_PARAMS) and
+# are not in CALLS, each with the reason it needs no check of the family's space
+FUNCTION_PARAMS = {"u", "value", "probes", "snapshots"}
+EXEMPT = {
+    "GreedyResult": "a result record: holds the value a greedy pass returned",
+    "NisioResult": "a result record: holds the value a refinement returned",
+    "lip_seminorm": "a seminorm of u on u's own grid; no family is involved",
+    "weighted_norm": "a norm of u on u's own grid; no family is involved",
 }
 
 
-@pytest.mark.parametrize("name", sorted(CALLS))
+def _heavy_grid():
+    # the family's points under the weight 1e-3 instead of 1
+    return _grid(kappa=lambda x: np.full_like(x, 1e-3))
+
+
+def _call(name):
+    return CALLS.get(name) or ZERO_CALLS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CALLS) + sorted(ZERO_CALLS))
 def test_calls_reject_a_function_on_another_grid_of_the_same_size(name):
     other = _grid(-1.0, 3.0)
     assert other.size == GRID.size and other.kind == GRID.kind
     with pytest.raises(InvalidInputError, match="different grid"):
-        CALLS[name](probe_function("sin", other))
+        _call(name)(probe_function("sin", other))
 
 
-@pytest.mark.parametrize("name", sorted(CALLS))
+@pytest.mark.parametrize("name", sorted(CALLS) + sorted(ZERO_CALLS))
+def test_calls_reject_a_function_under_another_weight(name):
+    # the same kind and points, the weight 1e-3: on it x^2 stops nisio_value
+    # converged at level 2, where the family's weight runs it to level 6
+    heavy = _heavy_grid()
+    assert heavy.kind == GRID.kind and np.array_equal(heavy.points, GRID.points)
+    assert not np.array_equal(heavy.kappa, GRID.kappa)
+    with pytest.raises(InvalidInputError, match="different grid"):
+        _call(name)(probe_function("quadratic", heavy))
+
+
+@pytest.mark.parametrize("name", sorted(CALLS) + sorted(ZERO_CALLS))
 def test_calls_accept_a_function_on_an_equal_grid(name):
     equal = _grid()
     assert equal is not GRID
-    CALLS[name](probe_function("sin", equal))
+    _call(name)(probe_function("sin", equal))
+
+
+def test_every_public_entry_that_takes_a_function_is_checked_or_exempt():
+    takes = set()
+    for name in nisio.__all__:
+        try:
+            params = inspect.signature(getattr(nisio, name)).parameters
+        except (TypeError, ValueError):
+            continue
+        if FUNCTION_PARAMS & set(params):
+            takes.add(name)
+    assert set(CALLS) <= takes
+    assert set(EXEMPT) <= takes and not set(EXEMPT) & set(CALLS)
+    assert takes - set(CALLS) - set(EXEMPT) == set(), \
+        "add each to CALLS, or to EXEMPT with the reason it needs no check"
 
 
 def test_apply_all_checks_the_duration_and_takes_the_function():
@@ -62,8 +129,66 @@ def test_apply_all_checks_the_duration_and_takes_the_function():
             FAMILY.apply_all(t, u)
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+def test_dpp_check_rejects_a_bad_duration_beside_a_zero_one(bad):
+    u = probe_function("sin", GRID)
+    for s, t in ((0.0, bad), (bad, 0.0)):
+        with pytest.raises(InvalidInputError, match="duration"):
+            dpp_check(FAMILY, s, t, u)
+
+
 def test_zero_durations_return_u_itself():
     u = probe_function("sin", GRID)
     assert envelope_step(FAMILY, 0.0, u) is u
     assert partition_apply(FAMILY, Partition(np.array([0.0])), u) is u
     assert nisio_value(FAMILY, 0.0, u).value is u
+
+
+def test_zero_durations_check_once_and_apply_no_member(monkeypatch):
+    # a zero duration reaches the check and returns before apply_all: no
+    # member apply is counted for it
+    family = SemigroupFamily(FAMILY.members)
+    checks = []
+    monkeypatch.setattr(family, "check", lambda t, u: checks.append(t))
+    monkeypatch.setattr(family, "apply_all", lambda t, u: pytest.fail("member applied"))
+    u = probe_function("sin", GRID)
+    assert envelope_step(family, 0.0, u) is u
+    assert partition_apply(family, Partition(np.array([0.0])), u) is u
+    assert nisio_value(family, 0.0, u).value is u
+    assert dpp_check(family, 0.0, 0.1, u) == {"defect": 0.0}
+    assert checks == [0.0, 0.0, 0.0, 0.0, 0.1]
+
+
+def _per_member_rates(family, u, h_list, window=None):
+    # strong_continuity_probe's rates as its per-member loop computed them
+    # before the probe went through apply_all, kept verbatim as the oracle
+    h_arr = np.asarray(sorted(h_list, reverse=True), dtype=float)
+    rates = []
+    for h in h_arr:
+        worst = 0.0
+        for member in family:
+            diff = member.apply(h, u).values - u.values
+            worst = max(worst, weighted_norm(u.with_values(diff), window=window))
+        rates.append(worst)
+    rates = np.asarray(rates)
+    return rates
+
+
+@pytest.mark.parametrize("window", [None, np.abs(GRID.points) <= 1.0])
+@pytest.mark.parametrize("probe", ["sin", "quadratic", "const"])
+def test_strong_continuity_probe_matches_the_per_member_loop(probe, window):
+    u = probe_function(probe, GRID)
+    h_list = [0.2, 0.05, 0.1, 0.025]
+    out = strong_continuity_probe(FAMILY, u, h_list, window=window)
+    assert out["rates"] == _per_member_rates(FAMILY, u, h_list, window).tolist()
+
+
+def test_strong_continuity_probe_checks_once_per_duration(monkeypatch):
+    family = SemigroupFamily([HeatOperator(GRID, 0.5), HeatOperator(GRID, 1.0)])
+    checks = []
+    check = family.check
+    monkeypatch.setattr(family, "check", lambda t, u: checks.append(t) or check(t, u))
+    for member in family:
+        monkeypatch.setattr(member, "apply", lambda t, u: pytest.fail("member.apply"))
+    strong_continuity_probe(family, U, [0.1, 0.05, 0.025])
+    assert checks == [0.1, 0.05, 0.025]

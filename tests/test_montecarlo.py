@@ -594,7 +594,8 @@ def test_mc_value_memory_per_path(coarse_family, coarse_grid, route):
     # taken in place; traced at 2^20 paths over two stages, the whole-batch
     # route peaks at 18.5 B per path (states, values, and the normals ring's
     # fixed 2.5 MiB), the per-path route at 27.7 (the ring, its blocked
-    # lookup's member indices, a mask, and the masked states and their step)
+    # lookup's member indices, a mask, and the masked states and their step);
+    # the bounds leave 1.5 and 1.3 B per path over those peaks
     sel = (np.ones(coarse_grid.size, dtype=int) if route == "whole-batch"
            else (coarse_grid.points > 0.0).astype(int))
     n = 2 ** 20
@@ -606,7 +607,7 @@ def test_mc_value_memory_per_path(coarse_family, coarse_grid, route):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= {"whole-batch": 26, "per-path": 32}[route] * n, peak / n
+    assert peak <= {"whole-batch": 20, "per-path": 29}[route] * n, peak / n
 
 
 def test_member_indices_match_the_whole_batch_lookup(coarse_grid, monkeypatch):
@@ -903,3 +904,19 @@ def test_sample_std_is_numpys_to_the_bit(n):
         vals = np.random.default_rng(seed).lognormal(0.0, 2.0, n)
         expected = float(np.std(vals, ddof=1))
         assert montecarlo._sample_std(vals) == expected
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128])
+def test_sampler_spec_rejects_a_seed_outside_the_philox_key_range(coarse_family,
+                                                                   coarse_grid, seed):
+    pol = constant_policy(coarse_grid, 1, 2, 1.0)
+    with pytest.raises(InvalidInputError, match=r"seed .* outside \[0, 2\*\*128 - 1\]"):
+        SamplerSpec(coarse_family, pol, 100, seed=seed)
+
+
+def test_sampler_spec_takes_the_philox_key_range_ends(coarse_family, coarse_grid):
+    pol = constant_policy(coarse_grid, 1, 2, 1.0)
+    u = probe_function("quadratic", coarse_grid)
+    for seed in (0, montecarlo.SEED_MAX):
+        assert mc_value(SamplerSpec(coarse_family, pol, 100, seed=seed), 0.0, u)["n_paths"] == 100
+    assert montecarlo.SEED_MAX == 2 ** 128 - 1
