@@ -4,7 +4,7 @@ import numpy as np
 
 from nisio import (ChainOperator, GBMOperator, GridFunction, HeatOperator,
                    KoopmanOperator, OUOperator, ScaledOperator, StableOperator,
-                   WeightedGrid, generator_apply)
+                   WeightedGrid)
 from nisio.probes import probe_function
 
 print("heat: Gaussian kernel, second moment")
@@ -54,7 +54,7 @@ err = np.max(np.abs(sc.apply(0.25, u).values - (g.points ** 2 + 1.0))[g.window_m
 print(f"  scaled heat variance:         {err:.2e}")
 
 print("generators: strong derivative at t = 0")
-res = generator_apply(heat, u)
+res = heat.generator(u)
 print(f"  heat generator on x^2 vs 1:   {np.max(np.abs(res.values[res.valid] - 1.0)):.2e}")
-res = generator_apply(ch, GridFunction(np.array([1.0, 0.0]), gc))
+res = ch.generator(GridFunction(np.array([1.0, 0.0]), gc))
 print(f"  chain generator is Q u:       {np.max(np.abs(res.values - ch.Q @ [1.0, 0.0])):.2e}")

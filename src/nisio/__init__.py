@@ -24,8 +24,7 @@ from .grids import GridFunction, WeightedGrid, lip_seminorm, weighted_norm
 from .montecarlo import SamplerSpec, mc_compare, mc_value, sample_terminal_states
 from .operators import (ChainOperator, FamilyBounds, GBMOperator, GeneratorResult,
                         HeatOperator, KoopmanOperator, OUOperator, ScaledOperator,
-                        SemigroupFamily, StableOperator, TransitionOperator,
-                        generator_apply)
+                        SemigroupFamily, StableOperator, TransitionOperator)
 from .probes import probe_function
 
 __version__ = "0.1.0"
@@ -38,7 +37,7 @@ __all__ = [
     "SamplerSpec", "ScaledOperator", "SemigroupFamily", "StableOperator",
     "TransitionOperator", "UndefinedSeminormError", "WeightedGrid",
     "cutoff_decay_probe", "cutoff_family", "dpp_check", "duality_gap",
-    "envelope_step", "envelope_step_argmax", "generator_apply", "greedy_policy",
+    "envelope_step", "envelope_step_argmax", "greedy_policy",
     "lip_seminorm", "mc_compare", "mc_value", "nisio_value", "partition_apply",
     "policy_value", "probe_function", "property_suite", "quadrature_tolerance",
     "random_policy", "sample_terminal_states",

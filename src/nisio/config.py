@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import math
 
 import numpy as np
 from jsonschema import Draft202012Validator
@@ -61,10 +62,7 @@ _GRID = _tagged("kind", {
 # an OU coefficient is a scalar (d = 1), a vector or a matrix
 _COEFF = {"anyOf": [_NUM, _VECTOR, _ROWS]}
 _MEMBER_KINDS = {
-    # heat: sigmas, or else range with an optional count
-    "heat": {**_closed(sigmas=_list(_NUM), range=_PAIR, count=_POS_INT),
-             "if": {"required": ["range"]}, "then": {"not": {"required": ["sigmas"]}},
-             "else": {"required": ["sigmas"]}, "dependentRequired": {"count": ["range"]}},
+    "heat": _closed("sigmas", sigmas=_list(_NUM)),
     "gbm": _closed("members", members=_list(_PAIR)),
     "ou": _closed("members", members=_list(
         _closed("B", "m", "C", B=_COEFF, m=_COEFF, C=_COEFF))),
@@ -134,11 +132,29 @@ def parse_field(expr):
 _VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
 
 
+def _floats_at(node, path="$"):
+    """(path, value) of every float in a parsed JSON document, the path in
+    jsonschema's ``json_path`` form."""
+    if isinstance(node, float):
+        yield path, node
+    elif isinstance(node, dict):
+        for key, item in node.items():
+            yield from _floats_at(item, f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from _floats_at(item, f"{path}[{i}]")
+
+
 def validate_config(cfg):
-    """Check ``cfg`` against CONFIG_SCHEMA, which admits only keys the builders read."""
+    """Check ``cfg`` against CONFIG_SCHEMA, which admits only keys the builders
+    read, then reject any number that is not finite: ``json`` reads NaN,
+    Infinity and 1e999, and the schema's ``number`` admits them."""
     error = best_match(_VALIDATOR.iter_errors(cfg))
     if error is not None:
         raise ConfigurationError(f"config rejected at {error.json_path}: {error.message}")
+    for path, value in _floats_at(cfg):
+        if not math.isfinite(value):
+            raise ConfigurationError(f"config rejected at {path}: {value!r} is not finite")
     return cfg
 
 
@@ -168,13 +184,6 @@ def build_grid(cfg):
     lo, hi = g["domain"]
     return WeightedGrid.uniform(lo, hi, g["dx"], kappa=kappa, boundary=g.get("boundary"),
                                 periodic=(kind == "periodic"))
-
-
-def _heat_sigmas(f):
-    if "sigmas" in f:
-        return [float(s) for s in f["sigmas"]]
-    lo, hi = f["range"]
-    return np.linspace(lo, hi, f.get("count", 2)).tolist()
 
 
 def _floats(value, what):
@@ -214,8 +223,8 @@ def _members(cfg, f, key, grid):
     bounds of its kind."""
     kind = f["kind"]
     if kind == "heat":
-        where = key + (".sigmas[{i}]" if "sigmas" in f else ".range")
-        members = _each(where, lambda s: HeatOperator(grid, s), _heat_sigmas(f), grid)
+        members = _each(key + ".sigmas[{i}]", lambda s: HeatOperator(grid, s),
+                        f["sigmas"], grid)
         default = FamilyBounds(0.0, 0.0)
     elif kind == "gbm":
         members = _each(key + ".members[{i}]", lambda ms: GBMOperator(grid, *ms),

@@ -9,7 +9,6 @@ from .envelope import (CHECK_LEVEL, Partition, domination_slack, envelope_step,
                        nisio_value, quadrature_tolerance, refine_levels)
 from .errors import InvalidInputError, ResolutionError
 from .grids import GridFunction, lip_seminorm, weighted_norm
-from .operators import generator_apply
 from .probes import bump, smootherstep
 
 
@@ -22,8 +21,8 @@ def strong_continuity_probe(family, u, h_list, window=None):
     in the good class for strong continuity of the envelope).
     """
     h_arr = np.asarray(sorted(h_list, reverse=True), dtype=float)
-    if np.any(h_arr <= 0.0):
-        raise InvalidInputError("h values must be positive")
+    if not (h_arr.size and np.all(h_arr > 0.0)):
+        raise InvalidInputError("need at least one h, and h values must be positive")
     rates = np.asarray([max(0.0, *(weighted_norm(u.with_values(row - u.values), window=window)
                                    for row in family.apply_all(h, u))) for h in h_arr])
     hs = h_arr[-3:] if len(h_arr) >= 3 else h_arr
@@ -55,6 +54,8 @@ def cutoff_decay_probe(family, delta, x_list, h_list, level=3, tol=1e-9):
     generator bounds exist, the linear slope bound L e^{alpha h0} h is
     attached (L = max generator norm over the cut-offs).
     """
+    if not len(h_list):
+        raise InvalidInputError("need at least one h")
     grid = family.grid
     if grid.points.ndim == 1 and grid.kind != "labels":
         min_gap = float(np.min(np.diff(grid.points)))
@@ -67,10 +68,8 @@ def cutoff_decay_probe(family, delta, x_list, h_list, level=3, tol=1e-9):
         center = grid.points[idx]
         cutoffs.append(cutoff_family(grid, center, delta))
         centers_idx.append(idx)
-    L = 0.0
-    for phi in cutoffs:
-        for member in family:
-            L = max(L, generator_apply(member, phi).norm())
+    L = max((weighted_norm(phi.with_values(res.values), window=res.valid)
+             for phi in cutoffs for res in family.generators(phi)), default=0.0)
     values = []
     for h in h_list:
         worst = 0.0
@@ -96,22 +95,20 @@ def viscosity_residual(family, snapshots, dt, window=None):
     """
     if len(snapshots) < 3:
         raise InvalidInputError("need at least three snapshots")
-    if dt <= 0.0:
+    for u in snapshots:
+        family.check(0.0, u)
+    if not dt > 0.0:
         raise InvalidInputError("dt must be positive")
-    grid = snapshots[0].grid
-    n = grid.size
+    n = family.grid.size
     k_interior = range(1, len(snapshots) - 1)
     field = np.full((len(snapshots) - 2, n), np.nan)
     worst = 0.0
     mask_window = np.ones(n, dtype=bool) if window is None else np.asarray(window, bool)
     for row, k in enumerate(k_interior):
         du_dt = (snapshots[k + 1].values - snapshots[k - 1].values) / (2.0 * dt)
-        ham = np.full(n, -np.inf)
-        valid = np.ones(n, dtype=bool)
-        for member in family:
-            res = generator_apply(member, snapshots[k])
-            ham = np.maximum(ham, res.values)
-            valid &= res.valid
+        gens = family.generators(snapshots[k])
+        ham = np.max([res.values for res in gens], axis=0)
+        valid = np.logical_and.reduce([res.valid for res in gens])
         resid = du_dt - ham
         field[row, valid] = resid[valid]
         sel = valid & mask_window
@@ -149,6 +146,11 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     """
     if not probes:
         raise InvalidInputError("need at least one probe")
+    if not len(t_list):
+        raise InvalidInputError("need at least one t")
+    for u in probes:
+        for t in t_list:
+            family.check(t, u)
     if max(t_list) <= 0.0:
         # the partition pairs and the refinements run to the largest t
         raise InvalidInputError("t_list needs a positive horizon")

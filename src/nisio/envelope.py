@@ -163,7 +163,7 @@ def nisio_value(family, t, u, max_level=12, tol=1e-6):
     the flag, not raised.  A ``max_level`` whose worst case exceeds
     ``MAX_MEMBER_APPLIES`` member applies is rejected before any work.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise InvalidInputError("tol must be positive")
     check_levels(family, max_level)
     family.check(t, u)

@@ -115,7 +115,7 @@ class WeightedGrid:
 
         Periodic grids cover [lo, hi) so that hi is identified with lo, and wrap.
         """
-        if dx <= 0.0:
+        if not dx > 0.0:
             raise ConfigurationError("dx must be positive")
         n = int(round((hi - lo) / dx))
         if abs(lo + n * dx - hi) > 1e-9 * max(1.0, abs(hi)):

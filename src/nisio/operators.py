@@ -42,10 +42,12 @@ a sorted CSR, to the same bits a run would give where both apply.  The DIA
 offsets ascend, so scipy's ``dia_matvec`` adds each row's terms in ascending
 column order from +0.0, as ``csr_matvec`` does, and the storage changes no
 bit of an apply.
-``generator(u)`` evaluates the corresponding infinitesimal generator.  Heat,
-GBM, OU and Koopman members take their second-order central differences from
-one helper, ``_central``: on a periodic grid it wraps and every row is valid;
-elsewhere the rows whose stencil leaves the grid are flagged invalid.
+``generator(u)`` checks u, as ``apply`` does, and evaluates the infinitesimal
+generator, ``_generator``, which a family reaches only through its one check
+(``SemigroupFamily.generators``).  Heat, GBM, OU and Koopman members take
+their second-order central differences from one helper, ``_central``: on a
+periodic grid it wraps and every row is valid; elsewhere the rows whose
+stencil leaves the grid are flagged invalid.
 ``path_step(h)`` returns the member's exact-increment sampler over
 duration h, for members whose transition law can be drawn exactly.  Every
 sampler but the chain's draws nothing but ``rng.standard_normal(size)``; a
@@ -71,7 +73,7 @@ import scipy.sparse as sp
 
 from .errors import (ConfigurationError, GridKindError, InvalidInputError,
                      NumericalDegeneracyError)
-from .grids import WeightedGrid, weighted_norm
+from .grids import weighted_norm
 from .probes import probe_function
 
 # kernel support radius in standard deviations; tail mass beyond is ~1e-23
@@ -389,15 +391,6 @@ class GeneratorResult:
 
     values: np.ndarray
     valid: np.ndarray
-    grid: WeightedGrid
-
-    def norm(self, window=None):
-        mask = self.valid.copy()
-        if window is not None:
-            mask &= np.asarray(window, dtype=bool)
-        if not np.any(mask):
-            raise InvalidInputError("no valid rows in window")
-        return float(np.max(np.abs(self.values[mask]) * self.grid.kappa[mask]))
 
 
 def _central(v, dx, periodic=False):
@@ -524,6 +517,11 @@ class TransitionOperator:
         raise NotImplementedError
 
     def generator(self, u):
+        """Evaluate the infinitesimal generator at u, after the check of u."""
+        _check_input(self.grid, 0.0, u)
+        return self._generator(u)
+
+    def _generator(self, u):
         raise NotImplementedError
 
     def path_step(self, h):
@@ -539,7 +537,7 @@ class HeatOperator(TransitionOperator):
     def __init__(self, grid, sigma):
         if grid.kind not in ("uniform", "periodic"):
             raise GridKindError("heat member needs a uniform grid")
-        if sigma < 0.0:
+        if not sigma >= 0.0:
             raise ConfigurationError("sigma must be >= 0")
         super().__init__(grid)
         self.sigma = float(sigma)
@@ -550,10 +548,10 @@ class HeatOperator(TransitionOperator):
         return lattice_kernel(self.grid.size, self.grid.spacing, 0.0,
                               self.sigma ** 2 * t, self.grid.boundary)
 
-    def generator(self, u):
+    def _generator(self, u):
         _, d2, valid = _central(u.values, self.grid.spacing,
                                 periodic=self.grid.kind == "periodic")
-        return GeneratorResult(0.5 * self.sigma ** 2 * d2, valid, self.grid)
+        return GeneratorResult(0.5 * self.sigma ** 2 * d2, valid)
 
     def path_step(self, h):
         if h == 0.0:
@@ -585,7 +583,7 @@ class GBMOperator(TransitionOperator):
     def __init__(self, grid, mu, sigma):
         if grid.kind != "log":
             raise GridKindError("GBM member needs a log grid")
-        if sigma < 0.0:
+        if not sigma >= 0.0:
             raise ConfigurationError("sigma must be >= 0")
         super().__init__(grid)
         self.mu = float(mu)
@@ -601,7 +599,7 @@ class GBMOperator(TransitionOperator):
             block = block.tocsr()       # a zero-drift band comes as DIA
         return sp.block_diag([block[::-1, ::-1], sp.identity(1), block], format="csr")
 
-    def generator(self, u):
+    def _generator(self, u):
         n, ds, drift = self._n_side, self.grid.spacing, self._drift
         vals = np.zeros(self.grid.size)
         valid = np.zeros(self.grid.size, dtype=bool)
@@ -611,7 +609,7 @@ class GBMOperator(TransitionOperator):
             vals[block] = sgn * drift * d1 + 0.5 * self.sigma ** 2 * d2
         vals[n] = 0.0   # x = 0 is a fixed point
         valid[n] = True
-        return GeneratorResult(vals, valid, self.grid)
+        return GeneratorResult(vals, valid)
 
     def path_step(self, h):
         if h == 0.0:
@@ -743,12 +741,12 @@ class OUOperator(TransitionOperator):
                                    t0 * (1.0 - t1), t0 * t1])
         return _sorted_rows(g.size, cols, weights, "renormalize")
 
-    def generator(self, u):
+    def _generator(self, u):
         g = self.grid
         if self.d == 1:
             d1, d2, valid = _central(u.values, g.spacing)
             drift_field = self.B[0, 0] * g.points + self.m[0]
-            return GeneratorResult(drift_field * d1 + 0.5 * self.C[0, 0] * d2, valid, g)
+            return GeneratorResult(drift_field * d1 + 0.5 * self.C[0, 0] * d2, valid)
         n0, n1 = g.shape
         dx0, dx1 = g.spacing
         arr = u.values.reshape(n0, n1)
@@ -760,7 +758,7 @@ class OUOperator(TransitionOperator):
         drift_field = g.points @ self.B.T + self.m
         vals = drift_field[:, 0] * d0.ravel() + drift_field[:, 1] * d1.ravel() \
             + 0.5 * (self.C[0, 0] * d00 + self.C[1, 1] * d11 + 2 * self.C[0, 1] * d01).ravel()
-        return GeneratorResult(vals, np.outer(ok0, ok1).ravel(), g)
+        return GeneratorResult(vals, np.outer(ok0, ok1).ravel())
 
     def path_step(self, h):
         if self.d != 1:
@@ -820,9 +818,9 @@ class KoopmanOperator(TransitionOperator):
         return _assemble_rows(g.size, np.column_stack([j, j + 1]),
                               np.column_stack([1.0 - theta, theta]), "renormalize")
 
-    def generator(self, u):
+    def _generator(self, u):
         d1, _, valid = _central(u.values, self.grid.spacing)
-        return GeneratorResult(d1 * self.F(self.grid.points), valid, self.grid)
+        return GeneratorResult(d1 * self.F(self.grid.points), valid)
 
     def path_step(self, h):
         return lambda states, rng: self.flow(h, states)
@@ -855,9 +853,9 @@ class StableOperator(TransitionOperator):
     def _apply_kernel(self, mult, values):
         return np.fft.irfft(np.fft.rfft(values) * mult, n=self.grid.size)
 
-    def generator(self, u):
+    def _generator(self, u):
         vals = self._apply_kernel(-np.abs(self._xi) ** (2.0 * self.alpha), u.values)
-        return GeneratorResult(vals, np.ones(self.grid.size, dtype=bool), self.grid)
+        return GeneratorResult(vals, np.ones(self.grid.size, dtype=bool))
 
 
 def _poisson_pmf(k, mu):
@@ -916,9 +914,8 @@ class ChainOperator(TransitionOperator):
             acc /= acc.sum(axis=1, keepdims=True)
         return acc
 
-    def generator(self, u):
-        return GeneratorResult(self.Q @ u.values, np.ones(self.grid.size, dtype=bool),
-                               self.grid)
+    def _generator(self, u):
+        return GeneratorResult(self.Q @ u.values, np.ones(self.grid.size, dtype=bool))
 
     def path_step(self, h):
         if not self.conservative:
@@ -946,7 +943,7 @@ class ScaledOperator(TransitionOperator):
     """Time dilation of a base member: S_lambda(t) = S(lambda t)."""
 
     def __init__(self, base, scale):
-        if scale < 0.0:
+        if not scale >= 0.0:
             raise ConfigurationError("scale must be >= 0")
         super().__init__(base.grid)
         self.base = base
@@ -965,18 +962,12 @@ class ScaledOperator(TransitionOperator):
         twin.base = self.base._twin()
         return twin
 
-    def generator(self, u):
-        res = self.base.generator(u)
-        return GeneratorResult(self.scale * res.values, res.valid, res.grid)
+    def _generator(self, u):
+        res = self.base._generator(u)
+        return GeneratorResult(self.scale * res.values, res.valid)
 
     def path_step(self, h):
         return self.base.path_step(self.scale * h)
-
-
-def generator_apply(member, u):
-    """Infinitesimal generator of one member applied to u."""
-    _check_input(member.grid, 0.0, u)
-    return member.generator(u)
 
 
 # ---------------------------------------------------------------------------
@@ -1026,3 +1017,9 @@ class SemigroupFamily:
         family's one way to its members, after one ``check`` of t and u."""
         self.check(t, u)
         return np.stack([m.apply_values(t, u.values) for m in self.members])
+
+    def generators(self, u):
+        """The members' generators applied to u, one ``GeneratorResult`` each:
+        the family's one way to them, after one ``check`` of u."""
+        self.check(0.0, u)
+        return [m._generator(u) for m in self.members]

@@ -15,10 +15,10 @@ from nisio import (ChainOperator, FamilyBounds, GBMOperator, GridFunction,
                    HeatOperator, KoopmanOperator, OUOperator, Partition,
                    SamplerSpec, ScaledOperator, SemigroupFamily, StableOperator,
                    WeightedGrid, cutoff_decay_probe, dpp_check, envelope_step,
-                   generator_apply, greedy_policy, mc_value, nisio_value,
-                   partition_apply, policy_value, property_suite,
-                   quadrature_tolerance, random_policy, strong_continuity_probe,
-                   viscosity_residual)
+                   greedy_policy, mc_value, nisio_value, partition_apply,
+                   policy_value, property_suite, quadrature_tolerance,
+                   random_policy, strong_continuity_probe, viscosity_residual,
+                   weighted_norm)
 from nisio.diagnostics import _nested_partition_pair
 from nisio.probes import probe_function
 
@@ -198,7 +198,7 @@ def test_criterion_7_monte_carlo(heat):
 
 
 def _richardson_order(member, u, window=None, hs=(1e-2, 5e-3, 2.5e-3)):
-    gen = generator_apply(member, u)
+    gen = member.generator(u)
     mask = gen.valid.copy()
     if window is not None:
         mask &= window
@@ -206,7 +206,7 @@ def _richardson_order(member, u, window=None, hs=(1e-2, 5e-3, 2.5e-3)):
     for h in hs:
         diff = (member.apply(h, u).values - u.values) / h - gen.values
         errs.append(float(np.max(np.abs(diff[mask]) * member.grid.kappa[mask])))
-    scale = max(1.0, gen.norm(window=window))
+    scale = max(1.0, weighted_norm(u.with_values(gen.values), window=mask))
     if max(errs) <= 1e-9 * scale:
         return np.inf, errs
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]

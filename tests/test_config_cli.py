@@ -76,14 +76,14 @@ READ_KEYS = {
     ("grid", "labels"): {"n", "kappa"},
     ("kappa", "constant"): set(),
     ("kappa", "inverse_power"): {"p"},
-    ("family", "heat"): {"sigmas", "range", "count", "alpha", "beta"},
+    ("family", "heat"): {"sigmas", "alpha", "beta"},
     ("family", "gbm"): {"members", "alpha", "beta"},
     ("family", "ou"): {"members", "alpha", "beta"},
     ("family", "koopman"): {"fields", "lipschitz_hint", "alpha", "beta"},
     ("family", "stable"): {"alphas", "alpha", "beta"},
     ("family", "chain"): {"rate_matrices", "alpha", "beta"},
     ("family", "scaled"): {"base", "scales", "alpha", "beta"},
-    ("base", "heat"): {"sigmas", "range", "count"},
+    ("base", "heat"): {"sigmas"},
     ("base", "gbm"): {"members"},
     ("base", "ou"): {"members"},
     ("base", "koopman"): {"fields", "lipschitz_hint"},
@@ -119,7 +119,7 @@ def test_schema_accepts_only_keys_builders_read():
     accepted = {(name, kind): keys for name, schema in sections.items()
                 for kind, keys in _accepted(schema).items()}
     assert accepted == READ_KEYS
-    assert sum(len(keys) for keys in accepted.values()) == 56
+    assert sum(len(keys) for keys in accepted.values()) == 52
 
 
 SMALL_CFG = {
@@ -139,7 +139,7 @@ REJECTED = {
     "heat-alphas": ({"family": dict(HEAT, alphas=[0.5])}, "'alphas'"),
     "uniform-n": ({"grid": dict(SMALL_CFG["grid"], n=3)}, "'n'"),
     "sin-strike": ({"u0": {"name": "sin", "strike": 1.0}}, "'strike'"),
-    "count-without-range": ({"family": dict(HEAT, count=3)}, "'count'"),
+    "count-without-range": ({"family": dict(HEAT, count=3)}, "'count' was unexpected"),
     "periodic-boundary": ({"grid": {"kind": "periodic", "domain": [-3, 3], "dx": 0.1,
                                     "boundary": "reflect"}}, "'boundary'"),
     "base-alpha": ({"family": {"kind": "scaled", "scales": [1.0], "base": {
@@ -159,7 +159,8 @@ REJECTED = {
     "csv-missing-file": ({"u0": {"name": "csv", "path": "missing.csv"}}, "u0 path"),
     "gbm-member-single": ({"grid": LOG_GRID, "family": {"kind": "gbm", "members": [
         [0.1]]}}, "members[0]"),
-    "heat-sigmas-and-range": ({"family": dict(HEAT, range=[0.5, 1.0])}, "'sigmas'"),
+    "heat-sigmas-and-range": ({"family": dict(HEAT, range=[0.5, 1.0])},
+                              "'range' was unexpected"),
     "heat-neither": ({"family": {"kind": "heat"}}, "'sigmas'"),
     "grid-kind-unknown": ({"grid": {"kind": "hex"}}, "grid.kind"),
     "log-x_max-negative": ({"grid": dict(LOG_GRID, x_max=-8)}, "grid.x_max"),
@@ -175,7 +176,7 @@ REJECTED = {
     # an entry a member's own check rejects: the message names the entry,
     # and grid.kind when the member cannot live on that grid
     "heat-sigma-negative": ({"family": dict(HEAT, sigmas=[-1])}, "family.sigmas[0]: sigma"),
-    "heat-range-negative": ({"family": {"kind": "heat", "range": [-1, 1]}}, "family.range: sigma"),
+    "heat-range-negative": ({"family": dict(HEAT, range=[-1, 1])}, "'range' was unexpected"),
     "heat-on-log-grid": ({"grid": LOG_GRID},
                          "family.sigmas[0] on grid.kind 'log': heat member needs"),
     "gbm-on-uniform-grid": ({"family": {"kind": "gbm", "members": [[0.1, 0.2]]}},
@@ -240,6 +241,48 @@ def test_cli_rejects_config_with_exit_2(tmp_path, capsys, case):
     assert run("solve", write_cfg(tmp_path, cfg), str(out)) == 2
     assert not out.exists() or not any(out.iterdir())
     assert names in capsys.readouterr().err
+
+
+# id -> (subcommand, sections replaced in SMALL_CFG, JSON path of the number):
+# json reads NaN, Infinity and 1e999 and the schema's number admits them, so
+# each is rejected by name before any build
+NAN = float("nan")
+NOT_FINITE = {
+    "grid-dx": ("solve", {"grid": dict(SMALL_CFG["grid"], dx=NAN)}, "$.grid.dx"),
+    "solve-tol": ("solve", {"solve": dict(SMALL_CFG["solve"], tol=NAN)}, "$.solve.tol"),
+    "solve-t-inf": ("solve", {"solve": dict(SMALL_CFG["solve"], t=float("inf"))},
+                    "$.solve.t"),
+    "dpp-threshold": ("dpp", {"dpp": {"s": 0.1, "t": 0.1, "threshold": NAN}},
+                      "$.dpp.threshold"),
+    "heat-sigma": ("solve", {"family": dict(HEAT, sigmas=[NAN, 1.0])}, "$.family.sigmas[0]"),
+    "scale": ("solve", {"family": {"kind": "scaled", "scales": [1.0, NAN], "base": {
+        "kind": "heat", "sigmas": [1.0]}}}, "$.family.scales[1]"),
+    "gbm-mu": ("solve", {"grid": LOG_GRID, "family": {"kind": "gbm", "members": [
+        [0.1, 0.2], [NAN, 0.2]]}}, "$.family.members[1][0]"),
+    "lipschitz-hint": ("solve", {"family": {"kind": "koopman", "fields": ["-x"],
+                                            "lipschitz_hint": NAN}},
+                       "$.family.lipschitz_hint"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_FINITE))
+def test_cli_rejects_a_number_that_is_not_finite_with_exit_2(tmp_path, capsys, case):
+    sub, sections, path = NOT_FINITE[case]
+    cfg = dict(SMALL_CFG, **sections)
+    out = tmp_path / "out"
+    assert run(sub, write_cfg(tmp_path, cfg), str(out)) == 2
+    assert not out.exists() or not any(out.iterdir())
+    assert f"config rejected at {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, shown", [("NaN", "nan"), ("-Infinity", "-inf"),
+                                         ("1e999", "inf")])
+def test_cli_names_each_spelling_of_a_number_that_is_not_finite(tmp_path, capsys,
+                                                                 text, shown):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SMALL_CFG).replace('"t": 0.5', f'"t": {text}'))
+    assert run("solve", str(path), str(tmp_path / "out")) == 2
+    assert f"config rejected at $.solve.t: {shown} is not finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sub, article", [("solve", "a"), ("dpp", "a"),
@@ -493,7 +536,7 @@ def test_parse_field():
 def test_builders_cover_family_kinds():
     specs = [
         {"grid": {"kind": "uniform", "domain": [-4, 4], "dx": 0.1},
-         "family": {"kind": "heat", "range": [0.5, 1.0], "count": 3}},
+         "family": {"kind": "heat", "sigmas": [0.5, 0.75, 1.0]}},
         {"grid": {"kind": "log", "x_max": 8, "n": 200, "x_min_mag": 0.01,
                   "kappa": {"kind": "inverse_power", "p": 2}},
          "family": {"kind": "gbm", "members": [[0.05, 0.2], [0.1, 0.3]]}},

@@ -122,6 +122,20 @@ def test_viscosity_requires_three_snapshots(coarse_family, coarse_grid):
         viscosity_residual(coarse_family, [u, u], 0.1)
 
 
+def test_diagnostics_reject_a_nan_step_and_an_empty_h_list(coarse_family, coarse_grid):
+    u = probe_function("sin", coarse_grid)
+    for dt in (0.0, np.nan):
+        with pytest.raises(InvalidInputError, match="dt must be positive"):
+            viscosity_residual(coarse_family, [u, u, u], dt)
+    for h_list in ([], [0.1, np.nan], [0.1, 0.0]):
+        with pytest.raises(InvalidInputError, match="h values must be positive"):
+            strong_continuity_probe(coarse_family, u, h_list)
+    with pytest.raises(InvalidInputError, match="at least one h"):
+        cutoff_decay_probe(coarse_family, 1.0, [0.0], [])
+    with pytest.raises(InvalidInputError, match="duration"):
+        cutoff_decay_probe(coarse_family, 1.0, [0.0], [0.1, np.nan])
+
+
 def test_viscosity_field_masks_boundary(coarse_family, coarse_grid):
     u = probe_function("sin", coarse_grid)
     out = viscosity_residual(coarse_family, [u, u, u], 0.1)

@@ -148,6 +148,8 @@ def test_nisio_argument_validation(coarse_family, coarse_grid):
         nisio_value(coarse_family, -1.0, u)
     with pytest.raises(InvalidInputError):
         nisio_value(coarse_family, 1.0, u, tol=0.0)
+    with pytest.raises(InvalidInputError, match="tol must be positive"):
+        nisio_value(coarse_family, 1.0, u, tol=np.nan)
     with pytest.raises(InvalidInputError):
         nisio_value(coarse_family, 1.0, u, max_level=0)
 

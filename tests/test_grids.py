@@ -28,6 +28,8 @@ def test_grid_rejects_bad_spacing():
         WeightedGrid.uniform(0.0, 1.0, 0.3)
     with pytest.raises(ConfigurationError):
         WeightedGrid.uniform(0.0, 1.0, -0.1)
+    with pytest.raises(ConfigurationError, match="dx must be positive"):
+        WeightedGrid.uniform(0.0, 1.0, np.nan)
 
 
 def test_kappa_must_be_positive():

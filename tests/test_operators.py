@@ -16,9 +16,8 @@ from hypothesis.extra.numpy import arrays
 from nisio import (ChainOperator, ConfigurationError, GBMOperator, GridFunction,
                    HeatOperator, InvalidInputError, KoopmanOperator,
                    NumericalDegeneracyError, OUOperator, ScaledOperator,
-                   StableOperator, WeightedGrid,
-                   generator_apply, lip_seminorm, quadrature_tolerance,
-                   weighted_norm)
+                   StableOperator, WeightedGrid, lip_seminorm,
+                   quadrature_tolerance, weighted_norm)
 from nisio import operators
 from nisio.operators import (KERNEL_RADIUS, _assemble_rows, _exprel, _poisson_pmf,
                              _reflect_indices, gaussian_lattice_matrix,
@@ -626,7 +625,7 @@ def test_gbm_decimal_zero_drift_takes_the_band(mu, sigma, ulps, monkeypatch):
     for side in (slice(0, n), slice(n + 1, 2 * n + 1)):
         v = u.values[side]
         d2[side][1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (g.spacing * g.spacing)
-    assert np.array_equal(generator_apply(op, u).values, 0.5 * sigma ** 2 * d2)
+    assert np.array_equal(op.generator(u).values, 0.5 * sigma ** 2 * d2)
     states = np.linspace(0.5, 2.0, 7)
     vol = sigma * math.sqrt(0.1)
     z = np.random.default_rng(4).standard_normal(states.size)
@@ -958,32 +957,41 @@ def test_scaled_member(heat_grid):
     assert winmax(heat_grid, out - (heat_grid.points ** 2 + 1.0), -2, 2) < 1e-6
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda g, lg, x: HeatOperator(g, x), "sigma must be >= 0"),
+    (lambda g, lg, x: GBMOperator(lg, 0.1, x), "sigma must be >= 0"),
+    (lambda g, lg, x: ScaledOperator(HeatOperator(g, 1.0), x), "scale must be >= 0"),
+], ids=["heat", "gbm", "scaled"])
+def test_members_reject_a_negative_or_nan_rate(heat_grid, log_grid, make, message):
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ConfigurationError, match=message):
+            make(heat_grid, log_grid, bad)
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
 
 def test_generator_heat(heat_grid):
-    res = generator_apply(HeatOperator(heat_grid, 1.0), probe_function("quadratic", heat_grid))
+    res = HeatOperator(heat_grid, 1.0).generator(probe_function("quadratic", heat_grid))
     assert np.max(np.abs(res.values[res.valid] - 1.0)) < 1e-9
 
 
 def test_generator_koopman(ou_grid):
-    res = generator_apply(KoopmanOperator(ou_grid, lambda x: -x),
-                          probe_function("linear", ou_grid))
+    res = KoopmanOperator(ou_grid, lambda x: -x).generator(probe_function("linear", ou_grid))
     assert np.max(np.abs(res.values[res.valid] + ou_grid.points[res.valid])) < 1e-10
 
 
 def test_generator_chain(label_grid):
     u = GridFunction(np.array([0.0, 1.0, 4.0, 9.0]), label_grid)
-    res = generator_apply(ChainOperator(label_grid, Q_BD), u)
+    res = ChainOperator(label_grid, Q_BD).generator(u)
     assert np.array_equal(res.values, Q_BD @ u.values)
     assert res.valid.all()
 
 
 def test_generator_gbm_matches_form(log_grid):
     mu, sigma = 0.1, 0.2
-    res = generator_apply(GBMOperator(log_grid, mu, sigma),
-                          probe_function("quadratic", log_grid))
+    res = GBMOperator(log_grid, mu, sigma).generator(probe_function("quadratic", log_grid))
     x = log_grid.points
     oracle = 2.0 * mu * x ** 2 + sigma ** 2 * x ** 2
     err = np.abs(res.values - oracle)[res.valid] * log_grid.kappa[res.valid]
@@ -993,7 +1001,7 @@ def test_generator_gbm_matches_form(log_grid):
 def test_generator_stable_single_mode(periodic_grid):
     op = StableOperator(periodic_grid, 0.5)
     u = GridFunction(np.cos(2.0 * periodic_grid.points), periodic_grid)
-    res = generator_apply(op, u)
+    res = op.generator(u)
     assert np.allclose(res.values, -2.0 * u.values, atol=1e-10)
 
 

@@ -6,18 +6,22 @@ revision, byte for byte.
 Exports REF's ``src/`` with ``git archive`` into a temporary directory and
 runs the same outputs through ``nisio.cli.run`` for both trees, one fresh
 interpreter per run with ``PYTHONDONTWRITEBYTECODE=1``: ``solve``, ``dpp``,
-``control`` and ``mc`` on ``bench/configs/readme.json`` at seeds 1 and 7, and
-``properties`` on ``bench/configs/ou.json`` (13 files).  Both trees read the
-working tree's configs.  Prints each file's sha256 on both sides and exits 1
-on any difference, in a file or in an exit code.  Everything it writes goes
-into the temporary directory; it needs no network.  Dense kernels' bits
-depend on the BLAS thread count, so compare on one host only.
+``control`` and ``mc`` on ``bench/configs/readme.json`` at seeds 1 and 7,
+``properties`` on ``bench/configs/ou.json``, and ``solve`` and ``properties``
+on one small config per member kind those two leave out (``KINDS``: GBM,
+chain, stable, Koopman and scaled heat, written into the temporary
+directory).  Both trees read the same configs.  Prints each file's sha256 on
+both sides and exits 1 on any difference, in a file or in an exit code.
+Everything it writes goes into the temporary directory; it needs no network.
+Dense kernels' bits depend on the BLAS thread count, so compare on one host
+only.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -27,8 +31,33 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 README, OU = "bench/configs/readme.json", "bench/configs/ou.json"
+_SMALL = {"solve": {"t": 0.5, "max_level": 4},
+          "properties": {"t_list": [0.25, 0.5], "partition_pairs": 2}}
+# one small config per member kind the two bench configs leave out
+KINDS = {
+    "gbm": dict(_SMALL, grid={"kind": "log", "x_max": 4, "n": 60, "boundary": "reflect",
+                              "kappa": {"kind": "inverse_power", "p": 2}},
+                family={"kind": "gbm", "members": [[0.05, 0.2], [0.1, 0.3]]},
+                u0={"name": "call-payoff", "strike": 1.0}),
+    "chain": dict(_SMALL, grid={"kind": "labels", "n": 3},
+                  family={"kind": "chain", "rate_matrices": [
+                      [[-1, 1, 0], [0.5, -1, 0.5], [0, 1, -1]],
+                      [[-0.5, 0.25, 0.25], [0, 0, 0], [0.25, 0.25, -0.5]]]},
+                  u0={"name": "quadratic"}),
+    "stable": dict(_SMALL, grid={"kind": "periodic", "domain": [-3, 3], "dx": 0.05},
+                   family={"kind": "stable", "alphas": [0.5, 0.9]}, u0={"name": "sin"}),
+    "koopman": dict(_SMALL, grid={"kind": "uniform", "domain": [-3, 3], "dx": 0.05},
+                    family={"kind": "koopman", "fields": ["-x", "0.5*sin(x)"]},
+                    u0={"name": "bump", "center": 0.5, "width": 1.0}),
+    "scaled": dict(_SMALL, grid={"kind": "uniform", "domain": [-4, 4], "dx": 0.05,
+                                 "boundary": "reflect"},
+                   family={"kind": "scaled", "base": {"kind": "heat", "sigmas": [1.0]},
+                           "scales": [0.25, 1.0]},
+                   u0={"name": "quadratic"}),
+}
 RUNS = [(sub, README, seed) for seed in (1, 7) for sub in ("solve", "dpp", "control", "mc")]
 RUNS.append(("properties", OU, None))
+RUNS += [(sub, kind, None) for kind in KINDS for sub in ("solve", "properties")]
 CALL = ("import sys; from nisio.cli import run; "
         "sys.exit(run(sys.argv[1], sys.argv[2], sys.argv[3], "
         "None if sys.argv[4] == '-' else int(sys.argv[4])))")
@@ -43,17 +72,29 @@ def export_src(ref, dest):
     return dest / "src"
 
 
-def outputs(src, out):
-    """Run every entry of RUNS on the package under ``src``; return
-    {label: sha256 or exit code}."""
+def write_kinds(dest):
+    """Write each config of KINDS to ``dest``; return {kind: path}."""
+    paths = {}
+    for kind, cfg in KINDS.items():
+        paths[kind] = dest / f"{kind}.json"
+        paths[kind].write_text(json.dumps(cfg), encoding="utf-8")
+    return paths
+
+
+def outputs(src, out, configs):
+    """Run every entry of RUNS on the package under ``src``, a kind's config
+    read from ``configs``; return {label: sha256 or exit code}."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     found = {}
     for sub, config, seed in RUNS:
-        tag = sub if seed is None else f"{sub} seed {seed}"
+        if config in KINDS:
+            tag = f"{config} {sub}"
+        else:
+            tag = sub if seed is None else f"{sub} seed {seed}"
         run_dir = out / tag.replace(" ", "-")
         proc = subprocess.run(
-            [sys.executable, "-c", CALL, sub, str(ROOT / config), str(run_dir),
-             "-" if seed is None else str(seed)],
+            [sys.executable, "-c", CALL, sub, str(configs.get(config, ROOT / config)),
+             str(run_dir), "-" if seed is None else str(seed)],
             env=env, cwd=out, capture_output=True, text=True)
         found[f"{tag}: exit code"] = str(proc.returncode)
         for path in sorted(run_dir.iterdir()) if run_dir.is_dir() else ():
@@ -67,8 +108,9 @@ def main(argv):
         tmp = Path(tmp)
         for side in ("ref", "work"):
             (tmp / side).mkdir()
-        theirs = outputs(export_src(ref, tmp / "ref"), tmp / "ref")
-        ours = outputs(ROOT / "src", tmp / "work")
+        configs = write_kinds(tmp)
+        theirs = outputs(export_src(ref, tmp / "ref"), tmp / "ref", configs)
+        ours = outputs(ROOT / "src", tmp / "work", configs)
     differ = 0
     for label in sorted(set(theirs) | set(ours)):
         a, b = theirs.get(label, "missing"), ours.get(label, "missing")
