@@ -1,4 +1,5 @@
-"""Run configuration: JSON schema, validation, and object builders."""
+"""Run configuration: a JSON schema kept as data, the walker that checks a
+config against it (jsonschema is its oracle in tests), and object builders."""
 
 from __future__ import annotations
 
@@ -6,10 +7,9 @@ import ast
 import hashlib
 import json
 import math
+import operator
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from .errors import ConfigurationError, GridKindError
 from .grids import GridFunction, WeightedGrid
@@ -46,7 +46,7 @@ def _tagged(tag, kinds, **shared):
         "properties": {tag: {"enum": list(kinds)}},
         "allOf": [{"if": {"properties": {tag: {"const": name}}, "required": [tag]},
                    "then": dict(rules, properties={**rules["properties"], **shared,
-                                                   tag: True})}
+                                                   tag: {}})}
                   for name, rules in kinds.items()],
     }
 
@@ -129,12 +129,71 @@ def parse_field(expr):
     return field
 
 
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+_BOUNDS = {"minimum": (operator.lt, "less than the minimum"),
+           "maximum": (operator.gt, "greater than the maximum"),
+           "exclusiveMinimum": (operator.le, "less than or equal to the minimum")}
+
+
+def _is(value, kind):
+    """Draft 2020-12 ``type``: a bool is not a number, and integer admits 3.0."""
+    if kind in ("number", "integer"):
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and (kind == "number" or value % 1 == 0))
+    return isinstance(value, {"object": dict, "array": list, "string": str}[kind])
+
+
+def _rank(error):
+    """jsonschema's relevance: the shallowest path, then the last of siblings."""
+    return -len(error[0]), error[0]
+
+
+def _errors(value, schema, path=()):
+    """(path, message) of each error of ``value`` under ``schema`` in its key
+    order and jsonschema's wording, or for an ``anyOf`` (path, path shown,
+    message); ``allOf`` holds ``_tagged``'s if/then branches."""
+    for key, rule in schema.items():
+        if key == "type" and not _is(value, rule):
+            yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "enum" and value not in rule:
+            yield path, f"{value!r} is not one of {rule!r}"
+        elif key == "const" and value != rule:
+            yield path, f"{rule!r} was expected"
+        elif key == "required" and isinstance(value, dict):
+            yield from ((path, f"{name!r} is a required property")
+                        for name in rule if name not in value)
+        elif key == "additionalProperties" and isinstance(value, dict):
+            extra = sorted(set(value) - set(schema["properties"]), key=str)
+            if extra:
+                yield path, "Additional properties are not allowed ({} {} unexpected)".format(
+                    ", ".join(map(repr, extra)), "was" if len(extra) == 1 else "were")
+        elif key == "properties" and isinstance(value, dict):
+            for name, sub in rule.items():
+                if name in value:
+                    yield from _errors(value[name], sub, path + (name,))
+        elif key == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _errors(item, rule, path + (i,))
+        elif key == "minItems" and isinstance(value, list) and len(value) < rule:
+            yield path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+        elif key == "maxItems" and isinstance(value, list) and len(value) > rule:
+            yield path, f"{value!r} is too long"
+        elif key in _BOUNDS and _is(value, "number") and _BOUNDS[key][0](value, rule):
+            yield path, f"{value!r} is {_BOUNDS[key][1]} of {rule!r}"
+        elif key == "anyOf":
+            branches = [list(_errors(value, sub, path)) for sub in rule]
+            if all(branches):  # shown as best_match shows it: the deepest branch error
+                first, second = sorted(sum(branches, []), key=_rank)[:2]
+                yield path, *(first if first[0] != second[0] else (
+                    path, f"{value!r} is not valid under any of the given schemas"))
+        elif key == "allOf":
+            for branch in rule:
+                if not any(_errors(value, branch["if"])):
+                    yield from _errors(value, branch["then"], path)
 
 
 def _floats_at(node, path="$"):
     """(path, value) of every float in a parsed JSON document, the path in
-    jsonschema's ``json_path`` form."""
+    the form ``validate_config`` reports a schema error at."""
     if isinstance(node, float):
         yield path, node
     elif isinstance(node, dict):
@@ -149,9 +208,11 @@ def validate_config(cfg):
     """Check ``cfg`` against CONFIG_SCHEMA, which admits only keys the builders
     read, then reject any number that is not finite: ``json`` reads NaN,
     Infinity and 1e999, and the schema's ``number`` admits them."""
-    error = best_match(_VALIDATOR.iter_errors(cfg))
+    error = max(_errors(cfg, CONFIG_SCHEMA), key=_rank, default=None)
     if error is not None:
-        raise ConfigurationError(f"config rejected at {error.json_path}: {error.message}")
+        *_, path, message = error
+        where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        raise ConfigurationError(f"config rejected at ${where}: {message}")
     for path, value in _floats_at(cfg):
         if not math.isfinite(value):
             raise ConfigurationError(f"config rejected at {path}: {value!r} is not finite")

@@ -56,6 +56,8 @@ def cutoff_decay_probe(family, delta, x_list, h_list, level=3, tol=1e-9):
     """
     if not len(h_list):
         raise InvalidInputError("need at least one h")
+    if not (delta > 0.0 and np.isfinite(delta)):
+        raise InvalidInputError("delta must be positive and finite")
     grid = family.grid
     if grid.points.ndim == 1 and grid.kind != "labels":
         min_gap = float(np.min(np.diff(grid.points)))
@@ -89,9 +91,9 @@ def viscosity_residual(family, snapshots, dt, window=None):
 
     residual(t, x) = d/dt u(t, x) - max over members of (A_member u(t))(x),
     with a central time difference at interior snapshots and generator
-    stencils in space.  End snapshots and invalid stencil rows are excluded.
-    This is a necessary check where the envelope is smooth, not a full
-    sub/supersolution verification.
+    stencils in space.  End snapshots and invalid stencil rows are excluded;
+    a ``window`` must keep a valid row.  This is a necessary check where the
+    envelope is smooth, not a full sub/supersolution verification.
     """
     if len(snapshots) < 3:
         raise InvalidInputError("need at least three snapshots")
@@ -114,6 +116,8 @@ def viscosity_residual(family, snapshots, dt, window=None):
         sel = valid & mask_window
         if np.any(sel):
             worst = max(worst, float(np.max(np.abs(resid[sel]))))
+        elif window is not None:
+            raise InvalidInputError("empty window")
     return {"residual_field": field, "max_interior_residual": worst}
 
 

@@ -1,8 +1,9 @@
-"""The CLI loads only the scipy submodules a run uses.
+"""The CLI loads only the scipy submodules a run uses, and no jsonschema.
 
 ``scipy.stats`` is never needed, ``scipy.linalg`` only for 2D OU members and
 ``scipy.special`` only for chain members; each costs import time and
-resident memory in every CLI process.
+resident memory in every CLI process.  A config is checked by nisio's own
+schema walker, so ``jsonschema`` is loaded only by the tests, as its oracle.
 Each case runs in a fresh interpreter, so modules this test process has
 loaded do not count.
 """
@@ -15,7 +16,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "bench" / "configs"
-UNUSED = ("scipy.stats", "scipy.linalg", "scipy.special")
+UNUSED = ("scipy.stats", "scipy.linalg", "scipy.special", "jsonschema")
 
 # case -> the CLI arguments run after the import (none: import only)
 CASES = {

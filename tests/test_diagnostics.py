@@ -6,6 +6,7 @@ from nisio import (ChainOperator, GridFunction, HeatOperator, InvalidInputError,
                    WeightedGrid, cutoff_decay_probe, cutoff_family,
                    envelope_step, property_suite, strong_continuity_probe,
                    viscosity_residual, FamilyBounds)
+from nisio import diagnostics
 from nisio.config import build_family, build_grid, validate_config
 from nisio.probes import probe_function
 
@@ -67,6 +68,33 @@ def test_cutoff_decay_zero_rate_chain(label_grid):
 def test_cutoff_resolution_guard(coarse_family):
     with pytest.raises(ResolutionError):
         cutoff_decay_probe(coarse_family, 0.01, [0.0], [0.1])
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0, np.inf, np.nan])
+def test_cutoff_decay_probe_rejects_a_delta_before_any_work(coarse_family, chain_family,
+                                                           monkeypatch, delta):
+    def refuse(*args):
+        raise AssertionError("cut-off built")
+
+    monkeypatch.setattr(diagnostics, "cutoff_family", refuse)
+    for family, x0 in ((coarse_family, 0.0), (chain_family, 1.0)):
+        with pytest.raises(InvalidInputError, match="delta must be positive and finite"):
+            cutoff_decay_probe(family, delta, [x0], [0.1])
+
+
+def test_viscosity_residual_rejects_a_window_without_a_valid_row():
+    grid = WeightedGrid.uniform(-2.0, 2.0, 0.1)
+    family = SemigroupFamily([HeatOperator(grid, 0.5), HeatOperator(grid, 1.0)])
+    u = probe_function("sin", grid)
+    snaps = [u, u.with_values(5.0 * u.values), u]
+    assert viscosity_residual(family, snaps, 0.1)["max_interior_residual"] > 2.0
+    ends = np.zeros(grid.size, dtype=bool)
+    ends[[0, -1]] = True
+    for window in (np.zeros(grid.size, dtype=bool), ends):
+        with pytest.raises(InvalidInputError, match="empty window"):
+            viscosity_residual(family, snaps, 0.1, window=window)
+    ends[1] = True
+    assert viscosity_residual(family, snaps, 0.1, window=ends)["max_interior_residual"] > 0.0
 
 
 def test_viscosity_residual_analytic_solution(heat_family, heat_grid):

@@ -9,9 +9,12 @@ interpreter per run with ``PYTHONDONTWRITEBYTECODE=1``: ``solve``, ``dpp``,
 ``control`` and ``mc`` on ``bench/configs/readme.json`` at seeds 1 and 7,
 ``properties`` on ``bench/configs/ou.json``, and ``solve`` and ``properties``
 on one small config per member kind those two leave out (``KINDS``: GBM,
-chain, stable, Koopman and scaled heat, written into the temporary
-directory).  Both trees read the same configs.  Prints each file's sha256 on
-both sides and exits 1 on any difference, in a file or in an exit code.
+chain, stable, Koopman and scaled heat), and ``solve`` on each malformed
+config of ``REJECTS``, whose ``config rejected at`` line on stderr is
+compared too.  The configs of ``KINDS`` and ``REJECTS`` are written into the
+temporary directory, and both trees read the same configs.  Prints each
+file's sha256 on both sides and exits 1 on any difference, in a file, an
+exit code or a rejection line.
 Everything it writes goes into the temporary directory; it needs no network.
 Dense kernels' bits depend on the BLAS thread count, so compare on one host
 only.
@@ -55,9 +58,24 @@ KINDS = {
                            "scales": [0.25, 1.0]},
                    u0={"name": "quadratic"}),
 }
+_HEAT = {"grid": {"kind": "uniform", "domain": [-2, 2], "dx": 0.1},
+         "family": {"kind": "heat", "sigmas": [0.5, 1.0]}, "u0": {"name": "quadratic"},
+         "solve": {"t": 0.5, "max_level": 2}}
+_OU = {"kind": "ou", "members": [{"B": [[1, "a"]], "m": 0.0, "C": 1.0}]}
+# one malformed config per kind of schema error, and a NaN
+REJECTS = {
+    "unexpected-key": dict(_HEAT, family=dict(_HEAT["family"], count=3)),
+    "missing-key": dict(_HEAT, grid={"kind": "uniform", "domain": [-2, 2]}),
+    "wrong-type": dict(_HEAT, solve={"t": "0.5"}),
+    "unknown-tag": dict(_HEAT, grid={"kind": "hex"}),
+    "seed-range": dict(_HEAT, properties={"seed": 2 ** 128}),
+    "anyof-coefficient": dict(_HEAT, family=_OU),
+    "nan": dict(_HEAT, solve={"t": 0.5, "tol": float("nan")}),
+}
 RUNS = [(sub, README, seed) for seed in (1, 7) for sub in ("solve", "dpp", "control", "mc")]
 RUNS.append(("properties", OU, None))
 RUNS += [(sub, kind, None) for kind in KINDS for sub in ("solve", "properties")]
+RUNS += [("solve", name, None) for name in REJECTS]
 CALL = ("import sys; from nisio.cli import run; "
         "sys.exit(run(sys.argv[1], sys.argv[2], sys.argv[3], "
         "None if sys.argv[4] == '-' else int(sys.argv[4])))")
@@ -72,22 +90,23 @@ def export_src(ref, dest):
     return dest / "src"
 
 
-def write_kinds(dest):
-    """Write each config of KINDS to ``dest``; return {kind: path}."""
+def write_configs(dest):
+    """Write each config of KINDS and REJECTS to ``dest``; return {name: path}."""
     paths = {}
-    for kind, cfg in KINDS.items():
-        paths[kind] = dest / f"{kind}.json"
-        paths[kind].write_text(json.dumps(cfg), encoding="utf-8")
+    for name, cfg in {**KINDS, **REJECTS}.items():
+        paths[name] = dest / f"{name}.json"
+        paths[name].write_text(json.dumps(cfg), encoding="utf-8")
     return paths
 
 
 def outputs(src, out, configs):
-    """Run every entry of RUNS on the package under ``src``, a kind's config
-    read from ``configs``; return {label: sha256 or exit code}."""
+    """Run every entry of RUNS on the package under ``src``, a config of
+    KINDS or REJECTS read from ``configs``; return {label: sha256, exit code
+    or rejection line}."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     found = {}
     for sub, config, seed in RUNS:
-        if config in KINDS:
+        if config in configs:
             tag = f"{config} {sub}"
         else:
             tag = sub if seed is None else f"{sub} seed {seed}"
@@ -97,6 +116,10 @@ def outputs(src, out, configs):
              str(run_dir), "-" if seed is None else str(seed)],
             env=env, cwd=out, capture_output=True, text=True)
         found[f"{tag}: exit code"] = str(proc.returncode)
+        if config in REJECTS:
+            found[f"{tag}: rejection"] = next(
+                (line for line in proc.stderr.splitlines() if "config rejected at" in line),
+                "none")
         for path in sorted(run_dir.iterdir()) if run_dir.is_dir() else ():
             found[f"{tag}: {path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return found
@@ -108,7 +131,7 @@ def main(argv):
         tmp = Path(tmp)
         for side in ("ref", "work"):
             (tmp / side).mkdir()
-        configs = write_kinds(tmp)
+        configs = write_configs(tmp)
         theirs = outputs(export_src(ref, tmp / "ref"), tmp / "ref", configs)
         ours = outputs(ROOT / "src", tmp / "work", configs)
     differ = 0
@@ -117,7 +140,7 @@ def main(argv):
         same = a == b
         differ += not same
         print(f"{'same' if same else 'DIFF'}  {label}\n      {ref}: {a}\n      work: {b}")
-    files = sum(not label.endswith("exit code") for label in ours)
+    files = sum(not label.endswith(("exit code", "rejection")) for label in ours)
     print(f"{files} files, {differ} differences against {ref}")
     return 1 if differ else 0
 
