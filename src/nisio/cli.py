@@ -10,9 +10,13 @@ eps_q while the kernel stores are empty (its kernels at 0.1, 0.05, 0.025 and
 0.075 are built on scratch twins of the members and never enter the stores,
 so a run whose work uses one of those durations builds it twice); then work.  Exit codes: 0 all enabled assertions pass,
 1 assertion failure, 2 malformed config (a schema violation such as a key
-its kind does not read or a missing required key, a ragged matrix, an
-unreadable u0 CSV, a refinement level, stage count or Monte Carlo path count
-over the work budget, a horizon that is negative, not finite or too small
+its kind does not read, a missing required key, a negative horizon, a zero
+``control.t`` or ``mc.t``, a ``solve.tol`` that is not positive, a log grid
+with ``n`` below 2 or a ``scaled`` base of more than one member; a number
+that is not finite, a ragged matrix, an entry its member rejects, such as a
+Koopman field that is not finite on the grid, an unreadable u0 CSV, a
+``report_window`` that selects no grid point, a refinement level, stage
+count or Monte Carlo path count over the work budget, a horizon too small
 to split, an ``mc`` run on a periodic grid of one point, a seed outside
 Philox's key range [0, 2^128 - 1] in the config or in --seed), an unusable
 --out directory or an unknown flag, 3 numerical degeneracy.  Each subcommand
@@ -52,14 +56,11 @@ def _write_csv(path, header, columns):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _check_horizons(key, horizons, steps, positive=False):
-    """Reject, naming ``key``, a horizon that is negative, not finite, zero
-    where the work needs it positive, or too small to split into ``steps``
-    equal steps of a normal float (the times they space would repeat)."""
+def _check_horizons(key, horizons, steps):
+    """Reject, naming ``key``, a horizon too small to split into ``steps``
+    equal steps of a normal float (the times they space would repeat); the
+    schema has checked its sign, and ``validate_config`` that it is finite."""
     for t in horizons:
-        if not 0.0 <= t < np.inf or (positive and t == 0.0):
-            raise ConfigurationError(
-                f"{key} {t!r} must be {'positive' if positive else '>= 0'} and finite")
         if 0.0 < t < steps * np.finfo(float).tiny:
             raise ConfigurationError(f"{key} {t!r} is too small to split into {steps} steps")
 
@@ -159,7 +160,7 @@ def _cmd_control(run):
     check_greedy_stages(run.family, m)
     check_levels(run.family, level)
     # greedy stages of t/m, dyadic refinements, random policies on the check lattice
-    _check_horizons("control.t", [t], max(m, 2 ** level, 2 ** CHECK_LEVEL), positive=True)
+    _check_horizons("control.t", [t], max(m, 2 ** level, 2 ** CHECK_LEVEL))
     eps = quadrature_tolerance(run.family)
     out = duality_gap(run.family, t, run.u0, m, max_level=level, tol=1e-12,
                       window=run.window)
@@ -190,7 +191,7 @@ def _cmd_mc(run):
     check_greedy_stages(run.family, m)
     check_path_stages(section["n_paths"], m)
     check_levels(run.family, level)
-    _check_horizons("mc.t", [t], m, positive=True)
+    _check_horizons("mc.t", [t], m)
     eps = quadrature_tolerance(run.family)
     seed = run.seed if run.seed is not None else section.get("seed", 0)
     greedy = greedy_policy(run.family, t, run.u0, m)

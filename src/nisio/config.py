@@ -21,6 +21,7 @@ from .probes import PROBES, probe_function
 
 _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
+_NONNEG = {"type": "number", "minimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
 _VECTOR = {"type": "array", "items": _NUM}
 _ROWS = {"type": "array", "items": _VECTOR}
@@ -30,6 +31,12 @@ _SEED = {"type": "integer", "minimum": 0, "maximum": SEED_MAX}
 
 def _list(item):
     return {"type": "array", "items": item, "minItems": 1}
+
+
+def _singleton(rules):
+    """A member kind's ``rules`` with the one list they require held to one entry."""
+    (key,), props = rules["required"], rules["properties"]
+    return dict(rules, properties=dict(props, **{key: dict(props[key], maxItems=1)}))
 
 
 def _closed(*required, **properties):
@@ -55,7 +62,7 @@ _BOUNDARY = {"enum": ["renormalize", "reflect"]}
 _GRID = _tagged("kind", {
     "uniform": _closed("domain", "dx", domain=_PAIR, dx=_NUM, boundary=_BOUNDARY),
     "periodic": _closed("domain", "dx", domain=_PAIR, dx=_NUM),
-    "log": _closed("x_max", "n", x_max=_POS, n=_POS_INT, x_min_mag=_NUM,
+    "log": _closed("x_max", "n", x_max=_POS, n=dict(_POS_INT, minimum=2), x_min_mag=_NUM,
                    boundary=_BOUNDARY),
     "labels": _closed("n", n=_POS_INT),
 }, kappa=_tagged("kind", {"constant": _closed(), "inverse_power": _closed(p=_NUM)}))
@@ -74,21 +81,23 @@ CONFIG_SCHEMA = _closed(
     "grid", "family",
     grid=_GRID,
     family=_tagged("kind", dict(_MEMBER_KINDS, scaled=_closed(
-        "base", "scales", base=_tagged("kind", _MEMBER_KINDS), scales=_list(_NUM))),
+        "base", "scales", base=_tagged(
+            "kind", {name: _singleton(rules) for name, rules in _MEMBER_KINDS.items()}),
+        scales=_list(_NUM))),
         alpha=_NUM, beta=_NUM),
     u0=_tagged("name", {
         **{name: _closed(**dict.fromkeys(defaults, _NUM))
            for name, (defaults, _) in PROBES.items()},
         "csv": _closed("path", path={"type": "string"}),
     }),
-    solve=_closed("t", t=_NUM, tol=_NUM, max_level=_POS_INT),
-    dpp=_closed("s", "t", s=_NUM, t=_NUM, level=_POS_INT, threshold=_NUM),
-    control=_closed("t", "m", t=_NUM, m=_POS_INT,
+    solve=_closed("t", t=_NONNEG, tol=_POS, max_level=_POS_INT),
+    dpp=_closed("s", "t", s=_NONNEG, t=_NONNEG, level=_POS_INT, threshold=_NUM),
+    control=_closed("t", "m", t=_POS, m=_POS_INT,
                     trials={"type": "integer", "minimum": 0}, level=_POS_INT),
-    mc=_closed("t", "n_paths", "x0", t=_NUM, m=_POS_INT,
+    mc=_closed("t", "n_paths", "x0", t=_POS, m=_POS_INT,
                n_paths={"type": "integer", "minimum": 100},
                seed=_SEED, x0=_NUM),
-    properties=_closed(probes=_list({"type": "string"}), t_list=_list(_NUM),
+    properties=_closed(probes=_list({"type": "string"}), t_list=_list(_NONNEG),
                        seed=_SEED, partition_pairs=_POS_INT),
     report_window=_PAIR,
 )
@@ -206,8 +215,8 @@ def _floats_at(node, path="$"):
 
 def validate_config(cfg):
     """Check ``cfg`` against CONFIG_SCHEMA, which admits only keys the builders
-    read, then reject any number that is not finite: ``json`` reads NaN,
-    Infinity and 1e999, and the schema's ``number`` admits them."""
+    read and holds each rule on one key, then reject any number not finite:
+    ``json`` reads NaN, Infinity and 1e999, and the schema's ``number`` admits them."""
     error = max(_errors(cfg, CONFIG_SCHEMA), key=_rank, default=None)
     if error is not None:
         *_, path, message = error
@@ -237,9 +246,6 @@ def build_grid(cfg):
     if kind == "labels":
         return WeightedGrid.labels(g["n"], kappa=kappa)
     if kind == "log":
-        if g["n"] < 2:
-            raise ConfigurationError(
-                f"a log grid needs at least 2 points per side: grid.n {g['n']}")
         return WeightedGrid.loggrid(g["x_max"], g.get("x_min_mag", 1e-2), g["n"],
                                     kappa=kappa, boundary=g.get("boundary"))
     lo, hi = g["domain"]
@@ -319,9 +325,6 @@ def _members(cfg, f, key, grid):
         default = FamilyBounds(0.0, 2.0 * max(m.rate for m in members))
     else:  # scaled
         base, base_bounds = _members(cfg, f["base"], key + ".base", grid)
-        if len(base) != 1:
-            raise ConfigurationError(
-                f"scaled family needs a singleton base: {key}.base has {len(base)} members")
         members = _each(key + ".scales[{i}]", lambda s: ScaledOperator(base[0], s),
                         f["scales"], grid)
         # S_s(t) = S(s t), so the base's growth rates scale with the largest s
@@ -351,4 +354,7 @@ def build_window(cfg, grid):
     win = cfg.get("report_window")
     if win is None:
         return None
-    return grid.window_mask(win[0], win[1])
+    mask = grid.window_mask(win[0], win[1])
+    if not mask.any():
+        raise ConfigurationError(f"report_window {win} selects no grid point")
+    return mask

@@ -790,9 +790,15 @@ class KoopmanOperator(TransitionOperator):
         super().__init__(grid)
         self.F = F
         self.lipschitz_hint = float(lipschitz_hint)
-        fx = np.asarray(F(grid.points), dtype=float)
-        slopes = np.abs(np.diff(fx)) / grid.spacing
-        if slopes.size and float(np.max(slopes)) > self.lipschitz_hint + 1e-9:
+        with np.errstate(all="ignore"):  # NaN and overflow are rejected below
+            fx = np.asarray(F(grid.points), dtype=float)
+            slopes = np.abs(np.diff(fx)) / grid.spacing
+        bad = ~np.isfinite(fx)
+        if bad.any():
+            raise ConfigurationError(f"field is not finite on the grid: {fx[bad][0]} at "
+                                     f"x = {grid.points[bad][0]:g}")
+        # written so that a NaN hint fails it, as an infinite slope does
+        if slopes.size and not float(np.max(slopes)) <= self.lipschitz_hint + 1e-9:
             raise ConfigurationError(
                 f"field exceeds its Lipschitz hint: {np.max(slopes):.3g} > "
                 f"{self.lipschitz_hint:.3g}")

@@ -22,7 +22,7 @@ def grid(draw, kind, boundary=True):
         return {"kind": "labels", "n": draw(st.integers(1, 6))}
     if kind == "log":
         return {"kind": "log", "x_max": draw(num(1.0, 10.0)),
-                "n": draw(st.integers(1, 24)),
+                "n": draw(st.integers(2, 24)),
                 "boundary": draw(st.sampled_from(["reflect", "renormalize"]))}
     half = draw(num(0.5, 5.0))
     section = {"kind": kind, "domain": [-half, half],

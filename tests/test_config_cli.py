@@ -57,15 +57,8 @@ def test_schema_rejects_unknown_keys():
         validate_config(cfg)
 
 
-def test_schema_is_valid_2020_12(monkeypatch):
+def test_schema_is_valid_2020_12():
     Draft202012Validator.check_schema(CONFIG_SCHEMA)
-
-    # validation runs the validator built at import, never the metaschema check
-    def refuse(*args, **kwargs):
-        raise AssertionError("metaschema checked per call")
-
-    monkeypatch.setattr(Draft202012Validator, "check_schema", refuse)
-    validate_config(BASE_CFG)
 
 
 # (section, kind) -> the keys its builder reads besides the kind/name tag
@@ -164,7 +157,9 @@ REJECTED = {
     "heat-neither": ({"family": {"kind": "heat"}}, "'sigmas'"),
     "grid-kind-unknown": ({"grid": {"kind": "hex"}}, "grid.kind"),
     "log-x_max-negative": ({"grid": dict(LOG_GRID, x_max=-8)}, "grid.x_max"),
-    "log-n-1": ({"grid": dict(LOG_GRID, n=1)}, "grid.n 1"),
+    "log-n-1": ({"grid": dict(LOG_GRID, n=1)}, "$.grid.n: 1 is less than the minimum of 2"),
+    "log-x_min_mag-over-x_max": ({"grid": dict(LOG_GRID, x_min_mag=10)},
+                                 "need 0 < x_min_mag < x_max"),
     # a Koopman member interpolates its flowed values and reads no boundary
     "koopman-boundary": ({"grid": dict(SMALL_CFG["grid"], boundary="reflect"),
                           "family": {"kind": "koopman", "fields": ["-x"]}},
@@ -190,7 +185,7 @@ REJECTED = {
         "kind": "heat", "sigmas": [1.0]}}},
                         "family.scales[1]: scale"),
     "scaled-base-two-members": ({"family": {"kind": "scaled", "scales": [1.0], "base": HEAT}},
-                                "family.base has 2 members"),
+                                "$.family.base.sigmas: [0.5, 1.0] is too long"),
     "scaled-base-sigma-negative": ({"family": {"kind": "scaled", "scales": [1.0], "base": {
         "kind": "heat", "sigmas": [-1.0]}}}, "family.base.sigmas[0]: sigma"),
     "scaled-base-on-log-grid": ({"grid": LOG_GRID, "family": {
@@ -207,6 +202,38 @@ REJECTED = {
         {"B": -0.5, "m": 0.0, "C": 1.0},
         {"B": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]], "m": [0, 0, 0],
          "C": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}}, "family.members[1]: OU member supports"),
+    "ou-inconsistent": ({"family": {"kind": "ou", "members": [
+        {"B": [[-1, 0], [0, -1]], "m": 0.0, "C": [[1, 0], [0, 1]]}]}},
+        "family.members[0]: inconsistent OU dimensions"),
+    "ou-C-asymmetric": ({"family": {"kind": "ou", "members": [
+        {"B": [[-1, 0], [0, -1]], "m": [0, 0], "C": [[1, 0.5], [0, 1]]}]}},
+        "family.members[0]: C must be symmetric"),
+    "ou-1d-on-log-grid": ({"grid": LOG_GRID, "family": {"kind": "ou", "members": [
+        {"B": -0.5, "m": 0.0, "C": 1.0}]}},
+        "family.members[0] on grid.kind 'log': 1D OU member needs a uniform grid"),
+    "koopman-on-periodic-grid": ({"grid": {"kind": "periodic", "domain": [-3, 3], "dx": 0.1},
+                                  "family": {"kind": "koopman", "fields": ["-x"]}},
+                                 "family.fields[0] on grid.kind 'periodic': Koopman member"),
+    "chain-on-uniform-grid": ({"family": {"kind": "chain", "rate_matrices": [[[-1, 1], [1, -1]]]}},
+                              "family.rate_matrices[0] on grid.kind 'uniform': chain member"),
+    "chain-shape": ({"grid": LABEL_GRID, "family": {"kind": "chain", "rate_matrices": [
+        [[-1, 1, 0], [1, -1, 0], [0, 0, 0]]]}},
+        "family.rate_matrices[0]: rate matrix shape mismatch"),
+    # a field is arithmetic over x and the allowed functions, checked before
+    # eval, and finite on the grid
+    "field-syntax": ({"family": {"kind": "koopman", "fields": ["sin(x"]}},
+                     "family.fields[0]: bad field expression 'sin(x'"),
+    "field-attribute": ({"family": {"kind": "koopman", "fields": ["-x", "().__class__"]}},
+                        "family.fields[1]: field expression '().__class__': Attribute not"),
+    "field-call": ({"family": {"kind": "koopman", "fields": ["__import__('os').system('true')"]}},
+                   "family.fields[0]: field expression \"__import__('os').system('true')\": "
+                   "call not allowed"),
+    "field-name": ({"family": {"kind": "koopman", "fields": ["y"]}},
+                   "family.fields[0]: field expression 'y': unknown name y"),
+    "field-nan": ({"family": {"kind": "koopman", "fields": ["sqrt(x)"]}},
+                  "family.fields[0]: field is not finite on the grid: nan at x = -4"),
+    "field-inf": ({"family": {"kind": "koopman", "fields": ["1e999*x"]}},
+                  "family.fields[0]: field is not finite on the grid: -inf at x = -4"),
     # malformed data
     "chain-ragged": ({"grid": LABEL_GRID, "family": {
         "kind": "chain", "rate_matrices": [[[-1, 1], [1]]]}}, "rate_matrices"),
@@ -280,9 +307,16 @@ def test_cli_rejects_a_number_that_is_not_finite_with_exit_2(tmp_path, capsys, c
 def test_cli_names_each_spelling_of_a_number_that_is_not_finite(tmp_path, capsys,
                                                                  text, shown):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(SMALL_CFG).replace('"t": 0.5', f'"t": {text}'))
+    # dpp.threshold has no sign rule, so each spelling reaches the finite pass;
+    # solve.t's minimum of 0 rejects -inf first
+    cfg = json.dumps(dict(SMALL_CFG, dpp={"s": 0.1, "t": 0.1, "threshold": 0.25}))
+    path.write_text(cfg.replace('"threshold": 0.25', f'"threshold": {text}'))
+    assert run("dpp", str(path), str(tmp_path / "out")) == 2
+    assert f"config rejected at $.dpp.threshold: {shown} is not finite" in capsys.readouterr().err
+    path.write_text(cfg.replace('"t": 0.5', f'"t": {text}'))
     assert run("solve", str(path), str(tmp_path / "out")) == 2
-    assert f"config rejected at $.solve.t: {shown} is not finite" in capsys.readouterr().err
+    message = "-inf is less than the minimum of 0" if shown == "-inf" else f"{shown} is not finite"
+    assert f"config rejected at $.solve.t: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sub, article", [("solve", "a"), ("dpp", "a"),
@@ -425,7 +459,9 @@ def test_cli_measures_eps_q_on_empty_stores_before_the_work(tmp_path, monkeypatc
         assert set(member._cache) & EPS_Q_DURATIONS <= used
 
 
-# over-budget and unsplittable runs, each rejected before any kernel is built
+# configs each rejected before any kernel is built: over budget, a horizon or
+# tolerance of the wrong sign or too small to split, a window that selects
+# no point, a field that is not finite on the grid
 NO_WORK = {
     "solve-level": ("solve", {"solve": {"t": 1.0, "max_level": 40}}, "max_level 40"),
     "dpp-level": ("dpp", {"dpp": {"s": 0.5, "t": 0.5, "level": 40}}, "max_level 40"),
@@ -448,12 +484,23 @@ NO_WORK = {
                      "mc.t 5e-324 is too small to split into 16 steps"),
     "properties-subnormal": ("properties", {"properties": {"t_list": [0.5, 5e-324]}},
                              "properties.t_list 5e-324 is too small to split into 16 steps"),
-    "solve-negative": ("solve", {"solve": {"t": -1.0}}, "solve.t -1.0 must be >= 0 and finite"),
+    "solve-negative": ("solve", {"solve": {"t": -1.0}},
+                       "$.solve.t: -1.0 is less than the minimum of 0"),
     "properties-negative": ("properties", {"properties": {"t_list": [0.5, -0.25]}},
-                            "properties.t_list -0.25 must be >= 0 and finite"),
+                            "$.properties.t_list[1]: -0.25 is less than the minimum of 0"),
     "control-zero": ("control", {"control": {"t": 0.0, "m": 2}},
-                     "control.t 0.0 must be positive and finite"),
-    "mc-zero": ("mc", {"mc": dict(BASE_CFG["mc"], t=0.0)}, "mc.t 0.0 must be positive and finite"),
+                     "$.control.t: 0.0 is less than or equal to the minimum of 0"),
+    "mc-zero": ("mc", {"mc": dict(BASE_CFG["mc"], t=0.0)},
+                "$.mc.t: 0.0 is less than or equal to the minimum of 0"),
+    "solve-tol-zero": ("solve", {"solve": {"t": 0.2, "tol": 0}},
+                       "$.solve.tol: 0 is less than or equal to the minimum of 0"),
+    "solve-empty-window": ("solve", {"report_window": [9, 10]},
+                           "report_window [9, 10] selects no grid point"),
+    "dpp-empty-window": ("dpp", {"report_window": [2, -2]},
+                         "report_window [2, -2] selects no grid point"),
+    "solve-field-nan": ("solve", {"grid": {"kind": "uniform", "domain": [-4, 4], "dx": 0.05},
+                                  "family": {"kind": "koopman", "fields": ["-x", "sqrt(x)"]}},
+                        "family.fields[1]: field is not finite on the grid"),
 }
 
 
@@ -464,7 +511,8 @@ def test_cli_rejects_before_any_kernel_build(tmp_path, capsys, monkeypatch, case
     cfg = {**SHARED_DURATION_CFG, **sections}
     out = tmp_path / "out"
     assert run(sub, write_cfg(tmp_path, cfg), str(out)) == 2
-    assert events == [] and not any(out.iterdir())
+    # a schema rejection comes before --out is made
+    assert events == [] and (not out.exists() or not any(out.iterdir()))
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nisio import (ChainOperator, GridFunction, HeatOperator, InvalidInputError,
-                   KoopmanOperator, ResolutionError, ScaledOperator, SemigroupFamily,
+                   KoopmanOperator, OUOperator, ResolutionError, ScaledOperator, SemigroupFamily,
                    WeightedGrid, cutoff_decay_probe, cutoff_family,
                    envelope_step, property_suite, strong_continuity_probe,
                    viscosity_residual, FamilyBounds)
@@ -63,6 +63,21 @@ def test_cutoff_decay_zero_rate_chain(label_grid):
     fam = SemigroupFamily([ChainOperator(label_grid, np.zeros((4, 4)))])
     out = cutoff_decay_probe(fam, 1.0, [1.0, 2.0], [0.5, 0.1])
     assert max(out["values"]) == 0.0
+
+
+def test_cutoff_decay_probe_on_a_tensor_grid():
+    # on a 2D grid a cut-off measures Euclidean distance, and a centre is the
+    # grid point nearest to it, here (0.4, -0.6) for (0.43, -0.52)
+    g = WeightedGrid.tensor([-2.0, -2.0], [2.0, 2.0], 21)
+    fam = SemigroupFamily([OUOperator(g, [[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0],
+                                      [[8.0, 0.0], [0.0, 8.0]])])
+    phi = cutoff_family(g, [0.4, -0.6], 1.0)
+    dist = np.linalg.norm(g.points - [0.4, -0.6], axis=1)
+    assert np.all(phi.values[dist <= 0.5] == 0.0) and np.all(phi.values[dist >= 1.0] == 1.0)
+    out = cutoff_decay_probe(fam, 1.0, [[0.43, -0.52]], [0.04, 0.02], level=2)
+    assert out == cutoff_decay_probe(fam, 1.0, [[0.4, -0.6]], [0.04, 0.02], level=2)
+    assert 0.0 < out["values"][1] < out["values"][0] < 1.0
+    assert all(v <= bound for v, bound in zip(out["values"], out["slope_bound"]))
 
 
 def test_cutoff_resolution_guard(coarse_family):

@@ -10,8 +10,8 @@ interpreter per run with ``PYTHONDONTWRITEBYTECODE=1``: ``solve``, ``dpp``,
 ``properties`` on ``bench/configs/ou.json``, and ``solve`` and ``properties``
 on one small config per member kind those two leave out (``KINDS``: GBM,
 chain, stable, Koopman and scaled heat), and ``solve`` on each malformed
-config of ``REJECTS``, whose ``config rejected at`` line on stderr is
-compared too.  The configs of ``KINDS`` and ``REJECTS`` are written into the
+config of ``REJECTS``, whose ``config error:`` line on stderr is compared
+too.  The configs of ``KINDS`` and ``REJECTS`` are written into the
 temporary directory, and both trees read the same configs.  Prints each
 file's sha256 on both sides and exits 1 on any difference, in a file, an
 exit code or a rejection line.
@@ -62,7 +62,8 @@ _HEAT = {"grid": {"kind": "uniform", "domain": [-2, 2], "dx": 0.1},
          "family": {"kind": "heat", "sigmas": [0.5, 1.0]}, "u0": {"name": "quadratic"},
          "solve": {"t": 0.5, "max_level": 2}}
 _OU = {"kind": "ou", "members": [{"B": [[1, "a"]], "m": 0.0, "C": 1.0}]}
-# one malformed config per kind of schema error, and a NaN
+# one malformed config per kind of schema error, a NaN, and one config per
+# rule that rejects a single key or entry before any work
 REJECTS = {
     "unexpected-key": dict(_HEAT, family=dict(_HEAT["family"], count=3)),
     "missing-key": dict(_HEAT, grid={"kind": "uniform", "domain": [-2, 2]}),
@@ -71,6 +72,13 @@ REJECTS = {
     "seed-range": dict(_HEAT, properties={"seed": 2 ** 128}),
     "anyof-coefficient": dict(_HEAT, family=_OU),
     "nan": dict(_HEAT, solve={"t": 0.5, "tol": float("nan")}),
+    "log-n-1": dict(_HEAT, grid={"kind": "log", "x_max": 4, "n": 1}),
+    "scaled-base-two": dict(_HEAT, family={"kind": "scaled", "base": _HEAT["family"],
+                                           "scales": [1.0]}),
+    "solve-t-negative": dict(_HEAT, solve={"t": -0.5}),
+    "solve-tol-zero": dict(_HEAT, solve={"t": 0.5, "tol": 0}),
+    "empty-window": dict(_HEAT, report_window=[9, 10]),
+    "field-not-finite": dict(_HEAT, family={"kind": "koopman", "fields": ["sqrt(x)"]}),
 }
 RUNS = [(sub, README, seed) for seed in (1, 7) for sub in ("solve", "dpp", "control", "mc")]
 RUNS.append(("properties", OU, None))
@@ -118,7 +126,7 @@ def outputs(src, out, configs):
         found[f"{tag}: exit code"] = str(proc.returncode)
         if config in REJECTS:
             found[f"{tag}: rejection"] = next(
-                (line for line in proc.stderr.splitlines() if "config rejected at" in line),
+                (line for line in proc.stderr.splitlines() if line.startswith("config error:")),
                 "none")
         for path in sorted(run_dir.iterdir()) if run_dir.is_dir() else ():
             found[f"{tag}: {path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
