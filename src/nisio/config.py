@@ -60,9 +60,9 @@ def _tagged(tag, kinds, **shared):
 
 _BOUNDARY = {"enum": ["renormalize", "reflect"]}
 _GRID = _tagged("kind", {
-    "uniform": _closed("domain", "dx", domain=_PAIR, dx=_NUM, boundary=_BOUNDARY),
-    "periodic": _closed("domain", "dx", domain=_PAIR, dx=_NUM),
-    "log": _closed("x_max", "n", x_max=_POS, n=dict(_POS_INT, minimum=2), x_min_mag=_NUM,
+    "uniform": _closed("domain", "dx", domain=_PAIR, dx=_POS, boundary=_BOUNDARY),
+    "periodic": _closed("domain", "dx", domain=_PAIR, dx=_POS),
+    "log": _closed("x_max", "n", x_max=_POS, n=dict(_POS_INT, minimum=2), x_min_mag=_POS,
                    boundary=_BOUNDARY),
     "labels": _closed("n", n=_POS_INT),
 }, kappa=_tagged("kind", {"constant": _closed(), "inverse_power": _closed(p=_NUM)}))
@@ -246,7 +246,11 @@ def build_grid(cfg):
     if kind == "labels":
         return WeightedGrid.labels(g["n"], kappa=kappa)
     if kind == "log":
-        return WeightedGrid.loggrid(g["x_max"], g.get("x_min_mag", 1e-2), g["n"],
+        x_min_mag = g.get("x_min_mag", 1e-2)
+        if not x_min_mag < g["x_max"]:
+            raise ConfigurationError(
+                f"grid.x_min_mag {x_min_mag} is not below grid.x_max {g['x_max']}")
+        return WeightedGrid.loggrid(g["x_max"], x_min_mag, g["n"],
                                     kappa=kappa, boundary=g.get("boundary"))
     lo, hi = g["domain"]
     return WeightedGrid.uniform(lo, hi, g["dx"], kappa=kappa, boundary=g.get("boundary"),

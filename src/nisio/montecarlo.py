@@ -33,21 +33,29 @@ paths all stay inside touches each path only in its step, its min and its
 max.  States inside keep their bits either way, so the stream, the states
 and the flagged count are those of a clip after every stage.
 
-The normals are drawn ahead by a one-thread pool that starts on the run's
-first draw.  While the stage loop runs its arithmetic, the pool fills a small
-ring of buffers from the spec's own Philox generator, and the member steps
-read them in order through a stream object with the generator's
-``standard_normal(size)``.  Numpy's Philox normals do not depend on how a run
-of draws is split into calls, so the stream is the generator's, draw for
-draw.  A run whose steps draw nothing (Koopman flows, OU members with zero
-variance) starts no thread and allocates no ring.  A run on a label grid keeps
-the plain generator: only chain members (or scaled ones) live there, and a
-chain step draws Poisson and uniform numbers.  No thread outlives the run.
+The normals are drawn ahead by a two-thread pool that starts on the run's
+first draw.  While the stage loop runs its arithmetic, the two threads fill
+consecutive segments of the spec's one Philox stream at once, into a small
+ring of buffers, and the member steps read them in order through a stream object with the generator's
+``standard_normal(size)``.  Philox is counter-based, so the generator of a
+segment is a fresh one advanced to the segment's first raw word.  Numpy's
+ziggurat reads one raw word per normal, or a few, so a segment's first words
+may lie inside a normal of the one before; each segment records where its
+first normals start, and where the normals past its end start, and the reader
+passes from one segment to the next at a start both recorded, once the
+normals both drew from there agree bit for bit.  When they share no start, or
+disagree, the next segment is drawn again from the end of the one before.
+Either way the stream is the generator's, draw for draw.  A run whose steps
+draw nothing (Koopman flows, OU members with zero variance) starts no thread
+and allocates no ring.  A run on a label grid keeps the plain generator: only
+chain members (or scaled ones) live there, and a chain step draws Poisson and
+uniform numbers.  No thread outlives the run.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -62,22 +70,38 @@ from .errors import InvalidInputError
 # config, demo and test (the README's mc needs 1e6 x 64 = 6.4e7).  The
 # largest admitted n_paths, 2^26 over one stage, takes 512 MiB per float64
 # path array.  Traced at 2^20 paths, mc_value peaks at 18.5 B per path on
-# whole-batch stages, of which 2.5 are the normals ring's fixed 2.5 MiB:
-# about 1 GiB at 2^26.  The one-thread pool that fills the ring starts on the
-# run's first draw; a run whose steps draw nothing starts no thread and
-# allocates no ring.  A per-path stage looks its paths up in blocks and
-# peaks at 27.7 B per path (25.2 without the ring); only the second stage on
-# can take that route, so at most 2^25 paths: about 0.8 GiB
+# whole-batch stages, while it evaluates u: about 1 GiB at 2^26.  Its sampler
+# peaks at 18.1, of which 2.0 are the normals ring's fixed 2.0 MiB: four
+# buffers of a segment's 66,980 normals at most, plus 24 drawn past its end.
+# The two-thread pool that fills the ring starts on the run's first draw; a
+# run whose steps draw nothing starts no thread and allocates no ring.  A
+# per-path stage looks its paths up in blocks and peaks at 27.3 B per path
+# (25.2 without the ring); only the second stage on can take that route, so
+# at most 2^25 paths: about 0.8 GiB
 MAX_PATH_STAGES = 2 ** 26
 # the largest seed: Philox keys are 128-bit
 SEED_MAX = 2 ** 128 - 1
 # paths mc_value evaluates u at, and a per-path stage looks up, per block, so
 # their temporaries stay a few MiB whatever n_paths is
 _EVAL_BLOCK = 2 ** 16
-# normals per buffer of the normals pool's ring, and buffers in the ring; with
-# three the pool could not get a stage's arithmetic ahead
+# the normals stream's segments: about _NORMALS_CHUNK normals each, over a
+# whole number of 4-word Philox blocks, _WORDS_PER_NORMAL raw words per normal
+# being numpy's ziggurat's mean (1.0219 over 1e7 normals), so 66,980 words;
+# two threads fill them into a ring of four buffers of 67,004 normals, 2.0
+# MiB: one read, one waiting for its splice, two filling
 _NORMALS_CHUNK = 2 ** 16
-_NORMALS_RING = 5
+_WORDS_PER_NORMAL = 1.022
+_NORMALS_THREADS = 2
+_NORMALS_RING = 4
+# normals whose starts a fresh segment records, raw words past its end whose
+# normals' starts it records, and normals it draws past those for the check
+# at the splice (24 normals past its end in all).  Over 20 README-sized
+# streams, some 19,500 splices, windows of 8 always shared a start and
+# windows of 4 missed once; a splice that finds none, or whose normals
+# differ, draws the next segment again from the end of the one before
+_HEAD = 8
+_TAIL = 8
+_OVERLAP = 16
 
 
 def check_path_stages(n_paths, n_stages):
@@ -127,51 +151,166 @@ class SamplerSpec:
         return np.random.Generator(np.random.Philox(key=self.seed))
 
 
-class _NormalStream:
-    """``standard_normal(size)`` of ``rng``, drawn ahead by a one-thread pool.
+def _position(state):
+    """Raw Philox words read before the next one, from a Philox ``state``:
+    a fresh generator, or one just advanced, holds no buffered block."""
+    return 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
 
-    The first draw starts the pool and submits one fill per buffer of a
-    ring, allocated by the calling thread (buffers made on the pool's thread
-    stay in its malloc arena and raise the peak RSS); each fill is
-    ``rng.standard_normal(out=...)`` of the next chunk, and the fills stop
-    at ``total`` normals.  ``standard_normal`` copies the chunks out in
-    order, and each chunk read goes back as the next fill.  Philox normals split
-    into any chunks are those of one call, so the caller gets ``rng``'s
-    draws bit for bit.  A failed fill raises in the caller at its chunk.  A
-    stream never drawn from starts no thread and allocates no ring;
-    ``close`` (or leaving its ``with``) cancels the fills not yet begun and
-    joins the thread."""
+
+def _draw(gen, buf, n, k):
+    """Draw ``k`` normals into ``buf[n:n + k]``; return the raw word each
+    starts at and the word after them.  When the draw read one word per
+    normal those starts follow at once; otherwise ``gen`` goes back and
+    draws the ``k`` again one at a time."""
+    bits = gen.bit_generator
+    state = bits.state
+    pos = _position(state)
+    gen.standard_normal(out=buf[n:n + k])
+    after = _position(bits.state)
+    if after == pos + k:
+        return list(range(pos, after)), after
+    bits.state = state
+    starts = []
+    for i in range(n, n + k):
+        starts.append(pos)
+        gen.standard_normal(out=buf[i:i + 1])
+        pos = _position(bits.state)
+    return starts, pos
+
+
+@dataclass
+class _Segment:
+    """``buf[:n]``, the normals ``gen`` drew for a segment ending at raw word
+    ``end``.  ``head`` and ``tail`` map a raw word to the index of the normal
+    that starts there: the first normals of a fresh segment, and those from
+    ``end`` on; the normals before ``j0`` start before ``end``."""
+
+    buf: np.ndarray
+    n: int
+    gen: object
+    end: int
+    head: dict
+    tail: dict
+    j0: int
+
+
+class _NormalStream:
+    """``rng().standard_normal(size)`` draw for draw, drawn ahead by two
+    threads that fill consecutive segments of the one Philox stream.
+
+    Segment s parses the raw words from ``s * W`` on with a fresh ``rng()``
+    advanced ``s * W / 4`` blocks, and draws on past its end, ``(s + 1) * W``,
+    by ``_TAIL`` words and ``_OVERLAP`` normals.  Numpy's ziggurat reads one
+    raw word per normal, or a few, and a normal is a function of the words
+    from its start on; so two parses that start a normal at one word agree
+    from there on.  The segments record where their first ``_HEAD`` normals
+    start, and where those from their end on start; the reader passes from
+    segment s to segment s + 1 at the first start both recorded, once the
+    normals both drew from it agree bit for bit.  Segment 0 starts at word 0,
+    a true start, so every such splice is one too.  When no start is shared,
+    or the normals differ, segment s + 1 is drawn again by going on with
+    segment s's generator, in the calling thread.
+
+    The first draw starts the pool and submits one segment per buffer of a
+    ring, allocated by the calling thread (buffers made on the pool's
+    threads stay in their malloc arenas and raise the peak RSS); each
+    segment read goes back as the next one.  A failed fill raises in the
+    caller at its segment.  A stream never drawn from starts no thread and
+    allocates no ring; ``close`` (or leaving its ``with``) cancels the fills
+    not yet begun and joins the threads."""
 
     def __init__(self, rng, total):
         self._rng = rng
-        self._left = total          # normals not yet submitted
+        self._words = 4 * math.ceil(_WORDS_PER_NORMAL * _NORMALS_CHUNK / 4)
+        self._left = total          # normals not yet read
+        # the reader enters a segment at most _HEAD normals in, and never
+        # needs more than ``total`` past that
+        self._size = min(self._words + _TAIL + _OVERLAP, total + _HEAD)
         self._pool = None
-        self._fills = deque()       # (buffer, future), in the order submitted
+        self._fills = deque()       # futures of _Segment, in stream order
+        self._end = 0               # end of the last segment submitted
+        self._chunks = self._spliced()
         self._chunk = np.empty(0)
         self._pos = 0
 
-    def _fill(self, buf):
-        buf = buf[:self._left]      # the last fill may be short
-        if buf.size:
-            self._left -= buf.size
-            self._fills.append((buf, self._pool.submit(self._rng.standard_normal, out=buf)))
+    def _fill(self, buf, end, gen=None, pos=0):
+        """The segment ending at raw word ``end``, drawn into ``buf``: by a
+        fresh generator from ``end - W`` on, or going on with ``gen`` from
+        word ``pos``.  It stops early once ``buf`` is full."""
+        head, n, size = {}, 0, buf.size
+        if gen is None:
+            gen = self._rng()
+            pos = end - self._words
+            gen.bit_generator.advance(pos // 4)
+            if pos:
+                starts, pos = _draw(gen, buf, 0, min(_HEAD, size))
+                n = len(starts)
+                head = {p: i for i, p in enumerate(starts)}
+                head[pos] = n
+        j0 = None
+        # bulk draws that stop short of ``end``, four standard deviations of
+        # the words they read below it, until at most _TAIL words are left
+        while n < size and end - pos > _TAIL:
+            r = end - pos
+            k = min(size - n, max(1, int((r - 0.8 * math.sqrt(r)) / _WORDS_PER_NORMAL)))
+            gen.standard_normal(out=buf[n:n + k])
+            after = _position(gen.bit_generator.state)
+            if after > end and j0 is None:
+                j0 = n + 1          # only the draw's first normal surely starts before
+            n, pos = n + k, after
+        starts, pos = _draw(gen, buf, n, min(size - n, max(1, end + _TAIL - pos)))
+        if j0 is None:
+            j0 = n + sum(p < end for p in starts)
+        tail = {p: n + i for i, p in enumerate(starts) if p >= end}
+        n += len(starts)
+        k = min(size - n, _OVERLAP)
+        gen.standard_normal(out=buf[n:n + k])
+        return _Segment(buf, n + k, gen, end, head, tail, j0)
+
+    def _submit(self, buf):
+        self._end += self._words
+        self._fills.append(self._pool.submit(self._fill, buf, self._end))
+
+    def _splice(self, seg, i, nxt):
+        """``(j, k, nxt)``: the stream reads ``seg.buf[i:j]``, then
+        ``nxt.buf[k:]`` of the returned ``nxt``."""
+        for p, j in seg.tail.items():
+            k = nxt.head.get(p)
+            if k is not None and j >= i:
+                m = min(seg.n - j, nxt.n - k)
+                if seg.buf[j:j + m].tobytes() == nxt.buf[k:k + m].tobytes():
+                    return j, k, nxt
+                break
+        pos = _position(seg.gen.bit_generator.state)
+        return seg.n, 0, self._fill(nxt.buf, nxt.end, seg.gen, pos)
+
+    def _spliced(self):
+        """The stream's normals, as views of the segments' buffers in order."""
+        self._pool = ThreadPoolExecutor(
+            _NORMALS_THREADS, thread_name_prefix="nisio-normals",
+            # each thread waits for the other before its first fill, so a
+            # run that draws starts both, however short its fills
+            initializer=threading.Barrier(_NORMALS_THREADS).wait)
+        for buf in [np.empty(self._size) for _ in range(_NORMALS_RING)]:
+            self._submit(buf)
+        seg, i = self._fills.popleft().result(), 0
+        while True:
+            yield seg.buf[i:seg.j0]
+            i = max(i, seg.j0)
+            j, k, nxt = self._splice(seg, i, self._fills.popleft().result())
+            yield seg.buf[i:j]
+            self._submit(seg.buf)   # read: the generator resumes only for more
+            seg, i = nxt, k
 
     def standard_normal(self, size):
+        if size > self._left:
+            raise RuntimeError("normal stream exhausted")
+        self._left -= size
         out = np.empty(size)
         done = 0
         while done < size:
             if self._pos == self._chunk.size:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(1, thread_name_prefix="nisio-normals")
-                    for _ in range(_NORMALS_RING):
-                        self._fill(np.empty(min(_NORMALS_CHUNK, self._left)))
-                if not self._fills:
-                    raise RuntimeError("normal stream exhausted")
-                buf, fill = self._fills[0]
-                fill.result()       # re-raises a failed fill, on every draw from here
-                self._fills.popleft()
-                self._fill(self._chunk)     # the chunk just read goes back
-                self._chunk, self._pos = buf, 0
+                self._chunk, self._pos = next(self._chunks), 0
             k = min(size - done, self._chunk.size - self._pos)
             out[done:done + k] = self._chunk[self._pos:self._pos + k]
             done += k
@@ -181,6 +320,11 @@ class _NormalStream:
     def close(self):
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
+        # the generator's frame holds the stream: drop the ring now, not at
+        # the next garbage collection
+        self._chunks.close()
+        self._fills.clear()
+        self._chunk = np.empty(0)
 
     def __enter__(self):
         return self
@@ -239,10 +383,9 @@ def sample_terminal_states(spec, x0):
         lo, hi = grid.points[0], grid.points[-1]
     bounds = [states.min(), states.max()]
     flagged = 0
-    rng = spec.rng()
     # a label grid holds only chain members, which draw more than normals
-    with (nullcontext(rng) if grid.kind == "labels"
-          else _NormalStream(rng, spec.n_paths * spec.policy.n_stages)) as rng:
+    with (nullcontext(spec.rng()) if grid.kind == "labels"
+          else _NormalStream(spec.rng, spec.n_paths * spec.policy.n_stages)) as rng:
         for h, sel in spec.policy.stages:
             # nearest_index is monotone: every path's node lies in [j_lo, j_hi]
             j_lo, j_hi = grid.nearest_index(bounds)

@@ -159,7 +159,17 @@ REJECTED = {
     "log-x_max-negative": ({"grid": dict(LOG_GRID, x_max=-8)}, "grid.x_max"),
     "log-n-1": ({"grid": dict(LOG_GRID, n=1)}, "$.grid.n: 1 is less than the minimum of 2"),
     "log-x_min_mag-over-x_max": ({"grid": dict(LOG_GRID, x_min_mag=10)},
-                                 "need 0 < x_min_mag < x_max"),
+                                 "grid.x_min_mag 10 is not below grid.x_max 8"),
+    "log-x_min_mag-at-x_max": ({"grid": dict(LOG_GRID, x_min_mag=8)},
+                               "grid.x_min_mag 8 is not below grid.x_max 8"),
+    "log-x_min_mag-zero": ({"grid": dict(LOG_GRID, x_min_mag=0)},
+                           "$.grid.x_min_mag: 0 is less than or equal to the minimum of 0"),
+    "uniform-dx-zero": ({"grid": dict(SMALL_CFG["grid"], dx=0)},
+                        "$.grid.dx: 0 is less than or equal to the minimum of 0"),
+    "uniform-dx-negative": ({"grid": dict(SMALL_CFG["grid"], dx=-0.01)},
+                            "$.grid.dx: -0.01 is less than or equal to the minimum of 0"),
+    "periodic-dx-zero": ({"grid": {"kind": "periodic", "domain": [-3, 3], "dx": 0}},
+                         "$.grid.dx: 0 is less than or equal to the minimum of 0"),
     # a Koopman member interpolates its flowed values and reads no boundary
     "koopman-boundary": ({"grid": dict(SMALL_CFG["grid"], boundary="reflect"),
                           "family": {"kind": "koopman", "fields": ["-x"]}},

@@ -592,10 +592,11 @@ def test_sampler_skips_the_clip_when_no_path_leaves(heat_family, readme_greedy,
 def test_mc_value_memory_per_path(coarse_family, coarse_grid, route):
     # u is evaluated in blocks into one array and the standard deviation is
     # taken in place; traced at 2^20 paths over two stages, the whole-batch
-    # route peaks at 18.5 B per path (states, values, and the normals ring's
-    # fixed 2.5 MiB), the per-path route at 27.7 (the ring, its blocked
+    # route peaks at 18.5 B per path (states, values and one block of u's
+    # evaluation; the sampler before it peaks at 18.1, with the normals
+    # ring's fixed 2.0 MiB), the per-path route at 27.3 (the ring, its blocked
     # lookup's member indices, a mask, and the masked states and their step);
-    # the bounds leave 1.5 and 1.3 B per path over those peaks
+    # the bounds leave 1.5 and 1.7 B per path over those peaks
     sel = (np.ones(coarse_grid.size, dtype=int) if route == "whole-batch"
            else (coarse_grid.points > 0.0).astype(int))
     n = 2 ** 20
@@ -633,7 +634,7 @@ def test_blocked_lookup_matches_per_path(heat_family, heat_grid, monkeypatch):
 
 def test_per_path_stage_memory_per_path(coarse_family, coarse_grid):
     # the per-path lookup fills one member-index array block by block, so a
-    # per-path stage peaks at 27.7 B per path traced at 2^20 paths (25.2
+    # per-path stage peaks at 27.3 B per path traced at 2^20 paths (25.2
     # without the normals ring), not at the 49 of a lookup over the whole batch
     sel = (coarse_grid.points > 0.0).astype(int)
     n = 2 ** 20
@@ -647,7 +648,7 @@ def test_per_path_stage_memory_per_path(coarse_family, coarse_grid):
     assert peak <= 32 * n, peak / n
 
 
-# -- the normals drawn ahead by a one-thread pool ------------------------------
+# -- the normals drawn ahead by a two-thread pool ------------------------------
 
 def test_philox_normals_do_not_depend_on_how_the_draws_are_split():
     # the stream relies on this: a run of standard_normal calls, fresh or
@@ -667,13 +668,17 @@ def test_philox_normals_do_not_depend_on_how_the_draws_are_split():
         assert np.array_equal(np.concatenate(parts), whole)
 
 
+def _philox(key):
+    """A fresh-generator factory, as ``SamplerSpec.rng``."""
+    return lambda: np.random.Generator(np.random.Philox(key=key))
+
+
 @pytest.mark.parametrize("chunk", [7, 1000, 2 ** 16])
 def test_normal_stream_matches_the_generator(monkeypatch, chunk):
     monkeypatch.setattr(montecarlo, "_NORMALS_CHUNK", chunk)
     sizes = [1, 6, 7, 8, 999, 1000, 1001, 0, 5000, 3]
-    whole = np.random.Generator(np.random.Philox(key=9)).standard_normal(sum(sizes))
-    stream = montecarlo._NormalStream(np.random.Generator(np.random.Philox(key=9)),
-                                      sum(sizes))
+    whole = _philox(9)().standard_normal(sum(sizes))
+    stream = montecarlo._NormalStream(_philox(9), sum(sizes))
     try:
         parts = [stream.standard_normal(k) for k in sizes]
         with pytest.raises(RuntimeError, match="exhausted"):
@@ -681,6 +686,92 @@ def test_normal_stream_matches_the_generator(monkeypatch, chunk):
     finally:
         stream.close()
     assert np.array_equal(np.concatenate(parts), whole)
+
+
+def _read(key, sizes):
+    """The normals of draws of ``sizes`` from a stream of their sum."""
+    with montecarlo._NormalStream(_philox(key), sum(sizes)) as stream:
+        return np.concatenate([stream.standard_normal(k) for k in sizes])
+
+
+@pytest.fixture
+def refills(monkeypatch):
+    """The segments the stream drew again from the one before, in order."""
+    drawn = []
+    fill = montecarlo._NormalStream._fill
+
+    def recording(self, buf, end, gen=None, pos=0):
+        if gen is not None:
+            drawn.append(end)
+        return fill(self, buf, end, gen, pos)
+
+    monkeypatch.setattr(montecarlo._NormalStream, "_fill", recording)
+    return drawn
+
+
+def test_spliced_stream_matches_the_generator_over_many_seeds(monkeypatch, refills):
+    # segments of 64 to 1000 normals, about 1000 of them per seed, read in
+    # draws of odd sizes, 0 among them; every splice must land on a true start
+    rng = np.random.default_rng(30)
+    for key in range(50):
+        chunk = int(rng.integers(64, 1001))
+        monkeypatch.setattr(montecarlo, "_NORMALS_CHUNK", chunk)
+        sizes = rng.integers(0, 3 * chunk, 670).tolist()
+        sizes[::67] = [0] * len(sizes[::67])
+        assert np.array_equal(_read(key, sizes), _philox(key)().standard_normal(sum(sizes))), \
+            (key, chunk)
+    assert len(refills) < 10
+
+
+@pytest.mark.parametrize("total", [0, 1, 63, 64, 65, 640, 6400, 64 * 1001])
+def test_spliced_stream_at_segment_edges(monkeypatch, total):
+    # below one segment, one, an exact multiple of the segment's normals, and
+    # one above, read whole and in odd draws
+    monkeypatch.setattr(montecarlo, "_NORMALS_CHUNK", 64)
+    whole = _philox(3)().standard_normal(total)
+    assert np.array_equal(_read(3, [total]), whole)
+    odd = [7] * (total // 7) + [total % 7, 0]
+    assert np.array_equal(_read(3, odd), whole)
+
+
+@pytest.mark.parametrize("head, tail", [(0, 0), (1, 1)])
+def test_shrunk_windows_take_the_fallback(monkeypatch, refills, head, tail):
+    # windows of one start or none miss wherever a segment's end falls inside
+    # a normal of the one before: the next segment is drawn again from that
+    # one's generator, and the stream keeps its bits
+    monkeypatch.setattr(montecarlo, "_NORMALS_CHUNK", 100)
+    monkeypatch.setattr(montecarlo, "_HEAD", head)
+    monkeypatch.setattr(montecarlo, "_TAIL", tail)
+    for key in range(5):
+        sizes = [1, 999, 0, 12345, 101, 50_000]
+        assert np.array_equal(_read(key, sizes), _philox(key)().standard_normal(sum(sizes)))
+    assert refills
+
+
+def test_a_splice_whose_normals_differ_falls_back(monkeypatch, refills):
+    # every fresh segment after the first comes back with each normal off by
+    # one: a start is shared, but the overlap differs, so every splice draws
+    # its next segment again and no altered normal reaches the reader
+    monkeypatch.setattr(montecarlo, "_NORMALS_CHUNK", 100)
+    fill, splice = montecarlo._NormalStream._fill, montecarlo._NormalStream._splice
+    altered, splices = [], []
+
+    def altering(self, buf, end, gen=None, pos=0):
+        seg = fill(self, buf, end, gen, pos)
+        if seg.head:
+            seg.buf[:seg.n] += 1.0
+            altered.append(end)
+        return seg
+
+    def counting(self, seg, i, nxt):
+        splices.append(nxt.end)
+        return splice(self, seg, i, nxt)
+
+    monkeypatch.setattr(montecarlo._NormalStream, "_fill", altering)
+    monkeypatch.setattr(montecarlo._NormalStream, "_splice", counting)
+    sizes = [5, 1000, 0, 3333, 20_000]
+    assert np.array_equal(_read(4, sizes), _philox(4)().standard_normal(sum(sizes)))
+    assert len(splices) > 200 and refills == splices and set(splices) <= set(altered)
 
 
 def _stream_case(name, coarse_grid, log_grid, ou_grid, periodic_grid):
@@ -793,16 +884,34 @@ def test_normal_only_specs_read_the_stream(heat_family, readme_greedy):
 
 
 class _FailingPhilox:
-    """Philox generator whose ``k``-th ``standard_normal`` call raises."""
+    """Philox generator whose draws raise in the normals stream's ``k``-th
+    segment: the generator advanced by ``k - 1`` segments' words."""
+
+    words = montecarlo._NormalStream(None, 0)._words
 
     def __init__(self, seed, k):
         self.rng = np.random.Generator(np.random.Philox(key=seed))
-        self.calls = 0
+        self.segment = 1
         self.k = k
 
+    @property
+    def bit_generator(self):
+        return self
+
+    def advance(self, blocks):
+        self.rng.bit_generator.advance(blocks)
+        self.segment += 4 * blocks // self.words
+
+    @property
+    def state(self):
+        return self.rng.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self.rng.bit_generator.state = value
+
     def standard_normal(self, *args, **kwargs):
-        self.calls += 1
-        if self.calls == self.k:
+        if self.segment == self.k:
             raise FloatingPointError(f"chunk {self.k} failed")
         return self.rng.standard_normal(*args, **kwargs)
 
@@ -810,9 +919,9 @@ class _FailingPhilox:
 @pytest.mark.parametrize("k", [1, 2, 40])
 def test_producer_error_reaches_the_caller(heat_family, readme_greedy, monkeypatch,
                                            streams, k):
-    # 20,000 paths over 64 stages draw 20 chunks of 2^16 normals: the error
-    # raises in the stage that reaches the failed chunk; the 40th is never
-    # drawn, so the run completes with the generator's own states
+    # 20,000 paths over 64 stages read 20 segments of about 2^16 normals: the
+    # error raises in the stage that reaches the failed segment; the 40th is
+    # never drawn, so the run completes with the generator's own states
     monkeypatch.setattr(SamplerSpec, "rng", lambda self: _FailingPhilox(self.seed, k))
     spec = SamplerSpec(heat_family, readme_greedy, 20_000, seed=1)
     if k <= 20:
@@ -839,8 +948,8 @@ def test_no_thread_outlives_a_run_that_raises_mid_stage(coarse_grid, streams):
 
 def test_concurrent_streamed_samplers_keep_their_draws(heat_family, heat_grid,
                                                        monkeypatch):
-    # four samplers on four threads, each with its own normals thread, on two
-    # cores, with a thread switch forced every microsecond and chunks of 7:
+    # four samplers on four threads, each with its own two normals threads,
+    # on two cores, with a thread switch forced every microsecond and chunks of 7:
     # a chunk handed over before it is filled, or refilled before it is read,
     # changes some path
     monkeypatch.setattr(montecarlo, "_NORMALS_CHUNK", 7)
@@ -870,20 +979,20 @@ def test_concurrent_streamed_samplers_keep_their_draws(heat_family, heat_grid,
 
 def test_an_unread_stream_starts_no_thread(started_threads):
     # the pool starts on the first draw of a normal; a draw of none is not one
-    stream = montecarlo._NormalStream(np.random.Generator(np.random.Philox(key=1)),
-                                      10 ** 6)
+    stream = montecarlo._NormalStream(_philox(1), 10 ** 6)
     assert stream.standard_normal(0).size == 0
     stream.close()
     assert started_threads == []
 
 
 @pytest.mark.parametrize("name, starts", [("koopman", 0), ("ou-std-0", 0), ("chain", 0),
-                                          ("heat", 1)])
+                                          ("heat", 2)])
 def test_only_a_run_that_draws_starts_the_normals_thread(name, starts, ou_grid,
                                                           chain_family, started_threads):
     # Koopman flows and OU members with C = 0 draw nothing: their run takes
     # the stream but never reads it, so no thread starts and no ring is made;
-    # a chain run, on a label grid, draws from the plain generator
+    # a chain run, on a label grid, draws from the plain generator; a heat
+    # run starts both threads of the pool
     members = {"koopman": [KoopmanOperator(ou_grid, lambda x: -0.5 * x, 1.0),
                            KoopmanOperator(ou_grid, lambda x: 0.0 * x + 0.5, 1.0)],
                "ou-std-0": [OUOperator(ou_grid, -0.5, 0.2, 0.0),

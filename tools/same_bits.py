@@ -9,12 +9,14 @@ interpreter per run with ``PYTHONDONTWRITEBYTECODE=1``: ``solve``, ``dpp``,
 ``control`` and ``mc`` on ``bench/configs/readme.json`` at seeds 1 and 7,
 ``properties`` on ``bench/configs/ou.json``, and ``solve`` and ``properties``
 on one small config per member kind those two leave out (``KINDS``: GBM,
-chain, stable, Koopman and scaled heat), and ``solve`` on each malformed
-config of ``REJECTS``, whose ``config error:`` line on stderr is compared
-too.  The configs of ``KINDS`` and ``REJECTS`` are written into the
-temporary directory, and both trees read the same configs.  Prints each
-file's sha256 on both sides and exits 1 on any difference, in a file, an
-exit code or a rejection line.
+chain, stable, Koopman and scaled heat), ``mc`` at seeds 1 and 7 on the GBM
+and scaled-heat configs of ``KINDS`` (lognormal and dilated-duration steps
+through the normals stream), and ``solve`` on each malformed config of
+``REJECTS``, whose ``config error:`` line on stderr is compared too: 32
+output files in all.  The configs of ``KINDS`` and ``REJECTS`` are written
+into the temporary directory, and both trees read the same configs.  Prints
+each file's sha256 on both sides and exits 1 on any difference, in a file,
+an exit code or a rejection line.
 Everything it writes goes into the temporary directory; it needs no network.
 Dense kernels' bits depend on the BLAS thread count, so compare on one host
 only.
@@ -41,7 +43,8 @@ KINDS = {
     "gbm": dict(_SMALL, grid={"kind": "log", "x_max": 4, "n": 60, "boundary": "reflect",
                               "kappa": {"kind": "inverse_power", "p": 2}},
                 family={"kind": "gbm", "members": [[0.05, 0.2], [0.1, 0.3]]},
-                u0={"name": "call-payoff", "strike": 1.0}),
+                u0={"name": "call-payoff", "strike": 1.0},
+                mc={"t": 0.5, "m": 16, "n_paths": 20000, "x0": 1.0}),
     "chain": dict(_SMALL, grid={"kind": "labels", "n": 3},
                   family={"kind": "chain", "rate_matrices": [
                       [[-1, 1, 0], [0.5, -1, 0.5], [0, 1, -1]],
@@ -56,7 +59,8 @@ KINDS = {
                                  "boundary": "reflect"},
                    family={"kind": "scaled", "base": {"kind": "heat", "sigmas": [1.0]},
                            "scales": [0.25, 1.0]},
-                   u0={"name": "quadratic"}),
+                   u0={"name": "quadratic"},
+                   mc={"t": 0.5, "m": 16, "n_paths": 20000, "x0": 0.0}),
 }
 _HEAT = {"grid": {"kind": "uniform", "domain": [-2, 2], "dx": 0.1},
          "family": {"kind": "heat", "sigmas": [0.5, 1.0]}, "u0": {"name": "quadratic"},
@@ -83,6 +87,8 @@ REJECTS = {
 RUNS = [(sub, README, seed) for seed in (1, 7) for sub in ("solve", "dpp", "control", "mc")]
 RUNS.append(("properties", OU, None))
 RUNS += [(sub, kind, None) for kind in KINDS for sub in ("solve", "properties")]
+# lognormal and dilated-duration steps read the normals stream too
+RUNS += [("mc", kind, seed) for seed in (1, 7) for kind in ("gbm", "scaled")]
 RUNS += [("solve", name, None) for name in REJECTS]
 CALL = ("import sys; from nisio.cli import run; "
         "sys.exit(run(sys.argv[1], sys.argv[2], sys.argv[3], "
@@ -114,10 +120,9 @@ def outputs(src, out, configs):
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     found = {}
     for sub, config, seed in RUNS:
-        if config in configs:
-            tag = f"{config} {sub}"
-        else:
-            tag = sub if seed is None else f"{sub} seed {seed}"
+        tag = f"{config} {sub}" if config in configs else sub
+        if seed is not None:
+            tag += f" seed {seed}"
         run_dir = out / tag.replace(" ", "-")
         proc = subprocess.run(
             [sys.executable, "-c", CALL, sub, str(configs.get(config, ROOT / config)),
