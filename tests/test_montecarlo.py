@@ -985,14 +985,14 @@ def test_an_unread_stream_starts_no_thread(started_threads):
     assert started_threads == []
 
 
-@pytest.mark.parametrize("name, starts", [("koopman", 0), ("ou-std-0", 0), ("chain", 0),
-                                          ("heat", 2)])
-def test_only_a_run_that_draws_starts_the_normals_thread(name, starts, ou_grid,
+@pytest.mark.parametrize("name, pools", [("koopman", 0), ("ou-std-0", 0), ("chain", 0),
+                                         ("heat", 1)])
+def test_only_a_run_that_draws_starts_the_normals_thread(name, pools, ou_grid,
                                                           chain_family, started_threads):
     # Koopman flows and OU members with C = 0 draw nothing: their run takes
     # the stream but never reads it, so no thread starts and no ring is made;
     # a chain run, on a label grid, draws from the plain generator; a heat
-    # run starts both threads of the pool
+    # run starts one pool, with all of its threads
     members = {"koopman": [KoopmanOperator(ou_grid, lambda x: -0.5 * x, 1.0),
                            KoopmanOperator(ou_grid, lambda x: 0.0 * x + 0.5, 1.0)],
                "ou-std-0": [OUOperator(ou_grid, -0.5, 0.2, 0.0),
@@ -1003,7 +1003,8 @@ def test_only_a_run_that_draws_starts_the_normals_thread(name, starts, ou_grid,
     spec = SamplerSpec(SemigroupFamily(members),
                        ControlPolicy(tuple((0.25, sel) for _ in range(4))), 1000, seed=3)
     assert_matches_per_path(spec, 0.3)
-    assert sum(n.startswith("nisio-normals") for n in started_threads) == starts
+    assert (sum(n.startswith("nisio-normals") for n in started_threads)
+            == pools * montecarlo._NORMALS_THREADS == 2 * pools)
 
 
 @pytest.mark.parametrize("n", [2, 100, 101, 1000, 2 ** 16 + 3, 10 ** 6])
