@@ -63,13 +63,14 @@ def cutoff_decay_probe(family, delta, x_list, h_list, level=3, tol=1e-9):
         min_gap = float(np.min(np.diff(grid.points)))
         if delta < 2.0 * min_gap:
             raise ResolutionError(f"delta={delta} below twice the grid spacing")
-    cutoffs, centers_idx = [], []
-    for x0 in x_list:
-        idx = int(grid.nearest_index(np.asarray([x0]))[0]) if grid.points.ndim == 1 \
-            else int(np.argmin(np.linalg.norm(grid.points - np.asarray(x0), axis=1)))
-        center = grid.points[idx]
-        cutoffs.append(cutoff_family(grid, center, delta))
-        centers_idx.append(idx)
+    # a centre is the node nearest to x0 on each axis; on a tensor grid that
+    # is the nearest node, as the axes are orthogonal
+    axes = grid.axes
+    coords = np.asarray(x_list, dtype=float).reshape(-1, len(axes))
+    centers_idx = np.ravel_multi_index(
+        tuple(ax.nearest_index(coords[:, k]) for k, ax in enumerate(axes)),
+        tuple(ax.size for ax in axes)).tolist()
+    cutoffs = [cutoff_family(grid, grid.points[idx], delta) for idx in centers_idx]
     L = max((weighted_norm(phi.with_values(res.values), window=res.valid)
              for phi in cutoffs for res in family.generators(phi)), default=0.0)
     values = []

@@ -9,7 +9,9 @@ positive bounded weight ``kappa``.  Four flavours are supported:
 * ``labels``    -- finite label set carrying the discrete metric (chains),
 * ``tensor``    -- small 2D tensor grid (flattened, row-major).
 
-Functions live on grids as :class:`GridFunction` (one value per point).
+Point lookups on a tensor grid go through its ``axes``: its two axes as 1D
+uniform grids, built from the points it holds (a 1D grid is its own one
+axis).  Functions live on grids as :class:`GridFunction` (one value per point).
 The two functionals every module relies on are :func:`weighted_norm`
 (sup of ``kappa * |u|``) and :func:`lip_seminorm` (discrete Lipschitz
 constant w.r.t. the grid metric).
@@ -171,6 +173,17 @@ class WeightedGrid:
         if self.kind != "periodic":
             raise ConfigurationError("period only defined for periodic grids")
         return self.spacing * self.size
+
+    @property
+    def axes(self):
+        """The grid's axes as 1D grids: a tensor grid's two uniform axes,
+        read off its row-major points with weight 1; ``(self,)`` on 1D kinds."""
+        if self.kind != "tensor":
+            return (self,)
+        n1 = self.shape[1]
+        return tuple(WeightedGrid(ax, np.ones(len(ax)), spacing=dx)
+                     for ax, dx in zip((self.points[::n1, 0], self.points[:n1, 1]),
+                                       self.spacing))
 
     def window_mask(self, lo=None, hi=None):
         """Boolean mask of points inside [lo, hi] (per-coordinate for tensor grids)."""

@@ -79,8 +79,10 @@ from .probes import probe_function
 # kernel support radius in standard deviations; tail mass beyond is ~1e-23
 KERNEL_RADIUS = 10.0
 # Gaussian weights one kernel build may hold: the band of a zero-offset
-# kernel, or the n x (2k+1) array of the row-by-row path (2^24 float64 is
-# 128 MiB); every shipped config, demo and test needs at most 3.3e6
+# kernel, the n x (2k+1) array of the row-by-row path, or a 2D OU member's
+# dense N x N kernel (2^24 float64 is 128 MiB, so N is at most 4096); every
+# shipped config and demo needs at most 3.3e6, and every test at most 6.8e6
+# (the dense kernel on a 51 x 51 tensor grid)
 MAX_KERNEL_WEIGHTS = 2 ** 24
 # kernel bytes per member; above every benchmark working set (192.3 MiB at
 # most: the offset OU member of ou.json; the README heat members hold at most
@@ -664,15 +666,18 @@ class OUOperator(TransitionOperator):
     def moments(self, t):
         """(exp(tB), drift integral, covariance integral) at duration t.
 
-        1D: exp(bt), m t exprel(bt), c t exprel(2bt).  2D, by block matrix
-        exponentials (Van Loan, IEEE TAC 23(3), 1978): expm(t [[B, m], [0, 0]])
-        holds exp(tB) and the drift integral, and expm(t [[-B, C], [0, B^T]])
-        = [[., F12], [0, F22]] the covariance integral F22^T F12.  Only this
-        2D branch imports ``scipy.linalg`` (``expm``), so runs without 2D
-        members never load it.  1D stays off expm, whose LAPACK getrs leaves
-        an OpenBLAS worker busy-waiting for about 0.1 s after each call,
-        slowing the kernel builds after it.  Moments that overflow (say
-        exp(bt) for bt = 800) raise ``NumericalDegeneracyError``.
+        1D: exp(bt), m t exprel(bt), c t exprel(2bt).  2D, by one block
+        matrix exponential (Van Loan, IEEE TAC 23(3), 1978):
+        F = expm(t [[-B, C, 0], [0, B^T, I], [0, 0, 0]]) holds
+        F22 = exp(tB)^T, F23 = int_0^t exp(sB)^T ds and F12 = exp(-tB) times
+        the covariance integral, so M = F22^T, the drift integral is F23^T m
+        and the covariance integral M F12: one ``expm`` call per duration.
+        Only this 2D branch imports ``scipy.linalg`` (``expm``), so runs
+        without 2D members never load it.  1D stays off expm, whose LAPACK
+        getrs leaves an OpenBLAS worker busy-waiting for about 0.1 s after
+        each call, slowing the kernel builds after it.  Moments that
+        overflow (say exp(bt) for bt = 800) raise
+        ``NumericalDegeneracyError``.
         """
         d = self.d
         if d == 1:
@@ -684,9 +689,11 @@ class OUOperator(TransitionOperator):
                 cov = self.C * t * _exprel(2.0 * bt[0, 0])
         else:
             from scipy.linalg import expm
-            E = expm(t * np.block([[self.B, self.m[:, None]], [np.zeros((1, d + 1))]]))
-            F = expm(t * np.block([[-self.B, self.C], [np.zeros((d, d)), self.B.T]]))
-            M, drift, cov = E[:d, :d], E[:d, d], F[d:, d:].T @ F[:d, d:]
+            zero, eye = np.zeros((d, d)), np.eye(d)
+            F = expm(t * np.block([[-self.B, self.C, zero], [zero, self.B.T, eye],
+                                   [zero, zero, zero]]))
+            M = F[d:2 * d, d:2 * d].T
+            drift, cov = F[d:2 * d, 2 * d:].T @ self.m, M @ F[:d, d:2 * d]
         if not all(np.isfinite(a).all() for a in (M, drift, cov)):
             raise NumericalDegeneracyError("OU moments not finite")
         cov = 0.5 * (cov + cov.T)
@@ -718,6 +725,12 @@ class OUOperator(TransitionOperator):
         if eigs[0] < (0.8 * dxmax) ** 2:
             raise NumericalDegeneracyError(
                 "2D covariance too anisotropic for the tensor-grid kernel")
+        # a dense row per node: N^2 weights, sized before anything is allocated
+        held = g.size ** 2
+        if not held <= MAX_KERNEL_WEIGHTS:
+            raise InvalidInputError(f"kernel of std {math.sqrt(eigs[1]):.3g} needs "
+                                    f"{held:.3g} Gaussian weights, above the budget of "
+                                    f"{MAX_KERNEL_WEIGHTS}")
         prec = inv(cov)
         diff = pts[None, :, :] - means[:, None, :]
         q = np.einsum("rjk,kl,rjl->rj", diff, prec, diff)
@@ -728,13 +741,7 @@ class OUOperator(TransitionOperator):
     def _interp_2d(self, means):
         g = self.grid
         n1 = g.shape[1]
-        brackets = []
-        for axis, ax in enumerate((g.points[::n1, 0], g.points[:n1, 1])):
-            xc = np.clip(means[:, axis], ax[0], ax[-1])
-            j = np.clip(np.searchsorted(ax, xc, side="right") - 1, 0, len(ax) - 2)
-            th = np.clip((xc - ax[j]) / (ax[j + 1] - ax[j]), 0.0, 1.0)
-            brackets.append((j, th))
-        (j0, t0), (j1, t1) = brackets
+        (j0, t0), (j1, t1) = (ax.interp_weights(means[:, k]) for k, ax in enumerate(g.axes))
         # the four corners of each row's cell, in row-major order
         cols = (j0[:, None] + [0, 0, 1, 1]) * n1 + j1[:, None] + [0, 1, 0, 1]
         weights = np.column_stack([(1.0 - t0) * (1.0 - t1), (1.0 - t0) * t1,

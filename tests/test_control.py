@@ -16,6 +16,8 @@ def test_policy_validation(coarse_grid):
         ControlPolicy(())
     with pytest.raises(ConfigurationError):
         ControlPolicy(((0.0, np.zeros(coarse_grid.size, dtype=int)),))
+    with pytest.raises(ConfigurationError, match="selectors must be 1D per-point arrays"):
+        ControlPolicy(((0.5, np.zeros((coarse_grid.size, 2), dtype=int)),))
     pol = ControlPolicy(((0.5, np.zeros(coarse_grid.size, dtype=int)),
                          (0.25, np.ones(coarse_grid.size, dtype=int))))
     assert pol.horizon == pytest.approx(0.75)
@@ -98,6 +100,15 @@ def test_greedy_stage_budget_is_exact(coarse_family, coarse_grid, monkeypatch):
     with pytest.raises(InvalidInputError, match="5 stages with 2 members need 10"):
         greedy_policy(coarse_family, 1.0, u, 5)
     assert calls == []
+
+
+@pytest.mark.parametrize("t, m, message", [(1.0, 0, "need at least one stage"),
+                                            (0.0, 4, "horizon must be positive"),
+                                            (-1.0, 4, "horizon must be positive")],
+                         ids=["no-stage", "zero-horizon", "negative-horizon"])
+def test_greedy_rejects_no_stage_or_no_horizon(coarse_family, coarse_grid, t, m, message):
+    with pytest.raises(ConfigurationError, match=message):
+        greedy_policy(coarse_family, t, probe_function("sin", coarse_grid), m)
 
 
 def test_greedy_determinism(coarse_family, coarse_grid):

@@ -17,6 +17,8 @@ def test_partition_validation():
         Partition(np.array([0.5, 1.0]))
     with pytest.raises(ConfigurationError):
         Partition(np.array([0.0, 1.0, 1.0]))
+    with pytest.raises(ConfigurationError, match="need at least one step"):
+        Partition.uniform(1.0, 0)
     p = Partition(np.array([0.0, 0.25, 1.0]))
     assert p.mesh == 0.75
     assert p.endpoint == 1.0

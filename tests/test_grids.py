@@ -388,6 +388,63 @@ def test_grid_rejects_an_unknown_kind():
         WeightedGrid(np.arange(3.0), np.ones(3), kind="hex")
 
 
+_TENSOR = WeightedGrid.tensor([-1.0, -2.0], [1.0, 2.0], [5, 9])
+_LINE = WeightedGrid.uniform(0.0, 1.0, 0.5)
+# every rejection of a malformed grid, or of a query a grid does not answer:
+# id -> (call, error, message)
+GRID_REJECTIONS = {
+    "no-points": (lambda: WeightedGrid(np.array([]), np.ones(0)),
+                  ConfigurationError, "empty grid"),
+    "nan-point": (lambda: WeightedGrid(np.array([0.0, np.nan]), np.ones(2)),
+                  ConfigurationError, "grid points must be finite"),
+    "inf-point": (lambda: WeightedGrid(np.array([0.0, np.inf]), np.ones(2), kind="log"),
+                  ConfigurationError, "grid points must be finite"),
+    "repeated-points": (lambda: WeightedGrid(np.array([0.0, 1.0, 1.0]), np.ones(3),
+                                             kind="log"),
+                        ConfigurationError, "grid points must be strictly increasing"),
+    "decreasing-points": (lambda: WeightedGrid(np.array([1.0, 0.0]), np.ones(2)),
+                          ConfigurationError, "grid points must be strictly increasing"),
+    "log-x_min_mag-at-x_max": (lambda: WeightedGrid.loggrid(8.0, 8.0, 5),
+                               ConfigurationError, "need 0 < x_min_mag < x_max"),
+    "log-x_min_mag-over-x_max": (lambda: WeightedGrid.loggrid(8.0, 10.0, 5),
+                                 ConfigurationError, "need 0 < x_min_mag < x_max"),
+    "period-of-a-uniform-grid": (lambda: _LINE.period, ConfigurationError,
+                                 "period only defined for periodic grids"),
+    "tensor-nearest_index": (lambda: _TENSOR.nearest_index(np.zeros(2)), ConfigurationError,
+                             "nearest_index implemented for 1D grids only"),
+    "tensor-interp_weights": (lambda: _TENSOR.interp_weights(np.zeros(2)), ConfigurationError,
+                              "interp_weights implemented for 1D grids only"),
+    "function-of-the-wrong-length": (lambda: GridFunction(np.zeros(2), _LINE),
+                                     InvalidInputError,
+                                     r"values shape \(2,\) does not match grid size 3"),
+    "all-false-window": (lambda: weighted_norm(GridFunction(np.ones(3), _LINE),
+                                               window=np.zeros(3, dtype=bool)),
+                         InvalidInputError, "empty window"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_REJECTIONS))
+def test_grids_reject_malformed_grids_and_queries(case):
+    call, error, message = GRID_REJECTIONS[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_tensor_grid_axes_are_its_uniform_axes():
+    # a tensor grid answers point queries through its axes, read off the
+    # points it holds; a 1D grid is its own one axis
+    ax0, ax1 = _TENSOR.axes
+    for ax, ref, dx in ((ax0, np.linspace(-1.0, 1.0, 5), 0.5),
+                        (ax1, np.linspace(-2.0, 2.0, 9), 0.5)):
+        assert (ax.kind, ax.spacing) == ("uniform", dx)
+        assert np.array_equal(ax.points, ref) and np.array_equal(ax.kappa, np.ones(len(ref)))
+    x, y = np.meshgrid(ax0.points, ax1.points, indexing="ij")
+    assert np.array_equal(_TENSOR.points, np.column_stack([x.ravel(), y.ravel()]))
+    for g in (_LINE, WeightedGrid.uniform(0.0, 1.0, 0.25, periodic=True),
+              WeightedGrid.loggrid(8.0, 0.01, 5), WeightedGrid.labels(3)):
+        assert len(g.axes) == 1 and g.axes[0] is g
+
+
 def test_tensor_grid_renormalizes_and_takes_no_boundary():
     assert WeightedGrid.tensor([-1, -1], [1, 1], 3).boundary == "renormalize"
     with pytest.raises(TypeError):

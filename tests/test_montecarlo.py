@@ -113,7 +113,7 @@ def test_stable_member_rejected(periodic_grid):
         SamplerSpec(fam, pol, 1000, seed=0)
 
 
-def test_safety_box_flags_and_truncates():
+def test_paths_leaving_the_grid_are_flagged_and_clipped_to_its_ends():
     grid = WeightedGrid.uniform(-0.5, 0.5, 0.02, boundary="reflect")
     fam = SemigroupFamily([HeatOperator(grid, 1.0)])
     pol = constant_policy(grid, 0, 1, 1.0)

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nisio import (ChainOperator, ConfigurationError, GBMOperator, GridFunction,
-                   HeatOperator, InvalidInputError, KoopmanOperator,
+from nisio import (ChainOperator, ConfigurationError, FamilyBounds, GBMOperator,
+                   GridFunction, HeatOperator, InvalidInputError, KoopmanOperator,
                    NumericalDegeneracyError, OUOperator, ScaledOperator,
-                   StableOperator, WeightedGrid, lip_seminorm,
+                   SemigroupFamily, StableOperator, WeightedGrid, lip_seminorm,
                    quadrature_tolerance, weighted_norm)
 from nisio import operators
 from nisio.operators import (KERNEL_RADIUS, _assemble_rows, _exprel, _poisson_pmf,
@@ -801,6 +801,48 @@ def test_ou_2d_pure_drift_is_bilinear_interpolation():
     assert np.allclose(np.asarray(mat.sum(axis=1)).ravel(), 1.0, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("C", [np.zeros((2, 2)), np.diag([1.0, 0.5])],
+                         ids=["bilinear", "dense"])
+def test_ou_2d_kernel_build_takes_one_matrix_exponential(monkeypatch, C):
+    # all three moments come from one Van Loan block, on either 2D path
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
+    op = OUOperator(WeightedGrid.tensor([-2.0, -2.0], [2.0, 2.0], 11),
+                    [[-0.3, 0.2], [0.1, -0.6]], [0.15, -0.4], C)
+    for t in (0.25, 0.5):
+        op.matrix(t)
+    assert calls == [(6, 6), (6, 6)]
+
+
+@pytest.mark.parametrize("budget", [11 ** 4 - 1, 11 ** 4])
+def test_ou_2d_dense_kernel_checks_the_weights_budget_first(monkeypatch, budget):
+    # an 11 x 11 grid's dense kernel holds 121^2 Gaussian weights; past the
+    # budget the build is rejected before any 121 x 121 array exists
+    op = OUOperator(WeightedGrid.tensor([-2.0, -2.0], [2.0, 2.0], 11),
+                    np.zeros((2, 2)), [0.0, 0.0], np.diag([1.0, 0.5]))
+    monkeypatch.setattr(operators, "MAX_KERNEL_WEIGHTS", budget)
+    if budget >= op.grid.size ** 2:
+        assert op.matrix(0.25).shape == (121, 121)
+        return
+    op.moments(0.25)     # scipy.linalg loads outside the traced window
+
+    def einsum(*args, **kwargs):
+        raise AssertionError("the kernel's weights were computed")
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError) as exc:
+            op.matrix(0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == ("ou(d=2) at duration 0.25: kernel of std 0.5 needs "
+                              "1.46e+04 Gaussian weights, above the budget of 14640")
+    assert peak < 8 * 121 ** 2
+
+
 def test_ou_2d_anisotropic_degenerate_rejected():
     g = WeightedGrid.tensor([-5.0, -5.0], [5.0, 5.0], 51)
     op = OUOperator(g, np.zeros((2, 2)), [0.0, 0.0], np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -1018,6 +1060,19 @@ def test_heat_monotone_random(vals):
 def test_koopman_lipschitz_hint_validated(ou_grid):
     with pytest.raises(ConfigurationError):
         KoopmanOperator(ou_grid, lambda x: -3.0 * x, lipschitz_hint=1.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda g: SemigroupFamily([]), "family needs at least one member"),
+    (lambda g: SemigroupFamily([HeatOperator(g, 1.0),
+                                HeatOperator(WeightedGrid.uniform(-2.0, 2.0, 0.1), 1.0)]),
+     "all members must share one grid"),
+    (lambda g: FamilyBounds(np.nan, 0.0), "family bounds must be finite"),
+    (lambda g: FamilyBounds(0.0, np.inf), "family bounds must be finite"),
+], ids=["no-members", "two-grid-objects", "alpha-nan", "beta-inf"])
+def test_family_rejects_a_malformed_family(make, message):
+    with pytest.raises(ConfigurationError, match=message):
+        make(WeightedGrid.uniform(-2.0, 2.0, 0.1))
 
 
 # members read the boundary rule their grid states

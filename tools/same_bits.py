@@ -11,8 +11,9 @@ interpreter per run with ``PYTHONDONTWRITEBYTECODE=1``: ``solve``, ``dpp``,
 on one small config per member kind those two leave out (``KINDS``: GBM,
 chain, stable, Koopman and scaled heat), ``mc`` at seeds 1 and 7 on the GBM
 and scaled-heat configs of ``KINDS`` (lognormal and dilated-duration steps
-through the normals stream), and ``solve`` on each malformed config of
-``REJECTS``, whose ``config error:`` line on stderr is compared too: 32
+through the normals stream), and ``solve`` on each of the 15 configs of
+``REJECTS`` (malformed, or over a work budget), whose ``config error:`` line
+on stderr is compared too: 38 runs, 38 exit codes, 15 rejection lines and 32
 output files in all.  The configs of ``KINDS`` and ``REJECTS`` are written
 into the temporary directory, and both trees read the same configs.  Prints
 each file's sha256 on both sides and exits 1 on any difference, in a file,
@@ -66,8 +67,8 @@ _HEAT = {"grid": {"kind": "uniform", "domain": [-2, 2], "dx": 0.1},
          "family": {"kind": "heat", "sigmas": [0.5, 1.0]}, "u0": {"name": "quadratic"},
          "solve": {"t": 0.5, "max_level": 2}}
 _OU = {"kind": "ou", "members": [{"B": [[1, "a"]], "m": 0.0, "C": 1.0}]}
-# one malformed config per kind of schema error, a NaN, and one config per
-# rule that rejects a single key or entry before any work
+# one malformed config per kind of schema error, a NaN, one config per rule
+# that rejects a single key or entry before any work, and one per work budget
 REJECTS = {
     "unexpected-key": dict(_HEAT, family=dict(_HEAT["family"], count=3)),
     "missing-key": dict(_HEAT, grid={"kind": "uniform", "domain": [-2, 2]}),
@@ -83,6 +84,13 @@ REJECTS = {
     "solve-tol-zero": dict(_HEAT, solve={"t": 0.5, "tol": 0}),
     "empty-window": dict(_HEAT, report_window=[9, 10]),
     "field-not-finite": dict(_HEAT, family={"kind": "koopman", "fields": ["sqrt(x)"]}),
+    # work budgets: 2^41 member applies, and eps_q's kernel at 0.1 past the
+    # Gaussian-weight budget
+    "max-level-over-budget": dict(_HEAT, solve={"t": 0.5, "max_level": 40}),
+    "ou-kernel-over-budget": dict(
+        _HEAT, grid={"kind": "uniform", "domain": [-1, 1], "dx": 0.1},
+        family={"kind": "ou", "members": [{"B": 800.0, "m": 0.0, "C": 1.0}]},
+        u0={"name": "sin"}, solve={"t": 1.0, "max_level": 3}),
 }
 RUNS = [(sub, README, seed) for seed in (1, 7) for sub in ("solve", "dpp", "control", "mc")]
 RUNS.append(("properties", OU, None))
