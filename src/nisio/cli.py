@@ -17,7 +17,7 @@ that is not finite, a ragged matrix, an entry its member rejects, such as a
 Koopman field that is not finite on the grid, an unreadable u0 CSV, a
 ``report_window`` that selects no grid point, a refinement level, stage
 count or Monte Carlo path count over the work budget, a horizon too small
-to split, an ``mc`` run on a periodic grid of one point, a seed outside
+to split, an ``mc`` run on a uniform or periodic grid of one point, a seed outside
 Philox's key range [0, 2^128 - 1] in the config or in --seed), an unusable
 --out directory or an unknown flag, 3 numerical degeneracy.  Each subcommand
 returns its record's name and fields; ``run`` writes ``<name>.json`` and exits 1 exactly
@@ -100,9 +100,8 @@ def _cmd_solve(run):
     eps = quadrature_tolerance(run.family)
     res = nisio_value(run.family, solve["t"], run.u0, max_level=level,
                       tol=solve.get("tol", 1e-6))
-    x = run.grid.points if run.grid.points.ndim == 1 else run.grid.points[:, 0]
     _write_csv(run.path("solve.csv"), ["x", "u0", "u_T"],
-               [x, run.u0.values, res.value.values])
+               [run.grid.points, run.u0.values, res.value.values])
     record = {
         "t": solve["t"],
         "levels": len(res.levels),
@@ -182,11 +181,12 @@ def _cmd_control(run):
 def _cmd_mc(run):
     section = run.section
     t, m = section["t"], section.get("m", 16)
-    if run.grid.kind == "periodic" and run.grid.size < 2:
+    grid, g = run.grid, run.cfg["grid"]
+    if grid.kind in ("uniform", "periodic") and grid.size < 2:
         # mc_value reads u between nodes, which needs two of them
-        raise ConfigurationError(
-            f"mc on a periodic grid needs at least two points: grid.dx "
-            f"{run.cfg['grid']['dx']:g} spans the whole domain")
+        why = (f"grid.dx {g['dx']:g} spans the whole domain" if grid.kind == "periodic"
+               else f"grid.domain {g['domain']} holds one node at grid.dx {g['dx']:g}")
+        raise ConfigurationError(f"mc on a {grid.kind} grid needs at least two points: {why}")
     level = 8       # the envelope mc.json reports beside the policy's value
     check_greedy_stages(run.family, m)
     check_path_stages(section["n_paths"], m)

@@ -12,7 +12,7 @@ import operator
 import numpy as np
 
 from .errors import ConfigurationError, GridKindError
-from .grids import GridFunction, WeightedGrid
+from .grids import BOUNDARIES, GridFunction, WeightedGrid
 from .montecarlo import SEED_MAX
 from .operators import (ChainOperator, FamilyBounds, GBMOperator, HeatOperator,
                         KoopmanOperator, OUOperator, ScaledOperator,
@@ -58,15 +58,20 @@ def _tagged(tag, kinds, **shared):
     }
 
 
-_BOUNDARY = {"enum": ["renormalize", "reflect"]}
+def _boundary(kind):
+    """The ``boundary`` key of a grid kind that takes a choice of rules."""
+    return {"enum": list(BOUNDARIES[kind])}
+
+
 _GRID = _tagged("kind", {
-    "uniform": _closed("domain", "dx", domain=_PAIR, dx=_POS, boundary=_BOUNDARY),
+    "uniform": _closed("domain", "dx", domain=_PAIR, dx=_POS, boundary=_boundary("uniform")),
     "periodic": _closed("domain", "dx", domain=_PAIR, dx=_POS),
     "log": _closed("x_max", "n", x_max=_POS, n=dict(_POS_INT, minimum=2), x_min_mag=_POS,
-                   boundary=_BOUNDARY),
+                   boundary=_boundary("log")),
     "labels": _closed("n", n=_POS_INT),
 }, kappa=_tagged("kind", {"constant": _closed(), "inverse_power": _closed(p=_NUM)}))
-# an OU coefficient is a scalar (d = 1), a vector or a matrix
+# an OU coefficient is a scalar, a vector or a matrix; OUOperator takes the
+# 1 x 1 forms and names any other dimension
 _COEFF = {"anyOf": [_NUM, _VECTOR, _ROWS]}
 _MEMBER_KINDS = {
     "heat": _closed("sigmas", sigmas=_list(_NUM)),

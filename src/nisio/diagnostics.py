@@ -36,13 +36,10 @@ def strong_continuity_probe(family, u, h_list, window=None):
 
 def cutoff_family(grid, x0, delta):
     """Cut-off test function: 0 at x0 (and within delta/2), 1 beyond distance delta."""
-    if grid.points.ndim == 1:
-        if grid.kind == "labels":
-            dist = np.where(grid.points == x0, 0.0, 1.0) * delta
-        else:
-            dist = np.abs(grid.points - x0)
+    if grid.kind == "labels":
+        dist = np.where(grid.points == x0, 0.0, 1.0) * delta
     else:
-        dist = np.linalg.norm(grid.points - np.asarray(x0), axis=1)
+        dist = np.abs(grid.points - x0)
     return GridFunction(smootherstep(2.0 * dist / delta - 1.0), grid)
 
 
@@ -59,17 +56,13 @@ def cutoff_decay_probe(family, delta, x_list, h_list, level=3, tol=1e-9):
     if not (delta > 0.0 and np.isfinite(delta)):
         raise InvalidInputError("delta must be positive and finite")
     grid = family.grid
-    if grid.points.ndim == 1 and grid.kind != "labels":
+    if grid.kind != "labels":
+        if grid.size < 2:
+            raise ResolutionError("a cut-off needs a grid of at least two points")
         min_gap = float(np.min(np.diff(grid.points)))
         if delta < 2.0 * min_gap:
             raise ResolutionError(f"delta={delta} below twice the grid spacing")
-    # a centre is the node nearest to x0 on each axis; on a tensor grid that
-    # is the nearest node, as the axes are orthogonal
-    axes = grid.axes
-    coords = np.asarray(x_list, dtype=float).reshape(-1, len(axes))
-    centers_idx = np.ravel_multi_index(
-        tuple(ax.nearest_index(coords[:, k]) for k, ax in enumerate(axes)),
-        tuple(ax.size for ax in axes)).tolist()
+    centers_idx = grid.nearest_index(np.asarray(x_list, dtype=float).ravel()).tolist()
     cutoffs = [cutoff_family(grid, grid.points[idx], delta) for idx in centers_idx]
     L = max((weighted_norm(phi.with_values(res.values), window=res.valid)
              for phi in cutoffs for res in family.generators(phi)), default=0.0)
@@ -207,7 +200,7 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     record("constants_preserved", worst, fp_tol)
 
     # monotonicity: u <= u + nonnegative perturbation
-    pts = grid.points if grid.points.ndim == 1 else grid.points[:, 0]
+    pts = grid.points
     lift = bump(pts, center=float(np.median(pts)),
                 width=max(1.0, 0.25 * (pts.max() - pts.min())))
     worst = np.inf

@@ -1,17 +1,14 @@
 """Discretized state spaces, sampled functions, and the norms used throughout.
 
-A :class:`WeightedGrid` is a finite state space together with a strictly
-positive bounded weight ``kappa``.  Four flavours are supported:
+A :class:`WeightedGrid` is a finite 1D state space together with a
+strictly positive bounded weight ``kappa``.  Three flavours are supported:
 
-* ``uniform``   -- 1D grid with constant spacing (optionally periodic),
+* ``uniform``   -- grid with constant spacing (optionally periodic),
 * ``log``       -- sign-glued grid, uniform in ``log|x|``, with 0 as an
                    isolated fixed point (for multiplicative dynamics),
-* ``labels``    -- finite label set carrying the discrete metric (chains),
-* ``tensor``    -- small 2D tensor grid (flattened, row-major).
+* ``labels``    -- finite label set carrying the discrete metric (chains).
 
-Point lookups on a tensor grid go through its ``axes``: its two axes as 1D
-uniform grids, built from the points it holds (a 1D grid is its own one
-axis).  Functions live on grids as :class:`GridFunction` (one value per point).
+Functions live on grids as :class:`GridFunction` (one value per point).
 The two functionals every module relies on are :func:`weighted_norm`
 (sup of ``kappa * |u|``) and :func:`lip_seminorm` (discrete Lipschitz
 constant w.r.t. the grid metric).
@@ -29,16 +26,16 @@ grid to the end nodes and rejects NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, UndefinedSeminormError
 
 # the boundary rules each kind admits, its default first: a periodic grid
-# wraps, tensor grids' 2D kernels always renormalize, labels have no ends
+# wraps, labels have no ends
 BOUNDARIES = {"uniform": ("renormalize", "reflect"), "log": ("renormalize", "reflect"),
-              "periodic": ("wrap",), "tensor": ("renormalize",), "labels": ("renormalize",)}
+              "periodic": ("wrap",), "labels": ("renormalize",)}
 # largest deviation of a uniform grid's points from points[0] + spacing * k,
 # as a fraction of spacing
 _UNIFORM_RTOL = 1e-6
@@ -59,9 +56,8 @@ def _as_weight(kappa, points):
 class WeightedGrid:
     """Finite state space with per-point weights and a metric.
 
-    ``points`` is ``(N,)`` for 1D kinds and ``(N, 2)`` for tensor grids.
-    ``spacing`` is the mesh width (log-spacing for ``log`` grids, per-axis
-    tuple for tensor grids, 1 for labels).  ``boundary`` is a rule
+    ``points`` has shape ``(N,)``.  ``spacing`` is the mesh width
+    (log-spacing for ``log`` grids, 1 for labels).  ``boundary`` is a rule
     ``BOUNDARIES`` admits for the kind; None takes the kind's default.
     """
 
@@ -69,8 +65,7 @@ class WeightedGrid:
     kappa: np.ndarray
     kind: str = "uniform"
     boundary: str | None = None
-    spacing: float | tuple = 1.0
-    shape: tuple = field(default=())
+    spacing: float = 1.0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -85,6 +80,8 @@ class WeightedGrid:
         if self.boundary not in allowed:
             raise ConfigurationError(f"a {self.kind} grid takes boundary "
                                      f"{' or '.join(allowed)}, not {self.boundary!r}")
+        if pts.ndim != 1:
+            raise ConfigurationError(f"grid points must be 1D, got shape {pts.shape}")
         if len(pts) == 0:
             raise ConfigurationError("empty grid")
         if kap.shape != (len(pts),):
@@ -93,10 +90,9 @@ class WeightedGrid:
             raise ConfigurationError("grid points must be finite")
         if not (np.all(kap > 0.0) and np.all(np.isfinite(kap))):
             raise ConfigurationError("kappa must be strictly positive and bounded")
-        if self.kind in ("uniform", "periodic", "log") and pts.ndim == 1:
-            if len(pts) > 1 and not np.all(np.diff(pts) > 0.0):
-                raise ConfigurationError("grid points must be strictly increasing")
-        if self.kind in ("uniform", "periodic") and pts.ndim == 1:
+        if self.kind in ("uniform", "periodic", "log") and not np.all(np.diff(pts) > 0.0):
+            raise ConfigurationError("grid points must be strictly increasing")
+        if self.kind in ("uniform", "periodic"):
             # the O(1) lookup relies on points[k] == points[0] + k * spacing
             ideal = pts[0] + self.spacing * np.arange(len(pts))
             if np.max(np.abs(pts - ideal)) > _UNIFORM_RTOL * self.spacing:
@@ -145,23 +141,6 @@ class WeightedGrid:
         pts = np.arange(n, dtype=float)
         return cls(pts, _as_weight(kappa, pts), kind="labels", spacing=1.0)
 
-    @classmethod
-    def tensor(cls, lo, hi, n, kappa=None):
-        """2D tensor grid over [lo0,hi0] x [lo1,hi1], n points per axis, row-major."""
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        n = np.broadcast_to(np.asarray(n, dtype=int), (2,))
-        axes = [np.linspace(lo[k], hi[k], n[k]) for k in range(2)]
-        dx = tuple((hi[k] - lo[k]) / (n[k] - 1) for k in range(2))
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        if kappa is None:
-            kappa = np.ones(len(pts))
-        elif callable(kappa):
-            kappa = kappa(pts[:, 0], pts[:, 1])
-        return cls(pts, kappa, kind="tensor", spacing=dx,
-                   shape=(int(n[0]), int(n[1])))
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -174,25 +153,13 @@ class WeightedGrid:
             raise ConfigurationError("period only defined for periodic grids")
         return self.spacing * self.size
 
-    @property
-    def axes(self):
-        """The grid's axes as 1D grids: a tensor grid's two uniform axes,
-        read off its row-major points with weight 1; ``(self,)`` on 1D kinds."""
-        if self.kind != "tensor":
-            return (self,)
-        n1 = self.shape[1]
-        return tuple(WeightedGrid(ax, np.ones(len(ax)), spacing=dx)
-                     for ax, dx in zip((self.points[::n1, 0], self.points[:n1, 1]),
-                                       self.spacing))
-
     def window_mask(self, lo=None, hi=None):
-        """Boolean mask of points inside [lo, hi] (per-coordinate for tensor grids)."""
-        pts = self.points.reshape(self.size, -1)
+        """Boolean mask of points inside [lo, hi]."""
         m = np.ones(self.size, dtype=bool)
         if lo is not None:
-            m &= np.all(pts >= np.asarray(lo), axis=1)
+            m &= self.points >= lo
         if hi is not None:
-            m &= np.all(pts <= np.asarray(hi), axis=1)
+            m &= self.points <= hi
         return m
 
     def _bracket(self, x):
@@ -227,8 +194,6 @@ class WeightedGrid:
         states inside the node-centred period ``[points[0] - dx/2,
         points[0] - dx/2 + period)``, where the sampler keeps its paths."""
         x = _reject_nan(x)
-        if self.points.ndim != 1:
-            raise ConfigurationError("nearest_index implemented for 1D grids only")
         if self.size == 1:
             return np.zeros(x.shape, dtype=np.intp)
         j = self._bracket(x)
@@ -245,8 +210,6 @@ class WeightedGrid:
         Periodic grids wrap finite x into the period instead; j = N-1 is the
         cell from the last node to node 0.
         """
-        if self.points.ndim != 1:
-            raise ConfigurationError("interp_weights implemented for 1D grids only")
         if self.size < 2:
             raise ConfigurationError("interp_weights needs at least two points")
         x = _reject_nan(x)
@@ -315,9 +278,8 @@ def weighted_norm(u, window=None):
 def lip_seminorm(u):
     """Discrete Lipschitz constant of u w.r.t. the grid metric.
 
-    Adjacent differences over spacing for 1D grids (wrap pair included on
-    periodic grids), max over both axes for tensor grids, and
-    ``(max - min)`` under the discrete metric on label sets.
+    Adjacent differences over their gaps (wrap pair included on periodic
+    grids), and ``(max - min)`` under the discrete metric on label sets.
     """
     g = u.grid
     v = u.values
@@ -325,12 +287,6 @@ def lip_seminorm(u):
         raise UndefinedSeminormError("Lipschitz seminorm needs at least two points")
     if g.kind == "labels":
         return float(np.max(v) - np.min(v))
-    if g.kind == "tensor":
-        arr = v.reshape(g.shape)
-        dx0, dx1 = g.spacing
-        c0 = np.max(np.abs(np.diff(arr, axis=0))) / dx0 if g.shape[0] > 1 else 0.0
-        c1 = np.max(np.abs(np.diff(arr, axis=1))) / dx1 if g.shape[1] > 1 else 0.0
-        return float(max(c0, c1))
     gaps = np.diff(g.points)
     best = np.max(np.abs(np.diff(v)) / gaps)
     if g.kind == "periodic":

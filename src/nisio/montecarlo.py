@@ -3,7 +3,7 @@
 Paths follow the policy stage by stage: the member driving each path over a
 stage is looked up at the nearest grid point of the current state, and the
 member's own ``path_step`` samples the stage transition exactly (Gaussian
-increments for heat and 1D OU members, lognormal ones for GBM members, the
+increments for heat and OU members, lognormal ones for GBM members, the
 deterministic flow for Koopman members, a uniformization jump chain for
 conservative chains; a scaled member samples its base over the dilated
 duration).  The single-policy expectation is a lower bound for the envelope

@@ -19,7 +19,7 @@ product for a spectral member).  Beside the store each member keeps its
 composition defect (``composition_defect``), measured once on a scratch twin
 with an empty store of its own, so the measurement's kernels never enter it.
 
-Heat, GBM and 1D OU members build every kernel through one selector,
+Heat, GBM and OU members build every kernel through one selector,
 ``lattice_kernel``: a variance above one cell squared gets Gaussian weights
 on the lattice nodes, one at or below it the interpolation stencil, which
 keeps the weights nonnegative and the mean exact where Gaussian quadrature
@@ -36,12 +36,11 @@ diagonals (DIA, 8 bytes per entry and no column indices) for ``reflect`` and
 need about 4k+1 diagonals.  Every other kernel is assembled row by row.  Rows
 that hold one run of consecutive columns (offset Gaussian rows, the stencil,
 Koopman's 2-wide rows) fold their boundary spill in place and go straight
-into canonical CSR, or into the dense array, with no sort; ``wrap`` rows,
-``reflect`` rows of half-width k > n - 2 and the 2D bilinear rows go through
-a sorted CSR, to the same bits a run would give where both apply.  The DIA
-offsets ascend, so scipy's ``dia_matvec`` adds each row's terms in ascending
-column order from +0.0, as ``csr_matvec`` does, and the storage changes no
-bit of an apply.
+into canonical CSR, or into the dense array, with no sort; ``wrap`` rows and
+``reflect`` rows of half-width k > n - 2 go through a sorted CSR, to the
+same bits a run would give where both apply.  The DIA offsets ascend, so
+scipy's ``dia_matvec`` adds each row's terms in ascending column order from
++0.0, as ``csr_matvec`` does, and the storage changes no bit of an apply.
 ``generator(u)`` checks u, as ``apply`` does, and evaluates the infinitesimal
 generator, ``_generator``, which a family reaches only through its one check
 (``SemigroupFamily.generators``).  Heat, GBM, OU and Koopman members take
@@ -53,12 +52,10 @@ duration h, for members whose transition law can be drawn exactly.  Every
 sampler but the chain's draws nothing but ``rng.standard_normal(size)``; a
 chain lives only on a label grid, and only a chain (or a scaled one) does.
 
-Importing this module loads ``scipy.sparse`` only.  ``scipy.linalg`` is
-imported inside the 2D OU code (``OUOperator.moments`` and ``_matrix_2d``),
-so a run without 2D OU members never loads it.  The chain member's Poisson
-weights import ``scipy.special`` inside ``_poisson_pmf`` (never
-``scipy.stats``), so only runs that build a chain kernel load it; 1D OU
-moments take exprel from ``_exprel`` (``math.expm1``), to the bits of
+Importing this module loads ``scipy.sparse`` only.  The chain member's
+Poisson weights import ``scipy.special`` inside ``_poisson_pmf`` (never
+``scipy.stats``), so only runs that build a chain kernel load it; OU moments
+take exprel from ``_exprel`` (``math.expm1``), to the bits of
 ``scipy.special.exprel``.
 """
 
@@ -79,10 +76,8 @@ from .probes import probe_function
 # kernel support radius in standard deviations; tail mass beyond is ~1e-23
 KERNEL_RADIUS = 10.0
 # Gaussian weights one kernel build may hold: the band of a zero-offset
-# kernel, the n x (2k+1) array of the row-by-row path, or a 2D OU member's
-# dense N x N kernel (2^24 float64 is 128 MiB, so N is at most 4096); every
-# shipped config and demo needs at most 3.3e6, and every test at most 6.8e6
-# (the dense kernel on a 51 x 51 tensor grid)
+# kernel, or the n x (2k+1) array of the row-by-row path (2^24 float64 is
+# 128 MiB); every shipped config and demo needs at most 3.3e6
 MAX_KERNEL_WEIGHTS = 2 ** 24
 # kernel bytes per member; above every benchmark working set (192.3 MiB at
 # most: the offset OU member of ou.json; the README heat members hold at most
@@ -119,11 +114,10 @@ def _sorted_rows(n, cols_raw, weights, mode):
     cols_raw has shape (n, bandwidth); out-of-range columns are folded back
     (``reflect``), wrapped (``wrap``), or dropped (``renormalize``).  Rows are
     divided by their own sums; folded duplicates and zeros leave the CSR.
-    Only three row sets come here: ``wrap`` rows and the ``reflect`` rows
-    whose spill does not fold inside their own run, both from
-    ``_assemble_rows`` (for Gaussian rows a half-width k > n - 2, where one
-    column can take three or more terms and their order is the sort's); and
-    the 2D bilinear rows, whose four columns are not one run.  ``weights`` is
+    Only two row sets come here, both from ``_assemble_rows``: ``wrap`` rows,
+    and the ``reflect`` rows whose spill does not fold inside their own run
+    (for Gaussian rows a half-width k > n - 2, where one column can take
+    three or more terms and their order is the sort's).  ``weights`` is
     consumed.
     """
     if mode == "reflect":
@@ -640,60 +634,42 @@ def _exprel(x):
 
 class OUOperator(TransitionOperator):
     """Linear-drift Gaussian member: mean exp(tB)x + int_0^t exp(sB)m ds,
-    covariance int_0^t exp(sB) C exp(sB)^T ds, both exact (see ``moments``)."""
+    covariance int_0^t exp(sB) C exp(sB)^T ds, both exact (see ``moments``).
+    B, m and C may come as scalars or as 1 x 1 forms; d = 1 only."""
 
     def __init__(self, grid, B, m, C):
         B = np.atleast_2d(np.asarray(B, dtype=float))
         m = np.atleast_1d(np.asarray(m, dtype=float))
         C = np.atleast_2d(np.asarray(C, dtype=float))
         d = B.shape[0]
-        if d not in (1, 2):
-            raise ConfigurationError("OU member supports d in {1, 2}")
         if B.shape != (d, d) or m.shape != (d,) or C.shape != (d, d):
             raise ConfigurationError("inconsistent OU dimensions")
         if not np.allclose(C, C.T, atol=1e-12):
             raise ConfigurationError("C must be symmetric")
         if np.min(np.linalg.eigvalsh(C)) < -1e-12:
             raise ConfigurationError("C must be positive semidefinite")
-        if d == 1 and grid.kind != "uniform":
+        if d != 1:
+            raise ConfigurationError(f"OU member supports d = 1 only, not d = {d}")
+        if grid.kind != "uniform":
             raise GridKindError("1D OU member needs a uniform grid")
-        if d == 2 and grid.kind != "tensor":
-            raise GridKindError("2D OU member needs a tensor grid")
         super().__init__(grid)
-        self.B, self.m, self.C, self.d = B, m, C, d
-        self.name = f"ou(d={d})"
+        self.B, self.m, self.C = B, m, C
+        self.name = "ou(d=1)"
 
     def moments(self, t):
-        """(exp(tB), drift integral, covariance integral) at duration t.
-
-        1D: exp(bt), m t exprel(bt), c t exprel(2bt).  2D, by one block
-        matrix exponential (Van Loan, IEEE TAC 23(3), 1978):
-        F = expm(t [[-B, C, 0], [0, B^T, I], [0, 0, 0]]) holds
-        F22 = exp(tB)^T, F23 = int_0^t exp(sB)^T ds and F12 = exp(-tB) times
-        the covariance integral, so M = F22^T, the drift integral is F23^T m
-        and the covariance integral M F12: one ``expm`` call per duration.
-        Only this 2D branch imports ``scipy.linalg`` (``expm``), so runs
-        without 2D members never load it.  1D stays off expm, whose LAPACK
-        getrs leaves an OpenBLAS worker busy-waiting for about 0.1 s after
-        each call, slowing the kernel builds after it.  Moments that
-        overflow (say exp(bt) for bt = 800) raise
+        """(exp(tB), drift integral, covariance integral) at duration t, of
+        shapes (1, 1), (1,) and (1, 1): exp(bt), m t exprel(bt), c t exprel(2bt).
+        Closed forms, not ``scipy.linalg.expm``, whose LAPACK getrs leaves an
+        OpenBLAS worker busy-waiting for about 0.1 s after each call.  Moments
+        that overflow (say exp(bt) for bt = 800) raise
         ``NumericalDegeneracyError``.
         """
-        d = self.d
-        if d == 1:
-            bt = t * self.B
-            # exp(bt) may overflow and 0 * inf give NaN; the check below catches both
-            with np.errstate(over="ignore", invalid="ignore"):
-                M = np.exp(bt)
-                drift = self.m * t * _exprel(bt[0, 0])
-                cov = self.C * t * _exprel(2.0 * bt[0, 0])
-        else:
-            from scipy.linalg import expm
-            zero, eye = np.zeros((d, d)), np.eye(d)
-            F = expm(t * np.block([[-self.B, self.C, zero], [zero, self.B.T, eye],
-                                   [zero, zero, zero]]))
-            M = F[d:2 * d, d:2 * d].T
-            drift, cov = F[d:2 * d, 2 * d:].T @ self.m, M @ F[:d, d:2 * d]
+        bt = t * self.B
+        # exp(bt) may overflow and 0 * inf give NaN; the check below catches both
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = np.exp(bt)
+            drift = self.m * t * _exprel(bt[0, 0])
+            cov = self.C * t * _exprel(2.0 * bt[0, 0])
         if not all(np.isfinite(a).all() for a in (M, drift, cov)):
             raise NumericalDegeneracyError("OU moments not finite")
         cov = 0.5 * (cov + cov.T)
@@ -703,73 +679,18 @@ class OUOperator(TransitionOperator):
 
     def _build_matrix(self, t):
         M, drift, cov = self.moments(t)
-        if self.d == 1:
-            return self._matrix_1d(M[0, 0], drift[0], max(cov[0, 0], 0.0))
-        return self._matrix_2d(M, drift, cov)
-
-    def _matrix_1d(self, m_lin, drift, var):
         g = self.grid
         # lattice_kernel wants offsets from each row's own node
-        return lattice_kernel(g.size, g.spacing, m_lin * g.points + drift - g.points,
-                              var, g.boundary)
-
-    def _matrix_2d(self, M, drift, cov):
-        from scipy.linalg import eigvalsh, inv
-        g = self.grid
-        pts = g.points
-        means = pts @ M.T + drift
-        eigs = eigvalsh(cov)
-        dxmax = max(g.spacing)
-        if eigs[1] < (0.05 * dxmax) ** 2:
-            return self._interp_2d(means)
-        if eigs[0] < (0.8 * dxmax) ** 2:
-            raise NumericalDegeneracyError(
-                "2D covariance too anisotropic for the tensor-grid kernel")
-        # a dense row per node: N^2 weights, sized before anything is allocated
-        held = g.size ** 2
-        if not held <= MAX_KERNEL_WEIGHTS:
-            raise InvalidInputError(f"kernel of std {math.sqrt(eigs[1]):.3g} needs "
-                                    f"{held:.3g} Gaussian weights, above the budget of "
-                                    f"{MAX_KERNEL_WEIGHTS}")
-        prec = inv(cov)
-        diff = pts[None, :, :] - means[:, None, :]
-        q = np.einsum("rjk,kl,rjl->rj", diff, prec, diff)
-        w = np.exp(-0.5 * q)
-        w /= w.sum(axis=1, keepdims=True)
-        return w
-
-    def _interp_2d(self, means):
-        g = self.grid
-        n1 = g.shape[1]
-        (j0, t0), (j1, t1) = (ax.interp_weights(means[:, k]) for k, ax in enumerate(g.axes))
-        # the four corners of each row's cell, in row-major order
-        cols = (j0[:, None] + [0, 0, 1, 1]) * n1 + j1[:, None] + [0, 1, 0, 1]
-        weights = np.column_stack([(1.0 - t0) * (1.0 - t1), (1.0 - t0) * t1,
-                                   t0 * (1.0 - t1), t0 * t1])
-        return _sorted_rows(g.size, cols, weights, "renormalize")
+        return lattice_kernel(g.size, g.spacing, M[0, 0] * g.points + drift[0] - g.points,
+                              max(cov[0, 0], 0.0), g.boundary)
 
     def _generator(self, u):
         g = self.grid
-        if self.d == 1:
-            d1, d2, valid = _central(u.values, g.spacing)
-            drift_field = self.B[0, 0] * g.points + self.m[0]
-            return GeneratorResult(drift_field * d1 + 0.5 * self.C[0, 0] * d2, valid)
-        n0, n1 = g.shape
-        dx0, dx1 = g.spacing
-        arr = u.values.reshape(n0, n1)
-        d0, d00, ok0 = _central(arr, dx0)
-        d1, d11, ok1 = (a.T for a in _central(arr.T, dx1))
-        d01 = np.zeros_like(arr)
-        d01[1:-1, 1:-1] = (arr[2:, 2:] - arr[2:, :-2] - arr[:-2, 2:] + arr[:-2, :-2]) \
-            / (4 * dx0 * dx1)
-        drift_field = g.points @ self.B.T + self.m
-        vals = drift_field[:, 0] * d0.ravel() + drift_field[:, 1] * d1.ravel() \
-            + 0.5 * (self.C[0, 0] * d00 + self.C[1, 1] * d11 + 2 * self.C[0, 1] * d01).ravel()
-        return GeneratorResult(vals, np.outer(ok0, ok1).ravel())
+        d1, d2, valid = _central(u.values, g.spacing)
+        drift_field = self.B[0, 0] * g.points + self.m[0]
+        return GeneratorResult(drift_field * d1 + 0.5 * self.C[0, 0] * d2, valid)
 
     def path_step(self, h):
-        if self.d != 1:
-            raise ConfigurationError("path sampler supports 1D linear-drift members only")
         if h == 0.0:
             return _stay
         M, drift, cov = self.moments(h)

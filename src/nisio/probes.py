@@ -20,8 +20,8 @@ def bump(x, center=0.0, width=1.0):
     return 1.0 - smootherstep(2.0 * r - 1.0)
 
 
-# each probe's parameters with their defaults, and its values on the first
-# coordinate x from them; the config's u0 schema is read off this table too
+# each probe's parameters with their defaults, and its values on the grid
+# points x from them; the config's u0 schema is read off this table too
 PROBES = {
     "const": ({"value": 1.0}, lambda x, value: np.full(x.size, value)),
     "linear": ({}, lambda x: x.copy()),
@@ -43,6 +43,5 @@ def probe_function(name, grid, **params):
     unread = sorted(set(params) - set(defaults))
     if unread:
         raise ConfigurationError(f"probe {name!r} does not read {', '.join(unread)}")
-    x = grid.points if grid.points.ndim == 1 else grid.points[:, 0]
-    return GridFunction(values(x, **{k: float(params.get(k, v))
-                                     for k, v in defaults.items()}), grid)
+    return GridFunction(values(grid.points, **{k: float(params.get(k, v))
+                                               for k, v in defaults.items()}), grid)

@@ -1,8 +1,8 @@
 """The CLI loads only the scipy submodules a run uses, and no jsonschema.
 
-``scipy.stats`` is never needed, ``scipy.linalg`` only for 2D OU members and
-``scipy.special`` only for chain members; each costs import time and
-resident memory in every CLI process.  A config is checked by nisio's own
+``scipy.stats`` and ``scipy.linalg`` are never needed, and ``scipy.special``
+only for chain members; each costs import time and resident memory in every
+CLI process.  A config is checked by nisio's own
 schema walker, so ``jsonschema`` is loaded only by the tests, as its oracle.
 Each case runs in a fresh interpreter, so modules this test process has
 loaded do not count.

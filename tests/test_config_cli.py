@@ -207,7 +207,7 @@ REJECTED = {
                       "family.members[0]: C must be"),
     "ou-2d-on-uniform-grid": ({"family": {"kind": "ou", "members": [
         {"B": [[-1, 0], [0, -1]], "m": [0, 0], "C": [[1, 0], [0, 1]]}]}},
-        "family.members[0] on grid.kind 'uniform': 2D OU"),
+        "family.members[0]: OU member supports d = 1 only, not d = 2"),
     "ou-3d": ({"family": {"kind": "ou", "members": [
         {"B": -0.5, "m": 0.0, "C": 1.0},
         {"B": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]], "m": [0, 0, 0],
@@ -471,7 +471,7 @@ def test_cli_measures_eps_q_on_empty_stores_before_the_work(tmp_path, monkeypatc
 
 # configs each rejected before any kernel is built: over budget, a horizon or
 # tolerance of the wrong sign or too small to split, a window that selects
-# no point, a field that is not finite on the grid
+# no point, a field that is not finite on the grid, an OU member of d = 2
 NO_WORK = {
     "solve-level": ("solve", {"solve": {"t": 1.0, "max_level": 40}}, "max_level 40"),
     "dpp-level": ("dpp", {"dpp": {"s": 0.5, "t": 0.5, "level": 40}}, "max_level 40"),
@@ -484,6 +484,12 @@ NO_WORK = {
                  f"{2 ** 25} paths"),
     "mc-one-point": ("mc", {"grid": {"kind": "periodic", "domain": [-1, 1], "dx": 2}},
                      "grid.dx 2"),
+    "mc-one-node-uniform": ("mc", {"grid": {"kind": "uniform", "domain": [0, 0], "dx": 0.1}},
+                            "mc on a uniform grid needs at least two points: "
+                            "grid.domain [0, 0] holds one node at grid.dx 0.1"),
+    "solve-ou-2d": ("solve", {"family": {"kind": "ou", "members": [
+        {"B": [[-1, 0], [0, -1]], "m": [0, 0], "C": [[1, 0], [0, 1]]}]}},
+                    "family.members[0]: OU member supports d = 1 only"),
     "solve-subnormal": ("solve", {"solve": {"t": 5e-324}},
                         "solve.t 5e-324 is too small to split into 4096 steps"),
     "dpp-subnormal": ("dpp", {"dpp": {"s": 0.5, "t": 5e-324}},

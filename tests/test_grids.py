@@ -44,16 +44,13 @@ WRONG_KAPPA = {
                                                      kappa=lambda x: np.ones(2)),
     "log-scalar-callable": lambda: WeightedGrid.loggrid(8.0, 0.01, 3, kappa=lambda x: 1.0),
     "labels-matrix": lambda: WeightedGrid.labels(4, kappa=np.ones((2, 2))),
-    "tensor-array": lambda: WeightedGrid.tensor([-1, -1], [1, 1], 5, kappa=np.ones(3)),
-    "tensor-callable": lambda: WeightedGrid.tensor([-1, -1], [1, 1], 5,
-                                                   kappa=lambda x, y: np.ones(5)),
     "direct": lambda: WeightedGrid(np.linspace(0.0, 1.0, 5), np.ones(4), spacing=0.25),
 }
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_KAPPA))
 def test_kappa_needs_one_weight_per_point(case):
-    # a tensor grid of 25 points with 3 weights used to build, and its
+    # a grid with fewer weights than points used to build, and its
     # weighted_norm raised numpy's broadcast ValueError
     with pytest.raises(ConfigurationError, match=r"kappa has shape \(.*\), expected \(\d+,\)"):
         WRONG_KAPPA[case]()
@@ -94,15 +91,6 @@ def test_lip_seminorm_basics():
     # max |cos| at grid midpoints is 1 up to O(dx^2)
     u = GridFunction(np.sin(g.points), g)
     assert lip_seminorm(u) == pytest.approx(1.0, abs=1e-4)
-
-
-def test_lip_seminorm_tensor_takes_the_steeper_axis():
-    # x in {0, 0.5, 1}, y in {0, 0.5, ..., 2}: every difference below is exact
-    g = WeightedGrid.tensor([0.0, 0.0], [1.0, 2.0], [3, 5])
-    x, y = g.points[:, 0], g.points[:, 1]
-    # along x: 1.5 / 0.5; along y: (4 - 2.25) / 0.5 at the top edge
-    assert lip_seminorm(GridFunction(3.0 * x + y ** 2, g)) == 3.5
-    assert lip_seminorm(GridFunction(8.0 * x + y ** 2, g)) == 8.0
 
 
 def test_lip_seminorm_single_point_rejected():
@@ -388,7 +376,6 @@ def test_grid_rejects_an_unknown_kind():
         WeightedGrid(np.arange(3.0), np.ones(3), kind="hex")
 
 
-_TENSOR = WeightedGrid.tensor([-1.0, -2.0], [1.0, 2.0], [5, 9])
 _LINE = WeightedGrid.uniform(0.0, 1.0, 0.5)
 # every rejection of a malformed grid, or of a query a grid does not answer:
 # id -> (call, error, message)
@@ -410,10 +397,9 @@ GRID_REJECTIONS = {
                                  ConfigurationError, "need 0 < x_min_mag < x_max"),
     "period-of-a-uniform-grid": (lambda: _LINE.period, ConfigurationError,
                                  "period only defined for periodic grids"),
-    "tensor-nearest_index": (lambda: _TENSOR.nearest_index(np.zeros(2)), ConfigurationError,
-                             "nearest_index implemented for 1D grids only"),
-    "tensor-interp_weights": (lambda: _TENSOR.interp_weights(np.zeros(2)), ConfigurationError,
-                              "interp_weights implemented for 1D grids only"),
+    "points-of-two-coordinates": (lambda: WeightedGrid(np.zeros((3, 2)), np.ones(3)),
+                                  ConfigurationError,
+                                  r"grid points must be 1D, got shape \(3, 2\)"),
     "function-of-the-wrong-length": (lambda: GridFunction(np.zeros(2), _LINE),
                                      InvalidInputError,
                                      r"values shape \(2,\) does not match grid size 3"),
@@ -428,31 +414,6 @@ def test_grids_reject_malformed_grids_and_queries(case):
     call, error, message = GRID_REJECTIONS[case]
     with pytest.raises(error, match=message):
         call()
-
-
-def test_tensor_grid_axes_are_its_uniform_axes():
-    # a tensor grid answers point queries through its axes, read off the
-    # points it holds; a 1D grid is its own one axis
-    ax0, ax1 = _TENSOR.axes
-    for ax, ref, dx in ((ax0, np.linspace(-1.0, 1.0, 5), 0.5),
-                        (ax1, np.linspace(-2.0, 2.0, 9), 0.5)):
-        assert (ax.kind, ax.spacing) == ("uniform", dx)
-        assert np.array_equal(ax.points, ref) and np.array_equal(ax.kappa, np.ones(len(ref)))
-    x, y = np.meshgrid(ax0.points, ax1.points, indexing="ij")
-    assert np.array_equal(_TENSOR.points, np.column_stack([x.ravel(), y.ravel()]))
-    for g in (_LINE, WeightedGrid.uniform(0.0, 1.0, 0.25, periodic=True),
-              WeightedGrid.loggrid(8.0, 0.01, 5), WeightedGrid.labels(3)):
-        assert len(g.axes) == 1 and g.axes[0] is g
-
-
-def test_tensor_grid_renormalizes_and_takes_no_boundary():
-    assert WeightedGrid.tensor([-1, -1], [1, 1], 3).boundary == "renormalize"
-    with pytest.raises(TypeError):
-        WeightedGrid.tensor([-1, -1], [1, 1], 3, boundary="reflect")
-    pts = WeightedGrid.tensor([-1, -1], [1, 1], 3).points
-    with pytest.raises(ConfigurationError, match="tensor grid takes boundary renormalize"):
-        WeightedGrid(pts, np.ones(len(pts)), kind="tensor", boundary="reflect",
-                     spacing=(1.0, 1.0), shape=(3, 3))
 
 
 @pytest.mark.parametrize("section, boundary", [

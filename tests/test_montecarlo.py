@@ -220,11 +220,6 @@ def test_only_selected_members_need_a_sampler(periodic_grid):
 
 
 def test_path_step_rejections_keep_their_text(label_grid):
-    g2 = WeightedGrid.tensor([-1.0, -1.0], [1.0, 1.0], 5)
-    ou2 = OUOperator(g2, np.zeros((2, 2)), np.zeros(2), np.eye(2))
-    with pytest.raises(ConfigurationError,
-                       match="path sampler supports 1D linear-drift members only"):
-        ou2.path_step(0.5)
     leaky = ChainOperator(label_grid, -np.eye(4), allow_nonconservative=True)
     with pytest.raises(ConfigurationError,
                        match="stochastic representation needs a conservative rate matrix"):

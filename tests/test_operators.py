@@ -4,8 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.integrate
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.special
 import scipy.stats
@@ -339,20 +337,14 @@ ROW_KERNELS = {
         WeightedGrid.uniform(-8.0, 8.0, 0.01, boundary="reflect"), -0.5, 0.2, 1e-6), 0.5),
     "koopman": (lambda: KoopmanOperator(
         WeightedGrid.uniform(-8.0, 8.0, 0.01), lambda x: -x + 0.3 * np.sin(x), 1.3), 0.5),
-    "ou-2d-bilinear": (lambda: OUOperator(
-        WeightedGrid.tensor([-1.0, -2.0], [1.0, 2.0], [5, 9]),
-        [[-0.3, 0.2], [0.1, -0.6]], [0.15, -0.4], np.zeros((2, 2))), 0.7),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ROW_KERNELS))
 def test_row_kernel_matches_coo_assembly(case, monkeypatch):
     # the same rows go through the direct assembly and the COO oracle
-    # (the 2D bilinear rows are not one run of columns: they enter the
-    # sorted assembly directly)
     calls = []
-    entry = "_sorted_rows" if case == "ou-2d-bilinear" else "_assemble_rows"
-    direct = getattr(operators, entry)
+    direct = operators._assemble_rows
 
     def spy(*args):
         # the assembly consumes its weights: the oracle gets the rows as built
@@ -360,7 +352,7 @@ def test_row_kernel_matches_coo_assembly(case, monkeypatch):
         calls.append((kept, direct(*args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(operators, entry, spy)
+    monkeypatch.setattr(operators, "_assemble_rows", spy)
     member, t = ROW_KERNELS[case]
     member().matrix(t)
     [(args, mat)] = calls
@@ -711,48 +703,14 @@ def test_exprel_matches_scipy_special_bit_for_bit():
     assert np.array_equal(ours.view(np.int64), scipy.special.exprel(xs).view(np.int64))
 
 
-def test_ou_2d_moments_match_quadrature():
-    g = WeightedGrid.tensor([-5.0, -5.0], [5.0, 5.0], 51)
-    B = np.array([[-0.3, 0.2], [0.1, -0.6]])     # not normal: B B^T != B^T B
-    m, C = np.array([0.15, -0.4]), np.array([[1.0, 0.3], [0.3, 0.5]])
-    for t in (0.25, 0.7, 1.0):
-        M, drift, cov = OUOperator(g, B, m, C).moments(t)
-
-        def flow(s):
-            return scipy.linalg.expm(s * B)
-
-        refs = (flow(t),
-                scipy.integrate.quad_vec(lambda s: flow(s) @ m, 0.0, t, epsrel=1e-14)[0],
-                scipy.integrate.quad_vec(lambda s: flow(s) @ C @ flow(s).T, 0.0, t,
-                                         epsrel=1e-14)[0])
-        for got, ref in zip((M, drift, cov), refs):
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-
-
 def test_ou_zero_drift_matrix_moments_are_exact():
-    # B = 0 gives (I, m t, C t) bit for bit: at any duration in 1D, and in
-    # 2D at the dyadic durations the bench configs build (k t / 16 and its
-    # halvings), where the Pade arithmetic on t m and t C is exact; within a
-    # few ulps at any duration in 2D
+    # B = 0 gives (I, m t, C t) bit for bit, at any duration
     g = WeightedGrid.uniform(-8.0, 8.0, 0.01)
     rng = np.random.default_rng(0)
     for m, c, t in [(0.0, 0.5, 0.25), (0.3, 0.7, 0.1),
                     *rng.uniform([-2.0, 0.1, 0.01], [2.0, 2.0, 2.0], size=(200, 3))]:
         M, drift, cov = OUOperator(g, 0.0, m, c).moments(t)
         assert (M[0, 0], drift[0], cov[0, 0]) == (1.0, m * t, c * t)
-    op = OUOperator(WeightedGrid.tensor([-5.0, -5.0], [5.0, 5.0], 51),
-                    np.zeros((2, 2)), [0.5, -0.25], np.diag([1.0, 0.5]))
-    for t in {h * k / 16 / 2 ** j for h in (0.25, 1.0) for k in range(1, 17)
-              for j in range(9)}:
-        M, drift, cov = op.moments(t)
-        assert np.array_equal(M, np.eye(2))
-        assert np.array_equal(drift, op.m * t)
-        assert np.array_equal(cov, op.C * t)
-    for t in rng.uniform(0.01, 2.0, size=50):
-        M, drift, cov = op.moments(t)
-        assert np.array_equal(M, np.eye(2))
-        assert np.max(np.abs(drift - op.m * t)) <= 1e-15 * np.max(np.abs(op.m * t))
-        assert np.max(np.abs(cov - op.C * t)) <= 1e-15 * np.max(np.abs(op.C * t))
 
 
 def test_ou_rejects_non_psd(ou_grid):
@@ -760,94 +718,12 @@ def test_ou_rejects_non_psd(ou_grid):
         OUOperator(ou_grid, 0.0, 0.0, -1.0)
 
 
-def test_ou_2d_drift_and_diffusion():
-    g = WeightedGrid.tensor([-5.0, -5.0], [5.0, 5.0], 51)
-    drift = OUOperator(g, np.zeros((2, 2)), [0.5, -0.25], np.zeros((2, 2)))
-    u = GridFunction(g.points[:, 0] + g.points[:, 1], g)
-    out = drift.apply(1.0, u).values
-    inner = g.window_mask([-4, -4], [4, 4])
-    assert np.max(np.abs(out - (u.values + 0.25))[inner]) < 1e-10
-
-    diff = OUOperator(g, np.zeros((2, 2)), [0.0, 0.0], np.diag([1.0, 0.5]))
-    uq = GridFunction(g.points[:, 0] ** 2 + g.points[:, 1] ** 2, g)
-    out = diff.apply(0.25, uq).values
-    mid = g.window_mask([-2, -2], [2, 2])
-    assert np.max(np.abs(out - (uq.values + 1.5 * 0.25))[mid]) < 1e-6
-
-
-def test_ou_2d_pure_drift_is_bilinear_interpolation():
-    # zero covariance: each row interpolates the flowed point bilinearly on
-    # the tensor grid, clamped to its box
-    g = WeightedGrid.tensor([-1.0, -2.0], [1.0, 2.0], [5, 9])
-    B = np.array([[-0.3, 0.2], [0.1, -0.6]])
-    op = OUOperator(g, B, [0.15, -0.4], np.zeros((2, 2)))
-    t = 0.7
-    M, drift, _ = op.moments(t)
-    ax0, ax1 = np.linspace(-1.0, 1.0, 5), np.linspace(-2.0, 2.0, 9)
-    oracle = np.zeros((g.size, g.size))
-    for r, x in enumerate(g.points):
-        y = M @ x + drift
-        w = []
-        for ax, yk in zip((ax0, ax1), y):
-            yk = min(max(yk, ax[0]), ax[-1])
-            j = min(int(np.searchsorted(ax, yk, side="right")) - 1, len(ax) - 2)
-            w.append((j, (yk - ax[j]) / (ax[j + 1] - ax[j])))
-        (j0, t0), (j1, t1) = w
-        for dj0, w0 in ((0, 1.0 - t0), (1, t0)):
-            for dj1, w1 in ((0, 1.0 - t1), (1, t1)):
-                oracle[r, (j0 + dj0) * 9 + j1 + dj1] += w0 * w1
-    mat = op.matrix(t)
-    assert np.allclose(mat.toarray(), oracle, rtol=0.0, atol=1e-15)
-    assert np.allclose(np.asarray(mat.sum(axis=1)).ravel(), 1.0, rtol=0.0, atol=1e-15)
-
-
-@pytest.mark.parametrize("C", [np.zeros((2, 2)), np.diag([1.0, 0.5])],
-                         ids=["bilinear", "dense"])
-def test_ou_2d_kernel_build_takes_one_matrix_exponential(monkeypatch, C):
-    # all three moments come from one Van Loan block, on either 2D path
-    calls = []
-    expm = scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
-    op = OUOperator(WeightedGrid.tensor([-2.0, -2.0], [2.0, 2.0], 11),
-                    [[-0.3, 0.2], [0.1, -0.6]], [0.15, -0.4], C)
-    for t in (0.25, 0.5):
-        op.matrix(t)
-    assert calls == [(6, 6), (6, 6)]
-
-
-@pytest.mark.parametrize("budget", [11 ** 4 - 1, 11 ** 4])
-def test_ou_2d_dense_kernel_checks_the_weights_budget_first(monkeypatch, budget):
-    # an 11 x 11 grid's dense kernel holds 121^2 Gaussian weights; past the
-    # budget the build is rejected before any 121 x 121 array exists
-    op = OUOperator(WeightedGrid.tensor([-2.0, -2.0], [2.0, 2.0], 11),
-                    np.zeros((2, 2)), [0.0, 0.0], np.diag([1.0, 0.5]))
-    monkeypatch.setattr(operators, "MAX_KERNEL_WEIGHTS", budget)
-    if budget >= op.grid.size ** 2:
-        assert op.matrix(0.25).shape == (121, 121)
-        return
-    op.moments(0.25)     # scipy.linalg loads outside the traced window
-
-    def einsum(*args, **kwargs):
-        raise AssertionError("the kernel's weights were computed")
-
-    monkeypatch.setattr(np, "einsum", einsum)
-    tracemalloc.start()
-    try:
-        with pytest.raises(InvalidInputError) as exc:
-            op.matrix(0.25)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert str(exc.value) == ("ou(d=2) at duration 0.25: kernel of std 0.5 needs "
-                              "1.46e+04 Gaussian weights, above the budget of 14640")
-    assert peak < 8 * 121 ** 2
-
-
-def test_ou_2d_anisotropic_degenerate_rejected():
-    g = WeightedGrid.tensor([-5.0, -5.0], [5.0, 5.0], 51)
-    op = OUOperator(g, np.zeros((2, 2)), [0.0, 0.0], np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(NumericalDegeneracyError):
-        op.matrix(0.25)
+def test_ou_rejects_a_member_of_dimension_two(ou_grid):
+    # a well-formed 2 x 2 member passes the shape, symmetry and PSD checks
+    # and is then named by its dimension
+    with pytest.raises(ConfigurationError,
+                       match=r"^OU member supports d = 1 only, not d = 2$"):
+        OUOperator(ou_grid, -np.eye(2), np.zeros(2), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
