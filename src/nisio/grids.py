@@ -45,10 +45,7 @@ def _as_weight(kappa, points):
     if kappa is None:
         return np.ones(len(points))
     if callable(kappa):
-        out = np.asarray(kappa(points), dtype=float)
-        if out.ndim > 1:
-            out = out.reshape(len(points))
-        return out
+        return kappa(points)
     return kappa
 
 

@@ -93,6 +93,10 @@ MEMBERS = {
     "gbm": (lambda: GBMOperator(WeightedGrid.loggrid(8.0, 1e-2, 200), 0.1, 0.3),
             _gbm_oracle),
     "ou-1d": (lambda: OUOperator(_uniform("reflect"), -0.5, 0.2, 1.0), _ou_oracle),
+    # the first axis of the 2D member this case once held, in the 1 x 1
+    # forms a config may give
+    "ou-2d": (lambda: OUOperator(WeightedGrid.uniform(-2.0, 2.0, 0.2),
+                                 [[-0.5]], [0.1], [[1.0]]), _ou_oracle),
     "koopman": (lambda: KoopmanOperator(_uniform("renormalize"),
                                         lambda x: -x + 0.5 * np.sin(x), 1.5),
                 _koopman_oracle),

@@ -7,6 +7,7 @@ from nisio import (ConfigurationError, GridFunction, InvalidInputError,
                    UndefinedSeminormError, WeightedGrid, lip_seminorm,
                    weighted_norm)
 from nisio.config import build_grid
+from nisio.grids import BOUNDARIES
 from nisio.probes import probe_function
 
 
@@ -44,6 +45,11 @@ WRONG_KAPPA = {
                                                      kappa=lambda x: np.ones(2)),
     "log-scalar-callable": lambda: WeightedGrid.loggrid(8.0, 0.01, 3, kappa=lambda x: 1.0),
     "labels-matrix": lambda: WeightedGrid.labels(4, kappa=np.ones((2, 2))),
+    # a weight in the (n0, n1) form of a 2D tensor grid, given on a 1D grid;
+    # a callable's used to be reshaped, and leaked numpy's reshape ValueError
+    "tensor-array": lambda: WeightedGrid.uniform(-1.0, 1.0, 0.5, kappa=np.ones((5, 5))),
+    "tensor-callable": lambda: WeightedGrid.uniform(-1.0, 1.0, 0.5,
+                                                    kappa=lambda x: np.ones((5, 5))),
     "direct": lambda: WeightedGrid(np.linspace(0.0, 1.0, 5), np.ones(4), spacing=0.25),
 }
 
@@ -91,6 +97,20 @@ def test_lip_seminorm_basics():
     # max |cos| at grid midpoints is 1 up to O(dx^2)
     u = GridFunction(np.sin(g.points), g)
     assert lip_seminorm(u) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_lip_seminorm_tensor_takes_the_steeper_axis():
+    # a 2D tensor grid is no grid: its points are refused.  The seminorm it
+    # took was the steeper of its axes', and each axis is a grid of its own:
+    # x in {0, 0.5, 1}, y in {0, 0.5, ..., 2}, where every difference is exact
+    x, y = WeightedGrid.uniform(0.0, 1.0, 0.5), WeightedGrid.uniform(0.0, 2.0, 0.5)
+    xx, yy = np.meshgrid(x.points, y.points, indexing="ij")
+    with pytest.raises(ConfigurationError, match=r"grid points must be 1D, got shape \(15, 2\)"):
+        WeightedGrid(np.column_stack([xx.ravel(), yy.ravel()]), np.ones(15))
+    assert lip_seminorm(GridFunction(3.0 * x.points, x)) == 3.0
+    assert lip_seminorm(GridFunction(8.0 * x.points, x)) == 8.0
+    # along y the steepest pair is at the top edge: (4 - 2.25) / 0.5
+    assert lip_seminorm(GridFunction(y.points ** 2, y)) == 3.5
 
 
 def test_lip_seminorm_single_point_rejected():
@@ -400,6 +420,13 @@ GRID_REJECTIONS = {
     "points-of-two-coordinates": (lambda: WeightedGrid(np.zeros((3, 2)), np.ones(3)),
                                   ConfigurationError,
                                   r"grid points must be 1D, got shape \(3, 2\)"),
+    # lookups run elementwise over a batch of any shape, a tensor of states
+    # of two axes included, and refuse it whole for one bad state
+    "tensor-nearest_index": (lambda: _LINE.nearest_index(np.array([[0.1, 0.2], [np.nan, 0.3]])),
+                             InvalidInputError, "states must not be NaN"),
+    "tensor-interp_weights": (lambda: WeightedGrid.uniform(0.0, 1.0, 0.5, periodic=True)
+                              .interp_weights(np.array([[0.1, np.inf], [0.2, 0.3]])),
+                              InvalidInputError, "states on a periodic grid must be finite"),
     "function-of-the-wrong-length": (lambda: GridFunction(np.zeros(2), _LINE),
                                      InvalidInputError,
                                      r"values shape \(2,\) does not match grid size 3"),
@@ -414,6 +441,20 @@ def test_grids_reject_malformed_grids_and_queries(case):
     call, error, message = GRID_REJECTIONS[case]
     with pytest.raises(error, match=message):
         call()
+
+
+def test_tensor_grid_renormalizes_and_takes_no_boundary():
+    # the 2D tensor grid, which renormalized and took no other boundary, is
+    # no kind now; every kind left but the periodic one renormalizes by default
+    assert not hasattr(WeightedGrid, "tensor") and "tensor" not in BOUNDARIES
+    with pytest.raises(ConfigurationError, match="unknown grid kind 'tensor'"):
+        WeightedGrid(np.arange(3.0), np.ones(3), kind="tensor")
+    assert {kind: allowed[0] for kind, allowed in BOUNDARIES.items()} == {
+        "uniform": "renormalize", "log": "renormalize", "periodic": "wrap",
+        "labels": "renormalize"}
+    with pytest.raises(ConfigurationError, match="a labels grid takes boundary renormalize, "
+                                                 "not 'reflect'"):
+        WeightedGrid(np.arange(3.0), np.ones(3), kind="labels", boundary="reflect")
 
 
 @pytest.mark.parametrize("section, boundary", [

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.sparse as sp
 import scipy.special
 import scipy.stats
@@ -337,6 +338,10 @@ ROW_KERNELS = {
         WeightedGrid.uniform(-8.0, 8.0, 0.01, boundary="reflect"), -0.5, 0.2, 1e-6), 0.5),
     "koopman": (lambda: KoopmanOperator(
         WeightedGrid.uniform(-8.0, 8.0, 0.01), lambda x: -x + 0.3 * np.sin(x), 1.3), 0.5),
+    # the zero-covariance member of the 2D case this id once held, on its
+    # first axis: its rows interpolate the flowed point linearly
+    "ou-2d-bilinear": (lambda: OUOperator(
+        WeightedGrid.uniform(-1.0, 1.0, 0.5), -0.3, 0.15, 0.0), 0.7),
 }
 
 
@@ -703,6 +708,22 @@ def test_exprel_matches_scipy_special_bit_for_bit():
     assert np.array_equal(ours.view(np.int64), scipy.special.exprel(xs).view(np.int64))
 
 
+def test_ou_2d_moments_match_quadrature():
+    # an OU member has d = 1 (the 2D member is refused at construction, see
+    # test_ou_rejects_a_member_of_dimension_two); its closed-form moments
+    # match the quadrature of their defining integrals
+    b, m, c = -0.3, 0.15, 1.0
+    op = OUOperator(WeightedGrid.uniform(-5.0, 5.0, 0.2), b, m, c)
+    for t in (0.25, 0.7, 1.0):
+        M, drift, cov = op.moments(t)
+        refs = (np.exp(t * b),
+                scipy.integrate.quad(lambda s: np.exp(s * b) * m, 0.0, t, epsrel=1e-14)[0],
+                scipy.integrate.quad(lambda s: np.exp(2.0 * s * b) * c, 0.0, t,
+                                     epsrel=1e-14)[0])
+        for got, ref in zip((M[0, 0], drift[0], cov[0, 0]), refs):
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
 def test_ou_zero_drift_matrix_moments_are_exact():
     # B = 0 gives (I, m t, C t) bit for bit, at any duration
     g = WeightedGrid.uniform(-8.0, 8.0, 0.01)
@@ -724,6 +745,74 @@ def test_ou_rejects_a_member_of_dimension_two(ou_grid):
     with pytest.raises(ConfigurationError,
                        match=r"^OU member supports d = 1 only, not d = 2$"):
         OUOperator(ou_grid, -np.eye(2), np.zeros(2), np.eye(2))
+
+
+def test_ou_2d_drift_and_diffusion():
+    # the drift-only and diffusion-only members, on the first axis of the
+    # deleted 2D case: in 1 x 1 forms they build the scalar forms' kernels
+    # bit for bit, which shift x by m t and add c t to x^2 away from the ends
+    g = WeightedGrid.uniform(-5.0, 5.0, 0.2)
+    drift = OUOperator(g, [[0.0]], [0.5], [[0.0]])
+    assert np.array_equal(_dense(drift.matrix(1.0)),
+                          _dense(OUOperator(g, 0.0, 0.5, 0.0).matrix(1.0)))
+    out = drift.apply(1.0, GridFunction(g.points.copy(), g)).values
+    assert np.max(np.abs(out - (g.points + 0.5))[g.window_mask(-4, 4)]) < 1e-10
+
+    diff = OUOperator(g, [[0.0]], [0.0], [[1.0]])
+    assert np.array_equal(_dense(diff.matrix(0.25)),
+                          _dense(OUOperator(g, 0.0, 0.0, 1.0).matrix(0.25)))
+    out = diff.apply(0.25, GridFunction(g.points ** 2, g)).values
+    assert np.max(np.abs(out - (g.points ** 2 + 0.25))[g.window_mask(-2, 2)]) < 1e-6
+
+
+def test_ou_2d_pure_drift_is_bilinear_interpolation():
+    # zero covariance: each row interpolates the flowed point linearly, the
+    # 1D form of the deleted 2D member's bilinear rows (its first axis here)
+    g = WeightedGrid.uniform(-1.0, 1.0, 0.5)
+    op = OUOperator(g, -0.3, 0.15, 0.0)
+    t = 0.7
+    M, drift, _ = op.moments(t)
+    oracle = np.zeros((g.size, g.size))
+    for r, x in enumerate(g.points):
+        y = min(max(M[0, 0] * x + drift[0], g.points[0]), g.points[-1])
+        j = min(int(np.searchsorted(g.points, y, side="right")) - 1, g.size - 2)
+        theta = (y - g.points[j]) / (g.points[j + 1] - g.points[j])
+        oracle[r, j] += 1.0 - theta
+        oracle[r, j + 1] += theta
+    mat = _dense(op.matrix(t))
+    assert np.allclose(mat, oracle, rtol=0.0, atol=1e-15)
+    assert np.allclose(mat.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("budget", [11 ** 4 - 1, 11 ** 4])
+def test_ou_2d_dense_kernel_checks_the_weights_budget_first(monkeypatch, budget):
+    # a 121-node member (the size of the deleted 11 x 11 case) whose shifted
+    # kernel holds 121^2 Gaussian weights: std 0.585 reaches 58.5 cells, so
+    # 2 * 59 + 3 = 121 per row; past the budget the build is rejected before
+    # any 121 x 121 array exists
+    op = OUOperator(WeightedGrid.uniform(-6.0, 6.0, 0.1), 0.0, 0.2, 1.3689)
+    monkeypatch.setattr(operators, "MAX_KERNEL_WEIGHTS", budget)
+    if budget >= op.grid.size ** 2:
+        assert op.matrix(0.25).shape == (121, 121)
+        return
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError) as exc:
+            op.matrix(0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == ("ou(d=1) at duration 0.25: kernel of std 0.585 needs "
+                              "1.46e+04 Gaussian weights, above the budget of 14640")
+    assert peak < 8 * 121 ** 2
+
+
+def test_ou_2d_anisotropic_degenerate_rejected(ou_grid):
+    # the degenerate anisotropic 2D member, whose kernel failed at every fine
+    # step, is PSD, so it passes that check and is refused by its dimension
+    with pytest.raises(ConfigurationError,
+                       match=r"^OU member supports d = 1 only, not d = 2$"):
+        OUOperator(ou_grid, np.zeros((2, 2)), [0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ from nisio import ConfigurationError, WeightedGrid
 from nisio.config import CONFIG_SCHEMA
 from nisio.probes import PROBE_NAMES, PROBES, bump, probe_function
 
-GRIDS = {"uniform": WeightedGrid.uniform(-3.0, 3.0, 0.05)}
+# "tensor" is the first axis of the 5 x 7 tensor grid over [-1, 1] x [-2, 2]
+# these cases once took: its probes read that coordinate, and every grid is 1D now
+GRIDS = {"uniform": WeightedGrid.uniform(-3.0, 3.0, 0.05),
+         "tensor": WeightedGrid.uniform(-1.0, 1.0, 0.5)}
 
 
 def _oracle(name, x, params):
