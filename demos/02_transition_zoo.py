@@ -24,10 +24,10 @@ print(f"  S(1) x vs x e^mu:             {np.max(np.abs(w - gl.points*np.exp(0.1)
 print("linear drift + diffusion: exact Gaussian moments")
 go = WeightedGrid.uniform(-8.0, 8.0, 0.02, boundary="reflect")
 ou = OUOperator(go, -0.5, 0.2, 1.0)
-M, drift, cov = ou.moments(0.7)
-print(f"  mean factor e^(bt):           {abs(M[0,0] - np.exp(-0.35)):.2e}")
+M, drift, var = ou.moments(0.7)
+print(f"  mean factor e^(bt):           {abs(M - np.exp(-0.35)):.2e}")
 print(f"  variance integral vs (1-e^(2bt))/(2|b|): "
-      f"{abs(cov[0,0] - (1 - np.exp(-0.7))):.2e}")
+      f"{abs(var - (1 - np.exp(-0.7))):.2e}")
 
 print("transport: Runge-Kutta flow of x' = -x")
 ko = KoopmanOperator(go, lambda x: -x, 1.0)

@@ -70,14 +70,11 @@ _GRID = _tagged("kind", {
                    boundary=_boundary("log")),
     "labels": _closed("n", n=_POS_INT),
 }, kappa=_tagged("kind", {"constant": _closed(), "inverse_power": _closed(p=_NUM)}))
-# an OU coefficient is a scalar, a vector or a matrix; OUOperator takes the
-# 1 x 1 forms and names any other dimension
-_COEFF = {"anyOf": [_NUM, _VECTOR, _ROWS]}
 _MEMBER_KINDS = {
     "heat": _closed("sigmas", sigmas=_list(_NUM)),
     "gbm": _closed("members", members=_list(_PAIR)),
     "ou": _closed("members", members=_list(
-        _closed("B", "m", "C", B=_COEFF, m=_COEFF, C=_COEFF))),
+        _closed("B", "m", "C", B=_NUM, m=_NUM, C=_NUM))),
     "koopman": _closed("fields", fields=_list({"type": "string"}), lipschitz_hint=_NUM),
     "stable": _closed("alphas", alphas=_list(_NUM)),
     "chain": _closed("rate_matrices", rate_matrices=_list(_ROWS)),
@@ -163,8 +160,8 @@ def _rank(error):
 
 def _errors(value, schema, path=()):
     """(path, message) of each error of ``value`` under ``schema`` in its key
-    order and jsonschema's wording, or for an ``anyOf`` (path, path shown,
-    message); ``allOf`` holds ``_tagged``'s if/then branches."""
+    order and jsonschema's wording; ``allOf`` holds ``_tagged``'s if/then
+    branches."""
     for key, rule in schema.items():
         if key == "type" and not _is(value, rule):
             yield path, f"{value!r} is not of type {rule!r}"
@@ -193,12 +190,6 @@ def _errors(value, schema, path=()):
             yield path, f"{value!r} is too long"
         elif key in _BOUNDS and _is(value, "number") and _BOUNDS[key][0](value, rule):
             yield path, f"{value!r} is {_BOUNDS[key][1]} of {rule!r}"
-        elif key == "anyOf":
-            branches = [list(_errors(value, sub, path)) for sub in rule]
-            if all(branches):  # shown as best_match shows it: the deepest branch error
-                first, second = sorted(sum(branches, []), key=_rank)[:2]
-                yield path, *(first if first[0] != second[0] else (
-                    path, f"{value!r} is not valid under any of the given schemas"))
         elif key == "allOf":
             for branch in rule:
                 if not any(_errors(value, branch["if"])):
@@ -224,7 +215,7 @@ def validate_config(cfg):
     ``json`` reads NaN, Infinity and 1e999, and the schema's ``number`` admits them."""
     error = max(_errors(cfg, CONFIG_SCHEMA), key=_rank, default=None)
     if error is not None:
-        *_, path, message = error
+        path, message = error
         where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
         raise ConfigurationError(f"config rejected at ${where}: {message}")
     for path, value in _floats_at(cfg):
@@ -311,7 +302,7 @@ def _members(cfg, f, key, grid):
         default = FamilyBounds(p * beta, beta)
     elif kind == "ou":
         members = _each(key + ".members[{i}]", lambda m: OUOperator(
-            grid, *(_floats(m[k], f"ou member {k}") for k in "BmC")), f["members"], grid)
+            grid, m["B"], m["m"], m["C"]), f["members"], grid)
         default = FamilyBounds(0.0, max(_ou_beta(m) for m in members))
     elif kind == "koopman":
         # the flowed values are read off by interpolation: no boundary rule
@@ -343,8 +334,7 @@ def _members(cfg, f, key, grid):
 
 
 def _ou_beta(member):
-    return float(np.linalg.norm(member.B, 2) + np.linalg.norm(member.m)
-                 + np.trace(member.C))
+    return abs(member.B) + abs(member.m) + member.C
 
 
 def build_u0(cfg, grid):

@@ -23,4 +23,4 @@ class ResolutionError(ConfigurationError):
 
 class NumericalDegeneracyError(RuntimeError):
     """Raised when a computed quantity loses the structure the scheme needs
-    (e.g. a covariance that is no longer positive semidefinite)."""
+    (e.g. OU moments that overflow)."""

@@ -5,7 +5,7 @@ stage is looked up at the nearest grid point of the current state, and the
 member's own ``path_step`` samples the stage transition exactly (Gaussian
 increments for heat and OU members, lognormal ones for GBM members, the
 deterministic flow for Koopman members, a uniformization jump chain for
-conservative chains; a scaled member samples its base over the dilated
+chains; a scaled member samples its base over the dilated
 duration).  The single-policy expectation is a lower bound for the envelope
 value; under the greedy policy it reproduces it.  ``mc_compare`` compares the
 sample mean with the policy's grid value, as a greedy backward pass returns it.

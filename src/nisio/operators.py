@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -633,72 +634,58 @@ def _exprel(x):
 
 
 class OUOperator(TransitionOperator):
-    """Linear-drift Gaussian member: mean exp(tB)x + int_0^t exp(sB)m ds,
-    covariance int_0^t exp(sB) C exp(sB)^T ds, both exact (see ``moments``).
-    B, m and C may come as scalars or as 1 x 1 forms; d = 1 only."""
+    """Linear-drift Gaussian member dX = (B X + m) dt + sqrt(C) dW on a
+    uniform grid: mean exp(tB)x + m t exprel(tB), variance C t exprel(2tB),
+    both exact (see ``moments``).  B, m and C are numbers, C >= 0."""
 
     def __init__(self, grid, B, m, C):
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        m = np.atleast_1d(np.asarray(m, dtype=float))
-        C = np.atleast_2d(np.asarray(C, dtype=float))
-        d = B.shape[0]
-        if B.shape != (d, d) or m.shape != (d,) or C.shape != (d, d):
-            raise ConfigurationError("inconsistent OU dimensions")
-        if not np.allclose(C, C.T, atol=1e-12):
-            raise ConfigurationError("C must be symmetric")
-        if np.min(np.linalg.eigvalsh(C)) < -1e-12:
-            raise ConfigurationError("C must be positive semidefinite")
-        if d != 1:
-            raise ConfigurationError(f"OU member supports d = 1 only, not d = {d}")
+        if not all(isinstance(v, numbers.Real) for v in (B, m, C)):
+            raise ConfigurationError("OU coefficients B, m and C must be numbers")
+        if not C >= 0.0:
+            raise ConfigurationError("C must be >= 0")
         if grid.kind != "uniform":
             raise GridKindError("1D OU member needs a uniform grid")
         super().__init__(grid)
-        self.B, self.m, self.C = B, m, C
+        self.B, self.m, self.C = float(B), float(m), float(C)
         self.name = "ou(d=1)"
 
     def moments(self, t):
-        """(exp(tB), drift integral, covariance integral) at duration t, of
-        shapes (1, 1), (1,) and (1, 1): exp(bt), m t exprel(bt), c t exprel(2bt).
-        Closed forms, not ``scipy.linalg.expm``, whose LAPACK getrs leaves an
-        OpenBLAS worker busy-waiting for about 0.1 s after each call.  Moments
-        that overflow (say exp(bt) for bt = 800) raise
-        ``NumericalDegeneracyError``.
+        """(exp(tB), drift integral, variance integral) at duration t, three
+        numbers: exp(bt), m t exprel(bt), c t exprel(2bt).  The variance is
+        >= 0 since C is, so only finiteness is checked: moments that overflow
+        (say exp(bt) for bt = 800) raise ``NumericalDegeneracyError``.
         """
         bt = t * self.B
         # exp(bt) may overflow and 0 * inf give NaN; the check below catches both
         with np.errstate(over="ignore", invalid="ignore"):
             M = np.exp(bt)
-            drift = self.m * t * _exprel(bt[0, 0])
-            cov = self.C * t * _exprel(2.0 * bt[0, 0])
-        if not all(np.isfinite(a).all() for a in (M, drift, cov)):
+            drift = self.m * t * _exprel(bt)
+            var = self.C * t * _exprel(2.0 * bt)
+        if not all(map(math.isfinite, (M, drift, var))):
             raise NumericalDegeneracyError("OU moments not finite")
-        cov = 0.5 * (cov + cov.T)
-        if np.min(np.linalg.eigvalsh(cov)) < -1e-10 * max(1.0, np.max(np.abs(cov))):
-            raise NumericalDegeneracyError("integrated covariance not PSD")
-        return M, drift, cov
+        return M, drift, var
 
     def _build_matrix(self, t):
-        M, drift, cov = self.moments(t)
+        M, drift, var = self.moments(t)
         g = self.grid
         # lattice_kernel wants offsets from each row's own node
-        return lattice_kernel(g.size, g.spacing, M[0, 0] * g.points + drift[0] - g.points,
-                              max(cov[0, 0], 0.0), g.boundary)
+        return lattice_kernel(g.size, g.spacing, M * g.points + drift - g.points, var,
+                              g.boundary)
 
     def _generator(self, u):
         g = self.grid
         d1, d2, valid = _central(u.values, g.spacing)
-        drift_field = self.B[0, 0] * g.points + self.m[0]
-        return GeneratorResult(drift_field * d1 + 0.5 * self.C[0, 0] * d2, valid)
+        drift_field = self.B * g.points + self.m
+        return GeneratorResult(drift_field * d1 + 0.5 * self.C * d2, valid)
 
     def path_step(self, h):
         if h == 0.0:
             return _stay
-        M, drift, cov = self.moments(h)
-        m_lin, shift = M[0, 0], drift[0]
-        std = math.sqrt(max(cov[0, 0], 0.0))
+        M, shift, var = self.moments(h)
+        std = math.sqrt(var)
         if std == 0.0:
-            return lambda states, rng: m_lin * states + shift
-        return lambda states, rng: (m_lin * states + shift
+            return lambda states, rng: M * states + shift
+        return lambda states, rng: (M * states + shift
                                     + std * rng.standard_normal(states.size))
 
 
@@ -802,15 +789,14 @@ def _poisson_pmf(k, mu):
 class ChainOperator(TransitionOperator):
     """Finite-state member exp(tQ), computed by uniformization.
 
-    Q must have nonnegative off-diagonal and nonpositive diagonal entries.
-    Conservative rows (Q 1 = 0) are required unless ``allow_nonconservative``;
-    only conservative chains admit the path sampler, which steps labels
-    (states 0.0, 1.0, ..., n-1 as floats) to labels.
+    Q must have nonnegative off-diagonal and nonpositive diagonal entries
+    and conservative rows (Q 1 = 0).  The path sampler steps labels (states
+    0.0, 1.0, ..., n-1 as floats) to labels.
     """
 
     lipschitz_exact = True
 
-    def __init__(self, grid, Q, allow_nonconservative=False):
+    def __init__(self, grid, Q):
         if grid.kind != "labels":
             raise GridKindError("chain member needs a label grid")
         Q = np.asarray(Q, dtype=float)
@@ -819,8 +805,7 @@ class ChainOperator(TransitionOperator):
         off = Q - np.diag(np.diag(Q))
         if np.min(off) < -1e-12 or np.max(np.diag(Q)) > 1e-12:
             raise ConfigurationError("need Q_ij >= 0 off-diagonal and Q_ii <= 0")
-        self.conservative = bool(np.max(np.abs(Q.sum(axis=1))) <= 1e-10)
-        if not self.conservative and not allow_nonconservative:
+        if not np.max(np.abs(Q.sum(axis=1))) <= 1e-10:
             raise ConfigurationError("non-conservative rate matrix (rows must sum to 0)")
         super().__init__(grid)
         self.Q = Q
@@ -844,17 +829,13 @@ class ChainOperator(TransitionOperator):
         for k in range(1, k_max + 1):
             power = power @ self.jump_matrix
             acc += pmf[k] * power
-        if self.conservative:
-            acc /= acc.sum(axis=1, keepdims=True)
+        acc /= acc.sum(axis=1, keepdims=True)
         return acc
 
     def _generator(self, u):
         return GeneratorResult(self.Q @ u.values, np.ones(self.grid.size, dtype=bool))
 
     def path_step(self, h):
-        if not self.conservative:
-            raise ConfigurationError(
-                "stochastic representation needs a conservative rate matrix")
         if h == 0.0:
             return _stay
         cum = np.cumsum(self.jump_matrix, axis=1)

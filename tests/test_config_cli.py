@@ -207,17 +207,18 @@ REJECTED = {
                       "family.members[0]: C must be"),
     "ou-2d-on-uniform-grid": ({"family": {"kind": "ou", "members": [
         {"B": [[-1, 0], [0, -1]], "m": [0, 0], "C": [[1, 0], [0, 1]]}]}},
-        "family.members[0]: OU member supports d = 1 only, not d = 2"),
+        "$.family.members[0].m: [0, 0] is not of type 'number'"),
     "ou-3d": ({"family": {"kind": "ou", "members": [
         {"B": -0.5, "m": 0.0, "C": 1.0},
         {"B": [[-1, 0, 0], [0, -1, 0], [0, 0, -1]], "m": [0, 0, 0],
-         "C": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}}, "family.members[1]: OU member supports"),
+         "C": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}},
+        "$.family.members[1].m: [0, 0, 0] is not of type 'number'"),
     "ou-inconsistent": ({"family": {"kind": "ou", "members": [
         {"B": [[-1, 0], [0, -1]], "m": 0.0, "C": [[1, 0], [0, 1]]}]}},
-        "family.members[0]: inconsistent OU dimensions"),
+        "$.family.members[0].C: [[1, 0], [0, 1]] is not of type 'number'"),
     "ou-C-asymmetric": ({"family": {"kind": "ou", "members": [
         {"B": [[-1, 0], [0, -1]], "m": [0, 0], "C": [[1, 0.5], [0, 1]]}]}},
-        "family.members[0]: C must be symmetric"),
+        "$.family.members[0].m: [0, 0] is not of type 'number'"),
     "ou-1d-on-log-grid": ({"grid": LOG_GRID, "family": {"kind": "ou", "members": [
         {"B": -0.5, "m": 0.0, "C": 1.0}]}},
         "family.members[0] on grid.kind 'log': 1D OU member needs a uniform grid"),
@@ -252,7 +253,8 @@ REJECTED = {
     "ou-B-string": ({"family": {"kind": "ou", "members": [
         {"B": "x", "m": 0.0, "C": 1.0}]}}, "members[0].B"),
     "ou-B-ragged": ({"family": {"kind": "ou", "members": [
-        {"B": [[1.0, 0.0], [1.0]], "m": 0.0, "C": 1.0}]}}, "ou member B"),
+        {"B": [[1.0, 0.0], [1.0]], "m": 0.0, "C": 1.0}]}},
+        "$.family.members[0].B: [[1.0, 0.0], [1.0]] is not of type 'number'"),
     "csv-not-numeric": ({"u0": {"name": "csv", "path": "bad.csv"}}, "u0 path"),
     # work budget, checked before any matrix is built
     "max-level-over-budget": ({"solve": {"t": 0.5, "max_level": 40}}, "max_level 40"),
@@ -471,7 +473,8 @@ def test_cli_measures_eps_q_on_empty_stores_before_the_work(tmp_path, monkeypatc
 
 # configs each rejected before any kernel is built: over budget, a horizon or
 # tolerance of the wrong sign or too small to split, a window that selects
-# no point, a field that is not finite on the grid, an OU member of d = 2
+# no point, a field that is not finite on the grid, an OU coefficient that is
+# not a number
 NO_WORK = {
     "solve-level": ("solve", {"solve": {"t": 1.0, "max_level": 40}}, "max_level 40"),
     "dpp-level": ("dpp", {"dpp": {"s": 0.5, "t": 0.5, "level": 40}}, "max_level 40"),
@@ -489,7 +492,10 @@ NO_WORK = {
                             "grid.domain [0, 0] holds one node at grid.dx 0.1"),
     "solve-ou-2d": ("solve", {"family": {"kind": "ou", "members": [
         {"B": [[-1, 0], [0, -1]], "m": [0, 0], "C": [[1, 0], [0, 1]]}]}},
-                    "family.members[0]: OU member supports d = 1 only"),
+                    "$.family.members[0].m: [0, 0] is not of type 'number'"),
+    "ou-1x1-form": ("solve", {"family": {"kind": "ou", "members": [
+        {"B": [[-0.5]], "m": 0.2, "C": 1.0}]}},
+                    "$.family.members[0].B: [[-0.5]] is not of type 'number'"),
     "solve-subnormal": ("solve", {"solve": {"t": 5e-324}},
                         "solve.t 5e-324 is too small to split into 4096 steps"),
     "dpp-subnormal": ("dpp", {"dpp": {"s": 0.5, "t": 5e-324}},

@@ -69,9 +69,9 @@ def _gbm_oracle(op, values):
 def _ou_oracle(op, values):
     g = op.grid
     dx = g.spacing
-    drift_field = op.B[0, 0] * g.points + op.m[0]
+    drift_field = op.B * g.points + op.m
     vals = drift_field * _central_d1(values, dx) \
-        + 0.5 * op.C[0, 0] * _central_d2(values, dx)
+        + 0.5 * op.C * _central_d2(values, dx)
     return vals, _interior_mask(g.size)
 
 
@@ -93,10 +93,9 @@ MEMBERS = {
     "gbm": (lambda: GBMOperator(WeightedGrid.loggrid(8.0, 1e-2, 200), 0.1, 0.3),
             _gbm_oracle),
     "ou-1d": (lambda: OUOperator(_uniform("reflect"), -0.5, 0.2, 1.0), _ou_oracle),
-    # the first axis of the 2D member this case once held, in the 1 x 1
-    # forms a config may give
-    "ou-2d": (lambda: OUOperator(WeightedGrid.uniform(-2.0, 2.0, 0.2),
-                                 [[-0.5]], [0.1], [[1.0]]), _ou_oracle),
+    # the first axis of the 2D member this case once held
+    "ou-2d": (lambda: OUOperator(WeightedGrid.uniform(-2.0, 2.0, 0.2), -0.5, 0.1, 1.0),
+              _ou_oracle),
     "koopman": (lambda: KoopmanOperator(_uniform("renormalize"),
                                         lambda x: -x + 0.5 * np.sin(x), 1.5),
                 _koopman_oracle),

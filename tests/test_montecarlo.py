@@ -219,13 +219,6 @@ def test_only_selected_members_need_a_sampler(periodic_grid):
         SamplerSpec(fam, ControlPolicy(((1.0, sel),)), 100, seed=0)
 
 
-def test_path_step_rejections_keep_their_text(label_grid):
-    leaky = ChainOperator(label_grid, -np.eye(4), allow_nonconservative=True)
-    with pytest.raises(ConfigurationError,
-                       match="stochastic representation needs a conservative rate matrix"):
-        ScaledOperator(leaky, 2.0).path_step(0.5)
-
-
 def test_zero_duration_stays_put_without_drawing(coarse_grid, log_grid, ou_grid,
                                                  chain_family):
     members = [HeatOperator(coarse_grid, 1.0), GBMOperator(log_grid, 0.1, 0.2),

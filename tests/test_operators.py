@@ -281,7 +281,7 @@ def test_band_kernel_serves_zero_offset_members(monkeypatch):
     ou = OUOperator(g, 0.0, 0.0, 0.5)
     for t in (0.25, 1.0):
         mat = ou.matrix(t)
-        std = math.sqrt(ou.moments(t)[2][0, 0])
+        std = math.sqrt(ou.moments(t)[2])
         _check_against_oracle(mat, _coo_gaussian(g.size, g.spacing, std, "reflect"), rng)
 
 
@@ -678,20 +678,20 @@ def test_ou_brownian_moment(ou_grid):
 def test_ou_mean_reversion_moments(ou_grid):
     b, m, c, t = -0.5, 0.2, 1.0, 0.7
     op = OUOperator(ou_grid, b, m, c)
-    M, drift, cov = op.moments(t)
-    assert M[0, 0] == pytest.approx(np.exp(b * t), rel=1e-12)
-    assert drift[0] == pytest.approx(m / b * (np.exp(b * t) - 1.0), rel=1e-9)
-    assert cov[0, 0] == pytest.approx(c / (2 * abs(b)) * (1 - np.exp(2 * b * t)), rel=1e-9)
+    M, drift, var = op.moments(t)
+    assert M == pytest.approx(np.exp(b * t), rel=1e-12)
+    assert drift == pytest.approx(m / b * (np.exp(b * t) - 1.0), rel=1e-9)
+    assert var == pytest.approx(c / (2 * abs(b)) * (1 - np.exp(2 * b * t)), rel=1e-9)
 
 
 @pytest.mark.parametrize("b, m, c, t", [(-0.5, 0.2, 1.0, 0.7), (-0.5, 1e-6, 1e-6, 1.0),
                                         (-50.0, 1.0, 1.0, 1.0)],
                          ids=["bench", "tiny-m-C", "stiff"])
 def test_ou_moments_match_closed_forms(ou_grid, b, m, c, t):
-    M, drift, cov = OUOperator(ou_grid, b, m, c).moments(t)
-    assert M[0, 0] == pytest.approx(np.exp(b * t), rel=1e-13, abs=0.0)
-    assert drift[0] == pytest.approx(m * np.expm1(b * t) / b, rel=1e-13, abs=0.0)
-    assert cov[0, 0] == pytest.approx(c * np.expm1(2.0 * b * t) / (2.0 * b), rel=1e-13, abs=0.0)
+    M, drift, var = OUOperator(ou_grid, b, m, c).moments(t)
+    assert M == pytest.approx(np.exp(b * t), rel=1e-13, abs=0.0)
+    assert drift == pytest.approx(m * np.expm1(b * t) / b, rel=1e-13, abs=0.0)
+    assert var == pytest.approx(c * np.expm1(2.0 * b * t) / (2.0 * b), rel=1e-13, abs=0.0)
 
 
 def test_exprel_matches_scipy_special_bit_for_bit():
@@ -709,29 +709,28 @@ def test_exprel_matches_scipy_special_bit_for_bit():
 
 
 def test_ou_2d_moments_match_quadrature():
-    # an OU member has d = 1 (the 2D member is refused at construction, see
-    # test_ou_rejects_a_member_of_dimension_two); its closed-form moments
+    # an OU member takes numbers (a 2D member is refused at construction,
+    # see test_ou_rejects_a_member_of_dimension_two); its closed-form moments
     # match the quadrature of their defining integrals
     b, m, c = -0.3, 0.15, 1.0
     op = OUOperator(WeightedGrid.uniform(-5.0, 5.0, 0.2), b, m, c)
     for t in (0.25, 0.7, 1.0):
-        M, drift, cov = op.moments(t)
+        moments = op.moments(t)
         refs = (np.exp(t * b),
                 scipy.integrate.quad(lambda s: np.exp(s * b) * m, 0.0, t, epsrel=1e-14)[0],
                 scipy.integrate.quad(lambda s: np.exp(2.0 * s * b) * c, 0.0, t,
                                      epsrel=1e-14)[0])
-        for got, ref in zip((M[0, 0], drift[0], cov[0, 0]), refs):
+        for got, ref in zip(moments, refs):
             assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 def test_ou_zero_drift_matrix_moments_are_exact():
-    # B = 0 gives (I, m t, C t) bit for bit, at any duration
+    # B = 0 gives (1, m t, C t) bit for bit, at any duration
     g = WeightedGrid.uniform(-8.0, 8.0, 0.01)
     rng = np.random.default_rng(0)
     for m, c, t in [(0.0, 0.5, 0.25), (0.3, 0.7, 0.1),
                     *rng.uniform([-2.0, 0.1, 0.01], [2.0, 2.0, 2.0], size=(200, 3))]:
-        M, drift, cov = OUOperator(g, 0.0, m, c).moments(t)
-        assert (M[0, 0], drift[0], cov[0, 0]) == (1.0, m * t, c * t)
+        assert OUOperator(g, 0.0, m, c).moments(t) == (1.0, m * t, c * t)
 
 
 def test_ou_rejects_non_psd(ou_grid):
@@ -740,27 +739,27 @@ def test_ou_rejects_non_psd(ou_grid):
 
 
 def test_ou_rejects_a_member_of_dimension_two(ou_grid):
-    # a well-formed 2 x 2 member passes the shape, symmetry and PSD checks
-    # and is then named by its dimension
+    # a well-formed 2 x 2 member is refused: B, m and C are numbers
     with pytest.raises(ConfigurationError,
-                       match=r"^OU member supports d = 1 only, not d = 2$"):
+                       match=r"^OU coefficients B, m and C must be numbers$"):
         OUOperator(ou_grid, -np.eye(2), np.zeros(2), np.eye(2))
+
+
+def test_ou_refuses_the_one_by_one_forms(ou_grid):
+    with pytest.raises(ConfigurationError,
+                       match=r"^OU coefficients B, m and C must be numbers$"):
+        OUOperator(ou_grid, [[-0.5]], [0.2], [[1.0]])
 
 
 def test_ou_2d_drift_and_diffusion():
     # the drift-only and diffusion-only members, on the first axis of the
-    # deleted 2D case: in 1 x 1 forms they build the scalar forms' kernels
-    # bit for bit, which shift x by m t and add c t to x^2 away from the ends
+    # deleted 2D case: they shift x by m t and add c t to x^2 away from the ends
     g = WeightedGrid.uniform(-5.0, 5.0, 0.2)
-    drift = OUOperator(g, [[0.0]], [0.5], [[0.0]])
-    assert np.array_equal(_dense(drift.matrix(1.0)),
-                          _dense(OUOperator(g, 0.0, 0.5, 0.0).matrix(1.0)))
+    drift = OUOperator(g, 0.0, 0.5, 0.0)
     out = drift.apply(1.0, GridFunction(g.points.copy(), g)).values
     assert np.max(np.abs(out - (g.points + 0.5))[g.window_mask(-4, 4)]) < 1e-10
 
-    diff = OUOperator(g, [[0.0]], [0.0], [[1.0]])
-    assert np.array_equal(_dense(diff.matrix(0.25)),
-                          _dense(OUOperator(g, 0.0, 0.0, 1.0).matrix(0.25)))
+    diff = OUOperator(g, 0.0, 0.0, 1.0)
     out = diff.apply(0.25, GridFunction(g.points ** 2, g)).values
     assert np.max(np.abs(out - (g.points ** 2 + 0.25))[g.window_mask(-2, 2)]) < 1e-6
 
@@ -774,7 +773,7 @@ def test_ou_2d_pure_drift_is_bilinear_interpolation():
     M, drift, _ = op.moments(t)
     oracle = np.zeros((g.size, g.size))
     for r, x in enumerate(g.points):
-        y = min(max(M[0, 0] * x + drift[0], g.points[0]), g.points[-1])
+        y = min(max(M * x + drift, g.points[0]), g.points[-1])
         j = min(int(np.searchsorted(g.points, y, side="right")) - 1, g.size - 2)
         theta = (y - g.points[j]) / (g.points[j + 1] - g.points[j])
         oracle[r, j] += 1.0 - theta
@@ -809,9 +808,9 @@ def test_ou_2d_dense_kernel_checks_the_weights_budget_first(monkeypatch, budget)
 
 def test_ou_2d_anisotropic_degenerate_rejected(ou_grid):
     # the degenerate anisotropic 2D member, whose kernel failed at every fine
-    # step, is PSD, so it passes that check and is refused by its dimension
+    # step, is refused: B, m and C are numbers
     with pytest.raises(ConfigurationError,
-                       match=r"^OU member supports d = 1 only, not d = 2$"):
+                       match=r"^OU coefficients B, m and C must be numbers$"):
         OUOperator(ou_grid, np.zeros((2, 2)), [0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]])
 
 
@@ -920,8 +919,7 @@ def _chain_matrix_scipy_stats(op, t):
     for k in range(1, k_max + 1):
         power = power @ op.jump_matrix
         acc += pmf[k] * power
-    if op.conservative:
-        acc /= acc.sum(axis=1, keepdims=True)
+    acc /= acc.sum(axis=1, keepdims=True)
     return acc
 
 
@@ -944,9 +942,6 @@ def test_chain_rejects_bad_rates():
         ChainOperator(g, np.array([[1.0, -1.0], [0.0, 0.0]]))
     with pytest.raises(ConfigurationError):
         ChainOperator(g, np.array([[-1.0, 0.5], [0.0, 0.0]]))  # not conservative
-    op = ChainOperator(g, np.array([[-1.0, 0.5], [0.0, 0.0]]),
-                       allow_nonconservative=True)
-    assert not op.conservative
 
 
 # ---------------------------------------------------------------------------

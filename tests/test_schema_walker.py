@@ -2,8 +2,7 @@
 
 On every config below the walker and ``Draft202012Validator`` give the same
 verdict, and the error the walker reports is the one ``best_match`` picks,
-with its JSON path and its message, also where ``best_match`` goes on from an
-``anyOf`` error into the branch error that sits deepest.
+with its JSON path and its message.
 """
 import importlib.util
 import json
@@ -29,7 +28,7 @@ VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
 # the branches of an "allOf"
 HANDLED = {"type", "enum", "const", "required", "properties", "additionalProperties",
            "items", "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
-           "anyOf", "allOf"}
+           "allOf"}
 TYPES = {"object", "array", "string", "number", "integer"}
 
 
@@ -42,9 +41,6 @@ def _schemas(schema):
                 yield from _schemas(sub)
         elif key == "items":
             yield from _schemas(rule)
-        elif key == "anyOf":
-            for sub in rule:
-                yield from _schemas(sub)
         elif key == "allOf":
             for branch in rule:
                 assert set(branch) == {"if", "then"}
@@ -63,8 +59,6 @@ def test_schema_uses_only_keywords_the_walker_handles():
         # the walker compares by ==, which is JSON equality for strings
         assert all(isinstance(v, str) for v in schema.get("enum", []))
         assert isinstance(schema.get("const", ""), str)
-        # it names the two deepest branch errors of an anyOf
-        assert len(schema.get("anyOf", "ab")) >= 2
         # and writes a key into a JSON path as .key, as jsonschema writes a name
         assert all(re.fullmatch(r"[a-zA-Z][a-zA-Z0-9_]*", name)
                    for name in schema.get("properties", {}))
@@ -159,22 +153,20 @@ def test_walker_agrees_on_rejected_configs(case):
     assert_same_as_jsonschema(dict(SMALL_CFG, **REJECTED[case][0]))
 
 
-# a bad OU coefficient, where best_match reports it and what it says: the
-# branch error that sits deepest, or the anyOf error when two tie for that
-ANYOF = [
-    ([[1, "a"]], "B[0][1]", "'a' is not of type 'number'"),
-    ([1, "a"], "B[0]", "1 is not of type 'array'"),
-    ("x", "B", "'x' is not valid under any of the given schemas"),
-]
+# OU coefficients that are not numbers, the 1 x 1 form of a valid one among
+# them; best_match reports each at the coefficient itself.  The test keeps the
+# name it had while a coefficient took a number, a vector or rows (an anyOf).
+ANYOF = [[[1, "a"]], [1, "a"], "x", [[-0.5]]]
 
 
-@pytest.mark.parametrize("coefficient, where, message", ANYOF, ids=["rows", "vector", "str"])
-def test_walker_descends_into_an_anyof_as_best_match_does(coefficient, where, message):
+@pytest.mark.parametrize("coefficient", ANYOF, ids=["rows", "vector", "str", "one-by-one"])
+def test_walker_descends_into_an_anyof_as_best_match_does(coefficient):
     cfg = dict(SMALL_CFG, family={"kind": "ou", "members": [
         {"B": coefficient, "m": 0, "C": 1}]})
     with pytest.raises(ConfigurationError) as exc:
         validate_config(cfg)
-    assert str(exc.value) == f"config rejected at $.family.members[0].{where}: {message}"
+    assert str(exc.value) == (f"config rejected at $.family.members[0].B: "
+                              f"{coefficient!r} is not of type 'number'")
     assert_same_as_jsonschema(cfg)
 
 

@@ -66,6 +66,7 @@ KINDS = {
 _HEAT = {"grid": {"kind": "uniform", "domain": [-2, 2], "dx": 0.1},
          "family": {"kind": "heat", "sigmas": [0.5, 1.0]}, "u0": {"name": "quadratic"},
          "solve": {"t": 0.5, "max_level": 2}}
+# an OU member whose B is not a number: B, m and C take numbers only
 _OU = {"kind": "ou", "members": [{"B": [[1, "a"]], "m": 0.0, "C": 1.0}]}
 # one malformed config per kind of schema error, a NaN, one config per rule
 # that rejects a single key or entry before any work, and one per work budget
@@ -75,7 +76,7 @@ REJECTS = {
     "wrong-type": dict(_HEAT, solve={"t": "0.5"}),
     "unknown-tag": dict(_HEAT, grid={"kind": "hex"}),
     "seed-range": dict(_HEAT, properties={"seed": 2 ** 128}),
-    "anyof-coefficient": dict(_HEAT, family=_OU),
+    "ou-coefficient-not-a-number": dict(_HEAT, family=_OU),
     "nan": dict(_HEAT, solve={"t": 0.5, "tol": float("nan")}),
     "log-n-1": dict(_HEAT, grid={"kind": "log", "x_max": 4, "n": 1}),
     "scaled-base-two": dict(_HEAT, family={"kind": "scaled", "base": _HEAT["family"],
