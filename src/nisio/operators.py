@@ -13,11 +13,21 @@ row-stochastic quadrature matrix (or an FFT multiplier), so that
 Each member keeps one kernel per duration (a matrix, or a spectral member's
 multiplier) in one store, ``matrix(t)``, the one place a kernel is looked
 up, built or evicted.  Past ``KERNEL_CACHE_BYTES`` per member it drops the
-least recently used durations: a rebuild gives the same bits.  Every apply is
-``apply_values``, the kernel times the values (``_apply_kernel``, an FFT
-product for a spectral member).  Beside the store each member keeps its
+least recently used durations: a rebuild gives the same bits.  The members
+of one family share an index of weak references to their kernels, keyed by
+``_kernel_key(t)``: a heat member's variance sigma^2 t, the one argument of
+its kernel that varies, and None (never shared) for every other kind.  So
+``heat(1)`` at t/4 takes the kernel ``heat(0.5)`` built at t, and both stores
+hold the one object; each member's byte count still counts it.  The index
+keeps no kernel alive, so a kernel dies with the last store that holds it.
+Every apply is ``apply_values``, the kernel times the values
+(``_apply_kernel``, an FFT product for a spectral member).  Each member counts
+its ``lookups``, ``builds``, kernels taken from the index (``shared``) and
+``evictions`` in ``matrix``, and its ``applies`` (every call, t = 0
+included) in ``apply_values``.  Beside the store each member keeps its
 composition defect (``composition_defect``), measured once on a scratch twin
-with an empty store of its own, so the measurement's kernels never enter it.
+with an empty store, an empty index and counters of its own, so the
+measurement's kernels neither enter the family's nor come from it.
 
 Heat, GBM and OU members build every kernel through one selector,
 ``lattice_kernel``: a variance above one cell squared gets Gaussian weights
@@ -64,6 +74,7 @@ from __future__ import annotations
 import copy
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +91,12 @@ KERNEL_RADIUS = 10.0
 # kernel, or the n x (2k+1) array of the row-by-row path (2^24 float64 is
 # 128 MiB); every shipped config and demo needs at most 3.3e6
 MAX_KERNEL_WEIGHTS = 2 ** 24
-# kernel bytes per member; above every benchmark working set (192.3 MiB at
-# most: the offset OU member of ou.json; the README heat members hold at most
-# 40.3 and 77.4, since eps_q's kernels leave the store before the work
-# builds any), because LRU below the working set of a cyclic dyadic sweep
-# loses every hit
+# kernel bytes per member, shared kernels counted by each member that holds
+# them; above every benchmark working set (192.3 MiB at most: the offset OU
+# member of ou.json; the README heat members count at most 40.3 and 77.4, and
+# hold 79.4 between them, since 38.3 are the 7 kernels they share and eps_q's
+# kernels leave the store before the work builds any), because LRU below the
+# working set of a cyclic dyadic sweep loses every hit
 KERNEL_CACHE_BYTES = 512 * 2 ** 20
 
 
@@ -448,9 +460,14 @@ class TransitionOperator:
 
     def __init__(self, grid):
         self.grid = grid
-        self._cache = {}
-        self._held = 0
+        self._empty_store()
         self._defect = None
+
+    def _empty_store(self):
+        """An empty kernel store, an index of its own and counters at 0."""
+        self._cache, self._held = {}, 0
+        self._index = weakref.WeakValueDictionary()
+        self.lookups = self.builds = self.shared = self.evictions = self.applies = 0
 
     def apply(self, t, u):
         """Evaluate S(t)u.  t == 0 returns u unchanged."""
@@ -460,6 +477,7 @@ class TransitionOperator:
         return u.with_values(self.apply_values(t, u.values))
 
     def apply_values(self, t, values):
+        self.applies += 1
         if t == 0.0:
             return values
         return self._apply_kernel(self.matrix(t), values)
@@ -470,24 +488,42 @@ class TransitionOperator:
     def matrix(self, t):
         """The kernel of S(t): a row-stochastic matrix, or a spectral member's
         Fourier multiplier.  Built on the first lookup of t and kept, most
-        recent last, under ``KERNEL_CACHE_BYTES``; never evicts its result."""
+        recent last, under ``KERNEL_CACHE_BYTES``; never evicts its result.
+        A keyed kernel (``_kernel_key``) that another member of the family
+        still holds is taken from the family's index instead of built."""
+        self.lookups += 1
         kernel = self._cache.pop(t, None)
         if kernel is None:
             _check_duration(t)
-            try:
-                kernel = self._build_matrix(t)
-            except InvalidInputError as exc:
-                raise InvalidInputError(f"{self.name} at duration {t:g}: {exc}") from None
+            key = self._kernel_key(t)
+            kernel = None if key is None else self._index.get(key)
+            if kernel is None:
+                try:
+                    kernel = self._build_matrix(t)
+                except InvalidInputError as exc:
+                    raise InvalidInputError(f"{self.name} at duration {t:g}: {exc}") from None
+                self.builds += 1
+                if key is not None:
+                    self._index[key] = kernel
+            else:
+                self.shared += 1
             self._held += _nbytes(kernel)
             while self._held > KERNEL_CACHE_BYTES and self._cache:
                 self._held -= _nbytes(self._cache.pop(next(iter(self._cache))))
+                self.evictions += 1
         self._cache[t] = kernel
         return kernel
 
+    def _kernel_key(self, t):
+        """A key that only the same kernel on this grid has, or None: the
+        kernel of S(t) is then never shared."""
+        return None
+
     def _twin(self):
-        """A shallow copy of this member with an empty store of its own."""
+        """A shallow copy of this member with an empty store, an empty index
+        and counters at 0 of its own."""
         twin = copy.copy(self)
-        twin._cache, twin._held = {}, 0
+        twin._empty_store()
         return twin
 
     def composition_defect(self):
@@ -541,9 +577,13 @@ class HeatOperator(TransitionOperator):
         self.name = f"heat(sigma={sigma:g})"
         self.lipschitz_exact = grid.boundary in ("wrap", "reflect")
 
+    def _kernel_key(self, t):
+        """The variance sigma^2 t: the kernel's one argument that varies."""
+        return self.sigma ** 2 * t
+
     def _build_matrix(self, t):
         return lattice_kernel(self.grid.size, self.grid.spacing, 0.0,
-                              self.sigma ** 2 * t, self.grid.boundary)
+                              self._kernel_key(t), self.grid.boundary)
 
     def _generator(self, u):
         _, d2, valid = _central(u.values, self.grid.spacing,
@@ -647,7 +687,7 @@ class OUOperator(TransitionOperator):
             raise GridKindError("1D OU member needs a uniform grid")
         super().__init__(grid)
         self.B, self.m, self.C = float(B), float(m), float(C)
-        self.name = "ou(d=1)"
+        self.name = f"ou(B={self.B:g},m={self.m:g},C={self.C:g})"
 
     def moments(self, t):
         """(exp(tB), drift integral, variance integral) at duration t, three
@@ -855,7 +895,11 @@ class ChainOperator(TransitionOperator):
 
 
 class ScaledOperator(TransitionOperator):
-    """Time dilation of a base member: S_lambda(t) = S(lambda t)."""
+    """Time dilation of a base member: S_lambda(t) = S(lambda t).
+
+    The base owns the kernel store, and its counters count the lookups,
+    builds and applies a scaled member delegates; the scaled member's own
+    counters stay 0."""
 
     def __init__(self, base, scale):
         if not scale >= 0.0:
@@ -903,7 +947,9 @@ class FamilyBounds:
 
 
 class SemigroupFamily:
-    """Nonempty finite collection of members sharing one grid."""
+    """Nonempty finite collection of members sharing one grid, and one index
+    through which they share their keyed kernels (see ``matrix``); a member
+    of several families shares through the one built last."""
 
     def __init__(self, members, bounds=None):
         members = list(members)
@@ -913,6 +959,9 @@ class SemigroupFamily:
         for m in members[1:]:
             if m.grid is not grid:
                 raise ConfigurationError("all members must share one grid")
+        index = weakref.WeakValueDictionary()
+        for m in members:
+            m._index = index
         self.members = members
         self.grid = grid
         self.bounds = bounds if bounds is not None else FamilyBounds()

@@ -265,7 +265,7 @@ REJECTED = {
                                "family": {"kind": "ou", "members": [
                                    {"B": 800.0, "m": 0.0, "C": 1.0}]},
                                "u0": {"name": "sin"}, "solve": {"t": 1.0, "max_level": 3}},
-                              "ou(d=1) at duration 0.1: kernel of std "),
+                              "ou(B=800,m=0,C=1) at duration 0.1: kernel of std "),
 }
 
 
@@ -937,7 +937,7 @@ def test_cli_unbuildable_kernel_exits_2(tmp_path, capsys):
     }
     assert run("properties", write_cfg(tmp_path, cfg), str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ou(d=1) at duration 0.1: kernel of std ")
+    assert err.startswith("config error: ou(B=800,m=0,C=1) at duration 0.1: kernel of std ")
     assert f"above the budget of {operators.MAX_KERNEL_WEIGHTS}" in err
     assert "Traceback" not in err
 

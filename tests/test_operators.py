@@ -397,7 +397,7 @@ def test_kernel_weight_budget_is_checked_before_allocating():
     # B = 5 on the README grid: std 47, a 1601 x 93865 weight array (1.2 GB);
     # heat with sigma 1e7: a band of 2e11 weights
     g = WeightedGrid.uniform(-8.0, 8.0, 0.01, boundary="reflect")
-    for op, name in ((OUOperator(g, 5.0, 0.0, 1.0), "ou(d=1)"),
+    for op, name in ((OUOperator(g, 5.0, 0.0, 1.0), "ou(B=5,m=0,C=1)"),
                      (HeatOperator(g, 1e7), "heat(sigma=1e+07)")):
         tracemalloc.start()
         try:
@@ -801,8 +801,9 @@ def test_ou_2d_dense_kernel_checks_the_weights_budget_first(monkeypatch, budget)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert str(exc.value) == ("ou(d=1) at duration 0.25: kernel of std 0.585 needs "
-                              "1.46e+04 Gaussian weights, above the budget of 14640")
+    assert str(exc.value) == ("ou(B=0,m=0.2,C=1.3689) at duration 0.25: kernel of std "
+                              "0.585 needs 1.46e+04 Gaussian weights, above the budget "
+                              "of 14640")
     assert peak < 8 * 121 ** 2
 
 

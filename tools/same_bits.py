@@ -8,16 +8,17 @@ runs the same outputs through ``nisio.cli.run`` for both trees, one fresh
 interpreter per run with ``PYTHONDONTWRITEBYTECODE=1``: ``solve``, ``dpp``,
 ``control`` and ``mc`` on ``bench/configs/readme.json`` at seeds 1 and 7,
 ``properties`` on ``bench/configs/ou.json``, and ``solve`` and ``properties``
-on one small config per member kind those two leave out (``KINDS``: GBM,
-chain, stable, Koopman and scaled heat), ``mc`` at seeds 1 and 7 on the GBM
-and scaled-heat configs of ``KINDS`` (lognormal and dilated-duration steps
-through the normals stream), and ``solve`` on each of the 15 configs of
-``REJECTS`` (malformed, or over a work budget), whose ``config error:`` line
-on stderr is compared too: 38 runs, 38 exit codes, 15 rejection lines and 32
-output files in all.  The configs of ``KINDS`` and ``REJECTS`` are written
-into the temporary directory, and both trees read the same configs.  Prints
-each file's sha256 on both sides and exits 1 on any difference, in a file,
-an exit code or a rejection line.
+on one small config per member kind those two leave out and on one heat pair
+whose members share stencil kernels under ``renormalize`` (``KINDS``: GBM,
+chain, stable, Koopman, scaled heat and heat-stencil), ``mc`` at seeds 1
+and 7 on the GBM and scaled-heat configs of ``KINDS`` (lognormal and
+dilated-duration steps through the normals stream), and ``solve`` on each of
+the 15 configs of ``REJECTS`` (malformed, or over a work budget), whose
+``config error:`` line on stderr is compared too: 40 runs, 40 exit codes, 15
+rejection lines and 35 output files in all.  The configs of ``KINDS`` and
+``REJECTS`` are written into the temporary directory, and both trees read
+the same configs.  Prints each file's sha256 on both sides and exits 1 on
+any difference, in a file, an exit code or a rejection line.
 Everything it writes goes into the temporary directory; it needs no network.
 Dense kernels' bits depend on the BLAS thread count, so compare on one host
 only.
@@ -39,7 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 README, OU = "bench/configs/readme.json", "bench/configs/ou.json"
 _SMALL = {"solve": {"t": 0.5, "max_level": 4},
           "properties": {"t_list": [0.25, 0.5], "partition_pairs": 2}}
-# one small config per member kind the two bench configs leave out
+# one small config per member kind the two bench configs leave out, and a heat
+# pair in a regime they leave out
 KINDS = {
     "gbm": dict(_SMALL, grid={"kind": "log", "x_max": 4, "n": 60, "boundary": "reflect",
                               "kappa": {"kind": "inverse_power", "p": 2}},
@@ -62,6 +64,13 @@ KINDS = {
                            "scales": [0.25, 1.0]},
                    u0={"name": "quadratic"},
                    mc={"t": 0.5, "m": 16, "n_paths": 20000, "x0": 0.0}),
+    # heat members that share kernels in the stencil regime (variance at or
+    # below dx^2) under renormalize, which the README config never reaches:
+    # sigma 0.1 at t/2^(L+2) is sigma 0.05 at t/2^L
+    "heat-stencil": dict(_SMALL, grid={"kind": "uniform", "domain": [-2, 2], "dx": 0.05,
+                                       "boundary": "renormalize"},
+                         family={"kind": "heat", "sigmas": [0.05, 0.1]},
+                         u0={"name": "quadratic"}),
 }
 _HEAT = {"grid": {"kind": "uniform", "domain": [-2, 2], "dx": 0.1},
          "family": {"kind": "heat", "sigmas": [0.5, 1.0]}, "u0": {"name": "quadratic"},
