@@ -16,18 +16,19 @@ up, built or evicted.  Past ``KERNEL_CACHE_BYTES`` per member it drops the
 least recently used durations: a rebuild gives the same bits.  The members
 of one family share an index of weak references to their kernels, keyed by
 ``_kernel_key(t)``: a heat member's variance sigma^2 t, the one argument of
-its kernel that varies, and None (never shared) for every other kind.  So
+its kernel that varies, a token of the member with t for the other kinds,
+and the base's key at the dilated duration for a scaled member.  So
 ``heat(1)`` at t/4 takes the kernel ``heat(0.5)`` built at t, and both stores
 hold the one object; each member's byte count still counts it.  The index
-keeps no kernel alive, so a kernel dies with the last store that holds it.
-Every apply is ``apply_values``, the kernel times the values
-(``_apply_kernel``, an FFT product for a spectral member).  Each member counts
-its ``lookups``, ``builds``, kernels taken from the index (``shared``) and
-``evictions`` in ``matrix``, and its ``applies`` (every call, t = 0
-included) in ``apply_values``.  Beside the store each member keeps its
-composition defect (``composition_defect``), measured once on a scratch twin
-with an empty store, an empty index and counters of its own, so the
-measurement's kernels neither enter the family's nor come from it.
+keeps no kernel or member alive, so a kernel dies with the last store that
+holds it.  Every apply is ``apply_values``, the kernel times the values
+(``_apply_kernel``, an FFT product for a spectral member).  Each member,
+scaled or not, counts its ``lookups``, ``builds``, kernels taken from the
+index (``shared``) and ``evictions`` in ``matrix``, and its ``applies``
+(every call, t = 0 included) in ``apply_values``.  Beside the store each
+member keeps its composition defect (``composition_defect``), measured once
+on a scratch twin with an empty store, an empty index and counters of its
+own, so the measurement's kernels neither enter the family's nor come from it.
 
 Heat, GBM and OU members build every kernel through one selector,
 ``lattice_kernel``: a variance above one cell squared gets Gaussian weights
@@ -125,21 +126,17 @@ def _sorted_rows(n, cols_raw, weights, mode):
     sorted CSR.
 
     cols_raw has shape (n, bandwidth); out-of-range columns are folded back
-    (``reflect``), wrapped (``wrap``), or dropped (``renormalize``).  Rows are
-    divided by their own sums; folded duplicates and zeros leave the CSR.
-    Only two row sets come here, both from ``_assemble_rows``: ``wrap`` rows,
-    and the ``reflect`` rows whose spill does not fold inside their own run
-    (for Gaussian rows a half-width k > n - 2, where one column can take
-    three or more terms and their order is the sort's).  ``weights`` is
-    consumed.
+    (``reflect``) or wrapped (``wrap``).  Rows are divided by their own sums;
+    folded duplicates and zeros leave the CSR.  Only two row sets come here,
+    both from ``_assemble_rows``: ``wrap`` rows, and the ``reflect`` rows
+    whose spill does not fold inside their own run (for Gaussian rows a
+    half-width k > n - 2, where one column can take three or more terms and
+    their order is the sort's).  ``weights`` is consumed.
     """
     if mode == "reflect":
         cols = _reflect_indices(cols_raw, n)
     elif mode == "wrap":
         cols = np.mod(cols_raw, n)
-    elif mode == "renormalize":
-        np.copyto(weights, 0.0, where=(cols_raw < 0) | (cols_raw >= n))
-        cols = np.clip(cols_raw, 0, n - 1)
     else:
         raise ConfigurationError(f"unknown boundary mode {mode!r}")
     sums = weights.sum(axis=1)
@@ -460,6 +457,7 @@ class TransitionOperator:
 
     def __init__(self, grid):
         self.grid = grid
+        self._token = object()
         self._empty_store()
         self._defect = None
 
@@ -489,22 +487,21 @@ class TransitionOperator:
         """The kernel of S(t): a row-stochastic matrix, or a spectral member's
         Fourier multiplier.  Built on the first lookup of t and kept, most
         recent last, under ``KERNEL_CACHE_BYTES``; never evicts its result.
-        A keyed kernel (``_kernel_key``) that another member of the family
-        still holds is taken from the family's index instead of built."""
+        A kernel another member of the family holds under the same key
+        (``_kernel_key``) is taken from the family's index instead of built."""
         self.lookups += 1
         kernel = self._cache.pop(t, None)
         if kernel is None:
             _check_duration(t)
             key = self._kernel_key(t)
-            kernel = None if key is None else self._index.get(key)
+            kernel = self._index.get(key)
             if kernel is None:
                 try:
                     kernel = self._build_matrix(t)
                 except InvalidInputError as exc:
                     raise InvalidInputError(f"{self.name} at duration {t:g}: {exc}") from None
                 self.builds += 1
-                if key is not None:
-                    self._index[key] = kernel
+                self._index[key] = kernel
             else:
                 self.shared += 1
             self._held += _nbytes(kernel)
@@ -515,9 +512,9 @@ class TransitionOperator:
         return kernel
 
     def _kernel_key(self, t):
-        """A key that only the same kernel on this grid has, or None: the
-        kernel of S(t) is then never shared."""
-        return None
+        """A key that only the same kernel on this grid has: this member's
+        token, which does not hold the member, and t."""
+        return self._token, t
 
     def _twin(self):
         """A shallow copy of this member with an empty store, an empty index
@@ -897,9 +894,10 @@ class ChainOperator(TransitionOperator):
 class ScaledOperator(TransitionOperator):
     """Time dilation of a base member: S_lambda(t) = S(lambda t).
 
-    The base owns the kernel store, and its counters count the lookups,
-    builds and applies a scaled member delegates; the scaled member's own
-    counters stay 0."""
+    A member like any other, whose kernel at t is keyed, built and applied
+    by the base's hooks at lambda t, and held and counted in its own store.
+    At lambda = 0 it returns the values themselves and never reads the
+    identity kernel it builds."""
 
     def __init__(self, base, scale):
         if not scale >= 0.0:
@@ -910,16 +908,17 @@ class ScaledOperator(TransitionOperator):
         self.lipschitz_exact = base.lipschitz_exact
         self.name = f"scaled({base.name},{scale:g})"
 
-    def apply_values(self, t, values):
-        return self.base.apply_values(self.scale * t, values)
+    def _kernel_key(self, t):
+        _check_duration(self.scale * t)     # refuse an overflow before a build
+        return self.base._kernel_key(self.scale * t)
 
-    def matrix(self, t):
-        return self.base.matrix(self.scale * t)
+    def _build_matrix(self, t):
+        return self.base._build_matrix(self.scale * t)
 
-    def _twin(self):
-        twin = super()._twin()
-        twin.base = self.base._twin()
-        return twin
+    def _apply_kernel(self, kernel, values):
+        if self.scale == 0.0:       # to the bit, unlike a stable base's FFT
+            return values
+        return self.base._apply_kernel(kernel, values)
 
     def _generator(self, u):
         res = self.base._generator(u)
@@ -948,7 +947,7 @@ class FamilyBounds:
 
 class SemigroupFamily:
     """Nonempty finite collection of members sharing one grid, and one index
-    through which they share their keyed kernels (see ``matrix``); a member
+    through which they share kernels of equal keys (see ``matrix``); a member
     of several families shares through the one built last."""
 
     def __init__(self, members, bounds=None):

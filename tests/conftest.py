@@ -1,4 +1,6 @@
+import importlib.util
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,3 +90,13 @@ def chain_family(label_grid):
     return SemigroupFamily([ChainOperator(label_grid, Q_BD),
                             ChainOperator(label_grid, Q_MIX)],
                            FamilyBounds(0.0, 2.0))
+
+
+def same_bits_kinds():
+    """The small configs of ``tools/same_bits.py``, one per member kind the
+    bench configs leave out (``KINDS``)."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "same_bits.py"
+    spec = importlib.util.spec_from_file_location("same_bits", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.KINDS

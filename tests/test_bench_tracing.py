@@ -53,8 +53,7 @@ with tempfile.TemporaryDirectory() as out:
 
 # a traced properties run counts every member apply a spy counts, reports
 # the suite's time, and every metric it reports is finite; the spy wraps each
-# operator class's own apply_values (the tiny config's OU members delegate
-# to no other member)
+# operator class's own apply_values (no member delegates its applies)
 TRACED_PROPERTIES = """
 import math
 import tempfile
@@ -82,6 +81,41 @@ assert all(math.isfinite(v) for v in metrics.values()), metrics
 """
 
 
+# a traced solve on a scaled family counts every member apply a spy counts:
+# a scaled member applies through its own apply_values, not its base's
+TRACED_SCALED = """
+import json
+import os
+import tempfile
+from tracing import Tracer, op_metrics
+from nisio import cli, operators
+
+tracer = Tracer()
+tracer.install()
+calls = []
+for cls in vars(operators).values():
+    if isinstance(cls, type) and "apply_values" in vars(cls):
+        def spy(self, t, values, _apply=vars(cls)["apply_values"]):
+            calls.append(1)
+            return _apply(self, t, values)
+        cls.apply_values = spy
+cfg = {"grid": {"kind": "uniform", "domain": [-2, 2], "dx": 0.1, "boundary": "reflect"},
+       "family": {"kind": "scaled", "base": {"kind": "heat", "sigmas": [1.0]},
+                  "scales": [0.25, 1.0]},
+       "u0": {"name": "quadratic"}, "solve": {"t": 0.5, "max_level": 3}}
+with tempfile.TemporaryDirectory() as out:
+    path = os.path.join(out, "scaled.json")
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(cfg, f)
+    tracer.op = 0
+    assert cli.run("solve", path, os.path.join(out, "run")) == 0
+    tracer.op = None
+metrics = op_metrics(tracer.spans, 0)
+assert calls and metrics["operators.apply_count"] == len(calls), (
+    metrics["operators.apply_count"], len(calls))
+"""
+
+
 def _run(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [
@@ -101,3 +135,7 @@ def test_traced_runs_read_the_hooks_the_benchmark_needs():
 
 def test_traced_properties_counts_the_applies_a_spy_counts():
     _run(TRACED_PROPERTIES)
+
+
+def test_traced_scaled_solve_counts_the_applies_a_spy_counts():
+    _run(TRACED_SCALED)

@@ -73,9 +73,9 @@ def _family(kind):
 
 
 def _stores(family):
-    """Every operator holding kernels for the family, each once."""
-    ops = [getattr(m, "base", m) for m in family]
-    return list({id(op): op for op in ops}.values())
+    """Every operator holding kernels for the family: each member, scaled
+    ones too, holds its own."""
+    return list(family)
 
 
 def _assert_store_consistent(op):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import same_bits_kinds
 from nisio import (ChainOperator, GridFunction, HeatOperator, InvalidInputError,
                    KoopmanOperator, OUOperator, ResolutionError, ScaledOperator, SemigroupFamily,
                    WeightedGrid, cutoff_decay_probe, cutoff_family,
@@ -265,3 +266,22 @@ def test_koopman_family_envelope_dominates_members():
                          [probe_function(p, grid) for p in ("sin", "cos")], [0.25, 1.0])
     check = {c["name"]: c for c in rep["checks"]}["envelope_dominates_members"]
     assert check["passed"], check
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="three checks fail on the heat-stencil config (heat sigma 0.05 and "
+    "0.1, uniform [-2, 2], dx 0.05, renormalize): partition_refinement at slack "
+    "-0.0403 and dyadic_levels_nondecreasing at -0.0440 against 0.0321, and "
+    "envelope_dominates_members at -0.0044 against 0.0020.  The composition "
+    "defect sits at the domain's ends, where S(0.25)S(0.25)u - S(0.5)u reads "
+    "-0.0304 for sigma 0.1, far above eps_q, which t_ref = 0.1 measures.")
+def test_heat_stencil_family_passes_its_properties():
+    cfg = validate_config(same_bits_kinds()["heat-stencil"])
+    grid = build_grid(cfg)
+    section = cfg["properties"]
+    rep = property_suite(build_family(cfg, grid),
+                         [probe_function(p, grid) for p in ("quadratic", "neg-quadratic", "sin")],
+                         section["t_list"], partition_pairs=section["partition_pairs"])
+    failed = [c for c in rep["checks"] if not c["passed"]]
+    assert not failed, failed

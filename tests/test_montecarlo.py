@@ -253,8 +253,11 @@ def test_nested_scaling_uses_the_grid_duration(coarse_grid):
     assert a * (b * h) != (a * b) * h
     base = HeatOperator(coarse_grid, 1.0)
     nested = ScaledOperator(ScaledOperator(base, a), b)
-    nested.matrix(h)
-    assert list(base._cache) == [a * (b * h)]
+    # a heat(1) key is the variance 1 * duration: the duration itself
+    assert nested._kernel_key(h) == a * (b * h)
+    kernel = nested.matrix(h)       # dense: its band, 983 wide, spans the 801 nodes
+    solo = HeatOperator(coarse_grid, 1.0).matrix(a * (b * h))
+    assert type(kernel) is type(solo) is np.ndarray and np.array_equal(kernel, solo)
     states = np.linspace(-1.0, 1.0, 50)
     draws = [step(states, np.random.Generator(np.random.Philox(key=4)))
              for step in (nested.path_step(h), base.path_step(a * (b * h)))]

@@ -4,7 +4,6 @@ On every config below the walker and ``Draft202012Validator`` give the same
 verdict, and the error the walker reports is the one ``best_match`` picks,
 with its JSON path and its message.
 """
-import importlib.util
 import json
 import random
 import re
@@ -17,6 +16,7 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from config_strategies import FAMILIES, grid_and_family, num, properties
+from conftest import same_bits_kinds
 from nisio import ConfigurationError
 from nisio.config import CONFIG_SCHEMA, validate_config
 from nisio.probes import PROBE_NAMES
@@ -120,16 +120,9 @@ def edits(doc):
             yield path, node + node[-1:]
 
 
-def _same_bits_kinds():
-    spec = importlib.util.spec_from_file_location("same_bits", ROOT / "tools" / "same_bits.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.KINDS
-
-
 BASES = {str(path.relative_to(ROOT)): json.loads(path.read_text())
          for path in sorted((ROOT / "bench" / "configs").glob("**/*.json"))}
-BASES.update((f"same_bits {kind}", cfg) for kind, cfg in _same_bits_kinds().items())
+BASES.update((f"same_bits {kind}", cfg) for kind, cfg in same_bits_kinds().items())
 
 
 @pytest.mark.parametrize("name", sorted(BASES))
