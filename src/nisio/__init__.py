@@ -18,8 +18,7 @@ from .envelope import (NisioResult, Partition, dpp_check, envelope_step,
                        envelope_step_argmax, nisio_value, partition_apply,
                        quadrature_tolerance, upper_bound_check)
 from .errors import (ConfigurationError, InvalidInputError,
-                     NumericalDegeneracyError, ResolutionError,
-                     UndefinedSeminormError)
+                     NumericalDegeneracyError, ResolutionError)
 from .grids import GridFunction, WeightedGrid, lip_seminorm, weighted_norm
 from .montecarlo import SamplerSpec, mc_compare, mc_value, sample_terminal_states
 from .operators import (ChainOperator, FamilyBounds, GBMOperator, GeneratorResult,
@@ -35,7 +34,7 @@ __all__ = [
     "HeatOperator", "InvalidInputError", "KoopmanOperator", "NisioResult",
     "NumericalDegeneracyError", "OUOperator", "Partition", "ResolutionError",
     "SamplerSpec", "ScaledOperator", "SemigroupFamily", "StableOperator",
-    "TransitionOperator", "UndefinedSeminormError", "WeightedGrid",
+    "TransitionOperator", "WeightedGrid",
     "cutoff_decay_probe", "cutoff_family", "dpp_check", "duality_gap",
     "envelope_step", "envelope_step_argmax", "greedy_policy",
     "lip_seminorm", "mc_compare", "mc_value", "nisio_value", "partition_apply",

@@ -11,13 +11,15 @@ eps_q while the kernel stores are empty (its kernels at 0.1, 0.05, 0.025 and
 so a run whose work uses one of those durations builds it twice); then work.  Exit codes: 0 all enabled assertions pass,
 1 assertion failure, 2 malformed config (a schema violation such as a key
 its kind does not read, a missing required key, a negative horizon, a zero
-``control.t`` or ``mc.t``, a ``solve.tol`` that is not positive, a log grid
-with ``n`` below 2 or a ``scaled`` base of more than one member; a number
-that is not finite, a ragged matrix, an entry its member rejects, such as a
-Koopman field that is not finite on the grid, an unreadable u0 CSV, a
-``report_window`` that selects no grid point, a refinement level, stage
-count or Monte Carlo path count over the work budget, a horizon too small
-to split, an ``mc`` run on a uniform or periodic grid of one point, a seed outside
+``control.t`` or ``mc.t``, a ``solve.tol`` that is not positive, a log or
+labels grid with ``n`` below 2 or a ``scaled`` base of more than one member;
+a number that is not finite, a ragged matrix, a grid of fewer than two
+points, an entry its member rejects, such as a Koopman field that is not
+finite on the grid or a heat or GBM sigma whose square overflows, an
+unreadable u0 CSV, a ``report_window`` that selects no grid point, a
+refinement level, stage count, Monte Carlo path count or kernel (Gaussian
+or chain uniformization weights) over the work budget, a scaled member's
+duration that overflows, a horizon too small to split, a seed outside
 Philox's key range [0, 2^128 - 1] in the config or in --seed), an unusable
 --out directory or an unknown flag, 3 numerical degeneracy.  Each subcommand
 returns its record's name and fields; ``run`` writes ``<name>.json`` and exits 1 exactly
@@ -181,12 +183,6 @@ def _cmd_control(run):
 def _cmd_mc(run):
     section = run.section
     t, m = section["t"], section.get("m", 16)
-    grid, g = run.grid, run.cfg["grid"]
-    if grid.kind in ("uniform", "periodic") and grid.size < 2:
-        # mc_value reads u between nodes, which needs two of them
-        why = (f"grid.dx {g['dx']:g} spans the whole domain" if grid.kind == "periodic"
-               else f"grid.domain {g['domain']} holds one node at grid.dx {g['dx']:g}")
-        raise ConfigurationError(f"mc on a {grid.kind} grid needs at least two points: {why}")
     level = 8       # the envelope mc.json reports beside the policy's value
     check_greedy_stages(run.family, m)
     check_path_stages(section["n_paths"], m)

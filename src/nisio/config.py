@@ -68,7 +68,7 @@ _GRID = _tagged("kind", {
     "periodic": _closed("domain", "dx", domain=_PAIR, dx=_POS),
     "log": _closed("x_max", "n", x_max=_POS, n=dict(_POS_INT, minimum=2), x_min_mag=_POS,
                    boundary=_boundary("log")),
-    "labels": _closed("n", n=_POS_INT),
+    "labels": _closed("n", n=dict(_POS_INT, minimum=2)),
 }, kappa=_tagged("kind", {"constant": _closed(), "inverse_power": _closed(p=_NUM)}))
 _MEMBER_KINDS = {
     "heat": _closed("sigmas", sigmas=_list(_NUM)),

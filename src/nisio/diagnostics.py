@@ -56,12 +56,8 @@ def cutoff_decay_probe(family, delta, x_list, h_list, level=3, tol=1e-9):
     if not (delta > 0.0 and np.isfinite(delta)):
         raise InvalidInputError("delta must be positive and finite")
     grid = family.grid
-    if grid.kind != "labels":
-        if grid.size < 2:
-            raise ResolutionError("a cut-off needs a grid of at least two points")
-        min_gap = float(np.min(np.diff(grid.points)))
-        if delta < 2.0 * min_gap:
-            raise ResolutionError(f"delta={delta} below twice the grid spacing")
+    if grid.kind != "labels" and delta < 2.0 * float(np.min(np.diff(grid.points))):
+        raise ResolutionError(f"delta={delta} below twice the grid spacing")
     centers_idx = grid.nearest_index(np.asarray(x_list, dtype=float).ravel()).tolist()
     cutoffs = [cutoff_family(grid, grid.points[idx], delta) for idx in centers_idx]
     L = max((weighted_norm(phi.with_values(res.values), window=res.valid)
@@ -245,7 +241,7 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     record("kappa_contraction", worst, eps)
 
     # Lipschitz propagation (only meaningful when members preserve it exactly)
-    if all(m.lipschitz_exact for m in family) and grid.size > 1:
+    if all(m.lipschitz_exact for m in family):
         beta = family.bounds.beta
         gap_min = float(np.min(np.diff(pts)))
         worst = np.inf

@@ -45,7 +45,7 @@ class Partition:
             raise ConfigurationError("partition must be a nonempty 1D sequence")
         if t[0] != 0.0:
             raise ConfigurationError("partition must start at 0")
-        if t.size > 1 and not np.all(np.diff(t) > 0.0):
+        if not np.all(np.diff(t) > 0.0):
             raise ConfigurationError("partition times must be strictly increasing")
         self.times.setflags(write=False)
 
@@ -67,9 +67,7 @@ class Partition:
 
     @property
     def mesh(self):
-        if self.times.size == 1:
-            return 0.0
-        return float(np.max(self.gaps))
+        return float(np.max(self.gaps, initial=0.0))
 
     @property
     def gaps(self):

@@ -5,10 +5,6 @@ class InvalidInputError(ValueError):
     """Raised for non-finite data or arguments outside an operation's domain."""
 
 
-class UndefinedSeminormError(InvalidInputError):
-    """Raised when a seminorm is requested on a grid that cannot support it."""
-
-
 class ConfigurationError(ValueError):
     """Raised for structurally invalid specs, families, or policies."""
 

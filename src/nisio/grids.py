@@ -1,7 +1,8 @@
 """Discretized state spaces, sampled functions, and the norms used throughout.
 
-A :class:`WeightedGrid` is a finite 1D state space together with a
-strictly positive bounded weight ``kappa``.  Three flavours are supported:
+A :class:`WeightedGrid` is a finite 1D state space of at least two points
+together with a strictly positive bounded weight ``kappa``.  Three flavours
+are supported:
 
 * ``uniform``   -- grid with constant spacing (optionally periodic),
 * ``log``       -- sign-glued grid, uniform in ``log|x|``, with 0 as an
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidInputError, UndefinedSeminormError
+from .errors import ConfigurationError, InvalidInputError
 
 # the boundary rules each kind admits, its default first: a periodic grid
 # wraps, labels have no ends
@@ -53,7 +54,7 @@ def _as_weight(kappa, points):
 class WeightedGrid:
     """Finite state space with per-point weights and a metric.
 
-    ``points`` has shape ``(N,)``.  ``spacing`` is the mesh width
+    ``points`` has shape ``(N,)`` with N >= 2.  ``spacing`` is the mesh width
     (log-spacing for ``log`` grids, 1 for labels).  ``boundary`` is a rule
     ``BOUNDARIES`` admits for the kind; None takes the kind's default.
     """
@@ -79,8 +80,11 @@ class WeightedGrid:
                                      f"{' or '.join(allowed)}, not {self.boundary!r}")
         if pts.ndim != 1:
             raise ConfigurationError(f"grid points must be 1D, got shape {pts.shape}")
-        if len(pts) == 0:
-            raise ConfigurationError("empty grid")
+        if len(pts) < 2:
+            # one point has no room to move: every lookup, kernel, seminorm
+            # and probe relies on two
+            raise ConfigurationError(
+                f"a {self.kind} grid needs at least two points, got {len(pts)}")
         if kap.shape != (len(pts),):
             raise ConfigurationError(f"kappa has shape {kap.shape}, expected ({len(pts)},)")
         if not np.all(np.isfinite(pts)):
@@ -191,8 +195,6 @@ class WeightedGrid:
         states inside the node-centred period ``[points[0] - dx/2,
         points[0] - dx/2 + period)``, where the sampler keeps its paths."""
         x = _reject_nan(x)
-        if self.size == 1:
-            return np.zeros(x.shape, dtype=np.intp)
         j = self._bracket(x)
         left = self.points.take(j)
         right = self.points[1:].take(j)
@@ -207,8 +209,6 @@ class WeightedGrid:
         Periodic grids wrap finite x into the period instead; j = N-1 is the
         cell from the last node to node 0.
         """
-        if self.size < 2:
-            raise ConfigurationError("interp_weights needs at least two points")
         x = _reject_nan(x)
         pts = self.points
         if self.kind == "periodic":
@@ -280,8 +280,6 @@ def lip_seminorm(u):
     """
     g = u.grid
     v = u.values
-    if g.size < 2:
-        raise UndefinedSeminormError("Lipschitz seminorm needs at least two points")
     if g.kind == "labels":
         return float(np.max(v) - np.min(v))
     gaps = np.diff(g.points)

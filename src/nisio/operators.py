@@ -88,9 +88,11 @@ from .probes import probe_function
 
 # kernel support radius in standard deviations; tail mass beyond is ~1e-23
 KERNEL_RADIUS = 10.0
-# Gaussian weights one kernel build may hold: the band of a zero-offset
-# kernel, or the n x (2k+1) array of the row-by-row path (2^24 float64 is
-# 128 MiB); every shipped config and demo needs at most 3.3e6
+# weights one kernel build may hold or sum: a lattice kernel's Gaussian weights
+# (the band of a zero-offset kernel, or the n x (2k+1) array of the
+# row-by-row path), and a chain's (k_max + 1) n^2, its n x n jump-matrix
+# powers over the k_max + 1 uniformization terms (2^24 float64 is 128 MiB);
+# every shipped config and demo needs at most 3.3e6
 MAX_KERNEL_WEIGHTS = 2 ** 24
 # kernel bytes per member, shared kernels counted by each member that holds
 # them; above every benchmark working set (192.3 MiB at most: the offset OU
@@ -107,8 +109,6 @@ KERNEL_CACHE_BYTES = 512 * 2 ** 20
 
 def _reflect_indices(j, n):
     """Mirror indices about the end nodes of 0..n-1 (period 2(n-1))."""
-    if n == 1:
-        return np.zeros_like(j)
     m = 2 * (n - 1)
     j = np.mod(j, m)
     return np.where(j >= n, m - j, j)
@@ -133,12 +133,7 @@ def _sorted_rows(n, cols_raw, weights, mode):
     half-width k > n - 2, where one column can take three or more terms and
     their order is the sort's).  ``weights`` is consumed.
     """
-    if mode == "reflect":
-        cols = _reflect_indices(cols_raw, n)
-    elif mode == "wrap":
-        cols = np.mod(cols_raw, n)
-    else:
-        raise ConfigurationError(f"unknown boundary mode {mode!r}")
+    cols = _reflect_indices(cols_raw, n) if mode == "reflect" else np.mod(cols_raw, n)
     sums = weights.sum(axis=1)
     if np.any(sums <= 0.0):
         raise NumericalDegeneracyError("kernel row lost all mass")
@@ -235,8 +230,6 @@ def _band_matrix(n, w, mode):
     entries on the lattice; otherwise ``wrap`` is CSR and the other two modes
     are DIA, one diagonal per band offset -k..k (k < n - 1 there).
     """
-    if n == 1:
-        return np.eye(1)
     k = w.size // 2
     rows = np.arange(n)
     lo = np.maximum(rows - k, 0)
@@ -245,7 +238,7 @@ def _band_matrix(n, w, mode):
         csum = np.concatenate(([0.0], np.cumsum(w)))
         first = lo - rows + k                            # band index of column lo
         scale = 1.0 / (csum[first + counts] - csum[first])
-    elif mode in ("reflect", "wrap"):
+    else:
         period = 2 * (n - 1) if mode == "reflect" else n
         total = w.sum()
         folded = np.bincount(np.arange(-k, k + 1) % period, weights=w, minlength=period)
@@ -255,8 +248,6 @@ def _band_matrix(n, w, mode):
             counts = np.full(n, n)      # the band covers every column of every row
         elif mode == "wrap":
             counts = np.full(n, w.size)
-    else:
-        raise ConfigurationError(f"unknown boundary mode {mode!r}")
     nnz = int(counts.sum())
 
     if _dense_is_cheaper(n, nnz):
@@ -490,20 +481,21 @@ class TransitionOperator:
         A kernel another member of the family holds under the same key
         (``_kernel_key``) is taken from the family's index instead of built."""
         self.lookups += 1
+        t = float(t)        # so that a product with t overflows to inf, silently
         kernel = self._cache.pop(t, None)
         if kernel is None:
             _check_duration(t)
-            key = self._kernel_key(t)
-            kernel = self._index.get(key)
-            if kernel is None:
-                try:
+            try:
+                key = self._kernel_key(t)
+                kernel = self._index.get(key)
+                if kernel is None:
                     kernel = self._build_matrix(t)
-                except InvalidInputError as exc:
-                    raise InvalidInputError(f"{self.name} at duration {t:g}: {exc}") from None
-                self.builds += 1
-                self._index[key] = kernel
-            else:
-                self.shared += 1
+                    self.builds += 1
+                    self._index[key] = kernel
+                else:
+                    self.shared += 1
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"{self.name} at duration {t:g}: {exc}") from None
             self._held += _nbytes(kernel)
             while self._held > KERNEL_CACHE_BYTES and self._cache:
                 self._held -= _nbytes(self._cache.pop(next(iter(self._cache))))
@@ -561,16 +553,24 @@ class TransitionOperator:
         raise ConfigurationError(f"no exact-increment sampler for {self.name}")
 
 
+def _check_sigma(sigma):
+    """``sigma`` as a float, refused below 0, as NaN, or when its square, the
+    variance per unit time, overflows."""
+    sigma = float(sigma)
+    if not (sigma >= 0.0 and math.isfinite(sigma * sigma)):
+        raise ConfigurationError(f"sigma must be >= 0 with a finite square, got {sigma:g}")
+    return sigma
+
+
 class HeatOperator(TransitionOperator):
     """Brownian member with volatility sigma: Gaussian kernel of variance sigma^2 t."""
 
     def __init__(self, grid, sigma):
         if grid.kind not in ("uniform", "periodic"):
             raise GridKindError("heat member needs a uniform grid")
-        if not sigma >= 0.0:
-            raise ConfigurationError("sigma must be >= 0")
+        sigma = _check_sigma(sigma)
         super().__init__(grid)
-        self.sigma = float(sigma)
+        self.sigma = sigma
         self.name = f"heat(sigma={sigma:g})"
         self.lipschitz_exact = grid.boundary in ("wrap", "reflect")
 
@@ -617,11 +617,10 @@ class GBMOperator(TransitionOperator):
     def __init__(self, grid, mu, sigma):
         if grid.kind != "log":
             raise GridKindError("GBM member needs a log grid")
-        if not sigma >= 0.0:
-            raise ConfigurationError("sigma must be >= 0")
+        sigma = _check_sigma(sigma)
         super().__init__(grid)
         self.mu = float(mu)
-        self.sigma = float(sigma)
+        self.sigma = sigma
         self.name = f"gbm(mu={mu:g},sigma={sigma:g})"
         self._n_side = (grid.size - 1) // 2
         self._drift = _log_drift(self.mu, self.sigma)
@@ -750,7 +749,7 @@ class KoopmanOperator(TransitionOperator):
             raise ConfigurationError(f"field is not finite on the grid: {fx[bad][0]} at "
                                      f"x = {grid.points[bad][0]:g}")
         # written so that a NaN hint fails it, as an infinite slope does
-        if slopes.size and not float(np.max(slopes)) <= self.lipschitz_hint + 1e-9:
+        if not float(np.max(slopes)) <= self.lipschitz_hint + 1e-9:
             raise ConfigurationError(
                 f"field exceeds its Lipschitz hint: {np.max(slopes):.3g} > "
                 f"{self.lipschitz_hint:.3g}")
@@ -859,7 +858,14 @@ class ChainOperator(TransitionOperator):
         gt = self.rate * t
         if gt == 0.0:
             return np.eye(n)
-        k_max = int(gt + 12.0 * math.sqrt(gt) + 30.0)
+        # sized before anything is allocated, in floats while it is too big
+        k_max = gt + 12.0 * math.sqrt(gt) + 30.0
+        if k_max <= MAX_KERNEL_WEIGHTS:
+            k_max = int(k_max)
+        summed = (k_max + 1) * n * n
+        if not summed <= MAX_KERNEL_WEIGHTS:
+            raise InvalidInputError(f"rate {self.rate:.3g} needs {summed:.3g} uniformization "
+                                    f"weights, above the budget of {MAX_KERNEL_WEIGHTS}")
         pmf = _poisson_pmf(np.arange(k_max + 1), gt)
         acc = pmf[0] * np.eye(n)
         power = np.eye(n)

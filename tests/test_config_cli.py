@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import re
+import subprocess
 import sys
 import tracemalloc
 
@@ -383,8 +384,8 @@ def test_cli_mc_path_count_over_budget_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_mc_on_a_one_point_periodic_grid_exits_2(tmp_path, capsys, monkeypatch):
-    # u is read between two nodes at the paths' ends: a one-point period is
-    # rejected, naming the key, before the greedy policy or any path
+    # a period of one point is no grid: refused where the grid is made,
+    # before the greedy policy or any path
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the grid check")
 
@@ -395,9 +396,9 @@ def test_cli_mc_on_a_one_point_periodic_grid_exits_2(tmp_path, capsys, monkeypat
            "mc": {"t": 0.5, "m": 2, "n_paths": 100, "x0": 0.0}}
     out = tmp_path / "out"
     assert run("mc", write_cfg(tmp_path, cfg), str(out)) == 2
-    assert not any(out.iterdir())
-    err = capsys.readouterr().err
-    assert "config error" in err and "grid.dx 2" in err
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "config error: a periodic grid needs at least two points, got 1\n")
 
 
 def test_cli_properties_without_a_positive_horizon_exits_2(tmp_path, capsys):
@@ -474,7 +475,7 @@ def test_cli_measures_eps_q_on_empty_stores_before_the_work(tmp_path, monkeypatc
 # configs each rejected before any kernel is built: over budget, a horizon or
 # tolerance of the wrong sign or too small to split, a window that selects
 # no point, a field that is not finite on the grid, an OU coefficient that is
-# not a number
+# not a number, a sigma whose square overflows, a grid of one point
 NO_WORK = {
     "solve-level": ("solve", {"solve": {"t": 1.0, "max_level": 40}}, "max_level 40"),
     "dpp-level": ("dpp", {"dpp": {"s": 0.5, "t": 0.5, "level": 40}}, "max_level 40"),
@@ -485,11 +486,6 @@ NO_WORK = {
     "mc-stages": ("mc", {"mc": dict(BASE_CFG["mc"], m=2 ** 40)}, f"{2 ** 40} stages"),
     "mc-paths": ("mc", {"mc": dict(BASE_CFG["mc"], m=4, n_paths=2 ** 25)},
                  f"{2 ** 25} paths"),
-    "mc-one-point": ("mc", {"grid": {"kind": "periodic", "domain": [-1, 1], "dx": 2}},
-                     "grid.dx 2"),
-    "mc-one-node-uniform": ("mc", {"grid": {"kind": "uniform", "domain": [0, 0], "dx": 0.1}},
-                            "mc on a uniform grid needs at least two points: "
-                            "grid.domain [0, 0] holds one node at grid.dx 0.1"),
     "solve-ou-2d": ("solve", {"family": {"kind": "ou", "members": [
         {"B": [[-1, 0], [0, -1]], "m": [0, 0], "C": [[1, 0], [0, 1]]}]}},
                     "$.family.members[0].m: [0, 0] is not of type 'number'"),
@@ -523,7 +519,32 @@ NO_WORK = {
     "solve-field-nan": ("solve", {"grid": {"kind": "uniform", "domain": [-4, 4], "dx": 0.05},
                                   "family": {"kind": "koopman", "fields": ["-x", "sqrt(x)"]}},
                         "family.fields[1]: field is not finite on the grid"),
+    "solve-heat-sigma-overflow": ("solve", {"family": {"kind": "heat", "sigmas": [1e200]}},
+                                  "family.sigmas[0]: sigma must be >= 0 with a finite "
+                                  "square, got 1e+200"),
+    "solve-gbm-sigma-overflow": ("solve", {"grid": {"kind": "log", "x_max": 4, "n": 10},
+                                           "family": {"kind": "gbm", "members": [[0.0, 1e200]]},
+                                           "u0": {"name": "call-payoff", "strike": 1.0}},
+                                 "family.members[0]: sigma must be >= 0 with a finite "
+                                 "square, got 1e+200"),
 }
+# a grid of one point, which every subcommand refuses where the grid is made
+# (uniform and periodic) or the schema refuses (labels)
+ONE_POINT = {
+    "uniform": ({"grid": {"kind": "uniform", "domain": [0, 0], "dx": 0.1}},
+                "a uniform grid needs at least two points, got 1"),
+    "periodic": ({"grid": {"kind": "periodic", "domain": [-1, 1], "dx": 2}},
+                 "a periodic grid needs at least two points, got 1"),
+    "labels": ({"grid": {"kind": "labels", "n": 1},
+                "family": {"kind": "chain", "rate_matrices": [[[0.0]]]}},
+               "$.grid.n: 1 is less than the minimum of 2"),
+}
+# the two mc cases keep the names they had when only mc refused one point
+_ONE_POINT_NAMES = {("mc", "periodic"): "mc-one-point", ("mc", "uniform"): "mc-one-node-uniform"}
+NO_WORK.update({
+    _ONE_POINT_NAMES.get((sub, kind), f"{sub}-one-point-{kind}"): (sub, sections, message)
+    for sub in ("solve", "dpp", "control", "mc", "properties")
+    for kind, (sections, message) in ONE_POINT.items()})
 
 
 @pytest.mark.parametrize("case", sorted(NO_WORK))
@@ -940,6 +961,46 @@ def test_cli_unbuildable_kernel_exits_2(tmp_path, capsys):
     assert err.startswith("config error: ou(B=800,m=0,C=1) at duration 0.1: kernel of std ")
     assert f"above the budget of {operators.MAX_KERNEL_WEIGHTS}" in err
     assert "Traceback" not in err
+
+
+# configs whose numbers overflow a float: a dilated duration, a sigma's
+# square, a chain's uniformization terms; config -> rejection line
+OVERFLOWS = [
+    ({"grid": {"kind": "uniform", "domain": [-2, 2], "dx": 0.1},
+      "family": {"kind": "scaled", "scales": [1e308], "base": {
+          "kind": "ou", "members": [{"B": -0.5, "m": 0.2, "C": 1.0}]}},
+      "solve": {"t": 2.0, "max_level": 2}},
+     "scaled(ou(B=-0.5,m=0.2,C=1),1e+308) at duration 2: duration must be finite and "
+     ">= 0, got inf"),
+    ({"grid": {"kind": "uniform", "domain": [-2, 2], "dx": 0.1},
+      "family": {"kind": "heat", "sigmas": [1e200]}, "solve": {"t": 2.0}},
+     "family.sigmas[0]: sigma must be >= 0 with a finite square, got 1e+200"),
+    ({"grid": {"kind": "log", "x_max": 4, "n": 10},
+      "family": {"kind": "gbm", "members": [[0.0, 1e200]]}, "solve": {"t": 2.0}},
+     "family.members[0]: sigma must be >= 0 with a finite square, got 1e+200"),
+    ({"grid": {"kind": "labels", "n": 2},
+      "family": {"kind": "chain", "rate_matrices": [[[-1e300, 1e300], [0, 0]]]},
+      "solve": {"t": 2.0}},
+     "chain(n=2) at duration 0.1: rate 1e+300 needs 4e+299 uniformization weights, "
+     f"above the budget of {operators.MAX_KERNEL_WEIGHTS}"),
+]
+
+
+def test_cli_overflows_exit_2_when_every_warning_is_an_error(tmp_path):
+    # one interpreter under -W error runs them all: a numpy overflow warning
+    # would raise out of run, a Python OverflowError was never caught
+    paths = []
+    for i, (cfg, _) in enumerate(OVERFLOWS):
+        paths.append(tmp_path / f"overflow{i}.json")
+        paths[-1].write_text(json.dumps(cfg), encoding="utf-8")
+    script = ("import sys\nfrom nisio.cli import run\n"
+              "print(*(run('solve', p, p + '.out') for p in sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script, *map(str, paths)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.stdout.split() == ["2"] * len(OVERFLOWS), proc.stderr[-2000:]
+    assert proc.stderr.splitlines() == [f"config error: {line}" for _, line in OVERFLOWS]
 
 
 def test_cli_gbm_zero_volatility_member(tmp_path):

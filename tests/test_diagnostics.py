@@ -87,18 +87,6 @@ def test_cutoff_resolution_guard(coarse_family):
         cutoff_decay_probe(coarse_family, 0.01, [0.0], [0.1])
 
 
-def test_cutoff_decay_probe_rejects_a_one_point_grid_before_any_work(monkeypatch):
-    # a one-point grid has no spacing to resolve delta against; np.diff of it
-    # used to leak numpy's ValueError from np.min
-    def refuse(*args):
-        raise AssertionError("cut-off built")
-
-    monkeypatch.setattr(diagnostics, "cutoff_family", refuse)
-    family = SemigroupFamily([HeatOperator(WeightedGrid.uniform(0.0, 0.0, 0.1), 1.0)])
-    with pytest.raises(ResolutionError, match="at least two points"):
-        cutoff_decay_probe(family, 1.0, [0.0], [0.1])
-
-
 @pytest.mark.parametrize("delta", [0.0, -1.0, np.inf, np.nan])
 def test_cutoff_decay_probe_rejects_a_delta_before_any_work(coarse_family, chain_family,
                                                            monkeypatch, delta):
@@ -268,16 +256,25 @@ def test_koopman_family_envelope_dominates_members():
     assert check["passed"], check
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="three checks fail on the heat-stencil config (heat sigma 0.05 and "
-    "0.1, uniform [-2, 2], dx 0.05, renormalize): partition_refinement at slack "
-    "-0.0403 and dyadic_levels_nondecreasing at -0.0440 against 0.0321, and "
-    "envelope_dominates_members at -0.0044 against 0.0020.  The composition "
-    "defect sits at the domain's ends, where S(0.25)S(0.25)u - S(0.5)u reads "
-    "-0.0304 for sigma 0.1, far above eps_q, which t_ref = 0.1 measures.")
-def test_heat_stencil_family_passes_its_properties():
-    cfg = validate_config(same_bits_kinds()["heat-stencil"])
+@pytest.mark.parametrize("boundary", [
+    pytest.param("renormalize", marks=pytest.mark.xfail(
+        strict=True,
+        reason="three checks fail on the heat-stencil config (heat sigma 0.05 and "
+        "0.1, uniform [-2, 2], dx 0.05, renormalize): partition_refinement at slack "
+        "-0.0403 and dyadic_levels_nondecreasing at -0.0440 against 0.0321, and "
+        "envelope_dominates_members at -0.0044 against 0.0020.  The composition "
+        "defect sits at the domain's ends, where S(0.25)S(0.25)u - S(0.5)u reads "
+        "-0.0304 for sigma 0.1, far above eps_q, which t_ref = 0.1 measures.")),
+    pytest.param("reflect", marks=pytest.mark.xfail(
+        strict=True,
+        reason="one check fails on the heat-stencil config under reflect: "
+        "envelope_dominates_members at slack -0.00847 against 0.00200, with every "
+        "other check passing.  reflect does not compose exactly at the ends either: "
+        "S(0.25)S(0.25)u - S(0.5)u reads -0.0276 at x = -1.95 for sigma 0.1.")),
+])
+def test_heat_stencil_family_passes_its_properties(boundary):
+    kind = same_bits_kinds()["heat-stencil"]
+    cfg = validate_config(dict(kind, grid=dict(kind["grid"], boundary=boundary)))
     grid = build_grid(cfg)
     section = cfg["properties"]
     rep = property_suite(build_family(cfg, grid),

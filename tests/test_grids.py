@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nisio import (ConfigurationError, GridFunction, InvalidInputError,
-                   UndefinedSeminormError, WeightedGrid, lip_seminorm,
-                   weighted_norm)
+                   WeightedGrid, lip_seminorm, weighted_norm)
 from nisio.config import build_grid
 from nisio.grids import BOUNDARIES
 from nisio.probes import probe_function
@@ -113,10 +112,33 @@ def test_lip_seminorm_tensor_takes_the_steeper_axis():
     assert lip_seminorm(GridFunction(y.points ** 2, y)) == 3.5
 
 
-def test_lip_seminorm_single_point_rejected():
-    g = WeightedGrid.labels(1)
-    with pytest.raises(UndefinedSeminormError):
-        lip_seminorm(GridFunction(np.array([1.0]), g))
+def test_every_grid_kind_refuses_fewer_than_two_points():
+    # one rule where a grid is made: no lookup, kernel, seminorm or probe
+    # ever sees a grid of one point, and a grid of two serves every lookup
+    # and the seminorm on each kind
+    one_point = {
+        "uniform": lambda: WeightedGrid.uniform(0.0, 0.0, 0.5),
+        "periodic": lambda: WeightedGrid.uniform(0.0, 0.5, 0.5, periodic=True),
+        "log": lambda: WeightedGrid(np.array([0.0]), np.ones(1), kind="log"),
+        "labels": lambda: WeightedGrid.labels(1),
+    }
+    for kind, make in one_point.items():
+        with pytest.raises(ConfigurationError,
+                           match=f"^a {kind} grid needs at least two points, got 1$"):
+            make()
+    # a two-point grid of each kind, and the Lipschitz constant of (1, 2) on it
+    smallest = [(WeightedGrid.uniform(0.0, 0.5, 0.5), 2.0),
+                (WeightedGrid.uniform(0.0, 1.0, 0.5, periodic=True), 2.0),
+                (WeightedGrid(np.array([-1.0, 1.0]), np.ones(2), kind="log", spacing=2.0), 0.5),
+                (WeightedGrid.labels(2), 1.0)]
+    for g, lip in smallest:
+        u = GridFunction(np.array([1.0, 2.0]), g)
+        assert g.nearest_index(np.array([-1.0, 0.0, 0.7, 5.0])).tolist() == [0, 0, 1, 1]
+        assert lip_seminorm(u) == lip
+        lo, hi = g.points
+        x, values = ((lo, hi), [1.0, 2.0]) if g.kind == "labels" else (
+            (lo, 0.5 * (lo + hi), hi), [1.0, 1.5, 2.0])
+        assert u.at(np.array(x)).tolist() == values
 
 
 def test_lip_seminorm_labels_uses_discrete_metric():
@@ -261,15 +283,6 @@ def test_lookup_matches_binary_search_fixed_grids(g):
         assert_lookup_matches_oracle(g, x)
 
 
-def test_nearest_index_single_point_grid():
-    for g in (WeightedGrid.uniform(0.0, 0.0, 0.5),
-              WeightedGrid.uniform(0.0, 0.5, 0.5, periodic=True)):
-        assert g.size == 1
-        assert g.nearest_index(np.array([0.0, 1.0, -1.0])).tolist() == [0, 0, 0]
-        with pytest.raises(ConfigurationError):
-            g.interp_weights(np.array([0.0]))
-
-
 def test_lookup_rejects_nan():
     grids = (WeightedGrid.uniform(-1.0, 1.0, 0.5), WeightedGrid.loggrid(8.0, 0.01, 10),
              WeightedGrid.labels(4))
@@ -331,7 +344,7 @@ def test_labels_lookup_clamps_far_states_to_the_end_labels():
     assert g.nearest_index(x).tolist() == [0, 0, 0, 2, 3, 3, 3]
 
 
-@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("n", [2, 5])
 def test_labels_lookup_matches_the_ceil_rule(n):
     # labels take the uniform grids' bracket; the rule they used to state on
     # their own, clip(ceil(x - 0.5)), stays the oracle: ties, their
@@ -401,7 +414,7 @@ _LINE = WeightedGrid.uniform(0.0, 1.0, 0.5)
 # id -> (call, error, message)
 GRID_REJECTIONS = {
     "no-points": (lambda: WeightedGrid(np.array([]), np.ones(0)),
-                  ConfigurationError, "empty grid"),
+                  ConfigurationError, "a uniform grid needs at least two points, got 0"),
     "nan-point": (lambda: WeightedGrid(np.array([0.0, np.nan]), np.ones(2)),
                   ConfigurationError, "grid points must be finite"),
     "inf-point": (lambda: WeightedGrid(np.array([0.0, np.inf]), np.ones(2), kind="log"),

@@ -243,8 +243,11 @@ BAND_RATIOS = (1.01, 1.7, 3.3, 12.5, 40.0, 99.0, 180.0, 700.0, 2000.0)
 ORACLE_ENTRIES = 3.3e6
 
 
-@pytest.mark.parametrize("mode", ["reflect", "wrap", "renormalize"])
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 801, 1601])
+# one node takes no reflect lattice (no grid has one point, and the mirror
+# period 2(n-1) is 0); wrap and renormalize still build it
+@pytest.mark.parametrize("n, mode", [(n, mode) for n in (1, 2, 3, 17, 801, 1601)
+                                     for mode in ("reflect", "wrap", "renormalize")
+                                     if (n, mode) != (1, "reflect")])
 def test_band_kernel_matches_coo_assembly(mode, n):
     rng = np.random.default_rng(n)
     dx = 0.01
@@ -937,6 +940,35 @@ def test_chain_matrix_matches_scipy_stats_build(chain_family, gt):
         assert np.array_equal(op.matrix(t), _chain_matrix_scipy_stats(op, t))
 
 
+def test_chain_uniformization_budget_is_checked_before_allocating():
+    # rate 1e300 at t = 0.1 asks for 1e299 terms, which np.arange cannot
+    # allocate: refused in floats first, naming the member and the duration
+    op = ChainOperator(WeightedGrid.labels(2), np.array([[-1e300, 1e300], [0.0, 0.0]]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError,
+                           match=r"^chain\(n=2\) at duration 0.1: rate 1e\+300 needs 4e\+299 "
+                                 rf"uniformization weights, above the budget of "
+                                 rf"{operators.MAX_KERNEL_WEIGHTS}$"):
+            op.matrix(0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert op._cache == {} and op._held == 0
+
+
+def test_chain_uniformization_budget_is_exact(label_grid, monkeypatch):
+    # rate 1 at t = 1: k_max = int(1 + 12 + 30) = 43, so 44 terms of n^2 weights
+    op = ChainOperator(label_grid, Q_BD)
+    held = 44 * label_grid.size ** 2
+    monkeypatch.setattr(operators, "MAX_KERNEL_WEIGHTS", held)
+    op.matrix(1.0)
+    monkeypatch.setattr(operators, "MAX_KERNEL_WEIGHTS", held - 1)
+    with pytest.raises(InvalidInputError, match=f"needs {held} uniformization weights"):
+        op._build_matrix(1.0)
+
+
 def test_chain_rejects_bad_rates():
     g = WeightedGrid.labels(2)
     with pytest.raises(ConfigurationError):
@@ -969,6 +1001,18 @@ def test_members_reject_a_negative_or_nan_rate(heat_grid, log_grid, make, messag
     for bad in (-1.0, np.nan):
         with pytest.raises(ConfigurationError, match=message):
             make(heat_grid, log_grid, bad)
+
+
+@pytest.mark.parametrize("make", [lambda g, lg, x: HeatOperator(g, x),
+                                  lambda g, lg, x: GBMOperator(lg, 0.0, x)],
+                         ids=["heat", "gbm"])
+def test_members_refuse_a_sigma_whose_square_overflows(heat_grid, log_grid, make):
+    # 1e200 ** 2 raised OverflowError at a heat member's first kernel key and
+    # in a GBM member's drift; 1e154 ** 2 is 1e308, a float
+    with pytest.raises(ConfigurationError,
+                       match=r"^sigma must be >= 0 with a finite square, got 1e\+200$"):
+        make(heat_grid, log_grid, 1e200)
+    assert make(heat_grid, log_grid, 1e154).sigma == 1e154
 
 
 # ---------------------------------------------------------------------------

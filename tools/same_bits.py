@@ -13,9 +13,10 @@ whose members share stencil kernels under ``renormalize`` (``KINDS``: GBM,
 chain, stable, Koopman, scaled heat and heat-stencil), ``mc`` at seeds 1
 and 7 on the GBM and scaled-heat configs of ``KINDS`` (lognormal and
 dilated-duration steps through the normals stream), and ``solve`` on each of
-the 15 configs of ``REJECTS`` (malformed, or over a work budget), whose
-``config error:`` line on stderr is compared too: 40 runs, 40 exit codes, 15
-rejection lines and 35 output files in all.  The configs of ``KINDS`` and
+the 20 configs of ``REJECTS`` (malformed, a grid of one point, a number that
+overflows, or over a work budget), whose ``config error:`` line on stderr is
+compared too: 45 runs, 45 exit codes, 20 rejection lines and 35 output files
+in all.  The configs of ``KINDS`` and
 ``REJECTS`` are written into the temporary directory, and both trees read
 the same configs.  Prints each file's sha256 on both sides and exits 1 on
 any difference, in a file, an exit code or a rejection line.
@@ -78,7 +79,9 @@ _HEAT = {"grid": {"kind": "uniform", "domain": [-2, 2], "dx": 0.1},
 # an OU member whose B is not a number: B, m and C take numbers only
 _OU = {"kind": "ou", "members": [{"B": [[1, "a"]], "m": 0.0, "C": 1.0}]}
 # one malformed config per kind of schema error, a NaN, one config per rule
-# that rejects a single key or entry before any work, and one per work budget
+# that rejects a single key or entry before any work, one grid of one point
+# per way to make it, a sigma whose square overflows, and one config per work
+# budget
 REJECTS = {
     "unexpected-key": dict(_HEAT, family=dict(_HEAT["family"], count=3)),
     "missing-key": dict(_HEAT, grid={"kind": "uniform", "domain": [-2, 2]}),
@@ -94,13 +97,22 @@ REJECTS = {
     "solve-tol-zero": dict(_HEAT, solve={"t": 0.5, "tol": 0}),
     "empty-window": dict(_HEAT, report_window=[9, 10]),
     "field-not-finite": dict(_HEAT, family={"kind": "koopman", "fields": ["sqrt(x)"]}),
-    # work budgets: 2^41 member applies, and eps_q's kernel at 0.1 past the
-    # Gaussian-weight budget
+    "uniform-one-point": dict(_HEAT, grid={"kind": "uniform", "domain": [0, 0], "dx": 0.1}),
+    "periodic-one-point": dict(_HEAT, grid={"kind": "periodic", "domain": [-1, 1], "dx": 2}),
+    "labels-n-1": dict(_HEAT, grid={"kind": "labels", "n": 1},
+                       family={"kind": "chain", "rate_matrices": [[[0.0]]]}),
+    "heat-sigma-overflow": dict(_HEAT, family={"kind": "heat", "sigmas": [1e200]}),
+    # work budgets: 2^41 member applies, eps_q's kernel at 0.1 past the
+    # Gaussian-weight budget, and a chain's at 0.1 past it in uniformization
+    # weights
     "max-level-over-budget": dict(_HEAT, solve={"t": 0.5, "max_level": 40}),
     "ou-kernel-over-budget": dict(
         _HEAT, grid={"kind": "uniform", "domain": [-1, 1], "dx": 0.1},
         family={"kind": "ou", "members": [{"B": 800.0, "m": 0.0, "C": 1.0}]},
         u0={"name": "sin"}, solve={"t": 1.0, "max_level": 3}),
+    "chain-kernel-over-budget": dict(
+        _HEAT, grid={"kind": "labels", "n": 2},
+        family={"kind": "chain", "rate_matrices": [[[-1e300, 1e300], [0.0, 0.0]]]}),
 }
 RUNS = [(sub, README, seed) for seed in (1, 7) for sub in ("solve", "dpp", "control", "mc")]
 RUNS.append(("properties", OU, None))
