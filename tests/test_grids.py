@@ -141,6 +141,31 @@ def test_every_grid_kind_refuses_fewer_than_two_points():
         assert u.at(np.array(x)).tolist() == values
 
 
+def test_lip_seminorm_single_point_rejected():
+    # a seminorm needs a pair of points: a one-point grid is refused where it
+    # is made, so no function on it ever reaches lip_seminorm
+    with pytest.raises(ConfigurationError,
+                       match="^a labels grid needs at least two points, got 1$"):
+        WeightedGrid.labels(1)
+    assert lip_seminorm(GridFunction(np.array([1.0, 4.0]), WeightedGrid.labels(2))) == 3.0
+
+
+def test_nearest_index_single_point_grid():
+    # the two one-point grids nearest_index and interp_weights once served
+    # are refused where they are made; a two-point grid serves both lookups
+    for kind, make in (("uniform", lambda: WeightedGrid.uniform(0.0, 0.0, 0.5)),
+                       ("periodic", lambda: WeightedGrid.uniform(0.0, 0.5, 0.5,
+                                                                 periodic=True))):
+        with pytest.raises(ConfigurationError,
+                           match=f"^a {kind} grid needs at least two points, got 1$"):
+            make()
+    g = WeightedGrid.uniform(0.0, 0.5, 0.5)
+    assert g.size == 2
+    assert g.nearest_index(np.array([0.0, 1.0, -1.0])).tolist() == [0, 1, 0]
+    j, theta = g.interp_weights(np.array([0.25, 5.0]))
+    assert j.tolist() == [0, 0] and theta.tolist() == [0.5, 1.0]
+
+
 def test_lip_seminorm_labels_uses_discrete_metric():
     g = WeightedGrid.labels(4)
     u = GridFunction(np.array([0.0, 5.0, 1.0, 2.0]), g)
