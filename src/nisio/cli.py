@@ -8,12 +8,16 @@ one order: read the config, its section, the
 grid, the family and u0 once; check the work budgets and horizons; measure
 eps_q while the kernel stores are empty (its kernels at 0.1, 0.05, 0.025 and
 0.075 are built on scratch twins of the members and never enter the stores,
-so a run whose work uses one of those durations builds it twice); then work.  Exit codes: 0 all enabled assertions pass,
+so a run whose work uses one of those durations builds it twice); then work,
+``solve`` and ``properties`` after handing the family their lookup plan
+(``SemigroupFamily.plan``), so that each kernel leaves the stores after its
+last planned lookup.  Exit codes: 0 all enabled assertions pass,
 1 assertion failure, 2 malformed config (a schema violation such as a key
 its kind does not read, a missing required key, a negative horizon, a zero
 ``control.t`` or ``mc.t``, a ``solve.tol`` that is not positive, a log or
 labels grid with ``n`` below 2 or a ``scaled`` base of more than one member;
-a number that is not finite, a ragged matrix, a grid of fewer than two
+a number that is not finite or an integer past the largest float, a ragged
+matrix, a grid of fewer than two
 points, an entry its member rejects, such as a Koopman field that is not
 finite on the grid or a heat or GBM sigma whose square overflows, an
 unreadable u0 CSV, a ``report_window`` that selects no grid point, a
@@ -40,8 +44,9 @@ from .config import (build_family, build_grid, build_u0, build_window,
                      config_hash, validate_config)
 from .control import (check_greedy_stages, duality_gap, greedy_policy, policy_value,
                       random_policy)
-from .diagnostics import property_suite
-from .envelope import CHECK_LEVEL, check_levels, dpp_check, nisio_value, quadrature_tolerance
+from .diagnostics import property_suite, suite_schedule
+from .envelope import (CHECK_LEVEL, check_levels, dpp_check, dyadic_steps, nisio_value,
+                       quadrature_tolerance)
 from .errors import ConfigurationError, InvalidInputError, NumericalDegeneracyError
 from .grids import weighted_norm
 from .montecarlo import SEED_MAX, SamplerSpec, check_path_stages, mc_compare
@@ -100,6 +105,7 @@ def _cmd_solve(run):
     check_levels(run.family, level)
     _check_horizons("solve.t", [solve["t"]], 2 ** level)
     eps = quadrature_tolerance(run.family)
+    run.family.plan(dyadic_steps(solve["t"], level))
     res = nisio_value(run.family, solve["t"], run.u0, max_level=level,
                       tol=solve.get("tol", 1e-6))
     _write_csv(run.path("solve.csv"), ["x", "u0", "u_T"],
@@ -132,10 +138,13 @@ def _cmd_properties(run):
     _check_horizons("properties.t_list", t_list, 2 ** CHECK_LEVEL)
     probe_names = section.get("probes", ["quadratic", "neg-quadratic", "sin"])
     probes = [probe_function(name, run.grid) for name in probe_names]
-    return "properties", property_suite(
-        run.family, probes, t_list,
-        seed=section.get("seed", run.seed or 0),
-        partition_pairs=section.get("partition_pairs", 5))
+    seed = section.get("seed", run.seed or 0)
+    pairs = section.get("partition_pairs", 5)
+    _, steps = suite_schedule(len(probes), t_list, seed, pairs)
+    quadrature_tolerance(run.family)    # eps_q first; the suite reads the kept figure
+    run.family.plan(steps)
+    return "properties", property_suite(run.family, probes, t_list, seed=seed,
+                                        partition_pairs=pairs)
 
 
 def _cmd_dpp(run):

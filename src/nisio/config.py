@@ -196,30 +196,37 @@ def _errors(value, schema, path=()):
                     yield from _errors(value, branch["then"], path)
 
 
-def _floats_at(node, path="$"):
-    """(path, value) of every float in a parsed JSON document, the path in
+def _numbers_at(node, path="$"):
+    """(path, value) of every number in a parsed JSON document, the path in
     the form ``validate_config`` reports a schema error at."""
-    if isinstance(node, float):
+    if _is(node, "number"):
         yield path, node
     elif isinstance(node, dict):
         for key, item in node.items():
-            yield from _floats_at(item, f"{path}.{key}")
+            yield from _numbers_at(item, f"{path}.{key}")
     elif isinstance(node, list):
         for i, item in enumerate(node):
-            yield from _floats_at(item, f"{path}[{i}]")
+            yield from _numbers_at(item, f"{path}[{i}]")
 
 
 def validate_config(cfg):
     """Check ``cfg`` against CONFIG_SCHEMA, which admits only keys the builders
     read and holds each rule on one key, then reject any number not finite:
-    ``json`` reads NaN, Infinity and 1e999, and the schema's ``number`` admits them."""
+    ``json`` reads NaN, Infinity and 1e999, and integers past the largest
+    float, and the schema's ``number`` admits them all."""
     error = max(_errors(cfg, CONFIG_SCHEMA), key=_rank, default=None)
     if error is not None:
         path, message = error
         where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
         raise ConfigurationError(f"config rejected at ${where}: {message}")
-    for path, value in _floats_at(cfg):
-        if not math.isfinite(value):
+    for path, value in _numbers_at(cfg):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            raise ConfigurationError(f"config rejected at {path}: an integer of "
+                                     f"{len(str(abs(value)))} digits is too large "
+                                     f"for a float") from None
+        if not finite:
             raise ConfigurationError(f"config rejected at {path}: {value!r} is not finite")
     return cfg
 

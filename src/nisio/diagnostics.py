@@ -3,10 +3,12 @@ the structural property suite every configuration is expected to satisfy."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
-from .envelope import (CHECK_LEVEL, Partition, domination_slack, envelope_step,
-                       nisio_value, quadrature_tolerance, refine_levels)
+from .envelope import (CHECK_LEVEL, Partition, domination_slack, dyadic_partitions,
+                       envelope_step, nisio_value, quadrature_tolerance, refine_levels)
 from .errors import InvalidInputError, ResolutionError
 from .grids import GridFunction, lip_seminorm, weighted_norm
 from .probes import bump, smootherstep
@@ -123,6 +125,53 @@ def _nested_partition_pair(t, rng):
     return Partition(np.unique(times1)), Partition(times2)
 
 
+def _tails(backward):
+    """(h, tail) per step of a composition over the gaps ``backward``, read
+    right to left; the tail, the gaps so far, keys ``property_suite``'s
+    table."""
+    tail = ()
+    for h in backward:
+        tail += (float(h),)
+        yield h, tail
+
+
+def suite_schedule(n_probes, t_list, seed=0, partition_pairs=5):
+    """``property_suite``'s nested partition pairs, drawn from ``seed`` before
+    any work and in the order the suite reads them, and its envelope steps
+    per duration over ``n_probes`` probes: one per t of ``t_list`` for the
+    member stacks of probes[0], the constant and each probe's lifted, scaled
+    and summed steps, and one per entry of the composition table.  An upper
+    bound, since the refinements' stop rule may end them early.  The suite
+    takes its pairs from here, so the steps are those of its own draw."""
+    if max(t_list) <= 0.0:
+        # the partition pairs and the refinements run to the largest t
+        raise InvalidInputError("t_list needs a positive horizon")
+    t_ref = max(t_list)
+    rng = np.random.default_rng(seed)
+    pairs = [_nested_partition_pair(t_ref, rng) for _ in range(partition_pairs)]
+    n = n_probes
+    steps = Counter()
+    for t in t_list:
+        if t != 0.0:
+            steps[float(t)] += 2 + 4 * n + n * (n - 1) // 2
+    # the stacks fill probes[0]'s one-step entries; zero steps apply nothing
+    table = {(0, (float(t),)) for t in t_list}
+    compositions = [(i, (t,)) for i in range(n) for t in t_list]
+    compositions += [(i, p.gaps[::-1]) for pair in pairs for i in range(n)
+                     for p in pair]
+    compositions += [(0, pi.gaps[::-1]) for t in t_list if t != 0.0
+                     for pi in dyadic_partitions(t, CHECK_LEVEL)]
+    compositions += [(i, pi.gaps[::-1]) for i in range(1, n)
+                     for pi in dyadic_partitions(t_ref, CHECK_LEVEL)]
+    for i, backward in compositions:
+        for _, tail in _tails(backward):
+            if (i, tail) not in table:
+                table.add((i, tail))
+                if tail[-1] != 0.0:
+                    steps[tail[-1]] += 1
+    return pairs, steps
+
+
 def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     """Structural invariants of the one-step envelope, with measured slacks.
 
@@ -135,7 +184,9 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     envelopes, both partitions of every nested pair and the dyadic levels
     read one table keyed by the probe and the tail's gaps, composed right to
     left, so partitions that share trailing intervals share their steps.  The
-    report is that of composing every partition afresh, bit for bit.
+    report is that of composing every partition afresh, bit for bit.  The
+    pairs, and the steps the call takes per duration, are stated before any
+    work by ``suite_schedule``.
     Returns a JSON-shaped report.
     """
     if not probes:
@@ -145,11 +196,8 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     for u in probes:
         for t in t_list:
             family.check(t, u)
-    if max(t_list) <= 0.0:
-        # the partition pairs and the refinements run to the largest t
-        raise InvalidInputError("t_list needs a positive horizon")
+    pairs, _ = suite_schedule(len(probes), t_list, seed, partition_pairs)
     eps = quadrature_tolerance(family)
-    rng = np.random.default_rng(seed)
     grid = family.grid
     checks = []
 
@@ -163,9 +211,8 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     composed = {}
 
     def compose(i, backward):
-        v, tail = probes[i], ()
-        for h in backward:
-            tail += (float(h),)
+        v = probes[i]
+        for h, tail in _tails(backward):
             if (i, tail) not in composed:
                 composed[i, tail] = envelope_step(family, h, v)
             v = composed[i, tail]
@@ -176,8 +223,8 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
         nisio_value's stop rule at tol 1e-12."""
         if t == 0.0:
             return [probes[i]]
-        return refine_levels((compose(i, Partition.dyadic(t, level).gaps[::-1])
-                              for level in range(CHECK_LEVEL + 1)), 1e-12).levels
+        return refine_levels((compose(i, pi.gaps[::-1])
+                              for pi in dyadic_partitions(t, CHECK_LEVEL)), 1e-12).levels
 
     scale = max(1.0, max(float(np.max(np.abs(u.values))) for u in probes))
     fp_tol = 1e-11 * scale
@@ -257,8 +304,7 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     # per split (members with exactly composing kernels keep it at eps_q)
     worst = np.inf
     t_ref = max(t_list)
-    for _ in range(partition_pairs):
-        p1, p2 = _nested_partition_pair(t_ref, rng)
+    for p1, p2 in pairs:
         for i in range(len(probes)):
             gap = compose(i, p2.gaps[::-1]).values - compose(i, p1.gaps[::-1]).values
             worst = min(worst, float(np.min(gap)))

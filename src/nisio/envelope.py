@@ -9,6 +9,7 @@ dyadic iterates increase pointwise up to the members' own quadrature defect.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,6 +154,23 @@ def refine_levels(levels, tol):
     return NisioResult(kept[-1], kept, diffs, False)
 
 
+def dyadic_partitions(t, max_level):
+    """The dyadic partitions of [0, t] at levels 0..``max_level``: the levels
+    of ``nisio_value``, and of ``property_suite``'s refinements."""
+    return (Partition.dyadic(t, level) for level in range(max_level + 1))
+
+
+def dyadic_steps(t, max_level):
+    """Envelope steps per duration of ``nisio_value``'s refinement of t
+    through ``max_level``: 2^l steps of t / 2^l at level l.  An upper bound,
+    since the stop rule may end the refinement early; none at t = 0."""
+    steps = Counter()
+    if t != 0.0:
+        for pi in dyadic_partitions(t, max_level):
+            steps.update(pi.gaps.tolist())
+    return steps
+
+
 def nisio_value(family, t, u, max_level=12, tol=1e-6):
     """Envelope value S(t)u by dyadic partition refinement.
 
@@ -167,8 +185,8 @@ def nisio_value(family, t, u, max_level=12, tol=1e-6):
     family.check(t, u)
     if t == 0.0:
         return NisioResult(u, [u], [], True)
-    return refine_levels((partition_apply(family, Partition.dyadic(t, level), u)
-                          for level in range(max_level + 1)), tol)
+    return refine_levels((partition_apply(family, pi, u)
+                          for pi in dyadic_partitions(t, max_level)), tol)
 
 
 def dpp_check(family, s, t, u, max_level=12, tol=1e-6, window=None):

@@ -21,7 +21,12 @@ and the base's key at the dilated duration for a scaled member.  So
 ``heat(1)`` at t/4 takes the kernel ``heat(0.5)`` built at t, and both stores
 hold the one object; each member's byte count still counts it.  The index
 keeps no kernel or member alive, so a kernel dies with the last store that
-holds it.  Every apply is ``apply_values``, the kernel times the values
+holds it.  The index also holds a run's plan (``SemigroupFamily.plan``):
+``solve`` and ``properties`` hand it the lookups their work will make per
+key, and once a key's are spent its kernel leaves every store that holds
+it, so no bit moves and no kernel is built again.  Library calls and the
+other subcommands get no plan and keep their kernels for the next call.
+Every apply is ``apply_values``, the kernel times the values
 (``_apply_kernel``, an FFT product for a spectral member).  Each member,
 scaled or not, counts its ``lookups``, ``builds``, kernels taken from the
 index (``shared``) and ``evictions`` in ``matrix``, and its ``applies``
@@ -72,6 +77,7 @@ take exprel from ``_exprel`` (``math.expm1``), to the bits of
 
 from __future__ import annotations
 
+import collections
 import copy
 import math
 import numbers
@@ -99,7 +105,9 @@ MAX_KERNEL_WEIGHTS = 2 ** 24
 # member of ou.json; the README heat members count at most 40.3 and 77.4, and
 # hold 79.4 between them, since 38.3 are the 7 kernels they share and eps_q's
 # kernels leave the store before the work builds any), because LRU below the
-# working set of a cyclic dyadic sweep loses every hit
+# working set of a cyclic dyadic sweep loses every hit.  Those are the
+# figures of an unplanned run; a planned one (``SemigroupFamily.plan``) frees
+# each kernel after its last lookup, so it holds less
 KERNEL_CACHE_BYTES = 512 * 2 ** 20
 
 
@@ -440,6 +448,34 @@ def _nbytes(kernel):
     return kernel.nbytes
 
 
+class _KernelIndex(weakref.WeakValueDictionary):
+    """Weak references to the kernels of a family's members by key, and the
+    run's plan: the lookups left per key (``SemigroupFamily.plan``).  A
+    member built alone, or a scratch twin, has an index of its own and an
+    empty plan."""
+
+    def __init__(self, members=()):
+        super().__init__()
+        self.members = [weakref.ref(m) for m in members]
+        self.plan = {}
+
+    def spend(self, key, kernel):
+        """Count one lookup of ``key``; after its last planned one, ``kernel``
+        leaves the store of every member that holds it.  A key outside the
+        plan is not counted."""
+        left = self.plan.get(key)
+        if left is None:
+            return
+        if left > 1:
+            self.plan[key] = left - 1
+            return
+        del self.plan[key]
+        for ref in self.members:
+            member = ref()
+            if member is not None:
+                member._release(kernel)
+
+
 class TransitionOperator:
     """One member semigroup: a pure map (duration, function) -> function."""
 
@@ -455,7 +491,7 @@ class TransitionOperator:
     def _empty_store(self):
         """An empty kernel store, an index of its own and counters at 0."""
         self._cache, self._held = {}, 0
-        self._index = weakref.WeakValueDictionary()
+        self._index = _KernelIndex()
         self.lookups = self.builds = self.shared = self.evictions = self.applies = 0
 
     def apply(self, t, u):
@@ -479,7 +515,9 @@ class TransitionOperator:
         Fourier multiplier.  Built on the first lookup of t and kept, most
         recent last, under ``KERNEL_CACHE_BYTES``; never evicts its result.
         A kernel another member of the family holds under the same key
-        (``_kernel_key``) is taken from the family's index instead of built."""
+        (``_kernel_key``) is taken from the family's index instead of built;
+        after the last lookup the family's plan has for the key, the kernel
+        leaves every store."""
         self.lookups += 1
         t = float(t)        # so that a product with t overflows to inf, silently
         kernel = self._cache.pop(t, None)
@@ -501,7 +539,16 @@ class TransitionOperator:
                 self._held -= _nbytes(self._cache.pop(next(iter(self._cache))))
                 self.evictions += 1
         self._cache[t] = kernel
+        if self._index.plan:
+            self._index.spend(self._kernel_key(t), kernel)
         return kernel
+
+    def _release(self, kernel):
+        """Take ``kernel`` out of this member's store, under every duration
+        that holds it."""
+        for t in [t for t, held in self._cache.items() if held is kernel]:
+            del self._cache[t]
+            self._held -= _nbytes(kernel)
 
     def _kernel_key(self, t):
         """A key that only the same kernel on this grid has: this member's
@@ -617,6 +664,10 @@ class GBMOperator(TransitionOperator):
     def __init__(self, grid, mu, sigma):
         if grid.kind != "log":
             raise GridKindError("GBM member needs a log grid")
+        if grid.size < 5:
+            # its kernels are two blocks of (N - 1) // 2 nodes, one per sign
+            raise ConfigurationError(f"GBM member needs a log grid of at least two nodes "
+                                     f"per side of 0, got {grid.size} nodes")
         sigma = _check_sigma(sigma)
         super().__init__(grid)
         self.mu = float(mu)
@@ -964,12 +1015,29 @@ class SemigroupFamily:
         for m in members[1:]:
             if m.grid is not grid:
                 raise ConfigurationError("all members must share one grid")
-        index = weakref.WeakValueDictionary()
+        self._index = _KernelIndex(members)
         for m in members:
-            m._index = index
+            m._index = self._index
         self.members = members
         self.grid = grid
         self.bounds = bounds if bounds is not None else FamilyBounds()
+
+    def plan(self, steps):
+        """Drop each kernel from every store after its last planned lookup.
+        ``steps`` maps a duration to the envelope steps a run will take there
+        (an upper bound will do), each one lookup of every member at that
+        duration, so a kernel key's count is summed over the members.  Keys
+        outside the plan, and a family never given one, keep their kernels
+        under ``KERNEL_CACHE_BYTES``.  A duration whose key a member refuses
+        is left out: its lookup raises, naming the member."""
+        plan = collections.Counter()
+        for m in self.members:
+            for h, count in steps.items():
+                try:
+                    plan[m._kernel_key(float(h))] += count
+                except InvalidInputError:
+                    pass
+        self._index.plan = dict(plan)
 
     def __len__(self):
         return len(self.members)

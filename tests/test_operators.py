@@ -15,9 +15,10 @@ from hypothesis.extra.numpy import arrays
 from nisio import (ChainOperator, ConfigurationError, FamilyBounds, GBMOperator,
                    GridFunction, HeatOperator, InvalidInputError, KoopmanOperator,
                    NumericalDegeneracyError, OUOperator, ScaledOperator,
-                   SemigroupFamily, StableOperator, WeightedGrid, lip_seminorm,
-                   quadrature_tolerance, weighted_norm)
+                   SemigroupFamily, StableOperator, WeightedGrid, envelope_step,
+                   lip_seminorm, nisio_value, quadrature_tolerance, weighted_norm)
 from nisio import operators
+from nisio.envelope import dyadic_steps
 from nisio.operators import (KERNEL_RADIUS, _assemble_rows, _exprel, _poisson_pmf,
                              _reflect_indices, gaussian_lattice_matrix,
                              lattice_kernel)
@@ -536,6 +537,22 @@ def test_gbm_near_cell_variance_with_half_cell_drift(boundary):
     assert np.max(np.abs(var - 0.99)) <= 1e-12
 
 
+@pytest.mark.parametrize("boundary", ["reflect", "renormalize"])
+@pytest.mark.parametrize("points", [[-1.0, 0.0, 1.0], [-1.0, 1.0]])
+def test_gbm_refuses_a_log_grid_of_fewer_than_two_nodes_per_side(points, boundary):
+    # a hand-built log grid checks only that its points increase; a GBM
+    # kernel of one node per side once divided by zero under reflect, and of
+    # none raised IndexError under renormalize
+    g = WeightedGrid(np.array(points), np.ones(len(points)), kind="log", boundary=boundary)
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"at least two nodes per side of 0, got {len(points)} nodes")):
+        GBMOperator(g, 0.1, 0.2)
+    smallest = WeightedGrid(np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), np.ones(5), kind="log",
+                            boundary=boundary, spacing=math.log(2.0))
+    mat = GBMOperator(smallest, 0.1, 0.2).matrix(0.1)
+    assert np.allclose(np.asarray(mat.sum(axis=1)).ravel(), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # geometric member on the log grid
 # ---------------------------------------------------------------------------
@@ -887,6 +904,28 @@ def test_stable_alpha_range(periodic_grid):
     for bad in (0.0, 1.0, 1.5):
         with pytest.raises(ConfigurationError):
             StableOperator(periodic_grid, bad)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the stable members' kernels take negative weights at fine steps (the "
+    "inverse FFT of exp(-t|xi|^(2 alpha)) first does at t = 2^-8 for alpha 0.8 and "
+    "2^-9 for 0.9), and nothing refuses them: over the 13 step lengths of a "
+    "level-12 refinement of t = 1 the one-step envelope of a unit spike reaches "
+    "-0.0077, where the envelope of 0 is 0.  See ROADMAP item 6.")
+def test_stable_refinement_keeps_a_nonnegative_function_nonnegative():
+    g = WeightedGrid.uniform(-3.0, 3.0, 0.05, periodic=True)
+    family = SemigroupFamily([StableOperator(g, 0.8), StableOperator(g, 0.9)])
+    spike = np.zeros(g.size)
+    spike[g.size // 2] = 1.0
+    u = GridFunction(spike, g)
+    try:
+        nisio_value(family, 1.0, u, max_level=12, tol=1e-300)
+    except NumericalDegeneracyError:
+        return          # a refused run keeps the promise too
+    worst = min(float(np.min(envelope_step(family, h, u).values))
+                for h in dyadic_steps(1.0, 12))
+    assert worst >= 0.0, worst
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,14 @@ and 7 on the GBM and scaled-heat configs of ``KINDS`` (lognormal and
 dilated-duration steps through the normals stream), and ``solve`` on each of
 the 20 configs of ``REJECTS`` (malformed, a grid of one point, a number that
 overflows, or over a work budget), whose ``config error:`` line on stderr is
-compared too: 45 runs, 45 exit codes, 20 rejection lines and 35 output files
-in all.  The configs of ``KINDS`` and
-``REJECTS`` are written into the temporary directory, and both trees read
-the same configs.  Prints each file's sha256 on both sides and exits 1 on
-any difference, in a file, an exit code or a rejection line.
+compared too.  Each run also reports the builds and lookups summed over the
+members of the family the CLI built (``none`` when it built none), so a
+change that moves no bit but rebuilds a kernel shows: 45 runs, 45 exit codes,
+45 work counts, 20 rejection lines and 35 output files in all.  The configs
+of ``KINDS`` and ``REJECTS`` are written into the temporary directory, and
+both trees read the same configs.  Prints each file's sha256 and each run's
+counts on both sides and exits 1 on any difference, in a file, an exit code,
+a rejection line or a count.
 Everything it writes goes into the temporary directory; it needs no network.
 Dense kernels' bits depend on the BLAS thread count, so compare on one host
 only.
@@ -120,9 +123,25 @@ RUNS += [(sub, kind, None) for kind in KINDS for sub in ("solve", "properties")]
 # lognormal and dilated-duration steps read the normals stream too
 RUNS += [("mc", kind, seed) for seed in (1, 7) for kind in ("gbm", "scaled")]
 RUNS += [("solve", name, None) for name in REJECTS]
-CALL = ("import sys; from nisio.cli import run; "
-        "sys.exit(run(sys.argv[1], sys.argv[2], sys.argv[3], "
-        "None if sys.argv[4] == '-' else int(sys.argv[4])))")
+# one run through nisio.cli.run; prints the summed builds and lookups of the
+# members of the family the CLI built, when it built one
+CALL = """
+import sys
+from nisio import cli
+families = []
+build_family = cli.build_family
+
+def spy(cfg, grid):
+    families.append(build_family(cfg, grid))
+    return families[-1]
+
+cli.build_family = spy
+code = cli.run(sys.argv[1], sys.argv[2], sys.argv[3],
+               None if sys.argv[4] == "-" else int(sys.argv[4]))
+for family in families:
+    print("builds", sum(m.builds for m in family), "lookups", sum(m.lookups for m in family))
+sys.exit(code)
+"""
 
 
 def export_src(ref, dest):
@@ -145,8 +164,8 @@ def write_configs(dest):
 
 def outputs(src, out, configs):
     """Run every entry of RUNS on the package under ``src``, a config of
-    KINDS or REJECTS read from ``configs``; return {label: sha256, exit code
-    or rejection line}."""
+    KINDS or REJECTS read from ``configs``; return {label: sha256, exit code,
+    rejection line or the members' summed builds and lookups}."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     found = {}
     for sub, config, seed in RUNS:
@@ -159,6 +178,7 @@ def outputs(src, out, configs):
              str(run_dir), "-" if seed is None else str(seed)],
             env=env, cwd=out, capture_output=True, text=True)
         found[f"{tag}: exit code"] = str(proc.returncode)
+        found[f"{tag}: work"] = proc.stdout.strip() or "none"
         if config in REJECTS:
             found[f"{tag}: rejection"] = next(
                 (line for line in proc.stderr.splitlines() if line.startswith("config error:")),
@@ -183,7 +203,7 @@ def main(argv):
         same = a == b
         differ += not same
         print(f"{'same' if same else 'DIFF'}  {label}\n      {ref}: {a}\n      work: {b}")
-    files = sum(not label.endswith(("exit code", "rejection")) for label in ours)
+    files = sum(not label.endswith(("exit code", "rejection", "work")) for label in ours)
     print(f"{files} files, {differ} differences against {ref}")
     return 1 if differ else 0
 
