@@ -8,24 +8,29 @@ one order: read the config, its section, the
 grid, the family and u0 once; check the work budgets and horizons; measure
 eps_q while the kernel stores are empty (its kernels at 0.1, 0.05, 0.025 and
 0.075 are built on scratch twins of the members and never enter the stores,
-so a run whose work uses one of those durations builds it twice); then work,
-``solve`` and ``properties`` after handing the family their lookup plan
-(``SemigroupFamily.plan``), so that each kernel leaves the stores after its
-last planned lookup.  Exit codes: 0 all enabled assertions pass,
+so a run whose work uses one of those durations builds it twice) and hand
+the family the run's lookup plan (``SemigroupFamily.plan``), both through
+``_Run.start``, so that each kernel leaves the stores after its last planned
+lookup; then work.  The plan is the envelope steps per duration, each from
+one source: ``dyadic_steps`` for a refinement, ``suite_schedule`` for the
+property suite, ``greedy_steps`` for a greedy policy and ``random_steps``
+for ``control``'s random policies, replayed from the run's seed before any
+work.  Exit codes: 0 all enabled assertions pass,
 1 assertion failure, 2 malformed config (a schema violation such as a key
 its kind does not read, a missing required key, a negative horizon, a zero
 ``control.t`` or ``mc.t``, a ``solve.tol`` that is not positive, a log or
 labels grid with ``n`` below 2 or a ``scaled`` base of more than one member;
-a number that is not finite or an integer past the largest float, a ragged
-matrix, a grid of fewer than two
-points, an entry its member rejects, such as a Koopman field that is not
-finite on the grid or a heat or GBM sigma whose square overflows, an
+a number that is not finite, an integer past the largest float or of more
+digits than Python reads (4300 by default), a ragged matrix, a grid of fewer
+than two points, an entry its member rejects, such as a Koopman field that is
+not finite on the grid or a heat or GBM sigma whose square overflows, an
 unreadable u0 CSV, a ``report_window`` that selects no grid point, a
-refinement level, stage count, Monte Carlo path count or kernel (Gaussian
-or chain uniformization weights) over the work budget, a scaled member's
-duration that overflows, a horizon too small to split, a seed outside
-Philox's key range [0, 2^128 - 1] in the config or in --seed), an unusable
---out directory or an unknown flag, 3 numerical degeneracy.  Each subcommand
+refinement level, stage count, random-policy trial count, Monte Carlo path
+count or kernel (Gaussian or chain uniformization weights) over the work
+budget, a scaled member's duration that overflows, a horizon too small to
+split, a seed outside Philox's key range [0, 2^128 - 1] in the config or in
+--seed), an unusable --out directory or an unknown flag, 3 numerical
+degeneracy.  Each subcommand
 returns its record's name and fields; ``run`` writes ``<name>.json`` and exits 1 exactly
 when the record says ``"passed": false``.
 """
@@ -42,8 +47,8 @@ import numpy as np
 from . import __version__
 from .config import (build_family, build_grid, build_u0, build_window,
                      config_hash, validate_config)
-from .control import (check_greedy_stages, duality_gap, greedy_policy, policy_value,
-                      random_policy)
+from .control import (check_greedy_stages, check_random_trials, duality_gap, greedy_policy,
+                      greedy_steps, policy_value, random_policy, random_steps)
 from .diagnostics import property_suite, suite_schedule
 from .envelope import (CHECK_LEVEL, check_levels, dpp_check, dyadic_steps, nisio_value,
                        quadrature_tolerance)
@@ -88,6 +93,14 @@ class _Run:
         self.seed = seed
         os.makedirs(out_dir, exist_ok=True)
 
+    def start(self, steps):
+        """Measure eps_q while the kernel stores are still empty, then hand
+        the family the envelope steps the work takes per duration, its lookup
+        plan (``SemigroupFamily.plan``); return eps_q."""
+        eps = quadrature_tolerance(self.family)
+        self.family.plan(steps)
+        return eps
+
     def path(self, name):
         return os.path.join(self.out, name)
 
@@ -104,8 +117,7 @@ def _cmd_solve(run):
     level = solve.get("max_level", 12)
     check_levels(run.family, level)
     _check_horizons("solve.t", [solve["t"]], 2 ** level)
-    eps = quadrature_tolerance(run.family)
-    run.family.plan(dyadic_steps(solve["t"], level))
+    eps = run.start(dyadic_steps(solve["t"], level))
     res = nisio_value(run.family, solve["t"], run.u0, max_level=level,
                       tol=solve.get("tol", 1e-6))
     _write_csv(run.path("solve.csv"), ["x", "u0", "u_T"],
@@ -141,8 +153,7 @@ def _cmd_properties(run):
     seed = section.get("seed", run.seed or 0)
     pairs = section.get("partition_pairs", 5)
     _, steps = suite_schedule(len(probes), t_list, seed, pairs)
-    quadrature_tolerance(run.family)    # eps_q first; the suite reads the kept figure
-    run.family.plan(steps)
+    run.start(steps)        # the suite reads the eps_q figure kept here
     return "properties", property_suite(run.family, probes, t_list, seed=seed,
                                         partition_pairs=pairs)
 
@@ -153,10 +164,12 @@ def _cmd_dpp(run):
     check_levels(run.family, level)
     for key in ("s", "t"):
         _check_horizons(f"dpp.{key}", [section[key]], 2 ** level)
-    eps = quadrature_tolerance(run.family)
-    out = dpp_check(run.family, section["s"], section["t"], run.u0,
-                    max_level=level, tol=1e-12, window=run.window)
-    record = {"s": section["s"], "t": section["t"], "level": level,
+    s, t = section["s"], section["t"]
+    eps = run.start(dyadic_steps(s + t, level) + dyadic_steps(t, level)
+                    + dyadic_steps(s, level))
+    out = dpp_check(run.family, s, t, run.u0, max_level=level, tol=1e-12,
+                    window=run.window)
+    record = {"s": s, "t": t, "level": level,
               "defect": out["defect"], "eps_q": eps}
     if "threshold" in section:
         record["threshold"] = section["threshold"]
@@ -167,16 +180,19 @@ def _cmd_dpp(run):
 def _cmd_control(run):
     section = run.section
     t, m, level = section["t"], section["m"], section.get("level", 6)
+    trials = section.get("trials", 20)
     check_greedy_stages(run.family, m)
     check_levels(run.family, level)
     # greedy stages of t/m, dyadic refinements, random policies on the check lattice
     _check_horizons("control.t", [t], max(m, 2 ** level, 2 ** CHECK_LEVEL))
-    eps = quadrature_tolerance(run.family)
+    check_random_trials(run.family, trials)     # before the schedule replays them
+    seed = run.seed or 0
+    eps = run.start(greedy_steps(t, m)[0] + dyadic_steps(t, level)
+                    + random_steps(run.family, t, trials, seed))
     out = duality_gap(run.family, t, run.u0, m, max_level=level, tol=1e-12,
                       window=run.window)
     run.write("control_policy", out["greedy"].policy.to_dict())
-    rng = np.random.default_rng(run.seed or 0)
-    trials = section.get("trials", 20)
+    rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(trials):
         pol = random_policy(run.family, t, rng)
@@ -197,15 +213,15 @@ def _cmd_mc(run):
     check_path_stages(section["n_paths"], m)
     check_levels(run.family, level)
     _check_horizons("mc.t", [t], m)
-    eps = quadrature_tolerance(run.family)
+    # the greedy stages, then the envelope over the policy's horizon
+    steps, horizon = greedy_steps(t, m)
+    eps = run.start(steps + dyadic_steps(horizon, level))
     seed = run.seed if run.seed is not None else section.get("seed", 0)
     greedy = greedy_policy(run.family, t, run.u0, m)
     spec = SamplerSpec(run.family, greedy.policy, section["n_paths"], seed)
     out = mc_compare(spec, section["x0"], run.u0, greedy.value)
-    # over the policy's horizon (m steps of t/m can miss t by an ulp), once
-    # the paths are freed, so that they and the kernels never share the peak
-    envelope = nisio_value(run.family, greedy.policy.horizon, run.u0,
-                           max_level=level, tol=1e-8)
+    # once the paths are freed, so that they and the kernels never share the peak
+    envelope = nisio_value(run.family, horizon, run.u0, max_level=level, tol=1e-8)
     return "mc", dict(out, nisio=float(envelope.value.at(section["x0"])), t=t, m=m,
                       seed=seed, x0=section["x0"], eps_q=eps, passed=not out["flag"])
 
@@ -233,11 +249,17 @@ def run(subcommand, config_path, out_dir, seed=None):
         if seed is not None and not 0 <= seed <= SEED_MAX:
             raise ConfigurationError(f"--seed {seed} is outside [0, 2**128 - 1]")
         with open(config_path, encoding="utf-8") as fh:
-            cfg = validate_config(json.load(fh))
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                # not JSON, not UTF-8, or an integer literal past Python's
+                # limit on the digits it converts
+                raise ConfigurationError(str(exc)) from exc
+        cfg = validate_config(raw)
         ctx = _Run(subcommand, cfg, out_dir, seed)
         name, fields = _COMMANDS[subcommand](ctx)
         ctx.write(name, fields)
-    except (OSError, json.JSONDecodeError, ConfigurationError, InvalidInputError) as exc:
+    except (OSError, ConfigurationError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except NumericalDegeneracyError as exc:

@@ -10,13 +10,23 @@ envelope bit for bit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .envelope import CHECK_LEVEL, MAX_MEMBER_APPLIES, envelope_step_argmax, nisio_value
 from .errors import ConfigurationError, InvalidInputError
 from .grids import weighted_norm
+
+# stages of a random policy, at most
+MAX_RANDOM_STAGES = 6
+
+
+def _horizon(durations):
+    """The time a policy of stages of ``durations`` covers, summed in order."""
+    return float(sum(durations))
 
 
 @dataclass(frozen=True)
@@ -39,7 +49,7 @@ class ControlPolicy:
 
     @property
     def horizon(self):
-        return float(sum(h for h, _ in self.stages))
+        return _horizon(h for h, _ in self.stages)
 
     @property
     def n_stages(self):
@@ -92,6 +102,24 @@ def check_greedy_stages(family, m):
             f"member applies, above the budget of {MAX_MEMBER_APPLIES}")
 
 
+def check_random_trials(family, trials):
+    """Reject ``trials`` random policies whose up to ``MAX_RANDOM_STAGES`` *
+    trials * K member applies pass ``MAX_MEMBER_APPLIES``, before any step."""
+    applies = MAX_RANDOM_STAGES * trials * len(family)
+    if applies > MAX_MEMBER_APPLIES:
+        raise InvalidInputError(
+            f"{trials} random policies with {len(family)} members need up to {applies} "
+            f"member applies, above the budget of {MAX_MEMBER_APPLIES}")
+
+
+def greedy_steps(t, m):
+    """The greedy policy's steps per duration, m of t / m, and its horizon,
+    the sum of its stages (m steps of t / m can miss t by an ulp): bit for
+    bit the ``horizon`` of ``greedy_policy(family, t, u, m).policy``."""
+    h = t / m
+    return Counter({h: m}), _horizon(repeat(h, m))
+
+
 def greedy_policy(family, t, u, m):
     """Backward argmax extraction over m equal stages.
 
@@ -129,12 +157,12 @@ def duality_gap(family, t, u, m, max_level=12, tol=1e-6, window=None):
 
 
 def random_policy(family, t, rng):
-    """Admissible policy with 1 to 6 random stage durations on the
-    t / 2^CHECK_LEVEL lattice (``envelope.CHECK_LEVEL``, where
-    ``property_suite``'s checks carry 2^CHECK_LEVEL eps_q) and independent
-    random per-point selectors."""
-    max_stages, quantum = 6, 2 ** CHECK_LEVEL
-    m = int(rng.integers(1, max_stages + 1))
+    """Admissible policy with 1 to ``MAX_RANDOM_STAGES`` random stage
+    durations on the t / 2^CHECK_LEVEL lattice (``envelope.CHECK_LEVEL``,
+    where ``property_suite``'s checks carry 2^CHECK_LEVEL eps_q) and
+    independent random per-point selectors."""
+    quantum = 2 ** CHECK_LEVEL
+    m = int(rng.integers(1, MAX_RANDOM_STAGES + 1))
     cuts = np.sort(rng.choice(np.arange(1, quantum), size=m - 1, replace=False)) \
         if m > 1 else np.array([], dtype=int)
     edges = np.concatenate([[0], cuts, [quantum]])
@@ -143,3 +171,14 @@ def random_policy(family, t, rng):
         (float(h), rng.integers(0, len(family), size=family.grid.size))
         for h in durations)
     return ControlPolicy(stages)
+
+
+def random_steps(family, t, trials, seed):
+    """Steps per duration of the ``trials`` random policies ``random_policy``
+    draws in turn from a generator seeded with ``seed``, one per stage:
+    the draw replayed before any work, keeping the durations only."""
+    rng = np.random.default_rng(seed)
+    steps = Counter()
+    for _ in range(trials):
+        steps.update(h for h, _ in random_policy(family, t, rng).stages)
+    return steps

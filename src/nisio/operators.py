@@ -22,10 +22,11 @@ and the base's key at the dilated duration for a scaled member.  So
 hold the one object; each member's byte count still counts it.  The index
 keeps no kernel or member alive, so a kernel dies with the last store that
 holds it.  The index also holds a run's plan (``SemigroupFamily.plan``):
-``solve`` and ``properties`` hand it the lookups their work will make per
-key, and once a key's are spent its kernel leaves every store that holds
-it, so no bit moves and no kernel is built again.  Library calls and the
-other subcommands get no plan and keep their kernels for the next call.
+every CLI run that composes kernels (``solve``, ``properties``, ``dpp``,
+``control`` and ``mc``) hands it the lookups its work will make per key,
+and once a key's are spent its kernel leaves every store that holds it, so
+no bit moves and no kernel is built again.  Library calls get no plan and
+keep their kernels for the next call.
 Every apply is ``apply_values``, the kernel times the values
 (``_apply_kernel``, an FFT product for a spectral member).  Each member,
 scaled or not, counts its ``lookups``, ``builds``, kernels taken from the
@@ -106,8 +107,9 @@ MAX_KERNEL_WEIGHTS = 2 ** 24
 # hold 79.4 between them, since 38.3 are the 7 kernels they share and eps_q's
 # kernels leave the store before the work builds any), because LRU below the
 # working set of a cyclic dyadic sweep loses every hit.  Those are the
-# figures of an unplanned run; a planned one (``SemigroupFamily.plan``) frees
-# each kernel after its last lookup, so it holds less
+# figures of an unplanned run, as a library call's; every CLI run is planned
+# (``SemigroupFamily.plan``) and frees each kernel after its last lookup, so
+# it holds less
 KERNEL_CACHE_BYTES = 512 * 2 ** 20
 
 

@@ -34,9 +34,14 @@ BASE_CFG = {
 }
 
 
+# a stand-in for an integer literal of 5001 digits, past the digits Python
+# converts: json cannot write one, so write_cfg splices it in for this string
+LONG_INT = "<an integer of 5001 digits>"
+
+
 def write_cfg(tmp_path, cfg):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(cfg).replace(json.dumps(LONG_INT), "1" + "0" * 5000))
     return str(path)
 
 
@@ -478,7 +483,7 @@ def test_cli_measures_eps_q_on_empty_stores_before_the_work(tmp_path, monkeypatc
 # tolerance of the wrong sign or too small to split, a window that selects
 # no point, a field that is not finite on the grid, an OU coefficient that is
 # not a number, a sigma whose square overflows, an integer past the largest
-# float, a grid of one point
+# float or too long to read, a grid of one point
 NO_WORK = {
     "solve-level": ("solve", {"solve": {"t": 1.0, "max_level": 40}}, "max_level 40"),
     "dpp-level": ("dpp", {"dpp": {"s": 0.5, "t": 0.5, "level": 40}}, "max_level 40"),
@@ -486,6 +491,9 @@ NO_WORK = {
                       "max_level 40"),
     "control-stages": ("control", {"control": {"t": 1.0, "m": 2 ** 40}},
                        f"{2 ** 40} stages"),
+    "control-trials": ("control", {"control": {"t": 1.0, "m": 4, "trials": 2 ** 40}},
+                       f"{2 ** 40} random policies with 2 members need up to "
+                       f"{6 * 2 ** 41} member applies, above the budget of {2 ** 24}"),
     "mc-stages": ("mc", {"mc": dict(BASE_CFG["mc"], m=2 ** 40)}, f"{2 ** 40} stages"),
     "mc-paths": ("mc", {"mc": dict(BASE_CFG["mc"], m=4, n_paths=2 ** 25)},
                  f"{2 ** 25} paths"),
@@ -538,6 +546,10 @@ NO_WORK = {
     "solve-t-integer-overflow": ("solve", {"solve": {"t": 10 ** 400}},
                                  "config rejected at $.solve.t: an integer of 401 digits "
                                  "is too large for a float"),
+    # json.load raised a plain ValueError, which exited 1 with a traceback
+    "solve-t-integer-too-long": ("solve", {"solve": {"t": LONG_INT}},
+                                 "Exceeds the limit (4300 digits) for integer string "
+                                 "conversion"),
 }
 # a grid of one point, which every subcommand refuses where the grid is made
 # (uniform and periodic) or the schema refuses (labels)

@@ -1,13 +1,15 @@
 """A planned run frees each kernel after its last planned lookup.
 
-``solve`` and ``properties`` hand the family the envelope steps their work
-will take per duration (``dyadic_steps``, ``suite_schedule``) before the work
-starts, and a kernel leaves every store that holds it once the lookups
-planned for its key are spent.  These tests hold a planned run to the bits
-and the counters of an unplanned one, check after every lookup that no store
-keeps a spent kernel and that no lookup falls outside the plan, and check
-that library calls, which get no plan, keep their kernels for the next call.
+Every subcommand that composes kernels hands the family the envelope steps
+its work will take per duration (``dyadic_steps``, ``suite_schedule``,
+``greedy_steps``, ``random_steps``) before the work starts, and a kernel
+leaves every store that holds it once the lookups planned for its key are
+spent.  These tests hold a planned run to the bits and the counters of an
+unplanned one, check after every lookup that no store keeps a spent kernel
+and that no lookup falls outside the plan, and check that library calls,
+which get no plan, keep their kernels for the next call.
 """
+import collections
 import functools
 import gc
 import json
@@ -20,19 +22,27 @@ import pytest
 
 from conftest import same_bits_kinds
 from nisio import (HeatOperator, InvalidInputError, SemigroupFamily, WeightedGrid, cli,
-                   nisio_value, operators, property_suite)
+                   greedy_policy, nisio_value, operators, property_suite)
+from nisio.control import greedy_steps
 from nisio.diagnostics import suite_schedule
 from nisio.envelope import dyadic_steps
 from nisio.probes import probe_function
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTERS = ("builds", "shared", "lookups", "applies")
-# (subcommand, config): the benchmark's two planned runs, then both
-# subcommands on every small config of tools/same_bits.py
-CASES = {"readme-solve": ("solve", "bench/configs/readme.json"),
-         "ou-properties": ("properties", "bench/configs/ou.json")}
-CASES.update({f"{kind}-{sub}": (sub, kind) for kind in same_bits_kinds()
+README = "bench/configs/readme.json"
+# (subcommand, config, seed): the benchmark's three runs; dpp, and control
+# and mc at two seeds, on the README config (dpp draws nothing); solve and
+# properties on every small config of tools/same_bits.py, and mc on the two
+# that have an mc section
+CASES = {"readme-solve": ("solve", README, None),
+         "ou-properties": ("properties", "bench/configs/ou.json", None),
+         "readme-dpp": ("dpp", README, None)}
+CASES.update({f"readme-{sub}-seed{seed}": (sub, README, seed)
+              for sub in ("control", "mc") for seed in (1, 7)})
+CASES.update({f"{kind}-{sub}": (sub, kind, None) for kind in same_bits_kinds()
               for sub in ("solve", "properties")})
+CASES.update({f"{kind}-mc": ("mc", kind, None) for kind in ("gbm", "scaled")})
 
 
 def _config_path(config, tmp):
@@ -49,7 +59,7 @@ def _run(case, planned):
     return the exit code, the output bytes, each member's counters, the
     lookups after which a store held a spent kernel or whose key was not
     planned, and the planned lookups left at the end."""
-    sub, config = CASES[case]
+    sub, config, seed = CASES[case]
     families, plans, bad = [], [], []
     build_family, plan, matrix = (cli.build_family, SemigroupFamily.plan,
                                   operators.TransitionOperator.matrix)
@@ -79,7 +89,7 @@ def _run(case, planned):
         cli.build_family, SemigroupFamily.plan = spy_family, spy_plan
         operators.TransitionOperator.matrix = spy_matrix
         try:
-            code = cli.run(sub, str(_config_path(config, tmp)), str(Path(tmp) / "out"))
+            code = cli.run(sub, str(_config_path(config, tmp)), str(Path(tmp) / "out"), seed)
         finally:
             cli.build_family, SemigroupFamily.plan = build_family, plan
             operators.TransitionOperator.matrix = matrix
@@ -110,6 +120,50 @@ def test_benchmark_runs_keep_their_work(case, builds, lookups):
     counters = _run(case, True)[2]
     assert sum(c[0] + c[1] for c in counters) == builds
     assert sum(c[2] for c in counters) == lookups
+
+
+@pytest.mark.parametrize("case, counters", [
+    ("readme-mc-seed1", [(8, 1, 575), (3, 6, 575)]),
+    ("readme-dpp", [(8, 0, 381), (2, 6, 381)]),
+    ("readme-control-seed1", [(13, 1, 252), (9, 5, 252)])])
+def test_readme_runs_keep_each_members_work(case, counters):
+    # (builds, shared, lookups) of heat(0.5), then of heat(1)
+    assert [c[:3] for c in _run(case, True)[2]] == counters
+
+
+def test_control_schedule_replays_the_stages_the_work_loop_draws(tmp_path, monkeypatch):
+    drawn, schedules = [], []
+    draw, replay = cli.random_policy, cli.random_steps
+
+    def spy_policy(family, t, rng):
+        policy = draw(family, t, rng)
+        drawn.extend(h for h, _ in policy.stages)
+        return policy
+
+    def spy_steps(family, t, trials, seed):
+        schedules.append(replay(family, t, trials, seed))
+        return schedules[-1]
+
+    monkeypatch.setattr(cli, "random_policy", spy_policy)
+    monkeypatch.setattr(cli, "random_steps", spy_steps)
+    cfg = json.loads((ROOT / README).read_text(encoding="utf-8"))
+    cfg["grid"]["dx"] = 0.05
+    cfg["control"] = {"t": 0.3, "m": 3, "level": 3, "trials": 7}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.run("control", str(path), str(tmp_path / "out"), 5) == 0
+    assert len(schedules) == 1 and len(drawn) > 7
+    assert schedules[0] == collections.Counter(drawn)
+
+
+@pytest.mark.parametrize("t, m", [(1.0, 64), (0.3, 7), (0.1, 3), (1.0, 49)])
+def test_greedy_steps_are_the_greedy_policys_stages_and_horizon(t, m):
+    grid = WeightedGrid.uniform(-2.0, 2.0, 0.1)
+    family = SemigroupFamily([HeatOperator(grid, 0.5), HeatOperator(grid, 1.0)])
+    policy = greedy_policy(family, t, probe_function("sin", grid), m).policy
+    steps, horizon = greedy_steps(t, m)
+    assert steps == collections.Counter(h for h, _ in policy.stages)
+    assert horizon == policy.horizon        # bit for bit, ulp slips included
 
 
 def _heat_pair():

@@ -7,18 +7,19 @@ Exports REF's ``src/`` with ``git archive`` into a temporary directory and
 runs the same outputs through ``nisio.cli.run`` for both trees, one fresh
 interpreter per run with ``PYTHONDONTWRITEBYTECODE=1``: ``solve``, ``dpp``,
 ``control`` and ``mc`` on ``bench/configs/readme.json`` at seeds 1 and 7,
-``properties`` on ``bench/configs/ou.json``, and ``solve`` and ``properties``
-on one small config per member kind those two leave out and on one heat pair
-whose members share stencil kernels under ``renormalize`` (``KINDS``: GBM,
-chain, stable, Koopman, scaled heat and heat-stencil), ``mc`` at seeds 1
+``properties`` on ``bench/configs/ou.json``, and ``solve``, ``properties``,
+``dpp`` and ``control`` on one small config per member kind those two leave
+out and on one heat pair whose members share stencil kernels under
+``renormalize`` (``KINDS``: GBM, chain, stable, Koopman, scaled heat and
+heat-stencil), ``mc`` at seeds 1
 and 7 on the GBM and scaled-heat configs of ``KINDS`` (lognormal and
 dilated-duration steps through the normals stream), and ``solve`` on each of
 the 20 configs of ``REJECTS`` (malformed, a grid of one point, a number that
 overflows, or over a work budget), whose ``config error:`` line on stderr is
 compared too.  Each run also reports the builds and lookups summed over the
 members of the family the CLI built (``none`` when it built none), so a
-change that moves no bit but rebuilds a kernel shows: 45 runs, 45 exit codes,
-45 work counts, 20 rejection lines and 35 output files in all.  The configs
+change that moves no bit but rebuilds a kernel shows: 57 runs, 57 exit codes,
+57 work counts, 20 rejection lines and 53 output files in all.  The configs
 of ``KINDS`` and ``REJECTS`` are written into the temporary directory, and
 both trees read the same configs.  Prints each file's sha256 and each run's
 counts on both sides and exits 1 on any difference, in a file, an exit code,
@@ -43,7 +44,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 README, OU = "bench/configs/readme.json", "bench/configs/ou.json"
 _SMALL = {"solve": {"t": 0.5, "max_level": 4},
-          "properties": {"t_list": [0.25, 0.5], "partition_pairs": 2}}
+          "properties": {"t_list": [0.25, 0.5], "partition_pairs": 2},
+          "dpp": {"s": 0.25, "t": 0.25, "level": 3},
+          "control": {"t": 0.5, "m": 4, "level": 3, "trials": 3}}
 # one small config per member kind the two bench configs leave out, and a heat
 # pair in a regime they leave out
 KINDS = {
@@ -119,7 +122,8 @@ REJECTS = {
 }
 RUNS = [(sub, README, seed) for seed in (1, 7) for sub in ("solve", "dpp", "control", "mc")]
 RUNS.append(("properties", OU, None))
-RUNS += [(sub, kind, None) for kind in KINDS for sub in ("solve", "properties")]
+RUNS += [(sub, kind, None) for kind in KINDS
+         for sub in ("solve", "properties", "dpp", "control")]
 # lognormal and dilated-duration steps read the normals stream too
 RUNS += [("mc", kind, seed) for seed in (1, 7) for kind in ("gbm", "scaled")]
 RUNS += [("solve", name, None) for name in REJECTS]
