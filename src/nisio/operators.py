@@ -69,10 +69,20 @@ duration h, for members whose transition law can be drawn exactly.  Every
 sampler but the chain's draws nothing but ``rng.standard_normal(size)``; a
 chain lives only on a label grid, and only a chain (or a scaled one) does.
 
-Importing this module loads ``scipy.sparse`` only.  The chain member's
-Poisson weights import ``scipy.special`` inside ``_poisson_pmf`` (never
-``scipy.stats``), so only runs that build a chain kernel load it; OU moments
-take exprel from ``_exprel`` (``math.expm1``), to the bits of
+Sparse kernels are nisio's own arrays in scipy's layouts: ``CSRKernel``
+(``data``, ``indices``, ``indptr``) and ``DIAKernel`` (``data``,
+``offsets``), with int32 indices; a dense kernel is an ndarray.  They are
+built, converted and applied by scipy's compiled loops (``csr_matvec``,
+``dia_matvec``, ``csr_sort_indices``, ...), the extension module
+``scipy/sparse/_sparsetools``, which ``_load_sparsetools`` loads on its own.
+So every apply runs the C++ loop that ``A @ x`` runs on a ``scipy.sparse``
+matrix of the same arrays, to the same bits, and importing this module loads no
+scipy subpackage: ``import scipy.sparse`` would run scipy's array-API shim,
+which loads numpy's ``f2py``, ``testing`` and ``ma`` and costs every
+process about 0.13 s and 15 MiB that no sparse loop needs.  The chain
+member's Poisson weights import ``scipy.special`` inside ``_poisson_pmf``
+(never ``scipy.stats``), so only runs that build a chain kernel load it; OU
+moments take exprel from ``_exprel`` (``math.expm1``), to the bits of
 ``scipy.special.exprel``.
 """
 
@@ -80,13 +90,15 @@ from __future__ import annotations
 
 import collections
 import copy
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (ConfigurationError, GridKindError, InvalidInputError,
                      NumericalDegeneracyError)
@@ -111,6 +123,108 @@ MAX_KERNEL_WEIGHTS = 2 ** 24
 # (``SemigroupFamily.plan``) and frees each kernel after its last lookup, so
 # it holds less
 KERNEL_CACHE_BYTES = 512 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# sparse kernels, applied by scipy's compiled loops
+# ---------------------------------------------------------------------------
+
+def _load_sparsetools():
+    """scipy's compiled sparse loops, the extension ``scipy/sparse/_sparsetools``,
+    loaded from scipy's directory as ``nisio._sparsetools`` without running
+    ``scipy`` or ``scipy.sparse`` (see the module docstring)."""
+    scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(
+        f"{__package__}._sparsetools", [os.path.join(d, "sparse") for d in scipy_dirs])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
+
+
+class _SparseKernel:
+    """A square sparse kernel; ``kernel @ x`` is its product with a vector of
+    n floats, through the format's compiled loop."""
+
+    __slots__ = ("__weakref__",)
+
+    def __matmul__(self, x):
+        n = self.shape[0]
+        if np.shape(x) != (n,):
+            raise ValueError(f"an {n} x {n} kernel applied to values of shape {np.shape(x)}")
+        out = np.zeros(n)
+        self._matvec(np.asarray(x, dtype=float), out)
+        return out
+
+
+class CSRKernel(_SparseKernel):
+    """Compressed sparse rows, scipy's CSR arrays: row i holds
+    ``data[indptr[i]:indptr[i + 1]]`` in the columns ``indices[...]``.  The
+    indices are int32, as scipy picks them for any kernel that fits in
+    memory.  ``csr_matvec`` adds each row's terms in stored order from +0.0."""
+
+    __slots__ = ("data", "indices", "indptr")
+
+    def __init__(self, data, indices, indptr):
+        self.data = data
+        self.indices = np.asarray(indices, dtype=np.int32)
+        self.indptr = np.asarray(indptr, dtype=np.int32)
+
+    @property
+    def shape(self):
+        return self.indptr.size - 1, self.indptr.size - 1
+
+    @property
+    def nnz(self):
+        return int(self.indptr[-1])
+
+    @property
+    def nbytes(self):
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+    def _matvec(self, x, out):
+        n = self.indptr.size - 1
+        _sparsetools.csr_matvec(n, n, self.indptr, self.indices, self.data, x, out)
+
+
+class DIAKernel(_SparseKernel):
+    """Diagonals, scipy's DIA arrays: ``data[d, j]`` is entry
+    (j - offsets[d], j), and entries off the lattice are never read.  The
+    int32 offsets ascend, so ``dia_matvec`` adds each row's terms in
+    ascending column order from +0.0, as ``csr_matvec`` does on the same
+    kernel in canonical CSR."""
+
+    __slots__ = ("data", "offsets")
+
+    def __init__(self, data, offsets):
+        self.data = data
+        self.offsets = np.asarray(offsets, dtype=np.int32)
+
+    @property
+    def shape(self):
+        return self.data.shape[1], self.data.shape[1]
+
+    @property
+    def nbytes(self):
+        return self.data.nbytes + self.offsets.nbytes
+
+    def _matvec(self, x, out):
+        n = self.data.shape[1]
+        _sparsetools.dia_matvec(n, n, *self.data.shape, self.offsets, self.data, x, out)
+
+    def tocsr(self):
+        """The same kernel in canonical CSR, explicit zeros dropped
+        (``dia_tocsr``)."""
+        n_diags, n = self.data.shape
+        size = int(np.maximum(n - np.abs(self.offsets), 0).sum())
+        data, indices = np.empty(size), np.empty(size, dtype=np.int32)
+        indptr = np.empty(n + 1, dtype=np.int32)
+        nnz = _sparsetools.dia_tocsr(n, n, n_diags, n, self.offsets, self.data,
+                                     np.argsort(self.offsets).astype(np.int32),
+                                     data, indices, indptr)
+        return CSRKernel(data[:nnz], indices[:nnz], indptr)
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +262,20 @@ def _sorted_rows(n, cols_raw, weights, mode):
     if np.any(sums <= 0.0):
         raise NumericalDegeneracyError("kernel row lost all mass")
     np.divide(weights, sums[:, None], out=weights)
-    mat = sp.csr_matrix((weights.ravel(), cols.ravel(),
-                         np.arange(n + 1) * cols.shape[1]), shape=(n, n))
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
-    return mat.toarray() if _dense_is_cheaper(n, mat.nnz) else mat
+    csr = CSRKernel(weights.reshape(-1), cols.reshape(-1), np.arange(n + 1) * cols.shape[1])
+    arrays = csr.indptr, csr.indices, csr.data
+    # scipy's sum_duplicates and eliminate_zeros: rows already in order are
+    # not sorted again, so a column's terms are added in the order they come
+    if not _sparsetools.csr_has_sorted_indices(n, csr.indptr, csr.indices):
+        _sparsetools.csr_sort_indices(n, *arrays)
+    _sparsetools.csr_sum_duplicates(n, n, *arrays)
+    _sparsetools.csr_eliminate_zeros(n, n, *arrays)
+    nnz = csr.nnz
+    if _dense_is_cheaper(n, nnz):
+        dense = np.zeros((n, n))
+        _sparsetools.csr_todense(n, n, *arrays, dense)
+        return dense
+    return CSRKernel(csr.data[:nnz].copy(), csr.indices[:nnz].copy(), csr.indptr)
 
 
 def _spill(lo, w, start, count):
@@ -181,7 +304,7 @@ def _assemble_rows(n, cols_raw, weights, mode):
     of ``_sorted_rows``, which keeps every other ``reflect`` row set and
     every ``wrap`` one.  A row's columns are its run clipped to the lattice,
     already ascending: its non-zero entries are the CSR row, or are added
-    onto an n x n array of zeros when dense, as ``toarray`` does.
+    onto an n x n array of zeros when dense, as ``csr_todense`` does.
     ``weights`` is consumed.
     """
     w = cols_raw.shape[1]
@@ -217,7 +340,7 @@ def _assemble_rows(n, cols_raw, weights, mode):
             dense[i, a:b] += weights[i, s:s + b - a]
         return dense
     indptr = np.concatenate(([0], np.cumsum(counts)))
-    return sp.csr_matrix((weights[keep], cols_raw[keep], indptr), shape=(n, n))
+    return CSRKernel(weights[keep], cols_raw[keep], indptr)
 
 
 def _toeplitz(e, n):
@@ -281,7 +404,7 @@ def _band_matrix(n, w, mode):
         pos = (np.arange(w.size) + start[:, None]) % w.size
         data = wn[pos].ravel()
         indices = ((pos + (rows - k)[:, None]) % n).ravel()
-        return sp.csr_matrix((data, indices, np.arange(n + 1) * w.size), shape=(n, n))
+        return CSRKernel(data, indices, np.arange(n + 1) * w.size)
 
     # one diagonal per band offset b = -k..k, ascending, so that dia_matvec
     # sums each row in ascending column order as csr_matvec does;
@@ -300,7 +423,7 @@ def _band_matrix(n, w, mode):
         fold = wn[k - 1 - diag]
         data[k + b, col + 1] += fold
         data[k - b, n - 2 - col] += fold
-    return sp.dia_matrix((data, np.arange(-k, k + 1)), shape=(n, n))
+    return DIAKernel(data, np.arange(-k, k + 1))
 
 
 def gaussian_lattice_matrix(n, dx, means_offset, std, mode):
@@ -440,16 +563,6 @@ def _check_input(grid, t, u):
         raise InvalidInputError("function lives on a different grid")
 
 
-def _nbytes(kernel):
-    """Bytes a kernel holds: an ndarray's buffer, a DIA matrix's diagonals and
-    offsets, or a CSR matrix's arrays."""
-    if isinstance(kernel, sp.dia_matrix):
-        return kernel.data.nbytes + kernel.offsets.nbytes
-    if sp.issparse(kernel):
-        return kernel.data.nbytes + kernel.indices.nbytes + kernel.indptr.nbytes
-    return kernel.nbytes
-
-
 class _KernelIndex(weakref.WeakValueDictionary):
     """Weak references to the kernels of a family's members by key, and the
     run's plan: the lookups left per key (``SemigroupFamily.plan``).  A
@@ -536,9 +649,9 @@ class TransitionOperator:
                     self.shared += 1
             except InvalidInputError as exc:
                 raise InvalidInputError(f"{self.name} at duration {t:g}: {exc}") from None
-            self._held += _nbytes(kernel)
+            self._held += kernel.nbytes
             while self._held > KERNEL_CACHE_BYTES and self._cache:
-                self._held -= _nbytes(self._cache.pop(next(iter(self._cache))))
+                self._held -= self._cache.pop(next(iter(self._cache))).nbytes
                 self.evictions += 1
         self._cache[t] = kernel
         if self._index.plan:
@@ -550,7 +663,7 @@ class TransitionOperator:
         that holds it."""
         for t in [t for t, held in self._cache.items() if held is kernel]:
             del self._cache[t]
-            self._held -= _nbytes(kernel)
+            self._held -= kernel.nbytes
 
     def _kernel_key(self, t):
         """A key that only the same kernel on this grid has: this member's
@@ -654,6 +767,26 @@ def _log_drift(mu, sigma):
     return drift
 
 
+def _mirror_blocks(block):
+    """The GBM kernel in CSR: ``block`` on the positive branch, its mirror
+    image (rows and columns reversed) on the negative one, 1 at x = 0.  The
+    arrays of scipy's ``block_diag([block[::-1, ::-1], identity(1), block],
+    format="csr")``: a dense block gives all n^2 entries, zeros included, a
+    DIA block its canonical CSR, and every row ascends, since each row of a
+    CSR block does and reversing the arrays reverses rows and columns."""
+    n = block.shape[0]
+    if isinstance(block, DIAKernel):
+        block = block.tocsr()
+    if isinstance(block, np.ndarray):
+        data, indices, indptr = block.reshape(-1), np.tile(np.arange(n), n), np.arange(n + 1) * n
+    else:
+        data, indices, indptr = block.data, block.indices, block.indptr
+    nnz = indptr[-1]
+    return CSRKernel(np.concatenate((data[::-1], [1.0], data)),
+                     np.concatenate((n - 1 - indices[::-1], [n], indices + n + 1)),
+                     np.concatenate((nnz - indptr[::-1], nnz + 1 + indptr)))
+
+
 class GBMOperator(TransitionOperator):
     """Geometric Brownian member on the sign-glued log grid.
 
@@ -681,9 +814,7 @@ class GBMOperator(TransitionOperator):
     def _build_matrix(self, t):
         block = lattice_kernel(self._n_side, self.grid.spacing, self._drift * t,
                                self.sigma ** 2 * t, self.grid.boundary)
-        if sp.issparse(block):
-            block = block.tocsr()       # a zero-drift band comes as DIA
-        return sp.block_diag([block[::-1, ::-1], sp.identity(1), block], format="csr")
+        return _mirror_blocks(block)
 
     def _generator(self, u):
         n, ds, drift = self._n_side, self.grid.spacing, self._drift

@@ -4,9 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nisio import (ChainOperator, FamilyBounds, HeatOperator,
-                   SemigroupFamily, WeightedGrid)
+                   SemigroupFamily, WeightedGrid, operators)
 
 
 @pytest.fixture(autouse=True)
@@ -100,3 +101,13 @@ def same_bits_kinds():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.KINDS
+
+
+def as_scipy(kernel):
+    """A nisio kernel as the ``scipy.sparse`` matrix of its arrays, the
+    tests' oracle view of it; a dense kernel as itself."""
+    if isinstance(kernel, operators.CSRKernel):
+        return sp.csr_matrix((kernel.data, kernel.indices, kernel.indptr), shape=kernel.shape)
+    if isinstance(kernel, operators.DIAKernel):
+        return sp.dia_matrix((kernel.data, kernel.offsets), shape=kernel.shape)
+    return kernel

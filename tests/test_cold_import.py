@@ -2,7 +2,10 @@
 
 ``scipy.stats`` and ``scipy.linalg`` are never needed, and ``scipy.special``
 only for chain members; each costs import time and resident memory in every
-CLI process.  A config is checked by nisio's own
+CLI process.  Nor is ``scipy.sparse``: kernels are applied by its compiled
+loops, loaded on their own, since importing the package runs scipy's
+array-API shim (``scipy._lib._array_api``), which loads numpy's ``f2py``,
+``testing`` and ``ma``.  A config is checked by nisio's own
 schema walker, so ``jsonschema`` is loaded only by the tests, as its oracle.
 Each case runs in a fresh interpreter, so modules this test process has
 loaded do not count.
@@ -16,7 +19,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "bench" / "configs"
-UNUSED = ("scipy.stats", "scipy.linalg", "scipy.special", "jsonschema")
+UNUSED = ("scipy.stats", "scipy.linalg", "scipy.special", "scipy.sparse",
+          "scipy._lib._array_api", "jsonschema")
 
 # case -> the CLI arguments run after the import (none: import only)
 CASES = {

@@ -79,7 +79,7 @@ def _stores(family):
 
 
 def _assert_store_consistent(op):
-    assert op._held == sum(operators._nbytes(k) for k in op._cache.values())
+    assert op._held == sum(k.nbytes for k in op._cache.values())
 
 
 @pytest.mark.parametrize("kind", sorted(FAMILIES))

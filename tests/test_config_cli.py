@@ -829,9 +829,16 @@ def test_cli_outputs_do_not_depend_on_the_kernel_budget(tmp_path, monkeypatch, n
     # kernels are rebuilt over and over; the output files keep every byte
     cfg, subcommands = STORE_RUNS[name]
     cfg_path = write_cfg(tmp_path, cfg)
-    sized = []
-    real_nbytes = operators._nbytes
-    monkeypatch.setattr(operators, "_nbytes", lambda k: sized.append(1) or real_nbytes(k))
+    evicted = []
+    matrix = operators.TransitionOperator.matrix
+
+    def spy(self, t):
+        before = self.evictions
+        kernel = matrix(self, t)
+        evicted.append(self.evictions - before)
+        return kernel
+
+    monkeypatch.setattr(operators.TransitionOperator, "matrix", spy)
     blobs, counts = [], []
     for budget in (operators.KERNEL_CACHE_BYTES, 1):
         monkeypatch.setattr(operators, "KERNEL_CACHE_BYTES", budget)
@@ -839,9 +846,9 @@ def test_cli_outputs_do_not_depend_on_the_kernel_budget(tmp_path, monkeypatch, n
         for sub in subcommands:
             assert run(sub, cfg_path, str(out)) == 0, sub
         blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        counts.append(len(sized))
+        counts.append(sum(evicted))
     assert blobs[0] == blobs[1]
-    assert counts[1] - counts[0] > counts[0]   # the one-byte store evicted
+    assert counts[0] == 0 < counts[1]           # only the one-byte store evicted
     if name == "koopman":
         assert json.loads(blobs[0]["solve_levels.json"])["flow_exits"]["0:koopman"] > 0
 

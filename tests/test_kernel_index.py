@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from conftest import Q_BD, same_bits_kinds
 from nisio import (ChainOperator, GBMOperator, HeatOperator, KoopmanOperator, OUOperator,
@@ -44,9 +43,9 @@ VARIANCES = {"band-dense": 4.0, "band-sparse": 0.04, "stencil-at": DX * DX,
 
 def _arrays(kernel):
     """A kernel's kind and copies of the arrays that make it."""
-    if isinstance(kernel, sp.dia_matrix):
+    if isinstance(kernel, operators.DIAKernel):
         parts = (kernel.data, kernel.offsets)
-    elif sp.issparse(kernel):
+    elif isinstance(kernel, operators.CSRKernel):
         parts = (kernel.data, kernel.indices, kernel.indptr)
     else:
         parts = (kernel,)
@@ -106,7 +105,7 @@ def test_eviction_leaves_the_other_members_copy_served(monkeypatch):
     ref = _arrays(kernel)
     assert b.matrix(0.1) is kernel
     # each store now holds one kernel of this size at most
-    monkeypatch.setattr(operators, "KERNEL_CACHE_BYTES", operators._nbytes(kernel))
+    monkeypatch.setattr(operators, "KERNEL_CACHE_BYTES", kernel.nbytes)
     a.matrix(0.3)
     assert 0.4 not in a._cache and a.evictions == 1
     assert a.matrix(0.4) is kernel and a.shared == 1 and a.builds == 2

@@ -178,7 +178,7 @@ def test_a_shared_kernel_lives_until_the_last_planned_lookup_of_its_key():
     family.plan({0.4: 1, 0.1: 1})
     assert family._index.plan == {0.1: 2, 0.4: 1, 0.025: 1}
     kernel = a.matrix(0.4)
-    assert a._cache == {0.4: kernel} and a._held == operators._nbytes(kernel)
+    assert a._cache == {0.4: kernel} and a._held == kernel.nbytes
     assert b.matrix(0.1) is kernel and b.shared == 1
     # spent: it left both stores, and the index keeps it no longer alive
     assert a._cache == {} == b._cache and a._held == 0 == b._held

@@ -24,7 +24,7 @@ from nisio.operators import (KERNEL_RADIUS, _assemble_rows, _exprel, _poisson_pm
                              lattice_kernel)
 from nisio.probes import probe_function
 
-from conftest import Q_BD
+from conftest import Q_BD, as_scipy
 
 
 def winmax(grid, values, lo, hi):
@@ -104,7 +104,7 @@ def test_kernel_store_stays_within_its_byte_budget(monkeypatch):
     sizes, oversized = [], 0
     for t in np.geomspace(1e-6, 1.0, 100).tolist():
         kernel = op.matrix(t)
-        held = sum(operators._nbytes(k) for k in op._cache.values())
+        held = sum(k.nbytes for k in op._cache.values())
         assert op._held == held
         assert held <= budget or list(op._cache) == [t]
         assert list(op._cache)[-1] == t and op._cache[t] is kernel
@@ -112,7 +112,7 @@ def test_kernel_store_stays_within_its_byte_budget(monkeypatch):
         oversized += held > budget
     assert oversized and max(sizes) > 2
     # a hit moves its duration to the back, so the next eviction spares it
-    stencil = operators._nbytes(op.matrix(1e-6))
+    stencil = op.matrix(1e-6).nbytes
     monkeypatch.setattr(operators, "KERNEL_CACHE_BYTES", 2 * stencil)
     op = HeatOperator(op.grid, 1.0)
     first = op.matrix(1e-6)
@@ -214,7 +214,7 @@ def _coo_gaussian(n, dx, std, mode):
 
 
 def _dense(mat):
-    return mat.toarray() if sp.issparse(mat) else np.asarray(mat)
+    return mat if isinstance(mat, np.ndarray) else as_scipy(mat).toarray()
 
 
 def _check_against_oracle(mat, ref, rng):
@@ -225,15 +225,15 @@ def _check_against_oracle(mat, ref, rng):
     # storage: dense exactly when it takes no more bytes than CSR would
     csr_bytes = 12 * ref.nnz + 4 * (n + 1)
     assert isinstance(mat, np.ndarray) == (8 * n * n <= csr_bytes)
-    if isinstance(mat, sp.dia_matrix):
+    if isinstance(mat, operators.DIAKernel):
         # one diagonal per offset, ascending, so each row sums its terms in
         # ascending column order as CSR does: fewer bytes, the same bits
         assert np.all(np.diff(mat.offsets) > 0)
-        assert operators._nbytes(mat) < csr_bytes
+        assert mat.nbytes < csr_bytes
         assert np.array_equal((mat @ u).view(np.int64), (mat.tocsr() @ u).view(np.int64))
-    elif sp.issparse(mat):
+    elif isinstance(mat, operators.CSRKernel):
         ref = ref.sorted_indices()
-        assert mat.has_canonical_format     # sorted, no duplicates
+        assert as_scipy(mat).has_canonical_format     # sorted, no duplicates
         assert np.array_equal(mat.indptr, ref.indptr)
         assert np.array_equal(mat.indices, ref.indices)
 
@@ -260,7 +260,8 @@ def test_band_kernel_matches_coo_assembly(mode, n):
         _check_against_oracle(mat, _coo_gaussian(n, dx, ratio * dx, mode), rng)
         formats.add(type(mat))
     if n >= 801:
-        assert formats == {np.ndarray, sp.csr_matrix if mode == "wrap" else sp.dia_matrix}
+        assert formats == {np.ndarray, operators.CSRKernel if mode == "wrap"
+                           else operators.DIAKernel}
 
 
 def test_band_kernel_serves_zero_offset_members(monkeypatch):
@@ -365,7 +366,7 @@ def test_row_kernel_matches_coo_assembly(case, monkeypatch):
     member, t = ROW_KERNELS[case]
     member().matrix(t)
     [(args, mat)] = calls
-    assert isinstance(mat, (np.ndarray, sp.csr_matrix))
+    assert isinstance(mat, (np.ndarray, operators.CSRKernel))
     _check_against_oracle(mat, _coo_rows(*args), np.random.default_rng(7))
     if case.startswith("ou-re"):
         assert isinstance(mat, np.ndarray) == (t == 1.0)
@@ -511,7 +512,7 @@ def test_gbm_zero_volatility_on_renormalized_log_grid():
     # the lattice at the top rows; those targets clamp to the end node
     g = WeightedGrid.loggrid(8.0, 1e-2, 800)
     op = GBMOperator(g, 0.02, 0.0)
-    mat = op.matrix(0.5)
+    mat = as_scipy(op.matrix(0.5))
     assert mat.min() >= 0.0
     assert np.max(np.abs(np.asarray(mat.sum(axis=1)).ravel() - 1.0)) <= 1e-15
     n = op._n_side
@@ -528,7 +529,7 @@ def test_gbm_near_cell_variance_with_half_cell_drift(boundary):
     ds = g.spacing
     sigma = math.sqrt(0.99) * ds
     op = GBMOperator(g, 1.5 * ds + 0.5 * sigma ** 2, sigma)
-    mat = op.matrix(1.0)
+    mat = as_scipy(op.matrix(1.0))
     assert mat.min() >= 0.0
     n = op._n_side
     w, sums, mean, var = _row_moments(mat[n + 1:, n + 1:], np.arange(5, n - 5))
@@ -549,7 +550,7 @@ def test_gbm_refuses_a_log_grid_of_fewer_than_two_nodes_per_side(points, boundar
         GBMOperator(g, 0.1, 0.2)
     smallest = WeightedGrid(np.array([-2.0, -1.0, 0.0, 1.0, 2.0]), np.ones(5), kind="log",
                             boundary=boundary, spacing=math.log(2.0))
-    mat = GBMOperator(smallest, 0.1, 0.2).matrix(0.1)
+    mat = as_scipy(GBMOperator(smallest, 0.1, 0.2).matrix(0.1))
     assert np.allclose(np.asarray(mat.sum(axis=1)).ravel(), 1.0)
 
 
@@ -595,13 +596,14 @@ def test_gbm_zero_shift_dense_block(log_grid):
     # sigma 0.4, t 1 and DIA at sigma 0.2, t 0.01
     u = np.random.default_rng(5).standard_normal(log_grid.size)
     n, ds = (log_grid.size - 1) // 2, log_grid.spacing
-    for sigma, t, block_type in ((0.4, 1.0, np.ndarray), (0.2, 0.01, sp.dia_matrix)):
+    for sigma, t, block_type in ((0.4, 1.0, np.ndarray), (0.2, 0.01, operators.DIAKernel)):
         op = GBMOperator(log_grid, 0.5 * sigma ** 2, sigma)
         std = math.sqrt(sigma ** 2 * t)     # as lattice_kernel takes it
         band = gaussian_lattice_matrix(n, ds, 0.0, std, "reflect")
         assert isinstance(band, block_type)
-        mat = op.matrix(t)
-        assert isinstance(mat, sp.csr_matrix)
+        kernel = op.matrix(t)
+        assert isinstance(kernel, operators.CSRKernel)
+        mat = as_scipy(kernel)
         block = _coo_gaussian(n, ds, std, "reflect")
         ref = sp.block_diag([block[::-1, ::-1], sp.identity(1), block]).toarray()
         assert np.max(np.abs(mat.toarray() - ref)) <= 1e-13
@@ -611,7 +613,7 @@ def test_gbm_zero_shift_dense_block(log_grid):
         # as the CSR of its dense form
         csr = sp.csr_matrix(_dense(band))
         same = sp.block_diag([csr[::-1, ::-1], sp.identity(1), csr], format="csr")
-        assert np.array_equal((mat @ u).view(np.int64), (same @ u).view(np.int64))
+        assert np.array_equal((kernel @ u).view(np.int64), (same @ u).view(np.int64))
 
 
 @pytest.mark.parametrize("mu, sigma, ulps", [(0.02, 0.2, -1), (0.08, 0.4, -1),
@@ -631,12 +633,13 @@ def test_gbm_decimal_zero_drift_takes_the_band(mu, sigma, ulps, monkeypatch):
     op = GBMOperator(g, mu, sigma)
     mat = op.matrix(0.1)
     [block] = blocks
-    assert isinstance(block, sp.dia_matrix)
+    assert isinstance(block, operators.DIAKernel)
     n = op._n_side
     band = gaussian_lattice_matrix(n, g.spacing, 0.0, math.sqrt(sigma ** 2 * 0.1), "reflect")
     assert np.array_equal(block.data.view(np.int64), band.data.view(np.int64))
-    assert np.array_equal(mat.toarray(), sp.block_diag(
-        [band.tocsr()[::-1, ::-1], sp.identity(1), band.tocsr()]).toarray())
+    band = as_scipy(band).tocsr()
+    assert np.array_equal(as_scipy(mat).toarray(), sp.block_diag(
+        [band[::-1, ::-1], sp.identity(1), band]).toarray())
     u = probe_function("sin", g)
     d2 = np.zeros(g.size)
     for side in (slice(0, n), slice(n + 1, 2 * n + 1)):
@@ -656,7 +659,8 @@ def test_gbm_small_true_drift_is_kept():
     op = GBMOperator(WeightedGrid.loggrid(8.0, 1e-2, 200, boundary="reflect"), mu, 0.2)
     assert op._drift == mu - 0.5 * 0.2 ** 2 != 0.0
     assert isinstance(gaussian_lattice_matrix(100, op.grid.spacing, op._drift * 0.1,
-                                              math.sqrt(0.004), "reflect"), sp.csr_matrix)
+                                              math.sqrt(0.004), "reflect"),
+                      operators.CSRKernel)
 
 
 def test_gbm_weighted_norm_growth(log_grid):
@@ -1130,5 +1134,4 @@ def test_heat_member_reads_its_grid_boundary(grid, exact):
     assert op.lipschitz_exact is exact
     ref = lattice_kernel(grid.size, grid.spacing, 0.0, 0.5, grid.boundary)
     kernel = op.matrix(0.5)
-    dense = kernel.toarray() if sp.issparse(kernel) else kernel
-    assert np.array_equal(dense, ref.toarray() if sp.issparse(ref) else ref)
+    assert np.array_equal(_dense(kernel), _dense(ref))

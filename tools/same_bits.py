@@ -18,7 +18,10 @@ the 20 configs of ``REJECTS`` (malformed, a grid of one point, a number that
 overflows, or over a work budget), whose ``config error:`` line on stderr is
 compared too.  Each run also reports the builds and lookups summed over the
 members of the family the CLI built (``none`` when it built none), so a
-change that moves no bit but rebuilds a kernel shows: 57 runs, 57 exit codes,
+change that moves no bit but rebuilds a kernel shows, and each member's
+largest held kernel byte count (``_held`` after a lookup), so a change of
+kernel storage that moves the byte accounting shows too (an int64 index
+array where there was an int32 one, say): 57 runs, 57 exit codes,
 57 work counts, 20 rejection lines and 53 output files in all.  The configs
 of ``KINDS`` and ``REJECTS`` are written into the temporary directory, and
 both trees read the same configs.  Prints each file's sha256 and each run's
@@ -128,22 +131,31 @@ RUNS += [(sub, kind, None) for kind in KINDS
 RUNS += [("mc", kind, seed) for seed in (1, 7) for kind in ("gbm", "scaled")]
 RUNS += [("solve", name, None) for name in REJECTS]
 # one run through nisio.cli.run; prints the summed builds and lookups of the
-# members of the family the CLI built, when it built one
+# members of the family the CLI built, when it built one, and each member's
+# largest held byte count
 CALL = """
 import sys
-from nisio import cli
-families = []
+from nisio import cli, operators
+families, held = [], {}
 build_family = cli.build_family
+matrix = operators.TransitionOperator.matrix
 
 def spy(cfg, grid):
     families.append(build_family(cfg, grid))
     return families[-1]
 
+def lookup(member, t):
+    kernel = matrix(member, t)
+    held[id(member)] = max(held.get(id(member), 0), member._held)
+    return kernel
+
 cli.build_family = spy
+operators.TransitionOperator.matrix = lookup
 code = cli.run(sys.argv[1], sys.argv[2], sys.argv[3],
                None if sys.argv[4] == "-" else int(sys.argv[4]))
 for family in families:
-    print("builds", sum(m.builds for m in family), "lookups", sum(m.lookups for m in family))
+    print("builds", sum(m.builds for m in family), "lookups", sum(m.lookups for m in family),
+          "held", [held.get(id(m), 0) for m in family])
 sys.exit(code)
 """
 
