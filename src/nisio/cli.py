@@ -4,17 +4,17 @@ Subcommands: solve | properties | dpp | control | mc | report, each taking
 --config <path> --out <dir>, and [--seed N] where a run draws (properties,
 control, mc).  Value tables are CSV with full round-trip floats; reports are
 JSON with stable key order carrying the config hash.  Every subcommand runs in
-one order: read the config, its section, the
-grid, the family and u0 once; check the work budgets and horizons; measure
-eps_q while the kernel stores are empty (its kernels at 0.1, 0.05, 0.025 and
-0.075 are built on scratch twins of the members and never enter the stores,
-so a run whose work uses one of those durations builds it twice) and hand
-the family the run's lookup plan (``SemigroupFamily.plan``), both through
-``_Run.start``, so that each kernel leaves the stores after its last planned
-lookup; then work.  The plan is the envelope steps per duration, each from
-one source: ``dyadic_steps`` for a refinement, ``suite_schedule`` for the
-property suite, ``greedy_steps`` for a greedy policy and ``random_steps``
-for ``control``'s random policies, replayed from the run's seed before any
+one order: read the config, its section, the grid, the family and u0 once;
+state the run's envelope steps per duration, each from one source that first
+checks their member applies against the budget (``dyadic_steps`` for a
+refinement, ``suite_schedule`` for the property suite, ``greedy_steps`` for a
+greedy policy, ``random_steps`` for ``control``'s random policies, replayed
+from the run's seed), and check the horizons; measure eps_q while the kernel
+stores are empty (its kernels at 0.1, 0.05, 0.025 and 0.075 are built on
+scratch twins of the members and never enter the stores, so a run whose work
+uses one of those durations builds it twice) and hand the family the steps
+as its lookup plan (``SemigroupFamily.plan``), both through ``_Run.start``,
+so that each kernel leaves the stores after its last planned lookup; then
 work.  Exit codes: 0 all enabled assertions pass,
 1 assertion failure, 2 malformed config (a schema violation such as a key
 its kind does not read, a missing required key, a negative horizon, a zero
@@ -25,10 +25,12 @@ digits than Python reads (4300 by default), a ragged matrix, a grid of fewer
 than two points, an entry its member rejects, such as a Koopman field that is
 not finite on the grid or a heat or GBM sigma whose square overflows, an
 unreadable u0 CSV, a ``report_window`` that selects no grid point, a
-refinement level, stage count, random-policy trial count, Monte Carlo path
-count or kernel (Gaussian or chain uniformization weights) over the work
+refinement level, stage count, random-policy trial count, property suite
+(``probes``, ``t_list``, ``partition_pairs``), Monte Carlo path count or
+kernel (Gaussian or chain uniformization weights) over the work
 budget, a scaled member's duration that overflows, a horizon too small to
-split, a seed outside Philox's key range [0, 2^128 - 1] in the config or in
+split or a ``dpp.s + dpp.t`` past the largest float, a seed outside Philox's
+key range [0, 2^128 - 1] in the config or in
 --seed), an unusable --out directory or an unknown flag, 3 numerical
 degeneracy.  Each subcommand
 returns its record's name and fields; ``run`` writes ``<name>.json`` and exits 1 exactly
@@ -47,11 +49,10 @@ import numpy as np
 from . import __version__
 from .config import (build_family, build_grid, build_u0, build_window,
                      config_hash, validate_config)
-from .control import (check_greedy_stages, check_random_trials, duality_gap, greedy_policy,
-                      greedy_steps, policy_value, random_policy, random_steps)
+from .control import (duality_gap, greedy_policy, greedy_steps, policy_value, random_policy,
+                      random_steps)
 from .diagnostics import property_suite, suite_schedule
-from .envelope import (CHECK_LEVEL, check_levels, dpp_check, dyadic_steps, nisio_value,
-                       quadrature_tolerance)
+from .envelope import CHECK_LEVEL, dpp_check, dyadic_steps, nisio_value, quadrature_tolerance
 from .errors import ConfigurationError, InvalidInputError, NumericalDegeneracyError
 from .grids import weighted_norm
 from .montecarlo import SEED_MAX, SamplerSpec, check_path_stages, mc_compare
@@ -115,9 +116,9 @@ class _Run:
 def _cmd_solve(run):
     solve = run.section
     level = solve.get("max_level", 12)
-    check_levels(run.family, level)
+    steps = dyadic_steps(run.family, solve["t"], level)
     _check_horizons("solve.t", [solve["t"]], 2 ** level)
-    eps = run.start(dyadic_steps(solve["t"], level))
+    eps = run.start(steps)
     res = nisio_value(run.family, solve["t"], run.u0, max_level=level,
                       tol=solve.get("tol", 1e-6))
     _write_csv(run.path("solve.csv"), ["x", "u0", "u_T"],
@@ -152,7 +153,7 @@ def _cmd_properties(run):
     probes = [probe_function(name, run.grid) for name in probe_names]
     seed = section.get("seed", run.seed or 0)
     pairs = section.get("partition_pairs", 5)
-    _, steps = suite_schedule(len(probes), t_list, seed, pairs)
+    _, steps = suite_schedule(run.family, len(probes), t_list, seed, pairs)
     run.start(steps)        # the suite reads the eps_q figure kept here
     return "properties", property_suite(run.family, probes, t_list, seed=seed,
                                         partition_pairs=pairs)
@@ -160,13 +161,13 @@ def _cmd_properties(run):
 
 def _cmd_dpp(run):
     section = run.section
-    level = section.get("level", 6)
-    check_levels(run.family, level)
+    s, t, level = section["s"], section["t"], section.get("level", 6)
+    steps = dyadic_steps(run.family, t, level) + dyadic_steps(run.family, s, level)
     for key in ("s", "t"):
         _check_horizons(f"dpp.{key}", [section[key]], 2 ** level)
-    s, t = section["s"], section["t"]
-    eps = run.start(dyadic_steps(s + t, level) + dyadic_steps(t, level)
-                    + dyadic_steps(s, level))
+    if s + t > sys.float_info.max:
+        raise ConfigurationError(f"dpp.s {s!r} plus dpp.t {t!r} is past the largest float")
+    eps = run.start(dyadic_steps(run.family, s + t, level) + steps)
     out = dpp_check(run.family, s, t, run.u0, max_level=level, tol=1e-12,
                     window=run.window)
     record = {"s": s, "t": t, "level": level,
@@ -181,14 +182,11 @@ def _cmd_control(run):
     section = run.section
     t, m, level = section["t"], section["m"], section.get("level", 6)
     trials = section.get("trials", 20)
-    check_greedy_stages(run.family, m)
-    check_levels(run.family, level)
+    steps = greedy_steps(run.family, t, m)[0] + dyadic_steps(run.family, t, level)
     # greedy stages of t/m, dyadic refinements, random policies on the check lattice
     _check_horizons("control.t", [t], max(m, 2 ** level, 2 ** CHECK_LEVEL))
-    check_random_trials(run.family, trials)     # before the schedule replays them
     seed = run.seed or 0
-    eps = run.start(greedy_steps(t, m)[0] + dyadic_steps(t, level)
-                    + random_steps(run.family, t, trials, seed))
+    eps = run.start(steps + random_steps(run.family, t, trials, seed))
     out = duality_gap(run.family, t, run.u0, m, max_level=level, tol=1e-12,
                       window=run.window)
     run.write("control_policy", out["greedy"].policy.to_dict())
@@ -209,13 +207,12 @@ def _cmd_mc(run):
     section = run.section
     t, m = section["t"], section.get("m", 16)
     level = 8       # the envelope mc.json reports beside the policy's value
-    check_greedy_stages(run.family, m)
-    check_path_stages(section["n_paths"], m)
-    check_levels(run.family, level)
-    _check_horizons("mc.t", [t], m)
     # the greedy stages, then the envelope over the policy's horizon
-    steps, horizon = greedy_steps(t, m)
-    eps = run.start(steps + dyadic_steps(horizon, level))
+    steps, horizon = greedy_steps(run.family, t, m)
+    check_path_stages(section["n_paths"], m)
+    steps += dyadic_steps(run.family, horizon, level)
+    _check_horizons("mc.t", [t], m)
+    eps = run.start(steps)
     seed = run.seed if run.seed is not None else section.get("seed", 0)
     greedy = greedy_policy(run.family, t, run.u0, m)
     spec = SamplerSpec(run.family, greedy.policy, section["n_paths"], seed)

@@ -16,8 +16,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .envelope import CHECK_LEVEL, MAX_MEMBER_APPLIES, envelope_step_argmax, nisio_value
-from .errors import ConfigurationError, InvalidInputError
+from .envelope import CHECK_LEVEL, check_applies, envelope_step_argmax, nisio_value
+from .errors import ConfigurationError
 from .grids import weighted_norm
 
 # stages of a random policy, at most
@@ -93,47 +93,28 @@ class GreedyResult:
     value: object  # GridFunction
 
 
-def check_greedy_stages(family, m):
-    """Reject a greedy policy of m stages whose m * K member applies pass
-    ``MAX_MEMBER_APPLIES``, before any step."""
-    if m * len(family) > MAX_MEMBER_APPLIES:
-        raise InvalidInputError(
-            f"{m} stages with {len(family)} members need {m * len(family)} "
-            f"member applies, above the budget of {MAX_MEMBER_APPLIES}")
-
-
-def check_random_trials(family, trials):
-    """Reject ``trials`` random policies whose up to ``MAX_RANDOM_STAGES`` *
-    trials * K member applies pass ``MAX_MEMBER_APPLIES``, before any step."""
-    applies = MAX_RANDOM_STAGES * trials * len(family)
-    if applies > MAX_MEMBER_APPLIES:
-        raise InvalidInputError(
-            f"{trials} random policies with {len(family)} members need up to {applies} "
-            f"member applies, above the budget of {MAX_MEMBER_APPLIES}")
-
-
-def greedy_steps(t, m):
+def greedy_steps(family, t, m):
     """The greedy policy's steps per duration, m of t / m, and its horizon,
     the sum of its stages (m steps of t / m can miss t by an ulp): bit for
-    bit the ``horizon`` of ``greedy_policy(family, t, u, m).policy``."""
+    bit the ``horizon`` of ``greedy_policy(family, t, u, m).policy``.  It
+    first refuses m < 1, t <= 0 and m * K member applies over the budget."""
+    if m < 1:
+        raise ConfigurationError("need at least one stage")
+    if t <= 0.0:
+        raise ConfigurationError("horizon must be positive")
+    check_applies(family, f"{m} stages", m, "need")
     h = t / m
     return Counter({h: m}), _horizon(repeat(h, m))
 
 
 def greedy_policy(family, t, u, m):
-    """Backward argmax extraction over m equal stages.
+    """Backward argmax extraction over m equal stages, checked by ``greedy_steps``.
 
     The per-point argmax (lowest index on ties) realizes an exact optimizer
     stage by stage, so the backward pass's value is both the returned
-    policy's value and the uniform m-partition envelope, bit for bit.  The m
-    stages cost m * K member applies; past ``MAX_MEMBER_APPLIES`` the call is
-    rejected before any step.
+    policy's value and the uniform m-partition envelope, bit for bit.
     """
-    if m < 1:
-        raise ConfigurationError("need at least one stage")
-    if t <= 0.0:
-        raise ConfigurationError("horizon must be positive")
-    check_greedy_stages(family, m)
+    greedy_steps(family, t, m)
     h = t / m
     v = u
     selectors = []
@@ -176,7 +157,9 @@ def random_policy(family, t, rng):
 def random_steps(family, t, trials, seed):
     """Steps per duration of the ``trials`` random policies ``random_policy``
     draws in turn from a generator seeded with ``seed``, one per stage:
-    the draw replayed before any work, keeping the durations only."""
+    the draw replayed before any work, keeping the durations only, once
+    ``MAX_RANDOM_STAGES`` steps per policy fit the member-apply budget."""
+    check_applies(family, f"{trials} random policies", MAX_RANDOM_STAGES * trials)
     rng = np.random.default_rng(seed)
     steps = Counter()
     for _ in range(trials):

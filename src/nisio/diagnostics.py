@@ -7,8 +7,9 @@ from collections import Counter
 
 import numpy as np
 
-from .envelope import (CHECK_LEVEL, Partition, domination_slack, dyadic_partitions,
-                       envelope_step, nisio_value, quadrature_tolerance, refine_levels)
+from .envelope import (CHECK_LEVEL, Partition, check_applies, domination_slack,
+                       dyadic_partitions, envelope_step, nisio_value, quadrature_tolerance,
+                       refine_levels)
 from .errors import InvalidInputError, ResolutionError
 from .grids import GridFunction, lip_seminorm, weighted_norm
 from .probes import bump, smootherstep
@@ -135,21 +136,29 @@ def _tails(backward):
         yield h, tail
 
 
-def suite_schedule(n_probes, t_list, seed=0, partition_pairs=5):
+def suite_schedule(family, n_probes, t_list, seed=0, partition_pairs=5):
     """``property_suite``'s nested partition pairs, drawn from ``seed`` before
     any work and in the order the suite reads them, and its envelope steps
     per duration over ``n_probes`` probes: one per t of ``t_list`` for the
     member stacks of probes[0], the constant and each probe's lifted, scaled
     and summed steps, and one per entry of the composition table.  An upper
     bound, since the refinements' stop rule may end them early.  The suite
-    takes its pairs from here, so the steps are those of its own draw."""
+    takes its pairs from here, so the steps are those of its own draw.
+    Before any pair is drawn, a bound on the steps must fit the member-apply
+    budget: per t the direct steps and n one-step entries, at most n
+    2^CHECK_LEVEL entries per partition of each pair, and the refinements."""
     if max(t_list) <= 0.0:
         # the partition pairs and the refinements run to the largest t
         raise InvalidInputError("t_list needs a positive horizon")
+    n = n_probes
+    check_applies(family, f"{n} probes, {len(t_list)} t_list entries and "
+                          f"{partition_pairs} partition_pairs",
+                  len(t_list) * (2 + 5 * n + n * (n - 1) // 2)
+                  + partition_pairs * 2 * n * 2 ** CHECK_LEVEL
+                  + (len(t_list) + n - 1) * (2 ** (CHECK_LEVEL + 1) - 1))
     t_ref = max(t_list)
     rng = np.random.default_rng(seed)
     pairs = [_nested_partition_pair(t_ref, rng) for _ in range(partition_pairs)]
-    n = n_probes
     steps = Counter()
     for t in t_list:
         if t != 0.0:
@@ -186,7 +195,7 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     left, so partitions that share trailing intervals share their steps.  The
     report is that of composing every partition afresh, bit for bit.  The
     pairs, and the steps the call takes per duration, are stated before any
-    work by ``suite_schedule``.
+    work by ``suite_schedule``, which refuses a call past the budget.
     Returns a JSON-shaped report.
     """
     if not probes:
@@ -196,7 +205,7 @@ def property_suite(family, probes, t_list, seed=0, partition_pairs=5):
     for u in probes:
         for t in t_list:
             family.check(t, u)
-    pairs, _ = suite_schedule(len(probes), t_list, seed, partition_pairs)
+    pairs, _ = suite_schedule(family, len(probes), t_list, seed, partition_pairs)
     eps = quadrature_tolerance(family)
     grid = family.grid
     checks = []

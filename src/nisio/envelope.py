@@ -17,9 +17,8 @@ import numpy as np
 from .errors import ConfigurationError, InvalidInputError
 from .grids import GridFunction, weighted_norm
 
-# member applies a refinement through max_level may cost:
-# (2^(max_level+1) - 1) envelope steps times K members; 2^24 admits level 12
-# with up to 2048 members
+# member applies a schedule's envelope steps may cost, steps times K members;
+# 2^24 admits a refinement through level 12, 2^13 - 1 steps, of 2048 members
 MAX_MEMBER_APPLIES = 2 ** 24
 # the checks' lattice is t / 2^CHECK_LEVEL: property_suite's refinements and
 # partition pairs, random_policy's stage cuts
@@ -129,15 +128,22 @@ class NisioResult:
         return len(self.levels) - 1
 
 
-def check_levels(family, max_level):
-    """Reject a refinement whose worst case passes ``MAX_MEMBER_APPLIES``."""
-    if max_level < 1:
-        raise InvalidInputError("max_level must be >= 1")
-    applies = (2 ** (max_level + 1) - 1) * len(family)
+def check_applies(family, work, steps, need="need up to"):
+    """Reject ``work``, ``steps`` envelope steps over the family's K members,
+    whose steps * K member applies pass ``MAX_MEMBER_APPLIES``, before any
+    step; every schedule checks its own steps here before it states them."""
+    applies = steps * len(family)
     if applies > MAX_MEMBER_APPLIES:
         raise InvalidInputError(
-            f"max_level {max_level} with {len(family)} members needs up to {applies} "
-            f"member applies, above the budget of {MAX_MEMBER_APPLIES}")
+            f"{work} with {len(family)} members {need} {applies} member applies, "
+            f"above the budget of {MAX_MEMBER_APPLIES}")
+
+
+def check_levels(family, max_level):
+    """Reject a refinement below level 1 or past ``MAX_MEMBER_APPLIES``."""
+    if max_level < 1:
+        raise InvalidInputError("max_level must be >= 1")
+    check_applies(family, f"max_level {max_level}", 2 ** (max_level + 1) - 1, "needs up to")
 
 
 def refine_levels(levels, tol):
@@ -160,14 +166,16 @@ def dyadic_partitions(t, max_level):
     return (Partition.dyadic(t, level) for level in range(max_level + 1))
 
 
-def dyadic_steps(t, max_level):
+def dyadic_steps(family, t, max_level):
     """Envelope steps per duration of ``nisio_value``'s refinement of t
-    through ``max_level``: 2^l steps of t / 2^l at level l.  An upper bound,
-    since the stop rule may end the refinement early; none at t = 0."""
+    through ``max_level``, after ``check_levels``: 2^l steps of t / 2^l at
+    level l, the gaps of ``Partition.dyadic``.  An upper bound, since the
+    stop rule may end the refinement early; none at t = 0."""
+    check_levels(family, max_level)
     steps = Counter()
     if t != 0.0:
-        for pi in dyadic_partitions(t, max_level):
-            steps.update(pi.gaps.tolist())
+        for level in range(max_level + 1):
+            steps[t / 2 ** level] += 2 ** level
     return steps
 
 

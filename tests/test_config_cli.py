@@ -507,6 +507,20 @@ NO_WORK = {
                         "solve.t 5e-324 is too small to split into 4096 steps"),
     "dpp-subnormal": ("dpp", {"dpp": {"s": 0.5, "t": 5e-324}},
                       "dpp.t 5e-324 is too small to split into 64 steps"),
+    # s + t overflowed inside a Partition, whose message named no key; an
+    # integer sum past the largest float exited 1 with a traceback
+    "dpp-sum-overflow": ("dpp", {"dpp": {"s": 1e308, "t": 1e308}},
+                         "dpp.s 1e+308 plus dpp.t 1e+308 is past the largest float"),
+    "dpp-sum-overflow-integer": ("dpp", {"dpp": {"s": 10 ** 308, "t": 10 ** 308}},
+                                 f"dpp.s {10 ** 308} plus dpp.t {10 ** 308} is past"),
+    # properties had no budget, and ran on until killed
+    "properties-pairs": ("properties", {"properties": {"partition_pairs": 2 ** 40}},
+                         f"3 probes, 2 t_list entries and {2 ** 40} partition_pairs with "
+                         f"2 members need up to"),
+    "properties-probes": ("properties", {"properties": {"probes": ["sin"] * 3000}},
+                          "3000 probes, 2 t_list entries and 5 partition_pairs with 2 "
+                          f"members need up to 19200070 member applies, above the budget "
+                          f"of {2 ** 24}"),
     "control-subnormal": ("control", {"control": {"t": 5e-324, "m": 100}},
                           "control.t 5e-324 is too small to split into 100 steps"),
     "mc-subnormal": ("mc", {"mc": dict(BASE_CFG["mc"], t=5e-324)},
@@ -588,8 +602,8 @@ def test_cli_mc_checks_its_refinement_budget_before_any_work(tmp_path, capsys, m
                                                              budget, code):
     # mc.json's level-8 envelope of 2 members takes up to (2^9 - 1) * 2 = 1022
     # member applies; one fewer in the budget rejects the run before eps_q,
-    # any kernel build, the greedy policy or any path (control binds its own
-    # copy of the budget, so the greedy stage check is not the one that fires)
+    # any kernel build, the greedy policy or any path (the greedy stages'
+    # 2 * 2 applies fit, so the greedy stage check is not the one that fires)
     events, _ = _spy_builds(monkeypatch)
     monkeypatch.setattr(envelope, "MAX_MEMBER_APPLIES", budget)
     out = tmp_path / "out"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nisio import (ConfigurationError, ControlPolicy, HeatOperator,
-                   InvalidInputError, SemigroupFamily, control, duality_gap,
+                   InvalidInputError, SemigroupFamily, control, duality_gap, envelope,
                    greedy_policy, nisio_value, partition_apply, Partition,
                    policy_value, random_policy, quadrature_tolerance)
 from nisio.cli import run
@@ -90,8 +90,8 @@ def test_greedy_singleton(coarse_grid):
 
 def test_greedy_stage_budget_is_exact(coarse_family, coarse_grid, monkeypatch):
     # m stages over K members cost m * K applies; one stage past the budget
-    # is rejected before any step
-    monkeypatch.setattr(control, "MAX_MEMBER_APPLIES", 4 * len(coarse_family))
+    # is rejected before any step, by the one budget every schedule reads
+    monkeypatch.setattr(envelope, "MAX_MEMBER_APPLIES", 4 * len(coarse_family))
     u = probe_function("sin", coarse_grid)
     assert greedy_policy(coarse_family, 1.0, u, 4).policy.n_stages == 4
     calls = []
@@ -109,6 +109,10 @@ def test_greedy_stage_budget_is_exact(coarse_family, coarse_grid, monkeypatch):
 def test_greedy_rejects_no_stage_or_no_horizon(coarse_family, coarse_grid, t, m, message):
     with pytest.raises(ConfigurationError, match=message):
         greedy_policy(coarse_family, t, probe_function("sin", coarse_grid), m)
+    # the policy takes these checks from its schedule source, which refuses
+    # them too (m = 0 divided by zero there)
+    with pytest.raises(ConfigurationError, match=message):
+        control.greedy_steps(coarse_family, t, m)
 
 
 def test_greedy_determinism(coarse_family, coarse_grid):

@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 from conftest import same_bits_kinds
-from nisio import (HeatOperator, InvalidInputError, SemigroupFamily, WeightedGrid, cli,
-                   greedy_policy, nisio_value, operators, property_suite)
+from nisio import (HeatOperator, InvalidInputError, Partition, SemigroupFamily, WeightedGrid,
+                   cli, envelope, greedy_policy, nisio_value, operators, property_suite)
 from nisio.control import greedy_steps
 from nisio.diagnostics import suite_schedule
 from nisio.envelope import dyadic_steps
@@ -161,7 +161,7 @@ def test_greedy_steps_are_the_greedy_policys_stages_and_horizon(t, m):
     grid = WeightedGrid.uniform(-2.0, 2.0, 0.1)
     family = SemigroupFamily([HeatOperator(grid, 0.5), HeatOperator(grid, 1.0)])
     policy = greedy_policy(family, t, probe_function("sin", grid), m).policy
-    steps, horizon = greedy_steps(t, m)
+    steps, horizon = greedy_steps(family, t, m)
     assert steps == collections.Counter(h for h, _ in policy.stages)
     assert horizon == policy.horizon        # bit for bit, ulp slips included
 
@@ -220,23 +220,61 @@ def test_a_duration_a_member_refuses_is_left_out_of_the_plan():
 
 
 def test_dyadic_steps_are_the_refinement_levels():
-    assert dyadic_steps(1.0, 3) == {1.0: 1, 0.5: 2, 0.25: 4, 0.125: 8}
-    assert dyadic_steps(0.0, 3) == {}
-    assert dyadic_steps(0.3, 2) == {0.3: 1, 0.3 / 2: 2, 0.3 / 4: 4}
+    family = _heat_pair()[0]
+    assert dyadic_steps(family, 1.0, 3) == {1.0: 1, 0.5: 2, 0.25: 4, 0.125: 8}
+    assert dyadic_steps(family, 0.0, 3) == {}
+    assert dyadic_steps(family, 0.3, 2) == {0.3: 1, 0.3 / 2: 2, 0.3 / 4: 4}
+
+
+@pytest.mark.parametrize("t", [1.0, 0.3, 1 / 3, 1e-300])
+def test_dyadic_steps_are_the_gaps_of_the_dyadic_partitions(t):
+    family = _heat_pair()[0]
+    gaps = collections.Counter()
+    for level in range(13):
+        gaps.update(Partition.dyadic(t, level).gaps.tolist())
+    assert dyadic_steps(family, t, 12) == gaps
+
+
+def test_dyadic_steps_of_a_subnormal_horizon_are_zero_durations():
+    # Partition.dyadic refuses 5e-324 split past level 0; the closed form
+    # states the steps, and the CLI's horizon check names the key
+    steps = dyadic_steps(_heat_pair()[0], 5e-324, 3)
+    assert steps == {5e-324: 1, 0.0: 2 + 4 + 8}
 
 
 def test_suite_schedule_counts_the_steps_by_hand():
     # one probe at t = 1 and no partition pairs: the stacks, the constant, the
     # lifted and three scaled steps at 1; the refinement's table adds 2^l
     # steps of 2^-l at levels 1..4 (level 0 is the stacks' entry)
-    pairs, steps = suite_schedule(1, [1.0], partition_pairs=0)
+    family = _heat_pair()[0]
+    pairs, steps = suite_schedule(family, 1, [1.0], partition_pairs=0)
     assert pairs == [] and steps == {1.0: 6, 0.5: 2, 0.25: 4, 0.125: 8, 0.0625: 16}
     # a zero t takes no step, a repeated t its direct steps again; two probes
     # add the second probe's one-step entry and refinement, and one sum
-    _, steps = suite_schedule(2, [0.0, 1.0, 1.0], partition_pairs=0)
+    _, steps = suite_schedule(family, 2, [0.0, 1.0, 1.0], partition_pairs=0)
     assert steps == {1.0: 2 * (2 + 8 + 1) + 1, 0.5: 4, 0.25: 8, 0.125: 16, 0.0625: 32}
     with pytest.raises(InvalidInputError, match="positive horizon"):
-        suite_schedule(1, [0.0, 0.0])
+        suite_schedule(family, 1, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("n, t_list, pairs", [(3, [0.25, 1.0], 5), (2, [0.0, 1.0, 1.0], 0),
+                                              (1, [0.5], 20), (4, [1.0], 1)])
+def test_suite_schedule_budget_bounds_the_steps_it_states(monkeypatch, n, t_list, pairs):
+    # the bound checked before the draw is at least the steps stated after
+    # it: a budget one apply short of those steps refuses the schedule
+    family = _heat_pair()[0]
+    _, steps = suite_schedule(family, n, t_list, partition_pairs=pairs)
+    monkeypatch.setattr(envelope, "MAX_MEMBER_APPLIES", len(family) * sum(steps.values()) - 1)
+    with pytest.raises(InvalidInputError, match=f"{n} probes, {len(t_list)} t_list entries"):
+        suite_schedule(family, n, t_list, partition_pairs=pairs)
+
+
+def test_property_suite_over_the_budget_applies_nothing():
+    family = _heat_pair()[0]
+    u = probe_function("sin", family.grid)
+    with pytest.raises(InvalidInputError, match=f"{2 ** 40} partition_pairs with 2 members"):
+        property_suite(family, [u], [0.5], partition_pairs=2 ** 40)
+    assert [(m.lookups, m.applies) for m in family] == [(0, 0), (0, 0)]
 
 
 def test_library_calls_keep_every_kernel_for_the_next_call():

@@ -928,7 +928,7 @@ def test_stable_refinement_keeps_a_nonnegative_function_nonnegative():
     except NumericalDegeneracyError:
         return          # a refused run keeps the promise too
     worst = min(float(np.min(envelope_step(family, h, u).values))
-                for h in dyadic_steps(1.0, 12))
+                for h in dyadic_steps(family, 1.0, 12))
     assert worst >= 0.0, worst
 
 

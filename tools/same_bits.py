@@ -11,22 +11,22 @@ interpreter per run with ``PYTHONDONTWRITEBYTECODE=1``: ``solve``, ``dpp``,
 ``dpp`` and ``control`` on one small config per member kind those two leave
 out and on one heat pair whose members share stencil kernels under
 ``renormalize`` (``KINDS``: GBM, chain, stable, Koopman, scaled heat and
-heat-stencil), ``mc`` at seeds 1
-and 7 on the GBM and scaled-heat configs of ``KINDS`` (lognormal and
-dilated-duration steps through the normals stream), and ``solve`` on each of
-the 20 configs of ``REJECTS`` (malformed, a grid of one point, a number that
-overflows, or over a work budget), whose ``config error:`` line on stderr is
-compared too.  Each run also reports the builds and lookups summed over the
-members of the family the CLI built (``none`` when it built none), so a
-change that moves no bit but rebuilds a kernel shows, and each member's
-largest held kernel byte count (``_held`` after a lookup), so a change of
-kernel storage that moves the byte accounting shows too (an int64 index
-array where there was an int32 one, say): 57 runs, 57 exit codes,
-57 work counts, 20 rejection lines and 53 output files in all.  The configs
-of ``KINDS`` and ``REJECTS`` are written into the temporary directory, and
-both trees read the same configs.  Prints each file's sha256 and each run's
-counts on both sides and exits 1 on any difference, in a file, an exit code,
-a rejection line or a count.
+heat-stencil), ``mc`` at seeds 1 and 7 on the GBM and scaled-heat configs of
+``KINDS`` (lognormal and dilated-duration steps through the normals stream),
+and each of the 29 configs of ``REJECTS`` (malformed, a grid of one point, a
+number that overflows, or over a work budget, alone or beside a second
+violation) under its own subcommand, whose ``config error:`` line on stderr is
+compared too, so each budget's rejection, and which check fires first, is
+compared.  Each run also reports the builds and lookups summed over the
+members of the family the CLI built (``none`` when it built none), so a change
+that moves no bit but rebuilds a kernel shows, and each member's largest held
+kernel byte count (``_held`` after a lookup), so a change of kernel storage
+that moves the byte accounting shows too (an int64 index array where there was
+an int32 one, say): 66 runs, 66 exit codes, 66 work counts, 29 rejection lines
+and 53 output files in all.  The configs of ``KINDS`` and ``REJECTS`` are
+written into the temporary directory, and both trees read the same configs.
+Prints each file's sha256 and each run's counts on both sides and exits 1 on
+any difference, in a file, an exit code, a rejection line or a count.
 Everything it writes goes into the temporary directory; it needs no network.
 Dense kernels' bits depend on the BLAS thread count, so compare on one host
 only.
@@ -85,6 +85,7 @@ KINDS = {
 _HEAT = {"grid": {"kind": "uniform", "domain": [-2, 2], "dx": 0.1},
          "family": {"kind": "heat", "sigmas": [0.5, 1.0]}, "u0": {"name": "quadratic"},
          "solve": {"t": 0.5, "max_level": 2}}
+_MC = {"t": 0.5, "m": 4, "n_paths": 1000, "x0": 0.0}
 # an OU member whose B is not a number: B, m and C take numbers only
 _OU = {"kind": "ou", "members": [{"B": [[1, "a"]], "m": 0.0, "C": 1.0}]}
 # one malformed config per kind of schema error, a NaN, one config per rule
@@ -92,36 +93,54 @@ _OU = {"kind": "ou", "members": [{"B": [[1, "a"]], "m": 0.0, "C": 1.0}]}
 # per way to make it, a sigma whose square overflows, and one config per work
 # budget
 REJECTS = {
-    "unexpected-key": dict(_HEAT, family=dict(_HEAT["family"], count=3)),
-    "missing-key": dict(_HEAT, grid={"kind": "uniform", "domain": [-2, 2]}),
-    "wrong-type": dict(_HEAT, solve={"t": "0.5"}),
-    "unknown-tag": dict(_HEAT, grid={"kind": "hex"}),
-    "seed-range": dict(_HEAT, properties={"seed": 2 ** 128}),
-    "ou-coefficient-not-a-number": dict(_HEAT, family=_OU),
-    "nan": dict(_HEAT, solve={"t": 0.5, "tol": float("nan")}),
-    "log-n-1": dict(_HEAT, grid={"kind": "log", "x_max": 4, "n": 1}),
-    "scaled-base-two": dict(_HEAT, family={"kind": "scaled", "base": _HEAT["family"],
-                                           "scales": [1.0]}),
-    "solve-t-negative": dict(_HEAT, solve={"t": -0.5}),
-    "solve-tol-zero": dict(_HEAT, solve={"t": 0.5, "tol": 0}),
-    "empty-window": dict(_HEAT, report_window=[9, 10]),
-    "field-not-finite": dict(_HEAT, family={"kind": "koopman", "fields": ["sqrt(x)"]}),
-    "uniform-one-point": dict(_HEAT, grid={"kind": "uniform", "domain": [0, 0], "dx": 0.1}),
-    "periodic-one-point": dict(_HEAT, grid={"kind": "periodic", "domain": [-1, 1], "dx": 2}),
-    "labels-n-1": dict(_HEAT, grid={"kind": "labels", "n": 1},
-                       family={"kind": "chain", "rate_matrices": [[[0.0]]]}),
-    "heat-sigma-overflow": dict(_HEAT, family={"kind": "heat", "sigmas": [1e200]}),
+    "unexpected-key": ("solve", dict(_HEAT, family=dict(_HEAT["family"], count=3))),
+    "missing-key": ("solve", dict(_HEAT, grid={"kind": "uniform", "domain": [-2, 2]})),
+    "wrong-type": ("solve", dict(_HEAT, solve={"t": "0.5"})),
+    "unknown-tag": ("solve", dict(_HEAT, grid={"kind": "hex"})),
+    "seed-range": ("solve", dict(_HEAT, properties={"seed": 2 ** 128})),
+    "ou-coefficient-not-a-number": ("solve", dict(_HEAT, family=_OU)),
+    "nan": ("solve", dict(_HEAT, solve={"t": 0.5, "tol": float("nan")})),
+    "log-n-1": ("solve", dict(_HEAT, grid={"kind": "log", "x_max": 4, "n": 1})),
+    "scaled-base-two": ("solve", dict(_HEAT, family={"kind": "scaled", "base": _HEAT["family"],
+                                                     "scales": [1.0]})),
+    "solve-t-negative": ("solve", dict(_HEAT, solve={"t": -0.5})),
+    "solve-tol-zero": ("solve", dict(_HEAT, solve={"t": 0.5, "tol": 0})),
+    "empty-window": ("solve", dict(_HEAT, report_window=[9, 10])),
+    "field-not-finite": ("solve", dict(_HEAT, family={"kind": "koopman",
+                                                      "fields": ["sqrt(x)"]})),
+    "uniform-one-point": ("solve", dict(_HEAT, grid={"kind": "uniform", "domain": [0, 0],
+                                                     "dx": 0.1})),
+    "periodic-one-point": ("solve", dict(_HEAT, grid={"kind": "periodic", "domain": [-1, 1],
+                                                      "dx": 2})),
+    "labels-n-1": ("solve", dict(_HEAT, grid={"kind": "labels", "n": 1},
+                                 family={"kind": "chain", "rate_matrices": [[[0.0]]]})),
+    "heat-sigma-overflow": ("solve", dict(_HEAT, family={"kind": "heat", "sigmas": [1e200]})),
     # work budgets: 2^41 member applies, eps_q's kernel at 0.1 past the
     # Gaussian-weight budget, and a chain's at 0.1 past it in uniformization
     # weights
-    "max-level-over-budget": dict(_HEAT, solve={"t": 0.5, "max_level": 40}),
-    "ou-kernel-over-budget": dict(
+    "max-level-over-budget": ("solve", dict(_HEAT, solve={"t": 0.5, "max_level": 40})),
+    "ou-kernel-over-budget": ("solve", dict(
         _HEAT, grid={"kind": "uniform", "domain": [-1, 1], "dx": 0.1},
         family={"kind": "ou", "members": [{"B": 800.0, "m": 0.0, "C": 1.0}]},
-        u0={"name": "sin"}, solve={"t": 1.0, "max_level": 3}),
-    "chain-kernel-over-budget": dict(
+        u0={"name": "sin"}, solve={"t": 1.0, "max_level": 3})),
+    "chain-kernel-over-budget": ("solve", dict(
         _HEAT, grid={"kind": "labels", "n": 2},
-        family={"kind": "chain", "rate_matrices": [[[-1e300, 1e300], [0.0, 0.0]]]}),
+        family={"kind": "chain", "rate_matrices": [[[-1e300, 1e300], [0.0, 0.0]]]})),
+    # every other subcommand's member-apply and path-stage budgets, and which
+    # check fires first when a config breaks two
+    "control-m-over-budget": ("control", dict(_HEAT, control={"t": 0.5, "m": 2 ** 40})),
+    "control-trials-over-budget": ("control", dict(_HEAT, control={"t": 0.5, "m": 4,
+                                                                   "trials": 2 ** 40})),
+    "control-level-over-budget": ("control", dict(_HEAT, control={"t": 0.5, "m": 4,
+                                                                  "level": 40})),
+    "mc-m-over-budget": ("mc", dict(_HEAT, mc=dict(_MC, m=2 ** 40))),
+    "mc-paths-over-budget": ("mc", dict(_HEAT, mc=dict(_MC, n_paths=2 ** 25))),
+    "dpp-level-over-budget": ("dpp", dict(_HEAT, dpp={"s": 0.25, "t": 0.25, "level": 40})),
+    "control-m-and-level": ("control", dict(_HEAT, control={"t": 0.5, "m": 2 ** 40,
+                                                            "level": 40})),
+    "control-trials-and-subnormal-t": ("control", dict(_HEAT, control={
+        "t": 5e-324, "m": 4, "trials": 2 ** 40})),
+    "mc-paths-and-subnormal-t": ("mc", dict(_HEAT, mc=dict(_MC, n_paths=2 ** 25, t=5e-324))),
 }
 RUNS = [(sub, README, seed) for seed in (1, 7) for sub in ("solve", "dpp", "control", "mc")]
 RUNS.append(("properties", OU, None))
@@ -129,7 +148,7 @@ RUNS += [(sub, kind, None) for kind in KINDS
          for sub in ("solve", "properties", "dpp", "control")]
 # lognormal and dilated-duration steps read the normals stream too
 RUNS += [("mc", kind, seed) for seed in (1, 7) for kind in ("gbm", "scaled")]
-RUNS += [("solve", name, None) for name in REJECTS]
+RUNS += [(sub, name, None) for name, (sub, _) in REJECTS.items()]
 # one run through nisio.cli.run; prints the summed builds and lookups of the
 # members of the family the CLI built, when it built one, and each member's
 # largest held byte count
@@ -172,7 +191,8 @@ def export_src(ref, dest):
 def write_configs(dest):
     """Write each config of KINDS and REJECTS to ``dest``; return {name: path}."""
     paths = {}
-    for name, cfg in {**KINDS, **REJECTS}.items():
+    rejects = {name: cfg for name, (_, cfg) in REJECTS.items()}
+    for name, cfg in {**KINDS, **rejects}.items():
         paths[name] = dest / f"{name}.json"
         paths[name].write_text(json.dumps(cfg), encoding="utf-8")
     return paths
